@@ -7,6 +7,7 @@ in one file; a directory of day-files is merged into a single gap-free
 per-grid series of 10-minute slots.
 """
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -168,6 +169,12 @@ def write_series_csv(series: ActivitySeries, path: str) -> None:
 
 
 def read_series_csv(path: str, grid_id: int = 0, channel: str = "internet") -> ActivitySeries:
+    """Read a series CSV written by write_series_csv.
+
+    Slots must count up from 0, each timestamp must equal
+    t0 + slot * SLOT_MS, and every value must be finite; a violation raises
+    ParseError naming the path and line.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "slot,timestamp_ms,value":
@@ -186,7 +193,23 @@ def read_series_csv(path: str, grid_id: int = 0, channel: str = "internet") -> A
                 t0_ms = ts - slot * SLOT_MS
             if slot != len(values):
                 raise ParseError(f"{path}: line {lineno}: slot {slot} out of order")
+            if ts != t0_ms + slot * SLOT_MS:
+                raise ParseError(f"{path}: line {lineno}: timestamp {ts} does not match "
+                                 f"slot {slot} (expected {t0_ms + slot * SLOT_MS})")
             values.append(val)
     if not values:
         raise ParseError(f"{path}: empty series")
-    return ActivitySeries(grid_id, channel, t0_ms, np.array(values))
+    values = np.array(values)
+    finite = np.isfinite(values)
+    if not finite.all():
+        slot = int(np.argmin(finite))
+        raise ParseError(f"{path}: line {_data_lineno(path, slot)}: "
+                         f"non-finite value {values[slot]!r}")
+    return ActivitySeries(grid_id, channel, t0_ms, values)
+
+
+def _data_lineno(path: str, index: int) -> int:
+    """Line number of the index-th non-blank data line of a series CSV."""
+    with open(path, encoding="utf-8") as fh:
+        data = (n for n, line in enumerate(fh, start=1) if n > 1 and line.strip())
+        return next(itertools.islice(data, index, None))

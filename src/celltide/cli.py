@@ -14,7 +14,7 @@ import numpy as np
 
 from . import arima, cdr, dataset, ffnn, lstm, modelio, train
 
-DEFAULT_SEED = int(os.environ.get("CELLTIDE_SEED", "0"))
+SEED_ENV = "CELLTIDE_SEED"
 
 
 def _write_predictions(path: str, slots, truth, preds) -> None:
@@ -177,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="celltide",
         description="Univariate cellular traffic forecasting toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed_help = f"random seed (default: ${SEED_ENV}, else 0)"
 
     def add_common_train_flags(p):
         p.add_argument("--series", required=True, help="series CSV (slot,timestamp_ms,value)")
@@ -184,11 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=int, default=12)
         p.add_argument("--epochs", type=int, default=20)
         p.add_argument("--lr", type=float, default=1e-3)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=int, help=seed_help)
 
     p = sub.add_parser("synth", help="generate a synthetic diurnal traffic series")
     p.add_argument("--days", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -209,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("arima", help="fit the ARIMA baseline and forecast the test slice")
     p.add_argument("--series", required=True)
     p.add_argument("--train-frac", type=float, default=0.8)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--auto", action="store_true", help="AIC grid search for (p,d,q)")
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--d", type=int, default=0)
-    p.add_argument("--q", type=int, default=0)
+    p.add_argument("--auto", action="store_true",
+                   help="AIC grid search for (p,d,q); excludes --p, --d and --q")
+    p.add_argument("--p", type=int, help="AR order (default 1)")
+    p.add_argument("--d", type=int, help="differencing order (default 0)")
+    p.add_argument("--q", type=int, help="MA order (default 0)")
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-predictions", required=True)
     p.set_defaults(func=cmd_arima)
@@ -228,8 +229,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resolve_defaults(parser: argparse.ArgumentParser, args) -> None:
+    """Fill in the defaults that depend on the environment or on other
+    flags; a bad combination is a usage error (exit code 2)."""
+    if getattr(args, "seed", 0) is None:
+        raw = os.environ.get(SEED_ENV, "0")
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            parser.error(f"{SEED_ENV} must be an integer, got {raw!r}")
+    if args.command == "arima":
+        given = [f"--{k}" for k in ("p", "d", "q") if getattr(args, k) is not None]
+        if args.auto and given:
+            parser.error(f"--auto cannot be combined with {', '.join(given)}")
+        for k, default in (("p", 1), ("d", 0), ("q", 0)):
+            if getattr(args, k) is None:
+                setattr(args, k, default)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _resolve_defaults(parser, args)
     try:
         return args.func(args)
     except (cdr.ParseError, cdr.IngestError, arima.ArimaFitError,

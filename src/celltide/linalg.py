@@ -40,19 +40,21 @@ _SIG_HI = np.nextafter(1.0, 0.0)
 
 
 def sigmoid(x) -> np.ndarray:
-    """Elementwise logistic function, computed in the overflow-safe branch form.
+    """Elementwise logistic function, computed as 0.5 + 0.5*tanh(x/2).
 
-    Outputs are clamped into the open interval (0, 1): beyond |x| ~ 37 the
-    true value rounds to exactly 0 or 1 in double precision, and gate values
+    tanh saturates instead of overflowing, so no branch on the sign of x is
+    needed. Outputs are clamped into the open interval (0, 1): beyond |x| ~ 37
+    the value rounds to exactly 0 or 1 in double precision, and gate values
     must stay strictly between fully-off and fully-on.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, _SIG_LO, _SIG_HI)
+    out = np.multiply(x, 0.5, out=np.empty_like(x))
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    np.maximum(out, _SIG_LO, out=out)
+    np.minimum(out, _SIG_HI, out=out)
+    return out
 
 
 def tanh_act(x) -> np.ndarray:

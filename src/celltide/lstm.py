@@ -17,9 +17,35 @@ from .linalg import ShapeError, sigmoid
 
 WEIGHT_KEYS = ("W_f", "W_i", "W_c", "W_o", "b_f", "b_i", "b_c", "b_o", "W_y", "b_y")
 
+GATE_ORDER = "fioc"  # row-block order of the packed gate matrix: sigmoid gates first
+
+
+def _unpack(flat: np.ndarray, hidden: int, hd: int):
+    """Views of a flat buffer in parameter layout.
+
+    Returns the packed gate matrix (4H, H+D), the packed gate bias (4H,) and
+    a dict of every WEIGHT_KEYS entry; all are contiguous views of `flat`.
+    """
+    n_w = 4 * hidden * hd
+    w = flat[:n_w].reshape(4 * hidden, hd)
+    b = flat[n_w:n_w + 4 * hidden]
+    views = {"W_y": flat[n_w + 4 * hidden:-1].reshape(1, hidden), "b_y": flat[-1:]}
+    for j, gate in enumerate(GATE_ORDER):
+        views[f"W_{gate}"] = w[j * hidden:(j + 1) * hidden]
+        views[f"b_{gate}"] = b[j * hidden:(j + 1) * hidden]
+    return w, b, views
+
 
 @dataclass
 class LstmParams:
+    """LSTM weights, stored in one flat float64 buffer `flat`.
+
+    The fields are contiguous views of that buffer. The four gate matrices are
+    the row blocks of the packed gate matrix `W` (4H, H+D) in the order
+    f, i, o, c, and the gate biases form the packed vector `b` (4H,) in the
+    same order. Construction copies the given arrays into a fresh buffer.
+    """
+
     W_f: np.ndarray  # (H, H+D)
     W_i: np.ndarray
     W_c: np.ndarray
@@ -31,6 +57,17 @@ class LstmParams:
     W_y: np.ndarray  # (1, H)
     b_y: np.ndarray  # (1,)
     head: str = "sigmoid"  # "sigmoid" or "linear"
+
+    def __post_init__(self):
+        hidden, hd = np.shape(self.W_f)
+        self.flat = np.empty(4 * hidden * hd + 5 * hidden + 1)
+        self.W, self.b, views = _unpack(self.flat, hidden, hd)
+        for k, view in views.items():
+            value = np.asarray(getattr(self, k), dtype=np.float64)
+            if value.shape != view.shape:
+                raise ShapeError(f"{k} has shape {value.shape}, expected {view.shape}")
+            view[...] = value
+            setattr(self, k, view)
 
     @property
     def hidden(self) -> int:
@@ -44,17 +81,13 @@ class LstmParams:
         return {k: getattr(self, k) for k in WEIGHT_KEYS}
 
     def copy(self) -> "LstmParams":
-        return replace(self, **{k: v.copy() for k, v in self.weights().items()})
+        return replace(self)
 
 
 @dataclass
 class LstmState:
     a: np.ndarray  # hidden activation, (H,)
     c: np.ndarray  # cell state, (H,)
-
-
-def zero_grads(params) -> dict:
-    return {k: np.zeros_like(v) for k, v in params.weights().items()}
 
 
 def init_params(hidden: int, input_size: int = 1, seed: int = 0,
@@ -78,25 +111,39 @@ def init_params(hidden: int, input_size: int = 1, seed: int = 0,
         W_y=w_y, b_y=np.zeros(1), head=head)
 
 
-def _step_batch(x, a_prev, c_prev, p):
-    """One cell step for a batch: x (B,D), states (B,H). Returns new states + cache."""
-    z = np.concatenate([a_prev, x], axis=1)
-    g_f = sigmoid(z @ p.W_f.T + p.b_f)
-    g_i = sigmoid(z @ p.W_i.T + p.b_i)
-    c_u = np.tanh(z @ p.W_c.T + p.b_c)
-    g_o = sigmoid(z @ p.W_o.T + p.b_o)
-    c = g_f * c_prev + g_i * c_u
-    tanh_c = np.tanh(c)
-    a = g_o * tanh_c
-    cache = {"z": z, "g_f": g_f, "g_i": g_i, "c_u": c_u, "g_o": g_o,
-             "c_prev": c_prev, "tanh_c": tanh_c}
-    return a, c, cache
+def _gate_weights(p: LstmParams) -> np.ndarray:
+    """The packed gate matrix transposed, with the packed bias as its last
+    row: a C-contiguous (H+D+1, 4H) array. One GEMM of a step input
+    [a_prev, x, 1] with it gives all four gate pre-activations, bias included.
+    """
+    wt = np.empty((p.W.shape[1] + 1, p.W.shape[0]))
+    wt[:-1] = p.W.T
+    wt[-1] = p.b
+    return wt
+
+
+def _step(z, c_prev, wt, gates, c, tanh_c, a):
+    """One fused cell step for a batch of step inputs z = [a_prev, x, 1].
+
+    Writes the activated gates (B, 4H) in GATE_ORDER, the new cell state, its
+    tanh and the new hidden state into the given buffers.
+    """
+    h = c.shape[1]
+    np.matmul(z, wt, out=gates)
+    gates[:, :3 * h] = sigmoid(gates[:, :3 * h])
+    np.tanh(gates[:, 3 * h:], out=gates[:, 3 * h:])
+    np.multiply(gates[:, :h], c_prev, out=c)
+    c += gates[:, h:2 * h] * gates[:, 3 * h:]
+    np.tanh(c, out=tanh_c)
+    np.multiply(gates[:, 2 * h:3 * h], tanh_c, out=a)
 
 
 def forward_batch(windows: np.ndarray, p: LstmParams):
     """Run the cell chain over a batch of windows (B, T); zero initial state.
 
-    Returns predictions (B,) and the caches needed by backward_batch.
+    Returns predictions (B,) and the caches needed by backward_batch: the
+    step inputs z = [a_prev, x, 1] (T, B, H+2), the activated gates
+    (T, B, 4H), and the cell states and their tanh (T, B, H).
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2 or windows.shape[1] < 1:
@@ -105,56 +152,87 @@ def forward_batch(windows: np.ndarray, p: LstmParams):
         raise ShapeError("forward_batch feeds scalar inputs; params expect "
                          f"input size {p.input_size}")
     n, t_len = windows.shape
-    a = np.zeros((n, p.hidden))
-    c = np.zeros((n, p.hidden))
-    steps = []
+    h = p.hidden
+    z = np.empty((t_len, n, h + 2))
+    z[0, :, :h] = 0.0
+    z[:, :, h] = windows.T
+    z[:, :, h + 1] = 1.0
+    gates = np.empty((t_len, n, 4 * h))
+    c = np.empty((t_len, n, h))
+    tanh_c = np.empty((t_len, n, h))
+    a = np.empty((n, h))
+    wt = _gate_weights(p)
+    c_prev = np.zeros((n, h))
     for t in range(t_len):
-        a, c, cache = _step_batch(windows[:, t:t + 1], a, c, p)
-        steps.append(cache)
+        a_next = z[t + 1, :, :h] if t + 1 < t_len else a
+        _step(z[t], c_prev, wt, gates[t], c[t], tanh_c[t], a_next)
+        c_prev = c[t]
     score = a @ p.W_y.T + p.b_y  # (B, 1)
     y = sigmoid(score).ravel() if p.head == "sigmoid" else score.ravel()
-    return y, {"steps": steps, "a_final": a, "y": y, "hidden": p.hidden}
+    return y, {"z": z, "gates": gates, "c": c, "tanh_c": tanh_c, "a_final": a, "y": y}
 
 
 def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> dict:
     """Gradients of sum_b d_loss_d_yhat[b] * yhat[b] w.r.t. every weight/bias.
 
     Exact BPTT through all steps of the forward call that produced `caches`;
-    gradients are summed over the batch.
+    gradients are summed over the batch. Each step fills one (B, 4H) block of
+    gate pre-activation gradients and runs one GEMM back to the hidden state.
+    The gate weights and biases get their gradient from one GEMM over the
+    stacked (T*B, H+2) step inputs. The returned arrays are views of one flat
+    buffer in parameter layout.
     """
-    if caches["hidden"] != p.hidden or caches["steps"][0]["z"].shape[1] != p.hidden + p.input_size:
+    z, gates, c, tanh_c = caches["z"], caches["gates"], caches["c"], caches["tanh_c"]
+    h, hd = p.hidden, p.W.shape[1]
+    if gates.shape[2] != 4 * h or z.shape[2] != hd + 1:
         raise ShapeError("cache does not match parameter shapes")
     d_y = np.asarray(d_loss_d_yhat, dtype=np.float64)
     y = caches["y"]
     if d_y.shape != y.shape:
         raise ShapeError(f"upstream gradient shape {d_y.shape} != predictions {y.shape}")
-    grads = zero_grads(p)
+    g_w, g_b, grads = _unpack(np.empty_like(p.flat), h, hd)
     d_score = d_y * y * (1.0 - y) if p.head == "sigmoid" else d_y
-    grads["W_y"] += d_score[None, :] @ caches["a_final"]
-    grads["b_y"] += d_score.sum(keepdims=True)
-    h = p.hidden
+    np.matmul(d_score[None, :], caches["a_final"], out=grads["W_y"])
+    grads["b_y"][0] = d_score.sum()
+
+    # Every factor of the gate gradients that does not depend on the
+    # recurrence, for all steps at once: the activation derivative (s(1-s)
+    # for f, i, o; 1-u^2 for the candidate u) times what the gate multiplies
+    # (c_prev, u, tanh(c), i), and d a_t / d c_t = o * (1 - tanh(c_t)^2).
+    t_len, n, _ = gates.shape
+    sig, cand = gates[:, :, :3 * h], gates[:, :, 3 * h:]
+    d_gates = np.empty_like(gates)
+    np.subtract(1.0, sig, out=d_gates[:, :, :3 * h])
+    d_gates[:, :, :3 * h] *= sig
+    np.multiply(cand, cand, out=d_gates[:, :, 3 * h:])
+    np.subtract(1.0, d_gates[:, :, 3 * h:], out=d_gates[:, :, 3 * h:])
+    d_gates[0, :, :h] = 0.0  # zero initial cell state
+    d_gates[1:, :, :h] *= c[:-1]
+    d_gates[:, :, h:2 * h] *= cand
+    d_gates[:, :, 2 * h:3 * h] *= tanh_c
+    d_gates[:, :, 3 * h:] *= gates[:, :, h:2 * h]
+    da_dc = np.multiply(tanh_c, tanh_c)
+    np.subtract(1.0, da_dc, out=da_dc)
+    da_dc *= gates[:, :, 2 * h:3 * h]
+
+    w_h = np.ascontiguousarray(p.W[:, :h])
     d_a = d_score[:, None] * p.W_y  # (B, H)
     d_c = np.zeros_like(d_a)
-    for cache in reversed(caches["steps"]):
-        g_f, g_i, g_o = cache["g_f"], cache["g_i"], cache["g_o"]
-        c_u, tanh_c, z = cache["c_u"], cache["tanh_c"], cache["z"]
-        d_c = d_c + d_a * g_o * (1.0 - tanh_c ** 2)
-        d_go_pre = d_a * tanh_c * g_o * (1.0 - g_o)
-        d_gi_pre = d_c * c_u * g_i * (1.0 - g_i)
-        d_cu_pre = d_c * g_i * (1.0 - c_u ** 2)
-        d_gf_pre = d_c * cache["c_prev"] * g_f * (1.0 - g_f)
-        grads["W_f"] += d_gf_pre.T @ z
-        grads["W_i"] += d_gi_pre.T @ z
-        grads["W_c"] += d_cu_pre.T @ z
-        grads["W_o"] += d_go_pre.T @ z
-        grads["b_f"] += d_gf_pre.sum(axis=0)
-        grads["b_i"] += d_gi_pre.sum(axis=0)
-        grads["b_c"] += d_cu_pre.sum(axis=0)
-        grads["b_o"] += d_go_pre.sum(axis=0)
-        d_z = (d_gf_pre @ p.W_f + d_gi_pre @ p.W_i
-               + d_cu_pre @ p.W_c + d_go_pre @ p.W_o)
-        d_a = d_z[:, :h]
-        d_c = d_c * g_f
+    tmp = np.empty_like(d_a)
+    for t in range(t_len - 1, -1, -1):
+        np.multiply(d_a, da_dc[t], out=tmp)
+        d_c += tmp
+        dg = d_gates[t]
+        dg[:, 2 * h:3 * h] *= d_a
+        dg3 = dg.reshape(n, 4, h)
+        dg3[:, :2] *= d_c[:, None, :]
+        dg3[:, 3] *= d_c
+        if t:
+            np.matmul(dg, w_h, out=d_a)
+            d_c *= gates[t, :, :h]
+    gwt = z.reshape(-1, hd + 1).T @ d_gates.reshape(-1, 4 * h)  # (H+2, 4H)
+    g_w[...] = gwt[:-1].T
+    g_b[...] = gwt[-1]
     return grads
 
 
@@ -165,8 +243,11 @@ def cell_forward(x_t: np.ndarray, prev: LstmState, p: LstmParams):
         raise ShapeError(
             f"cell_forward: input {x_t.shape[1]} / state {prev.a.shape} "
             f"incompatible with params (H={p.hidden}, D={p.input_size})")
-    a, c, cache = _step_batch(x_t, prev.a[None, :], prev.c[None, :], p)
-    return LstmState(a[0], c[0]), cache
+    z = np.concatenate([prev.a[None, :], x_t, np.ones((1, 1))], axis=1)
+    h = p.hidden
+    gates, c, tanh_c, a = np.empty((1, 4 * h)), np.empty((1, h)), np.empty((1, h)), np.empty((1, h))
+    _step(z, prev.c[None, :], _gate_weights(p), gates, c, tanh_c, a)
+    return LstmState(a[0], c[0]), {"z": z, "gates": gates, "tanh_c": tanh_c}
 
 
 def forward(window: np.ndarray, p: LstmParams):

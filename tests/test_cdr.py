@@ -160,3 +160,38 @@ def test_series_csv_deterministic_bytes(tmp_path, fixture_dir):
     cdr.write_series_csv(cdr.ingest_dir(str(fixture_dir), 1, "internet"), str(p1))
     cdr.write_series_csv(cdr.ingest_dir(str(fixture_dir), 1, "internet"), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _series_lines(n=4):
+    return ["slot,timestamp_ms,value"] + [f"{i},{T0 + i * 600_000},{i + 1.5}" for i in range(n)]
+
+
+def _write_lines(tmp_path, lines):
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_series_csv_rejects_non_finite_value(tmp_path, bad):
+    lines = _series_lines()
+    lines[3] = f"2,{T0 + 2 * 600_000},{bad}"
+    path = _write_lines(tmp_path, lines)
+    with pytest.raises(cdr.ParseError, match=r"series\.csv: line 4: non-finite"):
+        cdr.read_series_csv(path)
+
+
+def test_series_csv_non_finite_line_counts_blank_lines(tmp_path):
+    lines = _series_lines()
+    lines[3] = f"2,{T0 + 2 * 600_000},nan"
+    path = _write_lines(tmp_path, lines[:2] + [""] + lines[2:])
+    with pytest.raises(cdr.ParseError, match="line 5: "):
+        cdr.read_series_csv(path)
+
+
+def test_series_csv_rejects_off_grid_timestamp(tmp_path):
+    lines = _series_lines()
+    lines[4] = f"3,{T0 + 3 * 600_000 + 1},4.5"
+    path = _write_lines(tmp_path, lines)
+    with pytest.raises(cdr.ParseError, match=r"series\.csv: line 5: timestamp"):
+        cdr.read_series_csv(path)

@@ -99,7 +99,50 @@ class TestTrain:
                      "--out-history", str(tmp_path / "h.csv")]) == 1
 
 
+class TestSeedEnvironment:
+    def test_non_integer_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CELLTIDE_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--days", "1", "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert "CELLTIDE_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_sets_the_default_seed(self, tmp_path, monkeypatch):
+        explicit = make_series_csv(tmp_path, days=1, seed=9, name="explicit.csv")
+        monkeypatch.setenv("CELLTIDE_SEED", "9")
+        assert main(["synth", "--days", "1", "--out", str(tmp_path / "env.csv")]) == 0
+        assert (tmp_path / "env.csv").read_bytes() == explicit.read_bytes()
+
+    def test_explicit_seed_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CELLTIDE_SEED", "abc")
+        make_series_csv(tmp_path, days=1, seed=2)
+
+
 class TestArima:
+    @pytest.mark.parametrize("flag", ["--p", "--d", "--q"])
+    def test_auto_with_order_is_usage_error(self, tmp_path, capsys, flag):
+        series = make_series_csv(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["arima", "--series", str(series), "--auto", flag, "1",
+                  "--out-model", str(tmp_path / "m.json"),
+                  "--out-predictions", str(tmp_path / "p.csv")])
+        assert exc.value.code == 2
+        assert f"--auto cannot be combined with {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_non_finite_series_value_fails_naming_line(self, tmp_path, capsys):
+        series = make_series_csv(tmp_path)
+        lines = series.read_text().splitlines()
+        slot, ts, _ = lines[10].split(",")
+        lines[10] = f"{slot},{ts},nan"
+        series.write_text("\n".join(lines) + "\n")
+        rc = main(["arima", "--series", str(series), "--train-frac", "0.4",
+                   "--out-model", str(tmp_path / "m.json"),
+                   "--out-predictions", str(tmp_path / "p.csv")])
+        assert rc == 1
+        assert "line 11: non-finite value" in capsys.readouterr().err
+
     def test_mean_model_constant_predictions(self, tmp_path):
         series = make_series_csv(tmp_path)
         preds_path = tmp_path / "preds.csv"

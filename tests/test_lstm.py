@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -72,10 +74,9 @@ class TestCellForward:
         p = lstm.init_params(4, seed=3)
         window = rng.uniform(0, 1, 10)
         _, caches = lstm.forward(window, p)
-        for step in caches["steps"]:
-            for gate in ("g_f", "g_i", "g_o"):
-                assert np.all((step[gate] > 0) & (step[gate] < 1))
-            assert np.all((step["c_u"] > -1) & (step["c_u"] < 1))
+        sig, cand = caches["gates"][:, :, :12], caches["gates"][:, :, 12:]  # [f, i, o | c]
+        assert np.all((sig > 0) & (sig < 1))
+        assert np.all((cand > -1) & (cand < 1))
         assert np.all(np.abs(caches["a_final"]) < 1)
 
 
@@ -145,6 +146,25 @@ class TestBackward:
                                         window, p, lstm.WEIGHT_KEYS)
             assert max_relative_error(analytic, numeric) < 1e-4
 
+    @pytest.mark.parametrize("batch", [2, 7, 32])
+    def test_batch_gradient_is_sum_of_window_gradients(self, batch):
+        rng = np.random.default_rng(batch)
+        h = int(rng.integers(1, 9))
+        t_len = int(rng.integers(1, 13))
+        p = lstm.init_params(h, seed=int(rng.integers(1 << 30)))
+        windows = rng.uniform(0, 1, (batch, t_len))
+        upstream = rng.uniform(-2, 2, batch)
+        _, caches = lstm.forward_batch(windows, p)
+        got = lstm.backward_batch(caches, upstream, p)
+        want = {k: np.zeros_like(v) for k, v in p.weights().items()}
+        for window, d in zip(windows, upstream):
+            _, c = lstm.forward(window, p)
+            for k, g in lstm.backward(c, d, p).items():
+                want[k] += g
+        for k in lstm.WEIGHT_KEYS:
+            scale = np.max(np.abs(want[k]))
+            assert np.max(np.abs(got[k] - want[k])) <= 1e-12 * scale, k
+
     def test_cache_mismatch(self):
         p = lstm.init_params(3, seed=1)
         _, caches = lstm.forward(np.array([0.1, 0.2]), p)
@@ -153,7 +173,57 @@ class TestBackward:
             lstm.backward(caches, 1.0, other)
 
 
+class TestPackedStorage:
+    def test_fields_are_contiguous_views_of_one_buffer(self):
+        p = lstm.init_params(4, seed=2)
+        for k, v in p.weights().items():
+            assert v.flags.c_contiguous and np.shares_memory(v, p.flat), k
+        assert p.flat.size == sum(v.size for v in p.weights().values())
+
+    def test_in_place_write_changes_forward(self):
+        p = lstm.init_params(4, seed=2)
+        window = np.linspace(0.1, 0.9, 6)
+        before = lstm.forward(window, p)[0]
+        p.W_c[...] += 0.5
+        assert lstm.forward(window, p)[0] != before
+
+    def test_copy_owns_its_buffer(self):
+        p = lstm.init_params(4, seed=2)
+        q = p.copy()
+        assert not np.shares_memory(p.flat, q.flat)
+        q.W_c[...] += 0.5
+        q.b_o[...] -= 1.0
+        assert not np.array_equal(p.W_c, q.W_c)
+        assert not np.array_equal(p.b_o, q.b_o)
+
+    def test_constructor_copies_and_checks_shapes(self):
+        p = lstm.init_params(3, seed=1)
+        mats = {k: v.copy() for k, v in p.weights().items()}
+        q = lstm.LstmParams(**mats)
+        mats["W_f"][...] = 7.0
+        assert not np.any(q.W_f == 7.0)
+        with pytest.raises(ShapeError, match="b_i"):
+            lstm.LstmParams(**{**mats, "b_i": np.zeros(4)})
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
 class TestSerialization:
+    def test_model_file_from_unpacked_layout_loads(self):
+        # lstm_h3.json was written by the serializer of the unpacked
+        # per-gate implementation; the predictions below are its outputs.
+        text = (FIXTURES / "lstm_h3.json").read_text()
+        p, window_len, scaler = lstm.deserialize(text)
+        assert (p.hidden, window_len) == (3, 6)
+        assert (scaler.min, scaler.max) == (2.0, 50.0)
+        windows = np.random.default_rng(3).uniform(0, 1, (4, 6))
+        y, _ = lstm.forward_batch(windows, p)
+        expected = [0.16372606889320465, 0.14822154178029878,
+                    0.12566812692667684, 0.15016611321767062]
+        assert np.max(np.abs(y - expected)) < 1e-12
+        assert lstm.serialize(p, window_len, scaler) == text
+
     def test_roundtrip(self):
         p = lstm.init_params(7, seed=31)
         text = lstm.serialize(p, window_len=12)
