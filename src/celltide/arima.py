@@ -50,7 +50,7 @@ def difference(series, d: int) -> np.ndarray:
 
 
 def diff_heads(series, d: int) -> np.ndarray:
-    """First element of each differencing level, the state `integrate` needs."""
+    """First element of each differencing level; saved in model files as `heads`."""
     series = np.asarray(series, dtype=np.float64)
     heads = []
     for _ in range(d):
@@ -59,38 +59,27 @@ def diff_heads(series, d: int) -> np.ndarray:
     return np.array(heads)
 
 
-def integrate(diffed, heads, d: int) -> np.ndarray:
-    """Invert `difference`; exact telescoping reconstruction from stored heads."""
-    out = np.asarray(diffed, dtype=np.float64)
-    heads = np.asarray(heads, dtype=np.float64)
-    if len(heads) != d:
-        raise ValueError(f"need {d} head values, got {len(heads)}")
-    for k in range(d - 1, -1, -1):
-        acc = np.empty(len(out) + 1)
-        acc[0] = heads[k]
-        for i, v in enumerate(out):
-            acc[i + 1] = acc[i] + v
-        out = acc
-    return out
+_ROOT_MARGIN = 1.0 + 1e-9  # roots must lie strictly beyond this radius
 
 
-def _stationary(coeffs: np.ndarray) -> bool:
-    """True when 1 - c1 z - ... - ck z^k has all roots outside the unit circle."""
-    if len(coeffs) == 0:
-        return True
-    poly = np.concatenate(([1.0], -np.asarray(coeffs)))
-    roots = np.roots(poly[::-1])  # roots of c_k + ... + 1*z^k? see note below
-    # np.roots wants descending powers; reverse so index 0 is z^k coefficient
-    return bool(len(roots) == 0 or np.min(np.abs(roots)) > 1.0 + 1e-9)
+def _stable(coeffs) -> bool:
+    """True when 1 - c1 z - ... - ck z^k has all roots outside |z| = 1 + 1e-9.
 
-
-def _invertible(theta: np.ndarray) -> bool:
-    """True when 1 + t1 z + ... + tq z^q has all roots outside the unit circle."""
-    if len(theta) == 0:
-        return True
-    poly = np.concatenate(([1.0], np.asarray(theta)))
-    roots = np.roots(poly[::-1])
-    return bool(len(roots) == 0 or np.min(np.abs(roots)) > 1.0 + 1e-9)
+    Schur-Cohn step-down (Durbin-Levinson run backwards): substituting
+    z = (1 + 1e-9) w scales c_i by (1 + 1e-9)**i, and the scaled polynomial
+    has all roots outside the unit circle exactly when every reflection
+    coefficient met on the way down has magnitude below 1. A zero trailing
+    coefficient steps down to the shorter polynomial; NaN and inf fail the
+    comparison, at once or at a later step they propagate to.
+    """
+    a = [v * _ROOT_MARGIN ** i for i, v in enumerate(np.asarray(coeffs, float).tolist(), 1)]
+    for m in range(len(a) - 1, -1, -1):
+        k = a[m]
+        if not abs(k) < 1.0:
+            return False
+        s = 1.0 - k * k
+        a = [(a[i] + k * a[m - 1 - i]) / s for i in range(m)]
+    return True
 
 
 def residuals(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -166,19 +155,19 @@ def fit(series, p: int, d: int, q: int) -> ArimaModel:
 
     phi0, theta0 = hannan_rissanen(y, p, q)
     x0 = np.concatenate([phi0, theta0])
-    if not (_stationary(phi0) and _invertible(theta0)):
+    if not (_stable(phi0) and _stable(-theta0)):
         x0 = np.zeros_like(x0)  # HR start outside the valid region; restart at white noise
 
     def objective(x):
         phi, theta = x[:p], x[p:]
-        if not (_stationary(phi) and _invertible(theta)):
+        if not (_stable(phi) and _stable(-theta)):
             return 1e12 * (1.0 + float(np.abs(x).sum()))
         return css(y, phi, theta)
 
     res = minimize(objective, x0, method="Nelder-Mead",
                    options={"fatol": 1e-8, "xatol": 1e-8, "maxiter": 2000, "maxfev": 4000})
     phi, theta = res.x[:p], res.x[p:]
-    if not (_stationary(phi) and _invertible(theta)):
+    if not (_stable(phi) and _stable(-theta)):
         raise ArimaFitError(
             f"optimum for orders ({p},{d},{q}) is non-stationary or non-invertible; "
             "try different orders")
@@ -186,46 +175,59 @@ def fit(series, p: int, d: int, q: int) -> ArimaModel:
     return ArimaModel(p, d, q, phi, theta, mu, sigma2, diff_heads(series, d))
 
 
+def _forecasts(model: ArimaModel, history: np.ndarray, start: int) -> np.ndarray:
+    """One-step conditional expectations for slots start..len(history), slot t
+    conditioned on history[:t]. Every history is a prefix of the longest, so
+    one differencing and one residual filter serve them all; the sums run in
+    the per-slot order (mu, AR terms, MA terms, then the integration levels),
+    and a term a short history lacks is left out, never wrapped around."""
+    p, d, q = model.p, model.d, model.q
+    if start < p + d:
+        raise ValueError(
+            f"history of length {start} too short for orders (p={p}, d={d})")
+    stop = len(history) + 1
+    lasts = np.zeros(stop - start)
+    z = history
+    for k in range(d):
+        lasts += z[start - 1 - k:stop - 1 - k]  # last value of level k per slot
+        z = np.diff(z)
+    y = z - model.mu
+    base = start - d  # len(y[:t - d]) for the first slot
+    pred = np.full(stop - start, model.mu)
+    for i, ph in enumerate(model.phi, start=1):
+        pred += ph * y[base - i:stop - d - i]
+    if q and len(y) > p:
+        e = residuals(y, model.phi, model.theta)  # e[m] is the innovation of y[m + p]
+        for j, th in enumerate(model.theta, start=1):
+            lo = max(0, p + j - base)  # first slot whose history has e[-j]
+            if lo < len(pred):
+                pred[lo:] += th * e[base + lo - p - j:stop - d - p - j]
+    return pred + lasts
+
+
 def forecast_one(model: ArimaModel, history) -> float:
     """One-step-ahead conditional expectation given true history."""
     history = np.asarray(history, dtype=np.float64)
-    if len(history) < model.p + model.d:
-        raise ValueError(
-            f"history of length {len(history)} too short for orders "
-            f"(p={model.p}, d={model.d})")
-    z = history
-    lasts = 0.0
-    for _ in range(model.d):
-        lasts += z[-1]
-        z = np.diff(z)
-    y = z - model.mu
-    pred = model.mu
-    for i, ph in enumerate(model.phi, start=1):
-        pred += ph * y[-i]
-    if model.q and len(y) > model.p:
-        e = residuals(y, model.phi, model.theta)
-        for j, th in enumerate(model.theta, start=1):
-            if j <= len(e):
-                pred += th * e[-j]
-    return float(pred + lasts)
+    return float(_forecasts(model, history, len(history))[0])
 
 
 def rolling_forecast(model: ArimaModel, series, test_range) -> np.ndarray:
     """One-step forecasts for every slot in [start, stop), each conditioned on
-    the true series up to the previous slot. No refitting."""
+    the true series up to the previous slot. No refitting; one O(N) pass."""
     series = np.asarray(series, dtype=np.float64)
     start, stop = test_range
     if not (0 <= start < stop <= len(series)):
         raise ValueError(f"test range [{start}, {stop}) outside series of length {len(series)}")
-    return np.array([forecast_one(model, series[:t]) for t in range(start, stop)])
+    return _forecasts(model, series[:stop - 1], start)
 
 
 def aic(model: ArimaModel, n_eff: int) -> float:
     return n_eff * np.log(model.sigma2) + 2.0 * (model.p + model.q + 1)
 
 
-def auto_order(series, max_p: int = 3, max_q: int = 3, max_d: int = 1):
-    """Grid-search (p, d, q) by AIC; ties prefer fewer AR+MA terms, then lower d."""
+def auto_order(series, max_p: int = 3, max_q: int = 3, max_d: int = 1) -> ArimaModel:
+    """Grid-search (p, d, q) by AIC and return the winning fitted model; ties
+    prefer fewer AR+MA terms, then lower d."""
     series = np.asarray(series, dtype=np.float64)
     if len(series) < 200:
         raise ValueError("need at least 200 observations for order selection")
@@ -238,11 +240,10 @@ def auto_order(series, max_p: int = 3, max_q: int = 3, max_d: int = 1):
         if model.sigma2 <= 0:
             continue
         n_eff = len(series) - d - p
-        candidates.append((aic(model, n_eff), p + q, d, p, q))
+        candidates.append(((aic(model, n_eff), p + q, d, p, q), model))
     if not candidates:
         raise ArimaFitError("no ARIMA order in the search grid could be fitted")
-    _, _, d, p, q = min(candidates)
-    return p, d, q
+    return min(candidates, key=lambda c: c[0])[1]
 
 
 def serialize(model: ArimaModel) -> str:
@@ -255,12 +256,18 @@ def serialize(model: ArimaModel) -> str:
     })
 
 
+def _require_order(obj: dict, name: str) -> int:
+    v = modelio.require(obj, name)
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= MAX_ORDER:
+        raise modelio.ModelFormatError(
+            f"field {name!r} is {v!r}, expected an integer in 0..{MAX_ORDER}")
+    return v
+
+
 def deserialize(text: str) -> ArimaModel:
     obj = modelio.loads(text)
     modelio.check_type_tag(obj, "arima")
-    p = int(modelio.require(obj, "p"))
-    d = int(modelio.require(obj, "d"))
-    q = int(modelio.require(obj, "q"))
+    p, d, q = (_require_order(obj, name) for name in ("p", "d", "q"))
     return ArimaModel(
         p, d, q,
         modelio.require_array(obj, "phi", (p,)),

@@ -81,11 +81,10 @@ def cmd_arima(args) -> int:
     spec = dataset.split(len(values), args.train_frac)
     train_slice = values[:spec.n_train]
     if args.auto:
-        p, d, q = arima.auto_order(train_slice)
-        print(f"selected order ({p},{d},{q})")
+        model = arima.auto_order(train_slice)
+        print(f"selected order ({model.p},{model.d},{model.q})")
     else:
-        p, d, q = args.p, args.d, args.q
-    model = arima.fit(train_slice, p, d, q)
+        model = arima.fit(train_slice, args.p, args.d, args.q)
     test_stop = spec.test_start + spec.n_test
     preds = arima.rolling_forecast(model, values, (spec.test_start, test_stop))
     slots = np.arange(spec.test_start, test_stop)
@@ -143,11 +142,10 @@ def cmd_compare(args) -> int:
         t0 = time.perf_counter()
         train_slice = values[:spec.n_train]
         if args.p is None:
-            p, d, q = arima.auto_order(train_slice)
-            print(f"arima: selected order ({p},{d},{q})")
+            model = arima.auto_order(train_slice)
+            print(f"arima: selected order ({model.p},{model.d},{model.q})")
         else:
-            p, d, q = args.p, args.d, args.q
-        model = arima.fit(train_slice, p, d, q)
+            model = arima.fit(train_slice, args.p, args.d, args.q)
         wall_ms = (time.perf_counter() - t0) * 1e3
         test_stop = spec.test_start + spec.n_test
         slots = np.arange(spec.test_start, test_stop)
@@ -155,7 +153,7 @@ def cmd_compare(args) -> int:
         _write_predictions(out("arima_predictions.csv"), slots, values[slots], preds)
         test_mae = train.mae(preds, values[slots])
         report["models"]["arima"] = {
-            "order": [p, d, q],
+            "order": [model.p, model.d, model.q],
             "test_mae": test_mae,
             "test_mae_normalized": test_mae / scale,
             "train_wall_ms": wall_ms,

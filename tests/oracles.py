@@ -1,8 +1,14 @@
 """Independent scalar-loop reference implementations used to check the
 vectorized models. Pure Python + math on purpose: no shared code paths with
-the package internals beyond reading parameter values element by element."""
+the package internals beyond reading parameter values element by element.
+The ARIMA references are the straightforward numpy forms instead (a root
+solve, one innovation filter per forecast slot), since the package's
+one-pass versions must reproduce their decisions and bits exactly."""
 
 import math
+
+import numpy as np
+from scipy.signal import lfilter
 
 
 def _sigmoid(x: float) -> float:
@@ -76,3 +82,60 @@ def max_relative_error(analytic: dict, numeric: dict, floor: float = 1e-5) -> fl
         for a, n in zip(ana.reshape(-1), num.reshape(-1)):
             worst = max(worst, abs(a - n) / max(abs(a), abs(n), floor))
     return worst
+
+
+def arima_stationary(coeffs) -> bool:
+    """True when 1 - c1 z - ... - ck z^k has all roots outside |z| = 1 + 1e-9,
+    by an eigenvalue root solve; non-finite coefficients are rejected."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if not np.all(np.isfinite(coeffs)):
+        return False
+    if len(coeffs) == 0:
+        return True
+    poly = np.concatenate(([1.0], -coeffs))
+    roots = np.roots(poly[::-1])  # np.roots wants the z^k coefficient first
+    return bool(len(roots) == 0 or np.min(np.abs(roots)) > 1.0 + 1e-9)
+
+
+def arima_invertible(theta) -> bool:
+    """True when 1 + t1 z + ... + tq z^q has all roots outside |z| = 1 + 1e-9."""
+    return arima_stationary(-np.asarray(theta, dtype=np.float64))
+
+
+def _arima_residuals(y, phi, theta):
+    p, n = len(phi), len(y)
+    u = y[p:].copy()
+    for i, ph in enumerate(phi, start=1):
+        u -= ph * y[p - i:n - i]
+    if len(theta):
+        u = lfilter([1.0], np.concatenate(([1.0], theta)), u)
+    return u
+
+
+def arima_forecast_one(model, history) -> float:
+    """One-step conditional expectation from the history alone: difference,
+    centre and filter the whole history again for this one slot."""
+    history = np.asarray(history, dtype=np.float64)
+    if len(history) < model.p + model.d:
+        raise ValueError("history too short")
+    z = history
+    lasts = 0.0
+    for _ in range(model.d):
+        lasts += z[-1]
+        z = np.diff(z)
+    y = z - model.mu
+    pred = model.mu
+    for i, ph in enumerate(model.phi, start=1):
+        pred += ph * y[-i]
+    if model.q and len(y) > model.p:
+        e = _arima_residuals(y, model.phi, model.theta)
+        for j, th in enumerate(model.theta, start=1):
+            if j <= len(e):
+                pred += th * e[-j]
+    return float(pred + lasts)
+
+
+def arima_rolling_forecast(model, series, start: int, stop: int) -> np.ndarray:
+    """Per-slot loop: slot t forecast from series[:t], O(N) work per slot."""
+    series = np.asarray(series, dtype=np.float64)
+    return np.array([arima_forecast_one(model, series[:t]) for t in range(start, stop)])

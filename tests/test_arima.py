@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from celltide import arima
 from celltide.modelio import ModelFormatError
+
+import oracles
 
 
 def simulate_arma(n, phi=(), theta=(), sigma=1.0, seed=0, burn=100):
@@ -25,22 +29,6 @@ class TestDifferencing:
     def test_ramp_becomes_constant(self):
         d = arima.difference(np.arange(0.0, 50.0, 2.5), 1)
         assert np.allclose(d, 2.5)
-
-    def test_integrate_inverts_exactly_on_dyadic_data(self):
-        # differences of multiples of 1/8 are representable, so the
-        # telescoping reconstruction is bit-exact
-        rng = np.random.default_rng(2)
-        s = rng.integers(0, 1600, 300) / 8.0
-        for d in (1, 2):
-            back = arima.integrate(arima.difference(s, d), arima.diff_heads(s, d), d)
-            assert np.array_equal(back, s)
-
-    def test_integrate_inverts_within_rounding(self):
-        rng = np.random.default_rng(2)
-        s = rng.uniform(0, 200, 300)
-        for d in (1, 2):
-            back = arima.integrate(arima.difference(s, d), arima.diff_heads(s, d), d)
-            assert np.max(np.abs(back - s)) < 1e-9
 
     def test_too_short(self):
         with pytest.raises(ValueError):
@@ -136,6 +124,30 @@ class TestRollingForecast:
         theoretical = sigma * np.sqrt(2 / np.pi)
         assert abs(mae - theoretical) / theoretical < 0.10
 
+    @pytest.mark.parametrize("order", [
+        *itertools.product(range(4), range(3), range(4)), (5, 2, 5)])
+    def test_matches_per_slot_oracle(self, order):
+        # bit-identical to re-filtering each slot's history, from the
+        # earliest legal slot p+d on, where short histories drop MA terms
+        p, d, q = order
+        rng = np.random.default_rng(100 + 16 * p + 4 * d + q)
+        model = arima.ArimaModel(p, d, q, rng.uniform(-0.5, 0.5, p),
+                                 rng.uniform(-0.5, 0.5, q), mu=rng.normal(),
+                                 sigma2=1.0, heads=np.zeros(d))
+        series = np.cumsum(rng.normal(size=60)) + 5.0
+        for start in (p + d, p + d + 1, 40):
+            want = oracles.arima_rolling_forecast(model, series, start, 60)
+            assert np.array_equal(arima.rolling_forecast(model, series, (start, 60)), want)
+        # forecast_one is the one-slot case, at every history length
+        assert [arima.forecast_one(model, series[:t]) for t in range(40, 60)] == want.tolist()
+        want = oracles.arima_rolling_forecast(model, series, p + d, 40)
+        assert [arima.forecast_one(model, series[:t]) for t in range(p + d, 40)] == want.tolist()
+        if p + d:
+            with pytest.raises(ValueError):
+                arima.rolling_forecast(model, series, (p + d - 1, 60))
+            with pytest.raises(ValueError):
+                arima.forecast_one(model, series[:p + d - 1])
+
     def test_range_out_of_bounds(self):
         model = arima.ArimaModel(0, 0, 0, [], [], mu=0.0, sigma2=1.0, heads=[])
         with pytest.raises(ValueError):
@@ -147,30 +159,68 @@ class TestAutoOrder:
         hits = 0
         for seed in range(10):
             y = simulate_arma(500, phi=(0.8,), seed=seed)
-            p, d, q = arima.auto_order(y)
-            hits += p >= 1
+            hits += arima.auto_order(y).p >= 1
         assert hits >= 8
 
     def test_selected_never_loses_to_mean_model(self):
         # AIC selection: whatever wins must beat the plain-mean candidate
         y = simulate_arma(500, seed=1)
-        p, d, q = arima.auto_order(y)
-        chosen = arima.fit(y, p, d, q)
+        chosen = arima.auto_order(y)
         mean_model = arima.fit(y, 0, 0, 0)
-        assert (arima.aic(chosen, len(y) - d - p)
+        assert (arima.aic(chosen, len(y) - chosen.d - chosen.p)
                 <= arima.aic(mean_model, len(y)) + 1e-9)
+
+    def test_returns_the_fit_of_the_chosen_order(self):
+        y = simulate_arma(500, phi=(0.6,), theta=(0.3,), seed=3)
+        chosen = arima.auto_order(y)
+        again = arima.fit(y, chosen.p, chosen.d, chosen.q)
+        assert arima.serialize(chosen) == arima.serialize(again)
 
     def test_white_noise_variance_not_overfit(self):
         # on pure noise the chosen model must not explain away real variance
         for seed in range(5):
             y = simulate_arma(1000, sigma=2.0, seed=40 + seed)
-            p, d, q = arima.auto_order(y)
-            model = arima.fit(y, p, d, q)
+            model = arima.auto_order(y)
             assert model.sigma2 == pytest.approx(4.0, rel=0.15)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             arima.auto_order(np.arange(100.0))
+
+
+class TestValidity:
+    def test_step_down_matches_root_oracle(self):
+        # random, boundary-hugging (roots at radius exp(N(0, 0.05))),
+        # zero-trailing and non-finite coefficient vectors of every length
+        rng = np.random.default_rng(11)
+        cases = []
+        for _ in range(3000):
+            k = int(rng.integers(0, arima.MAX_ORDER + 1))
+            cases.append(rng.uniform(-2.0, 2.0, k) * rng.choice([0.1, 0.5, 1.0]))
+            roots = []
+            while len(roots) < k:
+                r, ang = np.exp(rng.normal(0.0, 0.05)), rng.uniform(0.0, np.pi)
+                if len(roots) + 2 <= k and rng.random() < 0.7:
+                    roots += [r * np.exp(1j * ang), r * np.exp(-1j * ang)]
+                else:
+                    roots.append(r * rng.choice([-1.0, 1.0]))
+            # 1 - c1 z - ... - ck z^k = prod(1 - z / root)
+            cases.append(-np.poly(1.0 / np.array(roots)).real[1:] if k else np.empty(0))
+            if k:
+                c = cases[-2].copy()
+                c[-1] = 0.0
+                cases.append(c)
+                c = cases[-3].copy()
+                c[rng.integers(0, k)] = rng.choice([np.nan, np.inf, -np.inf])
+                cases.append(c)
+        # a root just inside and just beyond the 1 + 1e-9 margin
+        for r in (1.0 + 5e-10, 1.0 + 2e-9):
+            cases += [np.array([1.0 / r]), np.array([0.0, 1.0 / r**2])]
+        assert len(cases) >= 10_000
+        for c in cases:
+            assert arima._stable(c) == oracles.arima_stationary(c), c
+            assert arima._stable(-c) == oracles.arima_invertible(c), c
+        assert not any(arima._stable(c) for c in cases if not np.all(np.isfinite(c)))
 
 
 class TestSerialization:
@@ -187,4 +237,13 @@ class TestSerialization:
         model = arima.ArimaModel(0, 0, 0, [], [], mu=1.0, sigma2=2.0, heads=[])
         text = arima.serialize(model).replace('"mu"', '"nu"')
         with pytest.raises(ModelFormatError, match="mu"):
+            arima.deserialize(text)
+
+    @pytest.mark.parametrize("field,value", [
+        ("p", 2.5), ("p", True), ("d", 9), ("q", -1), ("p", '"x"'), ("q", "null")])
+    def test_bad_order_rejected(self, field, value):
+        model = arima.ArimaModel(0, 0, 0, [], [], mu=1.0, sigma2=2.0, heads=[])
+        text = arima.serialize(model).replace(
+            f'"{field}": 0', f'"{field}": {str(value).lower()}')
+        with pytest.raises(ModelFormatError, match=f"'{field}'"):
             arima.deserialize(text)
