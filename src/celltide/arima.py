@@ -256,18 +256,10 @@ def serialize(model: ArimaModel) -> str:
     })
 
 
-def _require_order(obj: dict, name: str) -> int:
-    v = modelio.require(obj, name)
-    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= MAX_ORDER:
-        raise modelio.ModelFormatError(
-            f"field {name!r} is {v!r}, expected an integer in 0..{MAX_ORDER}")
-    return v
-
-
 def deserialize(text: str) -> ArimaModel:
     obj = modelio.loads(text)
     modelio.check_type_tag(obj, "arima")
-    p, d, q = (_require_order(obj, name) for name in ("p", "d", "q"))
+    p, d, q = (modelio.require_int(obj, name, 0, MAX_ORDER) for name in ("p", "d", "q"))
     return ArimaModel(
         p, d, q,
         modelio.require_array(obj, "phi", (p,)),

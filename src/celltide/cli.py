@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from . import arima, cdr, dataset, ffnn, lstm, modelio, train
+from . import arima, cdr, dataset, modelio, train
 
 SEED_ENV = "CELLTIDE_SEED"
 
@@ -24,22 +24,22 @@ def _write_predictions(path: str, slots, truth, preds) -> None:
             fh.write(f"{s},{t:.17g},{p:.17g}\n")
 
 
-def _load_series(path: str) -> cdr.ActivitySeries:
-    return cdr.read_series_csv(path)
-
-
-def _split_and_scale(values: np.ndarray, train_frac: float):
-    spec = dataset.split(len(values), train_frac)
+def _neural_setup(args):
+    """Shared start of `train` and `compare`: read the series, split it,
+    fit the scaler on the training slice, print the split, and build the
+    training and validation windows and the training config. Returns
+    (values, spec, scaler, train_set, val_set, config)."""
+    values = cdr.read_series_csv(args.series).values
+    spec = dataset.split(len(values), args.train_frac)
     scaler = dataset.fit_scaler(values[:spec.n_train])
-    return spec, scaler
-
-
-def _window_sets(values: np.ndarray, spec, scaler, window_len: int):
+    print(f"split {spec.n_train}/{spec.n_val}/{spec.n_test}")
     normed = scaler.transform(values)
-    train_set = dataset.windows_for_range(normed, window_len, 0, spec.n_train)
-    val_set = dataset.windows_for_range(normed, window_len, spec.val_start,
+    train_set = dataset.windows_for_range(normed, args.window, 0, spec.n_train)
+    val_set = dataset.windows_for_range(normed, args.window, spec.val_start,
                                         spec.test_start)
-    return train_set, val_set
+    config = train.TrainConfig(epochs=args.epochs, learning_rate=args.lr,
+                               seed=args.seed, window=args.window)
+    return values, spec, scaler, train_set, val_set, config
 
 
 def cmd_synth(args) -> int:
@@ -57,52 +57,44 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    series = _load_series(args.series)
-    spec, scaler = _split_and_scale(series.values, args.train_frac)
-    print(f"split {spec.n_train}/{spec.n_val}/{spec.n_test}")
-    train_set, val_set = _window_sets(series.values, spec, scaler, args.window)
-    config = train.TrainConfig(epochs=args.epochs, learning_rate=args.lr,
-                               seed=args.seed, window=args.window)
+    _, _, scaler, train_set, val_set, config = _neural_setup(args)
     params, history = train.train_model(args.model, train_set, val_set, config)
-    if args.model == "lstm":
-        text = lstm.serialize(params, args.window, scaler)
-    else:
-        text = ffnn.serialize(params, scaler)
     with open(args.out_model, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(modelio.dumps_neural(params, args.window, scaler))
     history.write_csv(args.out_history)
     print(f"final val MAE (normalized) {history.final_val_mae:.6f}")
     return 0
 
 
-def cmd_arima(args) -> int:
-    series = _load_series(args.series)
-    values = series.values
-    spec = dataset.split(len(values), args.train_frac)
+def _run_arima(values: np.ndarray, spec, order):
+    """Fit `order`, or select one by AIC when it is None, on the training
+    slice; then forecast the test slice one step at a time. Returns (model,
+    test slots, predictions, test MAE, fit wall time in ms)."""
+    t0 = time.perf_counter()
     train_slice = values[:spec.n_train]
-    if args.auto:
-        model = arima.auto_order(train_slice)
-        print(f"selected order ({model.p},{model.d},{model.q})")
-    else:
-        model = arima.fit(train_slice, args.p, args.d, args.q)
+    model = arima.auto_order(train_slice) if order is None else arima.fit(train_slice, *order)
+    wall_ms = (time.perf_counter() - t0) * 1e3
     test_stop = spec.test_start + spec.n_test
     preds = arima.rolling_forecast(model, values, (spec.test_start, test_stop))
     slots = np.arange(spec.test_start, test_stop)
+    return model, slots, preds, train.mae(preds, values[slots]), wall_ms
+
+
+def cmd_arima(args) -> int:
+    values = cdr.read_series_csv(args.series).values
+    spec = dataset.split(len(values), args.train_frac)
+    model, slots, preds, test_mae, _ = _run_arima(values, spec, args.order)
+    if args.order is None:
+        print(f"selected order ({model.p},{model.d},{model.q})")
     with open(args.out_model, "w", encoding="utf-8") as fh:
         fh.write(arima.serialize(model))
     _write_predictions(args.out_predictions, slots, values[slots], preds)
-    print(f"test MAE {train.mae(preds, values[slots]):.6f}")
+    print(f"test MAE {test_mae:.6f}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    series = _load_series(args.series)
-    values = series.values
-    spec, scaler = _split_and_scale(values, args.train_frac)
-    print(f"split {spec.n_train}/{spec.n_val}/{spec.n_test}")
-    train_set, val_set = _window_sets(values, spec, scaler, args.window)
-    config = train.TrainConfig(epochs=args.epochs, learning_rate=args.lr,
-                               seed=args.seed, window=args.window)
+    values, spec, scaler, train_set, val_set, config = _neural_setup(args)
     os.makedirs(args.out_dir, exist_ok=True)
     written = []
     scale = scaler.max - scaler.min
@@ -122,7 +114,7 @@ def cmd_compare(args) -> int:
         return path
 
     try:
-        for kind in ("lstm", "ffnn"):
+        for kind in train.MODELS:
             t0 = time.perf_counter()
             params, history = train.train_model(kind, train_set, val_set, config)
             wall_ms = (time.perf_counter() - t0) * 1e3
@@ -139,19 +131,10 @@ def cmd_compare(args) -> int:
             }
             print(f"{kind}: test MAE {test_mae:.6f}")
 
-        t0 = time.perf_counter()
-        train_slice = values[:spec.n_train]
-        if args.p is None:
-            model = arima.auto_order(train_slice)
+        model, slots, preds, test_mae, wall_ms = _run_arima(values, spec, args.order)
+        if args.order is None:
             print(f"arima: selected order ({model.p},{model.d},{model.q})")
-        else:
-            model = arima.fit(train_slice, args.p, args.d, args.q)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        test_stop = spec.test_start + spec.n_test
-        slots = np.arange(spec.test_start, test_stop)
-        preds = arima.rolling_forecast(model, values, (spec.test_start, test_stop))
         _write_predictions(out("arima_predictions.csv"), slots, values[slots], preds)
-        test_mae = train.mae(preds, values[slots])
         report["models"]["arima"] = {
             "order": [model.p, model.d, model.q],
             "test_mae": test_mae,
@@ -199,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="train the LSTM or feed-forward model")
-    p.add_argument("--model", choices=("lstm", "ffnn"), required=True)
+    p.add_argument("--model", choices=tuple(train.MODELS), required=True)
     add_common_train_flags(p)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-history", required=True)
@@ -219,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="LSTM vs FFNN vs ARIMA under one split")
     add_common_train_flags(p)
-    p.add_argument("--p", type=int, default=None, help="ARIMA order; omitted = AIC auto")
-    p.add_argument("--d", type=int, default=0)
-    p.add_argument("--q", type=int, default=0)
+    p.add_argument("--p", type=int, help="ARIMA AR order; omitted = AIC search")
+    p.add_argument("--d", type=int, help="differencing order (default 0; needs --p)")
+    p.add_argument("--q", type=int, help="MA order (default 0; needs --p)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_compare)
     return parser
@@ -229,20 +212,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_defaults(parser: argparse.ArgumentParser, args) -> None:
     """Fill in the defaults that depend on the environment or on other
-    flags; a bad combination is a usage error (exit code 2)."""
+    flags; a bad combination is a usage error (exit code 2). `arima` and
+    `compare` get `args.order`: (p, d, q), or None for the AIC search."""
     if getattr(args, "seed", 0) is None:
         raw = os.environ.get(SEED_ENV, "0")
         try:
             args.seed = int(raw)
         except ValueError:
             parser.error(f"{SEED_ENV} must be an integer, got {raw!r}")
-    if args.command == "arima":
-        given = [f"--{k}" for k in ("p", "d", "q") if getattr(args, k) is not None]
-        if args.auto and given:
-            parser.error(f"--auto cannot be combined with {', '.join(given)}")
-        for k, default in (("p", 1), ("d", 0), ("q", 0)):
-            if getattr(args, k) is None:
-                setattr(args, k, default)
+    if args.command in ("arima", "compare"):
+        given = ", ".join(f"--{k}" for k in ("p", "d", "q") if getattr(args, k) is not None)
+        auto = args.auto if args.command == "arima" else args.p is None
+        if auto and given:
+            if args.command == "arima":
+                parser.error(f"--auto cannot be combined with {given}")
+            parser.error(f"{given} cannot be combined with the AIC order search; "
+                         "give --p too")
+        args.order = None if auto else (1 if args.p is None else args.p,
+                                        args.d or 0, args.q or 0)
 
 
 def main(argv=None) -> int:

@@ -51,11 +51,6 @@ class WindowSet:
         return len(self.targets)
 
 
-def make_windows(values, window_len: int) -> WindowSet:
-    """Stride-1 windows over the whole series: one per target index in [T, n)."""
-    return windows_for_range(values, window_len, window_len, len(np.asarray(values)))
-
-
 def windows_for_range(values, window_len: int, start: int, stop: int) -> WindowSet:
     """Windows whose targets fall in [start, stop).
 

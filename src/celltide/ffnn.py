@@ -1,17 +1,16 @@
 """Two-layer feed-forward baseline: T inputs -> 5 relu units -> 1 sigmoid unit.
 
 The window is consumed as a flat vector, so unlike the recurrent model this
-baseline has no built-in notion of time order. Batched internals, per-window
-wrappers, same serialization conventions as the LSTM.
+baseline has no built-in notion of time order. Every pass is batched over
+windows, and the weights sit in one flat buffer like the LSTM's.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from . import modelio
-from .dataset import ScalerParams
-from .linalg import ShapeError, sigmoid
+from .linalg import FlatViews, ShapeError, pack_fields, sigmoid
 
 WEIGHT_KEYS = ("W1", "b1", "W2", "b2")
 
@@ -20,11 +19,26 @@ HIDDEN_UNITS = 5
 
 @dataclass
 class FfnnParams:
+    """Feed-forward weights; the fields are contiguous views of one flat
+    float64 buffer `flat` in WEIGHT_KEYS order. Construction copies the given
+    arrays into a fresh buffer."""
+
+    kind: ClassVar[str] = "ffnn"
+
     W1: np.ndarray  # (5, T)
     b1: np.ndarray  # (5,)
     W2: np.ndarray  # (1, 5)
     b2: np.ndarray  # (1,)
     head: str = "sigmoid"
+
+    @staticmethod
+    def layout(hidden: int, window_len: int) -> list:
+        """(name, shape) of every weight in buffer order."""
+        return [("W1", (hidden, window_len)), ("b1", (hidden,)),
+                ("W2", (1, hidden)), ("b2", (1,))]
+
+    def __post_init__(self):
+        self.flat = pack_fields(self, self.layout(*np.shape(self.W1)))
 
     @property
     def window_len(self) -> int:
@@ -36,13 +50,6 @@ class FfnnParams:
 
     def weights(self) -> dict:
         return {k: getattr(self, k) for k in WEIGHT_KEYS}
-
-    def copy(self) -> "FfnnParams":
-        return replace(self, **{k: v.copy() for k, v in self.weights().items()})
-
-
-def zero_grads(params) -> dict:
-    return {k: np.zeros_like(v) for k, v in params.weights().items()}
 
 
 def init_params(window_len: int, seed: int = 0, hidden: int = HIDDEN_UNITS,
@@ -74,7 +81,9 @@ def forward_batch(windows: np.ndarray, p: FfnnParams):
 
 
 def backward_batch(cache: dict, d_loss_d_yhat: np.ndarray, p: FfnnParams) -> dict:
-    """Batch-summed gradients; relu subgradient at 0 is taken as 0."""
+    """Batch-summed gradients; relu subgradient at 0 is taken as 0. The
+    returned arrays are views of one flat buffer in parameter layout, kept as
+    the result's `flat`."""
     if cache["x"].shape[1] != p.window_len or cache["h"].shape[1] != p.hidden:
         raise ShapeError("cache does not match parameter shapes")
     d_y = np.asarray(d_loss_d_yhat, dtype=np.float64)
@@ -82,58 +91,11 @@ def backward_batch(cache: dict, d_loss_d_yhat: np.ndarray, p: FfnnParams) -> dic
     if d_y.shape != y.shape:
         raise ShapeError(f"upstream gradient shape {d_y.shape} != predictions {y.shape}")
     d_score = d_y * y * (1.0 - y) if p.head == "sigmoid" else d_y
-    grads = zero_grads(p)
-    grads["W2"] += d_score[None, :] @ cache["h"]
-    grads["b2"] += d_score.sum(keepdims=True)
+    grads = FlatViews(np.empty_like(p.flat), p.layout(p.hidden, p.window_len))
+    np.matmul(d_score[None, :], cache["h"], out=grads["W2"])
+    grads["b2"][0] = d_score.sum()
     d_h = d_score[:, None] * p.W2
     d_pre1 = d_h * (cache["pre1"] > 0.0)
-    grads["W1"] += d_pre1.T @ cache["x"]
-    grads["b1"] += d_pre1.sum(axis=0)
+    np.matmul(d_pre1.T, cache["x"], out=grads["W1"])
+    np.sum(d_pre1, axis=0, out=grads["b1"])
     return grads
-
-
-def forward(window: np.ndarray, p: FfnnParams):
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 1:
-        raise ShapeError("window must be 1-D")
-    y, cache = forward_batch(window[None, :], p)
-    return float(y[0]), cache
-
-
-def backward(cache: dict, d_loss_d_yhat: float, p: FfnnParams) -> dict:
-    return backward_batch(cache, np.array([d_loss_d_yhat]), p)
-
-
-def serialize(p: FfnnParams, scaler: ScalerParams | None = None) -> str:
-    obj = {
-        "type": "ffnn",
-        "hidden": p.hidden,
-        "T": p.window_len,
-        "head": p.head,
-        "scaler": None if scaler is None else {"min": scaler.min, "max": scaler.max},
-        "weights": {k: v for k, v in p.weights().items()},
-    }
-    return modelio.dumps(obj)
-
-
-def deserialize(text: str):
-    """Returns (params, window_len, scaler-or-None)."""
-    obj = modelio.loads(text)
-    modelio.check_type_tag(obj, "ffnn")
-    hidden = int(modelio.require(obj, "hidden"))
-    window_len = int(modelio.require(obj, "T"))
-    head = obj.get("head", "sigmoid")
-    if head not in ("sigmoid", "linear"):
-        raise modelio.ModelFormatError(f"field 'head' has unknown value {head!r}")
-    params = FfnnParams(
-        W1=modelio.require_array(obj, "weights.W1", (hidden, window_len)),
-        b1=modelio.require_array(obj, "weights.b1", (hidden,)),
-        W2=modelio.require_array(obj, "weights.W2", (1, hidden)),
-        b2=modelio.require_array(obj, "weights.b2", (1,)),
-        head=head)
-    scaler_obj = obj.get("scaler")
-    scaler = None
-    if scaler_obj is not None:
-        scaler = ScalerParams(float(modelio.require(obj, "scaler.min")),
-                              float(modelio.require(obj, "scaler.max")))
-    return params, window_len, scaler

@@ -1,38 +1,13 @@
-"""Dense matrix/vector helpers and activation functions shared by every model.
+"""Numeric pieces shared by both neural models: the sigmoid, and weight
+storage in one flat float64 buffer with named views of it."""
 
-Matrices are 2-D float64 numpy arrays (row-major), vectors are 1-D float64
-arrays. All operations are pure and shape-checked; the point is a small,
-explicit surface rather than raw numpy broadcasting semantics leaking into
-the model code.
-"""
+import math
 
 import numpy as np
 
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
-
-
-def as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a matrix, got ndim={a.ndim}")
-    return a
-
-
-def as_vector(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1:
-        raise ShapeError(f"expected a vector, got ndim={a.ndim}")
-    return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product; raises ShapeError naming both shapes."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
 
 
 _SIG_LO = np.nextafter(0.0, 1.0)
@@ -57,28 +32,28 @@ def sigmoid(x) -> np.ndarray:
     return out
 
 
-def tanh_act(x) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
+class FlatViews(dict):
+    """Named C-contiguous views of the 1-D buffer `flat`, one per
+    (name, shape) entry of `layout`, laid out back to back in that order."""
+
+    def __init__(self, flat: np.ndarray, layout):
+        super().__init__()
+        at = 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            self[name] = flat[at:at + size].reshape(shape)
+            at += size
+        self.flat = flat
 
 
-def relu(x) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def hadamard(a, b) -> np.ndarray:
-    a, b = as_vector(a), as_vector(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: lengths differ {a.shape[0]} vs {b.shape[0]}")
-    return a * b
-
-
-def vec_add(a, b) -> np.ndarray:
-    a, b = as_vector(a), as_vector(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"vec_add: lengths differ {a.shape[0]} vs {b.shape[0]}")
-    return a + b
-
-
-def concat(a, b) -> np.ndarray:
-    """[a, b] with a first; houses the recurrent [hidden, input] stacking."""
-    return np.concatenate([as_vector(a), as_vector(b)])
+def pack_fields(obj, layout) -> np.ndarray:
+    """Copy the named arrays of `obj` into one fresh flat buffer in `layout`
+    order and rebind each attribute to its view; returns the buffer."""
+    views = FlatViews(np.empty(sum(math.prod(shape) for _, shape in layout)), layout)
+    for name, view in views.items():
+        value = np.asarray(getattr(obj, name), dtype=np.float64)
+        if value.shape != view.shape:
+            raise ShapeError(f"{name} has shape {value.shape}, expected {view.shape}")
+        view[...] = value
+        setattr(obj, name, view)
+    return views.flat

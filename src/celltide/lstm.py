@@ -3,37 +3,26 @@
 A window of T past values is run through a chain of LSTM cells sharing one
 parameter set; the prediction is an affine map of the final hidden state
 through a sigmoid (data is min-max normalized to [0,1]) or, optionally, a
-linear head. Internals are batched over windows; the per-window entry points
-wrap a batch of one.
+linear head. Every pass is batched over windows.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from . import modelio
-from .dataset import ScalerParams
-from .linalg import ShapeError, sigmoid
+from .linalg import FlatViews, ShapeError, pack_fields, sigmoid
 
 WEIGHT_KEYS = ("W_f", "W_i", "W_c", "W_o", "b_f", "b_i", "b_c", "b_o", "W_y", "b_y")
 
 GATE_ORDER = "fioc"  # row-block order of the packed gate matrix: sigmoid gates first
 
 
-def _unpack(flat: np.ndarray, hidden: int, hd: int):
-    """Views of a flat buffer in parameter layout.
-
-    Returns the packed gate matrix (4H, H+D), the packed gate bias (4H,) and
-    a dict of every WEIGHT_KEYS entry; all are contiguous views of `flat`.
-    """
+def _packed(flat: np.ndarray, hidden: int, hd: int):
+    """The packed gate matrix (4H, H+D) and gate bias (4H,): views of the
+    head of a buffer in parameter layout."""
     n_w = 4 * hidden * hd
-    w = flat[:n_w].reshape(4 * hidden, hd)
-    b = flat[n_w:n_w + 4 * hidden]
-    views = {"W_y": flat[n_w + 4 * hidden:-1].reshape(1, hidden), "b_y": flat[-1:]}
-    for j, gate in enumerate(GATE_ORDER):
-        views[f"W_{gate}"] = w[j * hidden:(j + 1) * hidden]
-        views[f"b_{gate}"] = b[j * hidden:(j + 1) * hidden]
-    return w, b, views
+    return flat[:n_w].reshape(4 * hidden, hd), flat[n_w:n_w + 4 * hidden]
 
 
 @dataclass
@@ -45,6 +34,8 @@ class LstmParams:
     f, i, o, c, and the gate biases form the packed vector `b` (4H,) in the
     same order. Construction copies the given arrays into a fresh buffer.
     """
+
+    kind: ClassVar[str] = "lstm"
 
     W_f: np.ndarray  # (H, H+D)
     W_i: np.ndarray
@@ -58,16 +49,19 @@ class LstmParams:
     b_y: np.ndarray  # (1,)
     head: str = "sigmoid"  # "sigmoid" or "linear"
 
+    @staticmethod
+    def layout(hidden: int, window_len: int = 0, input_size: int = 1) -> list:
+        """(name, shape) of every weight in buffer order. The window length
+        does not shape an LSTM; model files hold scalar-input ones."""
+        hd = hidden + input_size
+        return ([(f"W_{gate}", (hidden, hd)) for gate in GATE_ORDER]
+                + [(f"b_{gate}", (hidden,)) for gate in GATE_ORDER]
+                + [("W_y", (1, hidden)), ("b_y", (1,))])
+
     def __post_init__(self):
         hidden, hd = np.shape(self.W_f)
-        self.flat = np.empty(4 * hidden * hd + 5 * hidden + 1)
-        self.W, self.b, views = _unpack(self.flat, hidden, hd)
-        for k, view in views.items():
-            value = np.asarray(getattr(self, k), dtype=np.float64)
-            if value.shape != view.shape:
-                raise ShapeError(f"{k} has shape {value.shape}, expected {view.shape}")
-            view[...] = value
-            setattr(self, k, view)
+        self.flat = pack_fields(self, self.layout(hidden, input_size=hd - hidden))
+        self.W, self.b = _packed(self.flat, hidden, hd)
 
     @property
     def hidden(self) -> int:
@@ -79,15 +73,6 @@ class LstmParams:
 
     def weights(self) -> dict:
         return {k: getattr(self, k) for k in WEIGHT_KEYS}
-
-    def copy(self) -> "LstmParams":
-        return replace(self)
-
-
-@dataclass
-class LstmState:
-    a: np.ndarray  # hidden activation, (H,)
-    c: np.ndarray  # cell state, (H,)
 
 
 def init_params(hidden: int, input_size: int = 1, seed: int = 0,
@@ -180,7 +165,7 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> di
     gate pre-activation gradients and runs one GEMM back to the hidden state.
     The gate weights and biases get their gradient from one GEMM over the
     stacked (T*B, H+2) step inputs. The returned arrays are views of one flat
-    buffer in parameter layout.
+    buffer in parameter layout, kept as the result's `flat`.
     """
     z, gates, c, tanh_c = caches["z"], caches["gates"], caches["c"], caches["tanh_c"]
     h, hd = p.hidden, p.W.shape[1]
@@ -190,7 +175,8 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> di
     y = caches["y"]
     if d_y.shape != y.shape:
         raise ShapeError(f"upstream gradient shape {d_y.shape} != predictions {y.shape}")
-    g_w, g_b, grads = _unpack(np.empty_like(p.flat), h, hd)
+    grads = FlatViews(np.empty_like(p.flat), p.layout(h, input_size=hd - h))
+    g_w, g_b = _packed(grads.flat, h, hd)
     d_score = d_y * y * (1.0 - y) if p.head == "sigmoid" else d_y
     np.matmul(d_score[None, :], caches["a_final"], out=grads["W_y"])
     grads["b_y"][0] = d_score.sum()
@@ -234,69 +220,3 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> di
     g_w[...] = gwt[:-1].T
     g_b[...] = gwt[-1]
     return grads
-
-
-def cell_forward(x_t: np.ndarray, prev: LstmState, p: LstmParams):
-    """One cell step for a single window position; x_t has length input_size."""
-    x_t = np.asarray(x_t, dtype=np.float64).reshape(1, -1)
-    if x_t.shape[1] != p.input_size or prev.a.shape != (p.hidden,):
-        raise ShapeError(
-            f"cell_forward: input {x_t.shape[1]} / state {prev.a.shape} "
-            f"incompatible with params (H={p.hidden}, D={p.input_size})")
-    z = np.concatenate([prev.a[None, :], x_t, np.ones((1, 1))], axis=1)
-    h = p.hidden
-    gates, c, tanh_c, a = np.empty((1, 4 * h)), np.empty((1, h)), np.empty((1, h)), np.empty((1, h))
-    _step(z, prev.c[None, :], _gate_weights(p), gates, c, tanh_c, a)
-    return LstmState(a[0], c[0]), {"z": z, "gates": gates, "tanh_c": tanh_c}
-
-
-def forward(window: np.ndarray, p: LstmParams):
-    """Sequence-to-one prediction for a single window; returns (yhat, caches)."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 1 or window.size < 1:
-        raise ShapeError("window must be a non-empty 1-D sequence")
-    y, caches = forward_batch(window[None, :], p)
-    return float(y[0]), caches
-
-
-def backward(caches: dict, d_loss_d_yhat: float, p: LstmParams) -> dict:
-    """Gradients for a single-window forward call."""
-    return backward_batch(caches, np.array([d_loss_d_yhat]), p)
-
-
-def serialize(p: LstmParams, window_len: int, scaler: ScalerParams | None = None) -> str:
-    obj = {
-        "type": "lstm",
-        "hidden": p.hidden,
-        "T": window_len,
-        "head": p.head,
-        "scaler": None if scaler is None else {"min": scaler.min, "max": scaler.max},
-        "weights": {k: v for k, v in p.weights().items()},
-    }
-    return modelio.dumps(obj)
-
-
-def deserialize(text: str):
-    """Returns (params, window_len, scaler-or-None)."""
-    obj = modelio.loads(text)
-    modelio.check_type_tag(obj, "lstm")
-    hidden = int(modelio.require(obj, "hidden"))
-    window_len = int(modelio.require(obj, "T"))
-    head = obj.get("head", "sigmoid")
-    if head not in ("sigmoid", "linear"):
-        raise modelio.ModelFormatError(f"field 'head' has unknown value {head!r}")
-    hd = hidden + 1
-    kw = {}
-    for k in ("W_f", "W_i", "W_c", "W_o"):
-        kw[k] = modelio.require_array(obj, f"weights.{k}", (hidden, hd))
-    for k in ("b_f", "b_i", "b_c", "b_o"):
-        kw[k] = modelio.require_array(obj, f"weights.{k}", (hidden,))
-    kw["W_y"] = modelio.require_array(obj, "weights.W_y", (1, hidden))
-    kw["b_y"] = modelio.require_array(obj, "weights.b_y", (1,))
-    params = LstmParams(head=head, **kw)
-    scaler_obj = obj.get("scaler")
-    scaler = None
-    if scaler_obj is not None:
-        scaler = ScalerParams(float(modelio.require(obj, "scaler.min")),
-                              float(modelio.require(obj, "scaler.max")))
-    return params, window_len, scaler

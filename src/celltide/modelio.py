@@ -1,9 +1,13 @@
-"""Model-file JSON helpers: 17-significant-digit float output and
-shape-checked field extraction with path-bearing errors."""
+"""Model-file JSON helpers: 17-significant-digit float output,
+shape-checked field extraction with path-bearing errors, and the one file
+envelope both neural models share."""
 
 import json
+import math
 
 import numpy as np
+
+from .dataset import ScalerParams
 
 
 class ModelFormatError(ValueError):
@@ -67,7 +71,58 @@ def require_array(obj: dict, path: str, shape: tuple) -> np.ndarray:
     return arr
 
 
+def require_int(obj: dict, path: str, lo: int, hi: int | None = None) -> int:
+    """An integer (not a bool) in lo..hi, or at least lo when hi is None."""
+    v = require(obj, path)
+    if isinstance(v, bool) or not isinstance(v, int) or v < lo or (hi is not None and v > hi):
+        expected = f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}"
+        raise ModelFormatError(f"field {path!r} is {v!r}, expected {expected}")
+    return v
+
+
+def require_finite(obj: dict, path: str) -> float:
+    v = require(obj, path)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ModelFormatError(f"field {path!r} is {v!r}, expected a finite number")
+    return float(v)
+
+
 def check_type_tag(obj: dict, expected: str) -> None:
     tag = require(obj, "type")
     if tag != expected:
         raise ModelFormatError(f"field 'type' is {tag!r}, expected {expected!r}")
+
+
+def dumps_neural(params, window_len: int, scaler: ScalerParams | None) -> str:
+    """A neural model file: `type`, `hidden`, `T`, `head`, `scaler`, then
+    `weights` in the model's WEIGHT_KEYS order."""
+    return dumps({
+        "type": params.kind,
+        "hidden": params.hidden,
+        "T": window_len,
+        "head": params.head,
+        "scaler": None if scaler is None else {"min": scaler.min, "max": scaler.max},
+        "weights": params.weights(),
+    })
+
+
+def loads_neural(text: str, params_cls):
+    """Read a `params_cls` model file; returns (params, window_len, scaler or
+    None). `T` and `hidden` must be integers >= 1, the weights finite and
+    shaped by them, and the scaler bounds finite with min < max."""
+    obj = loads(text)
+    check_type_tag(obj, params_cls.kind)
+    hidden = require_int(obj, "hidden", 1)
+    window_len = require_int(obj, "T", 1)
+    head = obj.get("head", "sigmoid")
+    if head not in ("sigmoid", "linear"):
+        raise ModelFormatError(f"field 'head' has unknown value {head!r}")
+    weights = {k: require_array(obj, f"weights.{k}", shape)
+               for k, shape in params_cls.layout(hidden, window_len)}
+    scaler = None
+    if obj.get("scaler") is not None:
+        lo, hi = require_finite(obj, "scaler.min"), require_finite(obj, "scaler.max")
+        if not lo < hi:
+            raise ModelFormatError(f"field 'scaler' has min {lo!r} >= max {hi!r}")
+        scaler = ScalerParams(lo, hi)
+    return params_cls(head=head, **weights), window_len, scaler

@@ -67,41 +67,42 @@ def mae(pred, truth) -> float:
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, weights: dict) -> "AdamState":
-        return cls(m={k: np.zeros_like(w) for k, w in weights.items()},
-                   v={k: np.zeros_like(w) for k, w in weights.items()})
+    def for_params(cls, flat: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat))
 
 
-def adam_step(weights: dict, grads: dict, state: AdamState, lr: float,
+def adam_step(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update with bias correction of the flat weights `w`."""
+    if g.shape != w.shape:
+        raise ValueError(f"adam_step: gradient shape {g.shape} != param {w.shape}")
     state.t += 1
     b1t = 1.0 - beta1 ** state.t
     b2t = 1.0 - beta2 ** state.t
-    for k, w in weights.items():
-        g = grads[k]
-        if g.shape != w.shape:
-            raise ValueError(f"adam_step: gradient {k} shape {g.shape} != param {w.shape}")
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * g * g
-        w -= lr * (state.m[k] / b1t) / (np.sqrt(state.v[k] / b2t) + eps)
+    state.m = beta1 * state.m + (1.0 - beta1) * g
+    state.v = beta2 * state.v + (1.0 - beta2) * g * g
+    w -= lr * (state.m / b1t) / (np.sqrt(state.v / b2t) + eps)
 
 
-_MODEL_OPS = {
-    "lstm": (lstm.forward_batch, lstm.backward_batch),
-    "ffnn": (ffnn.forward_batch, ffnn.backward_batch),
+# kind -> (module with forward_batch/backward_batch,
+#          initialiser(window_len, hidden, seed) of fresh parameters)
+MODELS = {
+    "lstm": (lstm, lambda window_len, hidden, seed:
+             lstm.init_params(hidden, input_size=1, seed=seed)),
+    "ffnn": (ffnn, lambda window_len, hidden, seed:
+             ffnn.init_params(window_len, seed=seed)),
 }
 
 
-def _predict_batch(kind: str, windows: np.ndarray, params) -> np.ndarray:
-    fwd, _ = _MODEL_OPS[kind]
-    y, _ = fwd(windows, params)
-    return y
+def _model(kind: str):
+    if kind not in MODELS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return MODELS[kind]
 
 
 def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
@@ -111,13 +112,10 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
     Mini-batch order is a per-epoch seeded permutation; batch gradients are
     averaged. Validation is a full deterministic pass after each epoch.
     """
-    if kind not in _MODEL_OPS:
-        raise ValueError(f"unknown model kind {kind!r}")
+    model, _ = _model(kind)
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be nonempty")
-    fwd, bwd = _MODEL_OPS[kind]
-    weights = params.weights()
-    state = AdamState.for_params(weights)
+    state = AdamState.for_params(params.flat)
     rng = np.random.default_rng(config.seed)
     history = History()
     for epoch in range(1, config.epochs + 1):
@@ -127,15 +125,15 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
         for lo in range(0, len(order), config.batch_size):
             idx = order[lo:lo + config.batch_size]
             xb, tb = train_set.inputs[idx], train_set.targets[idx]
-            y, cache = fwd(xb, params)
+            y, cache = model.forward_batch(xb, params)
             err = y - tb
             if not np.all(np.isfinite(err)):
                 raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
             abs_err_sum += float(np.abs(err).sum())
-            grads = bwd(cache, np.sign(err) / len(idx), params)
-            adam_step(weights, grads, state, config.learning_rate)
+            grads = model.backward_batch(cache, np.sign(err) / len(idx), params)
+            adam_step(params.flat, grads.flat, state, config.learning_rate)
         train_mae = abs_err_sum / len(order)
-        val_mae = mae(_predict_batch(kind, val_set.inputs, params), val_set.targets)
+        val_mae = mae(model.forward_batch(val_set.inputs, params)[0], val_set.targets)
         history.append(epoch, train_mae, val_mae,
                        (time.perf_counter() - start) * 1e3)
     return history
@@ -148,12 +146,8 @@ def train_model(kind: str, train_set: WindowSet, val_set: WindowSet,
     Returns (params, History). `hidden` only applies to the LSTM; the
     feed-forward baseline is fixed at its 5 relu units.
     """
-    if kind == "lstm":
-        params = lstm.init_params(hidden, input_size=1, seed=config.seed)
-    elif kind == "ffnn":
-        params = ffnn.init_params(train_set.window_len, seed=config.seed)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    _, init = _model(kind)
+    params = init(train_set.window_len, hidden, config.seed)
     history = fit(kind, params, train_set, val_set, config)
     return params, history
 
@@ -165,12 +159,13 @@ def evaluate(kind: str, params, series_values, split: SplitSpec, window_len: int
     Each test slot is predicted from the true (normalized) history window
     ending just before it. Returns (target_slots, predictions, test_mae).
     """
+    model, _ = _model(kind)
     if scaler is None:
         raise ValueError("evaluate requires the scaler the model was trained with")
     values = np.asarray(series_values, dtype=np.float64)
     normed = scaler.transform(values)
     test_set = windows_for_range(normed, window_len, split.test_start,
                                  split.test_start + split.n_test)
-    preds = scaler.inverse(_predict_batch(kind, test_set.inputs, params))
+    preds = scaler.inverse(model.forward_batch(test_set.inputs, params)[0])
     truth = values[test_set.target_slots]
     return test_set.target_slots, preds, mae(preds, truth)

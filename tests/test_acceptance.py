@@ -22,6 +22,12 @@ def check(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
+def forward1(model, window, params):
+    """One window through `model.forward_batch` as a batch of one."""
+    y, caches = model.forward_batch(np.asarray(window, dtype=np.float64)[None, :], params)
+    return float(y[0]), caches
+
+
 def test_gradient_correctness():
     """Analytic gradients vs central finite differences, 100 random configs
     per model, relative error < 1e-4, under 60 s."""
@@ -35,17 +41,17 @@ def test_gradient_correctness():
         window = rng.uniform(0, 1, t_len)
 
         p = lstm.init_params(h, seed=int(rng.integers(1 << 30)))
-        _, caches = lstm.forward(window, p)
-        analytic = lstm.backward(caches, upstream, p)
+        _, caches = forward1(lstm, window, p)
+        analytic = lstm.backward_batch(caches, np.array([upstream]), p)
         numeric = numeric_gradients(
-            lambda w, q: upstream * lstm.forward(w, q)[0], window, p, lstm.WEIGHT_KEYS)
+            lambda w, q: upstream * forward1(lstm, w, q)[0], window, p, lstm.WEIGHT_KEYS)
         worst["lstm"] = max(worst["lstm"], max_relative_error(analytic, numeric))
 
         f = ffnn.init_params(t_len, seed=int(rng.integers(1 << 30)))
-        _, cache = ffnn.forward(window, f)
-        analytic = ffnn.backward(cache, upstream, f)
+        _, cache = forward1(ffnn, window, f)
+        analytic = ffnn.backward_batch(cache, np.array([upstream]), f)
         numeric = numeric_gradients(
-            lambda w, q: upstream * ffnn.forward(w, q)[0], window, f, ffnn.WEIGHT_KEYS)
+            lambda w, q: upstream * forward1(ffnn, w, q)[0], window, f, ffnn.WEIGHT_KEYS)
         worst["ffnn"] = max(worst["ffnn"], max_relative_error(analytic, numeric))
     elapsed = time.perf_counter() - start
     check("gradient correctness (100 configs each)",
@@ -63,9 +69,9 @@ def test_forward_oracle_equivalence():
         t_len = int(rng.integers(1, 9))
         window = rng.uniform(-1, 2, t_len)
         p = lstm.init_params(h, seed=int(rng.integers(1 << 30)))
-        worst = max(worst, abs(lstm.forward(window, p)[0] - lstm_forward_scalar(window, p)))
+        worst = max(worst, abs(forward1(lstm, window, p)[0] - lstm_forward_scalar(window, p)))
         f = ffnn.init_params(t_len, seed=int(rng.integers(1 << 30)))
-        worst = max(worst, abs(ffnn.forward(window, f)[0] - ffnn_forward_scalar(window, f)))
+        worst = max(worst, abs(forward1(ffnn, window, f)[0] - ffnn_forward_scalar(window, f)))
     check("forward-pass oracle equivalence (50 instances)", worst < 1e-12,
           f"worst abs diff {worst:.2e}")
 

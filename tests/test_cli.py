@@ -185,6 +185,40 @@ class TestCompare:
         assert set(report["models"]) == {"lstm", "ffnn", "arima"}
         assert all(m["test_mae"] >= 0 for m in report["models"].values())
 
+    @pytest.mark.parametrize("flags", [["--d", "1"], ["--q", "2"], ["--d", "0", "--q", "1"]])
+    def test_order_without_p_is_usage_error(self, tmp_path, capsys, flags):
+        series = make_series_csv(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--series", str(series), *flags,
+                  "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        named = ", ".join(f for f in flags if f.startswith("--"))
+        err = capsys.readouterr().err
+        assert f"{named} cannot be combined with the AIC order search" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_same_seed_same_outputs(self, tmp_path):
+        series = make_series_csv(tmp_path, days=4)
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for out_dir in dirs:
+            assert main(["compare", "--series", str(series), "--train-frac", "0.4",
+                         "--epochs", "1", "--seed", "5", "--p", "1",
+                         "--out-dir", str(out_dir)]) == 0
+        for kind in ("lstm", "ffnn", "arima"):
+            name = f"{kind}_predictions.csv"
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+        for kind in ("lstm", "ffnn"):
+            rows = [[line.rsplit(",", 1)[0] for line in
+                     (d / f"{kind}_history.csv").read_text().splitlines()] for d in dirs]
+            assert rows[0][0] == "epoch,train_mae,val_mae" and rows[0] == rows[1], kind
+        reports = []
+        for d in dirs:
+            report = json.loads((d / "report.json").read_text())
+            for model in report["models"].values():
+                model.pop("train_wall_ms")
+            reports.append(json.dumps(report))  # keeps the key order
+        assert reports[0] == reports[1]
+
     def test_failure_removes_partial_outputs(self, tmp_path):
         series = make_series_csv(tmp_path, days=4)
         out_dir = tmp_path / "out"

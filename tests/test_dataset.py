@@ -33,28 +33,33 @@ class TestScaler:
         assert scaler.min == 1.0 and scaler.max == 5.0
 
 
+def all_windows(values, window_len):
+    """Stride-1 windows over the whole series: one per target in [T, n)."""
+    return dataset.windows_for_range(values, window_len, window_len, len(values))
+
+
 class TestWindows:
     def test_definition(self):
-        ws = dataset.make_windows([1.0, 2.0, 3.0, 4.0], 2)
+        ws = all_windows([1.0, 2.0, 3.0, 4.0], 2)
         assert ws.inputs.tolist() == [[1.0, 2.0], [2.0, 3.0]]
         assert ws.targets.tolist() == [3.0, 4.0]
 
     def test_count_for_8928(self):
-        ws = dataset.make_windows(np.arange(8928.0), 12)
+        ws = all_windows(np.arange(8928.0), 12)
         assert len(ws) == 8916
 
     def test_single_window_boundary(self):
-        ws = dataset.make_windows([1.0, 2.0, 3.0], 2)
+        ws = all_windows([1.0, 2.0, 3.0], 2)
         assert len(ws) == 1
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            dataset.make_windows([1.0, 2.0], 2)
+            all_windows([1.0, 2.0], 2)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(0, 1, 40)
-        ws = dataset.make_windows(values, 7)
+        ws = all_windows(values, 7)
         rebuilt = np.concatenate([ws.inputs[0], ws.targets])
         assert np.array_equal(rebuilt, values)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from celltide import ffnn
+from celltide import ffnn, modelio
 from celltide.linalg import ShapeError
 from celltide.modelio import ModelFormatError
 from oracles import ffnn_forward_scalar, max_relative_error, numeric_gradients
@@ -10,6 +10,12 @@ from oracles import ffnn_forward_scalar, max_relative_error, numeric_gradients
 def zero_params(t_len=3, hidden=5):
     return ffnn.FfnnParams(np.zeros((hidden, t_len)), np.zeros(hidden),
                            np.zeros((1, hidden)), np.zeros(1))
+
+
+def forward1(window, p):
+    """One window as a batch of one: (prediction, cache)."""
+    y, cache = ffnn.forward_batch(np.asarray(window, dtype=np.float64)[None, :], p)
+    return float(y[0]), cache
 
 
 class TestInit:
@@ -30,7 +36,7 @@ class TestInit:
 
 class TestForward:
     def test_zero_params_yield_half(self):
-        y, _ = ffnn.forward(np.array([1.0, 2.0, 3.0]), zero_params())
+        y, _ = forward1(np.array([1.0, 2.0, 3.0]), zero_params())
         assert y == 0.5
 
     def test_relu_dead_path(self):
@@ -38,7 +44,7 @@ class TestForward:
         p.W1[:] = -1.0
         p.W2[:] = 5.0
         p.b2[:] = 0.25
-        y, cache = ffnn.forward(np.array([1.0, 2.0, 3.0]), p)
+        y, cache = forward1(np.array([1.0, 2.0, 3.0]), p)
         assert not np.any(cache["h"])
         assert y == pytest.approx(1.0 / (1.0 + np.exp(-0.25)), abs=1e-15)
 
@@ -47,19 +53,19 @@ class TestForward:
         for _ in range(10):
             p = ffnn.init_params(3, seed=int(rng.integers(1 << 30)))
             window = rng.uniform(-1, 1, 3)
-            y, _ = ffnn.forward(window, p)
+            y, _ = forward1(window, p)
             assert y == pytest.approx(ffnn_forward_scalar(window, p), abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ffnn.forward(np.zeros(4), zero_params(3))
+            forward1(np.zeros(4), zero_params(3))
 
 
 class TestBackward:
     def test_zero_upstream(self):
         p = ffnn.init_params(4, seed=2)
-        _, cache = ffnn.forward(np.array([0.1, 0.2, 0.3, 0.4]), p)
-        for g in ffnn.backward(cache, 0.0, p).values():
+        _, cache = forward1(np.array([0.1, 0.2, 0.3, 0.4]), p)
+        for g in ffnn.backward_batch(cache, np.zeros(1), p).values():
             assert not np.any(g)
 
     def test_finite_differences_spot_check(self):
@@ -68,35 +74,61 @@ class TestBackward:
             t_len = int(rng.integers(1, 8))
             p = ffnn.init_params(t_len, seed=int(rng.integers(1 << 30)))
             window = rng.uniform(-1, 1, t_len)
-            _, cache = ffnn.forward(window, p)
-            analytic = ffnn.backward(cache, 1.0, p)
-            numeric = numeric_gradients(lambda w, q: ffnn.forward(w, q)[0],
+            _, cache = forward1(window, p)
+            analytic = ffnn.backward_batch(cache, np.ones(1), p)
+            numeric = numeric_gradients(lambda w, q: forward1(w, q)[0],
                                         window, p, ffnn.WEIGHT_KEYS)
             assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_dead_unit_gets_zero_gradient(self):
         p = ffnn.init_params(3, seed=4)
         p.W1[2, :] = -1.0  # unit 2 dead on positive input
-        _, cache = ffnn.forward(np.array([1.0, 2.0, 3.0]), p)
-        grads = ffnn.backward(cache, 1.0, p)
+        _, cache = forward1(np.array([1.0, 2.0, 3.0]), p)
+        grads = ffnn.backward_batch(cache, np.ones(1), p)
         assert not np.any(grads["W1"][2])
         assert grads["b1"][2] == 0.0
+
+
+class TestPackedStorage:
+    def test_fields_are_contiguous_views_of_one_buffer(self):
+        p = ffnn.init_params(7, seed=2)
+        for k, v in p.weights().items():
+            assert v.flags.c_contiguous and np.shares_memory(v, p.flat), k
+        parts = [v.ravel() for v in p.weights().values()]
+        assert np.array_equal(p.flat, np.concatenate(parts))
+
+    def test_gradients_are_views_of_one_buffer(self):
+        p = ffnn.init_params(4, seed=2)
+        _, cache = ffnn.forward_batch(np.linspace(0, 1, 8).reshape(2, 4), p)
+        grads = ffnn.backward_batch(cache, np.array([1.0, -0.5]), p)
+        for k in ffnn.WEIGHT_KEYS:
+            assert np.shares_memory(grads[k], grads.flat), k
+        assert np.array_equal(ffnn.FfnnParams(**grads).flat, grads.flat)
+
+    def test_constructor_copies_and_checks_shapes(self):
+        mats = {k: v.copy() for k, v in ffnn.init_params(3, seed=1).weights().items()}
+        q = ffnn.FfnnParams(**mats)
+        mats["W1"][...] = 7.0
+        assert not np.any(q.W1 == 7.0)
+        with pytest.raises(ShapeError, match="b1"):
+            ffnn.FfnnParams(**{**mats, "b1": np.zeros(4)})
 
 
 class TestSerialization:
     def test_roundtrip(self):
         p = ffnn.init_params(6, seed=12)
-        q, window_len, scaler = ffnn.deserialize(ffnn.serialize(p))
+        text = modelio.dumps_neural(p, 6, None)
+        q, window_len, scaler = modelio.loads_neural(text, ffnn.FfnnParams)
         assert window_len == 6 and scaler is None
         for k in ffnn.WEIGHT_KEYS:
             assert np.array_equal(getattr(p, k), getattr(q, k))
 
     def test_t12_scalar_count(self):
         import json
-        obj = json.loads(ffnn.serialize(ffnn.init_params(12, seed=0)))
+        obj = json.loads(modelio.dumps_neural(ffnn.init_params(12, seed=0), 12, None))
         assert sum(np.asarray(a).size for a in obj["weights"].values()) == 71
 
     def test_wrong_type_tag(self):
-        text = ffnn.serialize(ffnn.init_params(3, seed=0)).replace('"ffnn"', '"lstm"')
+        text = modelio.dumps_neural(ffnn.init_params(3, seed=0), 3, None)
         with pytest.raises(ModelFormatError, match="type"):
-            ffnn.deserialize(text)
+            modelio.loads_neural(text.replace('"ffnn"', '"lstm"'), ffnn.FfnnParams)

@@ -6,35 +6,6 @@ from celltide import linalg
 from celltide.linalg import ShapeError
 
 
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(linalg.matmul(np.eye(2), a), a)
-
-    def test_zero_annihilator(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(linalg.matmul(np.zeros((2, 2)), a), np.zeros((2, 2)))
-
-    def test_hand_computed(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0], [6.0]])
-        assert np.array_equal(linalg.matmul(a, b), np.array([[17.0], [39.0]]))
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            linalg.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a = rng.normal(size=(3, 4))
-            b = rng.normal(size=(4, 2))
-            c = rng.normal(size=(2, 5))
-            left = linalg.matmul(linalg.matmul(a, b), c)
-            right = linalg.matmul(a, linalg.matmul(b, c))
-            assert np.max(np.abs(left - right)) < 1e-9
-
-
 class TestActivations:
     def test_sigmoid_zero(self):
         assert linalg.sigmoid(np.array([0.0]))[0] == 0.5
@@ -56,39 +27,12 @@ class TestActivations:
         assert np.all(np.diff(ys) >= 0)
         assert np.all((ys > 0) & (ys < 1))
 
-    def test_tanh_values(self):
-        assert linalg.tanh_act(np.array([0.0]))[0] == 0.0
-        assert linalg.tanh_act(np.array([0.5]))[0] == pytest.approx(
-            0.46211715726000974, abs=1e-15)
 
-    def test_relu(self):
-        assert np.array_equal(linalg.relu(np.array([-3.0, 0.0, 3.0])),
-                              np.array([0.0, 0.0, 3.0]))
-
-
-class TestVectorOps:
-    def test_hadamard(self):
-        assert np.array_equal(linalg.hadamard([1.0, 2.0], [3.0, 4.0]), [3.0, 8.0])
-
-    def test_hadamard_commutes(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.normal(size=5), rng.normal(size=5)
-        assert np.array_equal(linalg.hadamard(a, b), linalg.hadamard(b, a))
-
-    def test_vec_add_identity(self):
-        assert np.array_equal(linalg.vec_add([1.0, 2.0], [0.0, 0.0]), [1.0, 2.0])
-
-    def test_concat_ordering(self):
-        assert np.array_equal(linalg.concat([1.0], [2.0, 3.0]), [1.0, 2.0, 3.0])
-
-    @pytest.mark.parametrize("op", [linalg.hadamard, linalg.vec_add])
-    def test_length_mismatch(self, op):
-        with pytest.raises(ShapeError):
-            op(np.zeros(2), np.zeros(3))
-
-    def test_purity(self):
-        a = np.array([1.0, -2.0, 3.0])
-        b = np.array([0.5, 0.25, -1.0])
-        first = linalg.hadamard(a, b)
-        assert np.array_equal(first, linalg.hadamard(a, b))
-        assert np.array_equal(a, [1.0, -2.0, 3.0])
+class TestFlatViews:
+    def test_views_in_layout_order(self):
+        flat = np.arange(9.0)
+        views = linalg.FlatViews(flat, [("a", (2, 3)), ("b", (3,))])
+        assert views["a"].tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert views["b"].tolist() == [6.0, 7.0, 8.0]
+        views["b"][0] = -1.0
+        assert flat[6] == -1.0 and views.flat is flat

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from celltide import lstm
+from celltide import lstm, modelio
 from celltide.linalg import ShapeError
 from celltide.modelio import ModelFormatError
 from oracles import lstm_forward_scalar, max_relative_error, numeric_gradients
@@ -39,20 +39,20 @@ class TestInit:
             assert not np.any(getattr(p, k))
 
 
-class TestCellForward:
-    def test_zero_everything(self):
-        p = zero_params(3)
-        state, _ = lstm.cell_forward(np.array([0.7]), lstm.LstmState(np.zeros(3), np.zeros(3)), p)
-        assert np.array_equal(state.a, np.zeros(3))
-        assert np.array_equal(state.c, np.zeros(3))
+def forward1(window, p):
+    """One window as a batch of one: (prediction, caches)."""
+    y, caches = lstm.forward_batch(np.asarray(window, dtype=np.float64)[None, :], p)
+    return float(y[0]), caches
 
-    def test_zero_params_nonzero_cell_state(self):
-        # gates sit at 0.5, so c = 0.5*1 and a = 0.5*tanh(0.5)
-        p = zero_params(1)
-        state, _ = lstm.cell_forward(np.array([0.3]),
-                                     lstm.LstmState(np.zeros(1), np.ones(1)), p)
-        assert state.c[0] == pytest.approx(0.5, abs=1e-15)
-        assert state.a[0] == pytest.approx(0.23105857863000487, abs=1e-15)
+
+class TestCellForward:
+    """Cell-level checks through forward_batch; a single cell step is a
+    window of length 1."""
+
+    def test_zero_everything(self):
+        _, caches = forward1([0.7], zero_params(3))
+        assert np.array_equal(caches["a_final"], np.zeros((1, 3)))
+        assert np.array_equal(caches["c"], np.zeros((1, 1, 3)))
 
     def test_matches_scalar_oracle_single_step(self):
         rng = np.random.default_rng(7)
@@ -60,20 +60,18 @@ class TestCellForward:
             h = int(rng.integers(1, 5))
             p = lstm.init_params(h, seed=int(rng.integers(1 << 30)))
             x = rng.uniform(-1, 1, 1)
-            state, _ = lstm.cell_forward(x, lstm.LstmState(np.zeros(h), np.zeros(h)), p)
-            y_vec, _ = lstm.forward(x, p)
-            assert y_vec == pytest.approx(lstm_forward_scalar(x, p), abs=1e-12)
+            assert forward1(x, p)[0] == pytest.approx(lstm_forward_scalar(x, p), abs=1e-12)
 
     def test_shape_mismatch(self):
-        p = zero_params(2)
-        with pytest.raises(ShapeError):
-            lstm.cell_forward(np.array([0.1]), lstm.LstmState(np.zeros(3), np.zeros(3)), p)
+        p = lstm.init_params(2, input_size=3, seed=0)
+        with pytest.raises(ShapeError, match="input size 3"):
+            forward1([0.1], p)
 
     def test_gate_and_state_ranges(self):
         rng = np.random.default_rng(8)
         p = lstm.init_params(4, seed=3)
         window = rng.uniform(0, 1, 10)
-        _, caches = lstm.forward(window, p)
+        _, caches = forward1(window, p)
         sig, cand = caches["gates"][:, :, :12], caches["gates"][:, :, 12:]  # [f, i, o | c]
         assert np.all((sig > 0) & (sig < 1))
         assert np.all((cand > -1) & (cand < 1))
@@ -82,14 +80,14 @@ class TestCellForward:
 
 class TestForward:
     def test_zero_params_yield_half(self):
-        y, _ = lstm.forward(np.array([0.1, 0.9, 0.4]), zero_params(3))
+        y, _ = forward1([0.1, 0.9, 0.4], zero_params(3))
         assert y == 0.5
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(4)
         for seed in range(10):
             p = lstm.init_params(3, seed=seed)
-            y, _ = lstm.forward(rng.uniform(-5, 5, 6), p)
+            y, _ = forward1(rng.uniform(-5, 5, 6), p)
             assert 0.0 < y < 1.0
 
     def test_matches_scalar_oracle(self):
@@ -97,17 +95,17 @@ class TestForward:
         for _ in range(10):
             p = lstm.init_params(2, seed=int(rng.integers(1 << 30)))
             window = rng.uniform(0, 1, 3)
-            y, _ = lstm.forward(window, p)
+            y, _ = forward1(window, p)
             assert y == pytest.approx(lstm_forward_scalar(window, p), abs=1e-12)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ShapeError):
-            lstm.forward(np.array([]), zero_params(2))
+            forward1([], zero_params(2))
 
     def test_determinism(self):
         p = lstm.init_params(5, seed=2)
         w = np.linspace(0, 1, 8)
-        assert lstm.forward(w, p)[0] == lstm.forward(w, p)[0]
+        assert forward1(w, p)[0] == forward1(w, p)[0]
 
     def test_time_reversal_sensitivity(self):
         rng = np.random.default_rng(13)
@@ -115,22 +113,22 @@ class TestForward:
         for seed in range(10):
             p = lstm.init_params(4, seed=seed)
             w = rng.uniform(0, 1, 8)
-            differs += lstm.forward(w, p)[0] != lstm.forward(w[::-1], p)[0]
+            differs += forward1(w, p)[0] != forward1(w[::-1], p)[0]
         assert differs >= 9
 
 
 class TestBackward:
     def test_zero_upstream_gradient(self):
         p = lstm.init_params(3, seed=5)
-        _, caches = lstm.forward(np.array([0.2, 0.4]), p)
-        grads = lstm.backward(caches, 0.0, p)
+        _, caches = forward1([0.2, 0.4], p)
+        grads = lstm.backward_batch(caches, np.zeros(1), p)
         for g in grads.values():
             assert not np.any(g)
 
     def test_output_bias_closed_form(self):
         p = lstm.init_params(4, seed=9)
-        y, caches = lstm.forward(np.array([0.3, 0.1, 0.8]), p)
-        grads = lstm.backward(caches, 1.7, p)
+        y, caches = forward1([0.3, 0.1, 0.8], p)
+        grads = lstm.backward_batch(caches, np.array([1.7]), p)
         assert grads["b_y"][0] == pytest.approx(1.7 * y * (1 - y), rel=1e-12)
 
     def test_finite_differences_spot_check(self):
@@ -140,9 +138,9 @@ class TestBackward:
             t_len = int(rng.integers(1, 6))
             p = lstm.init_params(h, seed=int(rng.integers(1 << 30)))
             window = rng.uniform(0, 1, t_len)
-            _, caches = lstm.forward(window, p)
-            analytic = lstm.backward(caches, 1.0, p)
-            numeric = numeric_gradients(lambda w, q: lstm.forward(w, q)[0],
+            _, caches = forward1(window, p)
+            analytic = lstm.backward_batch(caches, np.ones(1), p)
+            numeric = numeric_gradients(lambda w, q: forward1(w, q)[0],
                                         window, p, lstm.WEIGHT_KEYS)
             assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -158,19 +156,28 @@ class TestBackward:
         got = lstm.backward_batch(caches, upstream, p)
         want = {k: np.zeros_like(v) for k, v in p.weights().items()}
         for window, d in zip(windows, upstream):
-            _, c = lstm.forward(window, p)
-            for k, g in lstm.backward(c, d, p).items():
+            _, c = forward1(window, p)
+            for k, g in lstm.backward_batch(c, np.array([d]), p).items():
                 want[k] += g
         for k in lstm.WEIGHT_KEYS:
             scale = np.max(np.abs(want[k]))
             assert np.max(np.abs(got[k] - want[k])) <= 1e-12 * scale, k
 
+    def test_gradients_are_views_of_one_buffer(self):
+        p = lstm.init_params(3, seed=4)
+        _, caches = lstm.forward_batch(np.linspace(0, 1, 10).reshape(2, 5), p)
+        grads = lstm.backward_batch(caches, np.array([1.0, -0.5]), p)
+        assert grads.flat.shape == p.flat.shape
+        for k in lstm.WEIGHT_KEYS:
+            assert np.shares_memory(grads[k], grads.flat), k
+        assert np.array_equal(lstm.LstmParams(**grads).flat, grads.flat)
+
     def test_cache_mismatch(self):
         p = lstm.init_params(3, seed=1)
-        _, caches = lstm.forward(np.array([0.1, 0.2]), p)
+        _, caches = forward1([0.1, 0.2], p)
         other = lstm.init_params(4, seed=1)
         with pytest.raises(ShapeError):
-            lstm.backward(caches, 1.0, other)
+            lstm.backward_batch(caches, np.ones(1), other)
 
 
 class TestPackedStorage:
@@ -183,14 +190,15 @@ class TestPackedStorage:
     def test_in_place_write_changes_forward(self):
         p = lstm.init_params(4, seed=2)
         window = np.linspace(0.1, 0.9, 6)
-        before = lstm.forward(window, p)[0]
+        before = forward1(window, p)[0]
         p.W_c[...] += 0.5
-        assert lstm.forward(window, p)[0] != before
+        assert forward1(window, p)[0] != before
 
     def test_copy_owns_its_buffer(self):
         p = lstm.init_params(4, seed=2)
-        q = p.copy()
+        q = lstm.LstmParams(**p.weights(), head=p.head)
         assert not np.shares_memory(p.flat, q.flat)
+        assert np.array_equal(p.flat, q.flat)
         q.W_c[...] += 0.5
         q.b_o[...] -= 1.0
         assert not np.array_equal(p.W_c, q.W_c)
@@ -214,7 +222,7 @@ class TestSerialization:
         # lstm_h3.json was written by the serializer of the unpacked
         # per-gate implementation; the predictions below are its outputs.
         text = (FIXTURES / "lstm_h3.json").read_text()
-        p, window_len, scaler = lstm.deserialize(text)
+        p, window_len, scaler = modelio.loads_neural(text, lstm.LstmParams)
         assert (p.hidden, window_len) == (3, 6)
         assert (scaler.min, scaler.max) == (2.0, 50.0)
         windows = np.random.default_rng(3).uniform(0, 1, (4, 6))
@@ -222,26 +230,26 @@ class TestSerialization:
         expected = [0.16372606889320465, 0.14822154178029878,
                     0.12566812692667684, 0.15016611321767062]
         assert np.max(np.abs(y - expected)) < 1e-12
-        assert lstm.serialize(p, window_len, scaler) == text
+        assert modelio.dumps_neural(p, window_len, scaler) == text
 
     def test_roundtrip(self):
         p = lstm.init_params(7, seed=31)
-        text = lstm.serialize(p, window_len=12)
-        q, window_len, scaler = lstm.deserialize(text)
+        text = modelio.dumps_neural(p, 12, None)
+        q, window_len, scaler = modelio.loads_neural(text, lstm.LstmParams)
         assert window_len == 12 and scaler is None
         for k in lstm.WEIGHT_KEYS:
             assert np.array_equal(getattr(p, k), getattr(q, k))
 
     def test_missing_field_named(self):
         p = lstm.init_params(2, seed=0)
-        text = lstm.serialize(p, 4).replace('"W_f"', '"W_x"')
+        text = modelio.dumps_neural(p, 4, None).replace('"W_f"', '"W_x"')
         with pytest.raises(ModelFormatError, match="W_f"):
-            lstm.deserialize(text)
+            modelio.loads_neural(text, lstm.LstmParams)
 
     def test_h50_scalar_count(self):
         import json
         p = lstm.init_params(50, seed=0)
-        obj = json.loads(lstm.serialize(p, 12))
+        obj = json.loads(modelio.dumps_neural(p, 12, None))
         count = 0
         for arr in obj["weights"].values():
             count += np.asarray(arr).size
@@ -250,5 +258,6 @@ class TestSerialization:
     def test_scaler_roundtrip(self):
         from celltide.dataset import ScalerParams
         p = lstm.init_params(2, seed=1)
-        _, _, scaler = lstm.deserialize(lstm.serialize(p, 3, ScalerParams(1.5, 9.25)))
+        text = modelio.dumps_neural(p, 3, ScalerParams(1.5, 9.25))
+        _, _, scaler = modelio.loads_neural(text, lstm.LstmParams)
         assert scaler == ScalerParams(1.5, 9.25)

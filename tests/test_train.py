@@ -36,37 +36,37 @@ class TestMae:
 
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
-        w = {"w": np.array([0.0])}
+        w = np.array([0.0])
         state = train.AdamState.for_params(w)
-        train.adam_step(w, {"w": np.array([2.5])}, state, lr=1e-3)
-        assert abs(abs(w["w"][0]) - 1e-3) < 1e-6
+        train.adam_step(w, np.array([2.5]), state, lr=1e-3)
+        assert abs(abs(w[0]) - 1e-3) < 1e-6
 
     def test_zero_gradient_keeps_params(self):
-        w = {"w": np.array([1.0, -2.0])}
+        w = np.array([1.0, -2.0])
         state = train.AdamState.for_params(w)
-        train.adam_step(w, {"w": np.zeros(2)}, state, lr=0.1)
-        assert np.array_equal(w["w"], [1.0, -2.0])
+        train.adam_step(w, np.zeros(2), state, lr=0.1)
+        assert np.array_equal(w, [1.0, -2.0])
 
     def test_deterministic_trajectory(self):
         def run():
-            w = {"w": np.array([0.3])}
+            w = np.array([0.3])
             state = train.AdamState.for_params(w)
             for i in range(50):
-                train.adam_step(w, {"w": np.array([np.sin(i) + 0.2])}, state, 1e-2)
-            return w["w"][0]
+                train.adam_step(w, np.array([np.sin(i) + 0.2]), state, 1e-2)
+            return w[0]
         assert run() == run()
 
     def test_shape_mismatch(self):
-        w = {"w": np.zeros(3)}
+        w = np.zeros(3)
         state = train.AdamState.for_params(w)
         with pytest.raises(ValueError):
-            train.adam_step(w, {"w": np.zeros(2)}, state, 1e-3)
+            train.adam_step(w, np.zeros(2), state, 1e-3)
 
     def test_step_counter(self):
-        w = {"w": np.zeros(1)}
+        w = np.zeros(1)
         state = train.AdamState.for_params(w)
         for _ in range(3):
-            train.adam_step(w, {"w": np.ones(1)}, state, 1e-3)
+            train.adam_step(w, np.ones(1), state, 1e-3)
         assert state.t == 3
 
 
