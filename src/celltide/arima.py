@@ -11,8 +11,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from . import modelio
 
@@ -93,6 +91,7 @@ def residuals(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     for i, ph in enumerate(phi, start=1):
         u -= ph * y[p - i:n - i]
     if len(theta):
+        from scipy.signal import lfilter  # imported here: only ARIMA work pays for scipy
         u = lfilter([1.0], np.concatenate(([1.0], theta)), u)
     return u
 
@@ -164,6 +163,7 @@ def fit(series, p: int, d: int, q: int) -> ArimaModel:
             return 1e12 * (1.0 + float(np.abs(x).sum()))
         return css(y, phi, theta)
 
+    from scipy.optimize import minimize
     res = minimize(objective, x0, method="Nelder-Mead",
                    options={"fatol": 1e-8, "xatol": 1e-8, "maxiter": 2000, "maxfev": 4000})
     phi, theta = res.x[:p], res.x[p:]
@@ -260,10 +260,12 @@ def deserialize(text: str) -> ArimaModel:
     obj = modelio.loads(text)
     modelio.check_type_tag(obj, "arima")
     p, d, q = (modelio.require_int(obj, name, 0, MAX_ORDER) for name in ("p", "d", "q"))
+    mu, sigma2 = modelio.require_finite(obj, "mu"), modelio.require_finite(obj, "sigma2")
+    if sigma2 < 0:  # 0 is what `fit` gives a series it models exactly
+        raise modelio.ModelFormatError(f"field 'sigma2' is {sigma2!r}, expected >= 0")
     return ArimaModel(
         p, d, q,
         modelio.require_array(obj, "phi", (p,)),
         modelio.require_array(obj, "theta", (q,)),
-        float(modelio.require(obj, "mu")),
-        float(modelio.require(obj, "sigma2")),
+        mu, sigma2,
         modelio.require_array(obj, "heads", (d,)))

@@ -8,8 +8,9 @@ per-grid series of 10-minute slots.
 """
 
 import itertools
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,23 +25,6 @@ class ParseError(ValueError):
 
 class IngestError(RuntimeError):
     """Directory-level ingestion failure."""
-
-
-@dataclass(frozen=True)
-class CdrRecord:
-    grid_id: int
-    timestamp_ms: int
-    country_code: int
-    sms_in: float = 0.0
-    sms_out: float = 0.0
-    call_in: float = 0.0
-    call_out: float = 0.0
-    internet: float = 0.0
-
-    def channel(self, name: str) -> float:
-        if name not in CHANNELS:
-            raise ValueError(f"unknown channel {name!r}")
-        return getattr(self, name)
 
 
 @dataclass
@@ -63,18 +47,13 @@ class ActivitySeries:
         return self.t0_ms + slot * self.slot_ms
 
 
-def _float_field(raw: str) -> float:
-    raw = raw.strip()
-    if not raw:
-        return 0.0  # missing fields are zeros
-    return float(raw)
-
-
-def parse_line(line: str, lineno: int = 0) -> CdrRecord | None:
+def parse_line(line: str, lineno: int = 0) -> tuple | None:
     """Parse one raw tab-separated record; blank lines yield None.
 
-    Missing trailing columns and empty activity fields are read as 0.0.
-    A non-numeric grid id or timestamp raises ParseError carrying `lineno`.
+    Returns (grid_id, timestamp_ms, country_code, sms_in, sms_out, call_in,
+    call_out, internet). Missing trailing columns and empty fields after the
+    timestamp are read as 0. A non-numeric or non-finite field, or a timestamp
+    outside the int64 range, raises ParseError carrying `lineno`.
     """
     line = line.rstrip("\n\r")
     if not line.strip():
@@ -84,80 +63,61 @@ def parse_line(line: str, lineno: int = 0) -> CdrRecord | None:
     try:
         grid_id = int(parts[0])
         timestamp_ms = int(float(parts[1]))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"line {lineno}: bad grid/timestamp field: {exc}") from None
+    if not -2**63 <= timestamp_ms < 2**63:
+        raise ParseError(f"line {lineno}: timestamp {parts[1].strip()} outside the int64 range")
     try:
         country = int(float(parts[2])) if parts[2].strip() else 0
-        acts = [_float_field(p) for p in parts[3:8]]
-    except ValueError as exc:
+        acts = [float(p) if p.strip() else 0.0 for p in parts[3:8]]
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"line {lineno}: bad numeric field: {exc}") from None
-    return CdrRecord(grid_id, timestamp_ms, country, *acts)
+    if not all(map(math.isfinite, acts)):
+        raise ParseError(f"line {lineno}: non-finite activity field")
+    return (grid_id, timestamp_ms, country, *acts)
 
 
-def ms_to_slot(timestamp_ms: int, t0_ms: int) -> int:
-    """Slot index of a timestamp; floors stragglers to their 10-minute slot."""
-    if timestamp_ms < t0_ms:
-        raise ValueError(f"timestamp {timestamp_ms} precedes series origin {t0_ms}")
-    return (timestamp_ms - t0_ms) // SLOT_MS
-
-
-def aggregate(records, grid_id: int, channel: str, t0_ms: int, n_slots: int) -> ActivitySeries:
-    """Sum the chosen channel of all same-grid records into per-slot totals.
-
-    Multiple records landing on one slot (different country codes, duplicate
-    entries) are summed; slots with no records stay 0.0. Records for other
-    grids or outside [t0, t0 + n_slots) are ignored. Summation follows input
-    order, so results are deterministic.
-    """
-    if n_slots <= 0:
-        raise ValueError("n_slots must be positive")
-    if channel not in CHANNELS:
-        raise ValueError(f"unknown channel {channel!r}")
-    values = np.zeros(n_slots, dtype=np.float64)
-    for rec in records:
-        if rec.grid_id != grid_id or rec.timestamp_ms < t0_ms:
-            continue
-        slot = ms_to_slot(rec.timestamp_ms, t0_ms)
-        if slot < n_slots:
-            values[slot] += rec.channel(channel)
-    return ActivitySeries(grid_id, channel, t0_ms, values)
-
-
-def _parse_file(path: str, grid_id: int):
-    """Yield (timestamp_ms, channel values tuple) for one grid from one file."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                rec = parse_line(line, lineno)
-            except ParseError as exc:
-                raise IngestError(f"{os.path.basename(path)}: {exc}") from None
-            if rec is not None and rec.grid_id == grid_id:
-                out.append(rec)
-    return out
+def aggregate(timestamps: np.ndarray, values, t0_ms: int, n_slots: int) -> np.ndarray:
+    """Per-slot totals of `values` from the slot-aligned `t0_ms`, each int64
+    timestamp floored to its slot; empty slots stay 0.0, and each slot sums in
+    input order. Slot indices are subtracted, not timestamps, so none overflows."""
+    return np.bincount(timestamps // SLOT_MS - t0_ms // SLOT_MS, weights=values,
+                       minlength=n_slots)
 
 
 def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
     """Merge all day-files of a directory into one gap-free activity series.
 
+    Every line of every file is validated, whichever grid it belongs to.
     Files are processed in lexicographic name order; the series origin is the
     slot-aligned floor of the earliest timestamp seen, and the series spans
     first to last observed slot with zeros where nothing was recorded.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
+    col = 3 + CHANNELS.index(channel)
     names = sorted(n for n in os.listdir(dir_path)
                    if os.path.isfile(os.path.join(dir_path, n)))
     if not names:
         raise IngestError(f"no input files in {dir_path}")
-    records: list[CdrRecord] = []
+    timestamps, values = [], []
     for name in names:
-        records.extend(_parse_file(os.path.join(dir_path, name), grid_id))
-    if not records:
+        with open(os.path.join(dir_path, name), encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    rec = parse_line(line, lineno)
+                except ParseError as exc:
+                    raise IngestError(f"{name}: {exc}") from None
+                if rec is not None and rec[0] == grid_id:
+                    timestamps.append(rec[1])
+                    values.append(rec[col])
+    if not timestamps:
         raise IngestError(f"no records for grid {grid_id} in {dir_path}")
-    t0_ms = min(r.timestamp_ms for r in records) // SLOT_MS * SLOT_MS
-    last_slot = max(ms_to_slot(r.timestamp_ms, t0_ms) for r in records)
-    return aggregate(records, grid_id, channel, t0_ms, last_slot + 1)
+    timestamps = np.array(timestamps, dtype=np.int64)
+    t0_ms = int(timestamps.min()) // SLOT_MS * SLOT_MS
+    n_slots = (int(timestamps.max()) - t0_ms) // SLOT_MS + 1
+    return ActivitySeries(grid_id, channel, t0_ms,
+                          aggregate(timestamps, np.array(values), t0_ms, n_slots))
 
 
 def write_series_csv(series: ActivitySeries, path: str) -> None:
@@ -204,7 +164,7 @@ def read_series_csv(path: str, grid_id: int = 0, channel: str = "internet") -> A
     if not finite.all():
         slot = int(np.argmin(finite))
         raise ParseError(f"{path}: line {_data_lineno(path, slot)}: "
-                         f"non-finite value {values[slot]!r}")
+                         f"non-finite value {values[slot]}")
     return ActivitySeries(grid_id, channel, t0_ms, values)
 
 

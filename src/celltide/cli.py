@@ -37,8 +37,7 @@ def _neural_setup(args):
     train_set = dataset.windows_for_range(normed, args.window, 0, spec.n_train)
     val_set = dataset.windows_for_range(normed, args.window, spec.val_start,
                                         spec.test_start)
-    config = train.TrainConfig(epochs=args.epochs, learning_rate=args.lr,
-                               seed=args.seed, window=args.window)
+    config = train.TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
     return values, spec, scaler, train_set, val_set, config
 
 

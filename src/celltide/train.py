@@ -24,7 +24,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
     seed: int = 0
-    window: int = 12
 
     def __post_init__(self):
         if self.epochs < 1 or self.learning_rate < 0 or self.batch_size < 1:

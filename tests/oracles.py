@@ -3,12 +3,20 @@ vectorized models. Pure Python + math on purpose: no shared code paths with
 the package internals beyond reading parameter values element by element.
 The ARIMA references are the straightforward numpy forms instead (a root
 solve, one innovation filter per forecast slot), since the package's
-one-pass versions must reproduce their decisions and bits exactly."""
+one-pass versions must reproduce their decisions and bits exactly. The CDR
+ingest reference shares only `cdr.parse_line`, whose checks are tested on
+their own, and adds one record at a time."""
 
 import math
+import os
 
 import numpy as np
 from scipy.signal import lfilter
+
+from celltide import cdr
+
+CDR_COLUMNS = ("grid_id", "timestamp_ms", "country_code",
+               "sms_in", "sms_out", "call_in", "call_out", "internet")
 
 
 def _sigmoid(x: float) -> float:
@@ -139,3 +147,27 @@ def arima_rolling_forecast(model, series, start: int, stop: int) -> np.ndarray:
     """Per-slot loop: slot t forecast from series[:t], O(N) work per slot."""
     series = np.asarray(series, dtype=np.float64)
     return np.array([arima_forecast_one(model, series[:t]) for t in range(start, stop)])
+
+
+def cdr_ingest_reference(dir_path: str, grid_id: int, channel: str):
+    """Per-record ingest of a directory of CDR day files: every parsed line
+    becomes a record, records of other grids are dropped, the origin and span
+    come from the smallest and largest timestamps, and each record is added
+    to its slot one at a time, files in name order and lines in file order.
+    Returns (t0_ms, values)."""
+    records = []
+    for name in sorted(os.listdir(dir_path)):
+        with open(os.path.join(dir_path, name), encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                fields = cdr.parse_line(line, lineno)
+                if fields is not None:
+                    record = dict(zip(CDR_COLUMNS, fields))
+                    if record["grid_id"] == grid_id:
+                        records.append(record)
+    first = min(r["timestamp_ms"] for r in records)
+    last = max(r["timestamp_ms"] for r in records)
+    t0_ms = first - first % 600_000
+    values = [0.0] * ((last - t0_ms) // 600_000 + 1)
+    for r in records:
+        values[(r["timestamp_ms"] - t0_ms) // 600_000] += r[channel]
+    return t0_ms, np.array(values)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -240,10 +241,22 @@ class TestSerialization:
             arima.deserialize(text)
 
     @pytest.mark.parametrize("field,value", [
-        ("p", 2.5), ("p", True), ("d", 9), ("q", -1), ("p", '"x"'), ("q", "null")])
+        ("p", 2.5), ("p", True), ("d", 9), ("q", -1), ("p", '"x"'), ("q", "null"),
+        ("mu", '"nan"'), ("mu", "1e999"), ("mu", "true"), ("mu", "null"),
+        ("sigma2", -4), ("sigma2", "-1e999"), ("sigma2", '"2"'), ("sigma2", "null")])
     def test_bad_order_rejected(self, field, value):
+        """Bad orders, and a non-finite mean or a negative or non-finite
+        variance, are rejected naming the field."""
         model = arima.ArimaModel(0, 0, 0, [], [], mu=1.0, sigma2=2.0, heads=[])
-        text = arima.serialize(model).replace(
-            f'"{field}": 0', f'"{field}": {str(value).lower()}')
+        text = re.sub(f'"{field}": [^,}}]+', f'"{field}": {str(value).lower()}',
+                      arima.serialize(model))
         with pytest.raises(ModelFormatError, match=f"'{field}'"):
             arima.deserialize(text)
+
+    def test_exact_fit_round_trips(self):
+        """`fit` gives a variance of 0 to a series it models exactly, and its
+        model file must load again."""
+        model = arima.fit(np.full(40, 3.0), 0, 1, 0)
+        assert model.sigma2 == 0.0
+        back = arima.deserialize(arima.serialize(model))
+        assert back.sigma2 == 0.0 and back.mu == model.mu

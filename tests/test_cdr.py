@@ -3,28 +3,23 @@ import pytest
 
 from celltide import cdr
 
+import oracles
+
 T0 = 1_383_260_400_000
 
 
 def test_parse_full_line():
-    rec = cdr.parse_line("1\t1383260400000\t39\t0.2\t0.1\t0.05\t0.07\t10.5")
-    assert rec.grid_id == 1
-    assert rec.timestamp_ms == 1383260400000
-    assert rec.country_code == 39
-    assert rec.sms_in == 0.2
-    assert rec.internet == 10.5
+    assert (cdr.parse_line("1\t1383260400000\t39\t0.2\t0.1\t0.05\t0.07\t10.5")
+            == (1, 1383260400000, 39, 0.2, 0.1, 0.05, 0.07, 10.5))
 
 
 def test_parse_missing_fields_become_zero():
-    rec = cdr.parse_line("1\t1383260400000\t39\t\t\t\t\t10.5")
-    assert (rec.sms_in, rec.sms_out, rec.call_in, rec.call_out) == (0, 0, 0, 0)
-    assert rec.internet == 10.5
+    assert (cdr.parse_line("1\t1383260400000\t\t\t\t\t\t10.5")
+            == (1, 1383260400000, 0, 0.0, 0.0, 0.0, 0.0, 10.5))
 
 
 def test_parse_missing_trailing_columns():
-    rec = cdr.parse_line("7\t1383260400000\t39")
-    assert rec.grid_id == 7
-    assert rec.internet == 0.0
+    assert cdr.parse_line("7\t1383260400000\t39") == (7, 1383260400000, 39, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_parse_blank_line_returns_none():
@@ -37,56 +32,67 @@ def test_parse_error_carries_line_number():
         cdr.parse_line("abc\t123\t39", lineno=17)
 
 
-class TestSlotMapping:
-    def test_origin(self):
-        assert cdr.ms_to_slot(T0, T0) == 0
-
-    def test_next_slot(self):
-        assert cdr.ms_to_slot(T0 + 600_000, T0) == 1
-
-    def test_final_slot_of_62_days(self):
-        # 62 days x 144 slots/day = 8928 slots, last index 8927
-        assert cdr.ms_to_slot(T0 + 8927 * 600_000, T0) == 8927
-
-    def test_straggler_floors(self):
-        assert cdr.ms_to_slot(T0 + 600_000 + 1234, T0) == 1
-
-    def test_before_origin_rejected(self):
-        with pytest.raises(ValueError):
-            cdr.ms_to_slot(T0 - 1, T0)
-
-
-def _rec(grid, slot, internet, country=39):
-    return cdr.CdrRecord(grid, T0 + slot * 600_000, country, internet=internet)
-
-
-class TestAggregate:
-    def test_same_slot_records_sum(self):
-        series = cdr.aggregate([_rec(1, 0, 1.0), _rec(1, 0, 2.0, country=0)],
-                               1, "internet", T0, 2)
-        assert series.values.tolist() == [3.0, 0.0]
-
-    def test_empty_slot_is_zero(self):
-        series = cdr.aggregate([_rec(1, 2, 5.0)], 1, "internet", T0, 4)
-        assert series.values.tolist() == [0.0, 0.0, 5.0, 0.0]
-
-    def test_conservation(self):
-        rng = np.random.default_rng(3)
-        records = [_rec(1, int(rng.integers(0, 50)), float(rng.uniform(0, 10)))
-                   for _ in range(500)]
-        series = cdr.aggregate(records, 1, "internet", T0, 50)
-        total_in = sum(r.internet for r in records)
-        assert series.values.sum() == pytest.approx(total_in, rel=1e-9)
-
-    def test_other_grids_filtered(self):
-        series = cdr.aggregate([_rec(1, 0, 1.0), _rec(2, 0, 9.0)], 1, "internet", T0, 1)
-        assert series.values.tolist() == [1.0]
-
-
 def _write_day_file(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for grid, ts, internet in rows:
             fh.write(f"{grid}\t{ts}\t39\t\t\t\t\t{internet}\n")
+
+
+def _ingest(tmp_path, rows):
+    _write_day_file(tmp_path / "day.txt", rows)
+    return cdr.ingest_dir(str(tmp_path), 1, "internet")
+
+
+class TestSlotMapping:
+    """Each record lands in the slot of its timestamp's 10-minute floor,
+    counted from the floor of the earliest timestamp."""
+
+    def test_origin(self, tmp_path):
+        series = _ingest(tmp_path, [(1, T0, 1.0)])
+        assert series.t0_ms == T0
+        assert series.values.tolist() == [1.0]
+
+    def test_next_slot(self, tmp_path):
+        series = _ingest(tmp_path, [(1, T0, 1.0), (1, T0 + 600_000, 2.0)])
+        assert series.values.tolist() == [1.0, 2.0]
+
+    def test_final_slot_of_62_days(self, tmp_path):
+        # 62 days x 144 slots/day = 8928 slots, last index 8927
+        series = _ingest(tmp_path, [(1, T0, 1.0), (1, T0 + 8927 * 600_000, 2.0)])
+        assert len(series) == 8928
+        assert series.values[8927] == 2.0
+
+    def test_straggler_floors(self, tmp_path):
+        series = _ingest(tmp_path, [(1, T0 + 1234, 1.0), (1, T0 + 600_000 + 1234, 2.0)])
+        assert series.t0_ms == T0
+        assert series.values.tolist() == [1.0, 2.0]
+
+
+class TestAggregate:
+    """Per-slot sums of the chosen grid, as ingest_dir builds them."""
+
+    def test_same_slot_records_sum(self, tmp_path):
+        (tmp_path / "day.txt").write_text(f"1\t{T0}\t39\t\t\t\t\t1.0\n"
+                                          f"1\t{T0}\t0\t\t\t\t\t2.0\n")
+        assert cdr.ingest_dir(str(tmp_path), 1, "internet").values.tolist() == [3.0]
+
+    def test_empty_slot_is_zero(self, tmp_path):
+        series = _ingest(tmp_path, [(1, T0, 2.0), (1, T0 + 3 * 600_000, 5.0)])
+        assert series.values.tolist() == [2.0, 0.0, 0.0, 5.0]
+
+    def test_conservation(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = [(1, T0 + int(rng.integers(0, 50)) * 600_000, float(rng.uniform(0, 10)))
+                for _ in range(500)]
+        series = _ingest(tmp_path, rows)
+        total_in = sum(internet for _, _, internet in rows)
+        assert series.values.sum() == pytest.approx(total_in, rel=1e-9)
+
+    def test_other_grids_filtered(self, tmp_path):
+        series = _ingest(tmp_path, [(2, T0 - 600_000, 9.0), (1, T0, 1.0), (2, T0, 9.0),
+                                    (2, T0 + 5 * 600_000, 9.0)])
+        assert series.t0_ms == T0
+        assert series.values.tolist() == [1.0]
 
 
 @pytest.fixture
@@ -139,6 +145,31 @@ class TestIngestDir:
         with pytest.raises(cdr.IngestError):
             cdr.ingest_dir(str(tmp_path), 1, "internet")
 
+    def test_matches_per_record_reference(self, tmp_path):
+        """Three files share slots, so the per-slot sums depend on file order
+        and line order; every channel must equal the reference bit for bit."""
+        rng = np.random.default_rng(5)
+        for name in ("a.txt", "b.txt", "c.txt"):
+            lines = []
+            for _ in range(400):
+                grid = int(rng.choice([1, 1, 1, 2]))  # grid 2 is the decoy
+                ts = T0 + int(rng.integers(0, 40)) * 600_000
+                acts = ["" if rng.random() < 0.3 else repr(float(v))
+                        for v in rng.lognormal(0.0, 2.0, size=5)]
+                fields = [str(grid), str(ts), "" if rng.random() < 0.1 else "39", *acts]
+                lines.append("\t".join(fields[:int(rng.choice([3, 5, 8, 8, 8, 8]))]))
+                if rng.random() < 0.1:
+                    lines.append(lines[-1])  # exact duplicate
+                if rng.random() < 0.05:
+                    lines.append(" " * int(rng.integers(0, 3)))  # blank line
+            lines.append(f"1\t{T0 + 7 * 600_000 + 4321}\t39\t1\t2\t3\t4\t5")  # off the boundary
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+        for channel in cdr.CHANNELS:
+            series = cdr.ingest_dir(str(tmp_path), 1, channel)
+            t0_ms, values = oracles.cdr_ingest_reference(str(tmp_path), 1, channel)
+            assert series.t0_ms == t0_ms
+            assert np.array_equal(series.values, values), channel
+
     def test_parse_error_names_file_and_line(self, tmp_path):
         (tmp_path / "bad.txt").write_text("1\t{T0}\t39\n".format(T0=T0)
                                           + "oops\tnope\t39\n")
@@ -177,7 +208,7 @@ def test_series_csv_rejects_non_finite_value(tmp_path, bad):
     lines = _series_lines()
     lines[3] = f"2,{T0 + 2 * 600_000},{bad}"
     path = _write_lines(tmp_path, lines)
-    with pytest.raises(cdr.ParseError, match=r"series\.csv: line 4: non-finite"):
+    with pytest.raises(cdr.ParseError, match=rf"series\.csv: line 4: non-finite value {float(bad)}$"):
         cdr.read_series_csv(path)
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import celltide
 from celltide import cdr
 from celltide.cli import main
 
@@ -63,6 +67,26 @@ class TestIngest:
         assert main(["ingest", "--input-dir", str(empty),
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "1\tinf\t39\t\t\t\t\t1.0",
+        "1\tnan\t39\t\t\t\t\t1.0",
+        f"1\t{T0}\tinf\t\t\t\t\t1.0",
+        f"1\t{T0}\t39\t\t\t\t\tnan",
+        f"1\t{T0}\t39\tinf",
+        f"1\t{T0}\t39\t\t\t\t-inf\t1.0",
+        f"2\t{T0}\t39\t\t\t\t\tnan",
+        "1\t1e19\t39\t\t\t\t\t1.0",
+        "1\t-1e19\t39\t\t\t\t\t1.0",
+    ])
+    def test_bad_number_names_file_and_line(self, tmp_path, capsys, line):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "day0.txt").write_text(f"1\t{T0}\t39\t\t\t\t\t2.5\n{line}\n")
+        out = tmp_path / "x.csv"
+        assert main(["ingest", "--input-dir", str(raw), "--out", str(out)]) == 1
+        assert "error: day0.txt: line 2: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -228,3 +252,13 @@ class TestCompare:
                    "--out-dir", str(out_dir)])
         assert rc == 1
         assert list(out_dir.iterdir()) == []
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only the ARIMA code needs scipy, so importing the CLI must not load it."""
+    src_dir = os.path.dirname(os.path.dirname(celltide.__file__))
+    code = "import sys, celltide.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src_dir), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
