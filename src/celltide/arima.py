@@ -30,12 +30,10 @@ class ArimaModel:
     theta: np.ndarray   # MA coefficients, length q
     mu: float           # mean of the d-differenced training series
     sigma2: float       # innovation variance from the CSS at the optimum
-    heads: np.ndarray   # first values of each differencing level of the training series
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=np.float64)
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        self.heads = np.asarray(self.heads, dtype=np.float64)
 
 
 def difference(series, d: int) -> np.ndarray:
@@ -45,16 +43,6 @@ def difference(series, d: int) -> np.ndarray:
     for _ in range(d):
         series = np.diff(series)
     return series
-
-
-def diff_heads(series, d: int) -> np.ndarray:
-    """First element of each differencing level; saved in model files as `heads`."""
-    series = np.asarray(series, dtype=np.float64)
-    heads = []
-    for _ in range(d):
-        heads.append(series[0])
-        series = np.diff(series)
-    return np.array(heads)
 
 
 _ROOT_MARGIN = 1.0 + 1e-9  # roots must lie strictly beyond this radius
@@ -149,8 +137,7 @@ def fit(series, p: int, d: int, q: int) -> ArimaModel:
 
     if p + q == 0:
         sigma2 = float(y @ y) / n_eff
-        return ArimaModel(p, d, q, np.empty(0), np.empty(0), mu, sigma2,
-                          diff_heads(series, d))
+        return ArimaModel(p, d, q, np.empty(0), np.empty(0), mu, sigma2)
 
     phi0, theta0 = hannan_rissanen(y, p, q)
     x0 = np.concatenate([phi0, theta0])
@@ -172,7 +159,7 @@ def fit(series, p: int, d: int, q: int) -> ArimaModel:
             f"optimum for orders ({p},{d},{q}) is non-stationary or non-invertible; "
             "try different orders")
     sigma2 = css(y, phi, theta) / n_eff
-    return ArimaModel(p, d, q, phi, theta, mu, sigma2, diff_heads(series, d))
+    return ArimaModel(p, d, q, phi, theta, mu, sigma2)
 
 
 def _forecasts(model: ArimaModel, history: np.ndarray, start: int) -> np.ndarray:
@@ -225,14 +212,14 @@ def aic(model: ArimaModel, n_eff: int) -> float:
     return n_eff * np.log(model.sigma2) + 2.0 * (model.p + model.q + 1)
 
 
-def auto_order(series, max_p: int = 3, max_q: int = 3, max_d: int = 1) -> ArimaModel:
-    """Grid-search (p, d, q) by AIC and return the winning fitted model; ties
-    prefer fewer AR+MA terms, then lower d."""
+def auto_order(series) -> ArimaModel:
+    """Grid-search p, q in 0..3 and d in 0..1 by AIC and return the winning
+    fitted model; ties prefer fewer AR+MA terms, then lower d."""
     series = np.asarray(series, dtype=np.float64)
     if len(series) < 200:
         raise ValueError("need at least 200 observations for order selection")
     candidates = []
-    for d, p, q in itertools.product(range(max_d + 1), range(max_p + 1), range(max_q + 1)):
+    for d, p, q in itertools.product(range(2), range(4), range(4)):
         try:
             model = fit(series, p, d, q)
         except (ArimaFitError, ValueError):
@@ -252,11 +239,11 @@ def serialize(model: ArimaModel) -> str:
         "p": model.p, "d": model.d, "q": model.q,
         "phi": model.phi, "theta": model.theta,
         "mu": model.mu, "sigma2": model.sigma2,
-        "heads": model.heads,
     })
 
 
 def deserialize(text: str) -> ArimaModel:
+    """Read a model file; a `heads` key, written by older versions, is ignored."""
     obj = modelio.loads(text)
     modelio.check_type_tag(obj, "arima")
     p, d, q = (modelio.require_int(obj, name, 0, MAX_ORDER) for name in ("p", "d", "q"))
@@ -267,5 +254,4 @@ def deserialize(text: str) -> ArimaModel:
         p, d, q,
         modelio.require_array(obj, "phi", (p,)),
         modelio.require_array(obj, "theta", (q,)),
-        mu, sigma2,
-        modelio.require_array(obj, "heads", (d,)))
+        mu, sigma2)

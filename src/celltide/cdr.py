@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SLOT_MS = 600_000  # 10 minutes
+SLOTS_PER_DAY = 144
+MAX_SPAN_SLOTS = 366 * SLOTS_PER_DAY  # one leap year; a wider span is a stray timestamp
 
 CHANNELS = ("sms_in", "sms_out", "call_in", "call_out", "internet")
 
@@ -31,20 +33,11 @@ class IngestError(RuntimeError):
 class ActivitySeries:
     """Gap-free per-grid series of one activity channel, one value per slot."""
 
-    grid_id: int
-    channel: str
     t0_ms: int
-    values: np.ndarray
-    slot_ms: int = SLOT_MS
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+    values: np.ndarray  # float64
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def slot_timestamp_ms(self, slot: int) -> int:
-        return self.t0_ms + slot * self.slot_ms
 
 
 def parse_line(line: str, lineno: int = 0) -> tuple | None:
@@ -85,13 +78,26 @@ def aggregate(timestamps: np.ndarray, values, t0_ms: int, n_slots: int) -> np.nd
                        minlength=n_slots)
 
 
+def _grid_records(dir_path: str, names: list, grid_id: int):
+    """(file, line number, record) of each `grid_id` line; every line is validated."""
+    for name in names:
+        with open(os.path.join(dir_path, name), encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    rec = parse_line(line, lineno)
+                except ParseError as exc:
+                    raise IngestError(f"{name}: {exc}") from None
+                if rec is not None and rec[0] == grid_id:
+                    yield name, lineno, rec
+
+
 def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
     """Merge all day-files of a directory into one gap-free activity series.
 
-    Every line of every file is validated, whichever grid it belongs to.
     Files are processed in lexicographic name order; the series origin is the
     slot-aligned floor of the earliest timestamp seen, and the series spans
-    first to last observed slot with zeros where nothing was recorded.
+    first to last observed slot with zeros where nothing was recorded. A wider
+    span than MAX_SPAN_SLOTS fails at the timestamp farthest from the median.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
@@ -101,23 +107,22 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
     if not names:
         raise IngestError(f"no input files in {dir_path}")
     timestamps, values = [], []
-    for name in names:
-        with open(os.path.join(dir_path, name), encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    rec = parse_line(line, lineno)
-                except ParseError as exc:
-                    raise IngestError(f"{name}: {exc}") from None
-                if rec is not None and rec[0] == grid_id:
-                    timestamps.append(rec[1])
-                    values.append(rec[col])
+    for _, _, rec in _grid_records(dir_path, names, grid_id):
+        timestamps.append(rec[1])
+        values.append(rec[col])
     if not timestamps:
         raise IngestError(f"no records for grid {grid_id} in {dir_path}")
     timestamps = np.array(timestamps, dtype=np.int64)
     t0_ms = int(timestamps.min()) // SLOT_MS * SLOT_MS
     n_slots = (int(timestamps.max()) - t0_ms) // SLOT_MS + 1
-    return ActivitySeries(grid_id, channel, t0_ms,
-                          aggregate(timestamps, np.array(values), t0_ms, n_slots))
+    if n_slots > MAX_SPAN_SLOTS:
+        mid = float(np.sort(timestamps)[len(timestamps) // 2])
+        far = int(timestamps[np.argmax(np.abs(timestamps - mid))])
+        name, lineno = next((n, i) for n, i, r in _grid_records(dir_path, names, grid_id)
+                            if r[1] == far)
+        raise IngestError(f"{name}: line {lineno}: timestamp {far} stretches grid {grid_id} "
+                          f"to {n_slots} slots, over one leap year ({MAX_SPAN_SLOTS})")
+    return ActivitySeries(t0_ms, aggregate(timestamps, np.array(values), t0_ms, n_slots))
 
 
 def write_series_csv(series: ActivitySeries, path: str) -> None:
@@ -125,10 +130,10 @@ def write_series_csv(series: ActivitySeries, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("slot,timestamp_ms,value\n")
         for i, v in enumerate(series.values):
-            fh.write(f"{i},{series.slot_timestamp_ms(i)},{v:.17g}\n")
+            fh.write(f"{i},{series.t0_ms + i * SLOT_MS},{v:.17g}\n")
 
 
-def read_series_csv(path: str, grid_id: int = 0, channel: str = "internet") -> ActivitySeries:
+def read_series_csv(path: str) -> ActivitySeries:
     """Read a series CSV written by write_series_csv.
 
     Slots must count up from 0, each timestamp must equal
@@ -165,7 +170,7 @@ def read_series_csv(path: str, grid_id: int = 0, channel: str = "internet") -> A
         slot = int(np.argmin(finite))
         raise ParseError(f"{path}: line {_data_lineno(path, slot)}: "
                          f"non-finite value {values[slot]}")
-    return ActivitySeries(grid_id, channel, t0_ms, values)
+    return ActivitySeries(t0_ms, values)
 
 
 def _data_lineno(path: str, index: int) -> int:

@@ -101,7 +101,7 @@ def cmd_compare(args) -> int:
         "seed": args.seed,
         "config": {"train_frac": args.train_frac, "window": args.window,
                    "epochs": args.epochs, "learning_rate": args.lr,
-                   "batch_size": config.batch_size,
+                   "batch_size": train.BATCH_SIZE,
                    "n_train": spec.n_train, "n_val": spec.n_val,
                    "n_test": spec.n_test},
         "models": {},
@@ -144,8 +144,8 @@ def cmd_compare(args) -> int:
 
         with open(out("report.json"), "w", encoding="utf-8") as fh:
             fh.write(modelio.dumps(report))
-    except Exception:
-        for path in written:  # no partial result directories
+    except BaseException:  # an interrupt too leaves no partial result directory
+        for path in written:
             if os.path.exists(path):
                 os.remove(path)
         raise

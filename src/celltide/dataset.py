@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdr import ActivitySeries
+from .cdr import SLOTS_PER_DAY, ActivitySeries
 
 # Nov 1 2013 00:00 CET, origin of the 62-day Milan record
 DEFAULT_T0_MS = 1_383_260_400_000
@@ -73,7 +73,6 @@ def windows_for_range(values, window_len: int, start: int, stop: int) -> WindowS
 class SplitSpec:
     """Chronological head/middle/tail split: train, then validation, then test."""
 
-    train_frac: float
     n_train: int
     n_val: int
     n_test: int
@@ -102,22 +101,21 @@ def split(n_total: int, train_frac: float) -> SplitSpec:
     if n_train + n_val + n_test > n_total:
         raise ValueError(
             f"split parts {n_train}+{n_val}+{n_test} exceed {n_total} slots")
-    return SplitSpec(train_frac, n_train, n_val, n_test)
+    return SplitSpec(n_train, n_val, n_test)
 
 
-def gen_synthetic(days: int, slots_per_day: int = 144, seed: int = 0,
-                  grid_id: int = 1, channel: str = "internet") -> ActivitySeries:
+def gen_synthetic(days: int, seed: int = 0) -> ActivitySeries:
     """Deterministic synthetic traffic: a rectified two-peak diurnal pattern
     (morning and evening busy hours), a weekly swell, and Gaussian noise,
     floored at zero."""
     if days < 1:
         raise ValueError("days must be >= 1")
     rng = np.random.default_rng(seed)
-    t = np.arange(days * slots_per_day)
+    t = np.arange(days * SLOTS_PER_DAY)
     base = 20.0
-    phase = 2 * np.pi * t / slots_per_day
+    phase = 2 * np.pi * t / SLOTS_PER_DAY
     daily = 100.0 * np.maximum(0.0, np.sin(phase - 0.5) + 0.5 * np.sin(3 * phase - 0.3))
-    weekly = 12.0 * np.sin(2 * np.pi * t / (7 * slots_per_day))
+    weekly = 12.0 * np.sin(2 * np.pi * t / (7 * SLOTS_PER_DAY))
     noise = rng.normal(0.0, 2.0, size=t.shape)
     values = np.maximum(base + daily + weekly + noise, 0.0)
-    return ActivitySeries(grid_id, channel, DEFAULT_T0_MS, values)
+    return ActivitySeries(DEFAULT_T0_MS, values)

@@ -29,7 +29,6 @@ class FfnnParams:
     b1: np.ndarray  # (5,)
     W2: np.ndarray  # (1, 5)
     b2: np.ndarray  # (1,)
-    head: str = "sigmoid"
 
     @staticmethod
     def layout(hidden: int, window_len: int) -> list:
@@ -52,20 +51,18 @@ class FfnnParams:
         return {k: getattr(self, k) for k in WEIGHT_KEYS}
 
 
-def init_params(window_len: int, seed: int = 0, hidden: int = HIDDEN_UNITS,
-                head: str = "sigmoid") -> FfnnParams:
+def init_params(window_len: int, seed: int = 0) -> FfnnParams:
     """Glorot-uniform weights, zero biases; same PRNG scheme as the LSTM."""
     if window_len < 1:
         raise ValueError("window length must be >= 1")
     rng = np.random.default_rng(seed)
-    lim1 = np.sqrt(6.0 / (window_len + hidden))
-    lim2 = np.sqrt(6.0 / (hidden + 1))
+    lim1 = np.sqrt(6.0 / (window_len + HIDDEN_UNITS))
+    lim2 = np.sqrt(6.0 / (HIDDEN_UNITS + 1))
     return FfnnParams(
-        W1=rng.uniform(-lim1, lim1, size=(hidden, window_len)),
-        b1=np.zeros(hidden),
-        W2=rng.uniform(-lim2, lim2, size=(1, hidden)),
-        b2=np.zeros(1),
-        head=head)
+        W1=rng.uniform(-lim1, lim1, size=(HIDDEN_UNITS, window_len)),
+        b1=np.zeros(HIDDEN_UNITS),
+        W2=rng.uniform(-lim2, lim2, size=(1, HIDDEN_UNITS)),
+        b2=np.zeros(1))
 
 
 def forward_batch(windows: np.ndarray, p: FfnnParams):
@@ -76,7 +73,7 @@ def forward_batch(windows: np.ndarray, p: FfnnParams):
     pre1 = x @ p.W1.T + p.b1
     h = np.maximum(pre1, 0.0)
     score = h @ p.W2.T + p.b2
-    y = sigmoid(score).ravel() if p.head == "sigmoid" else score.ravel()
+    y = sigmoid(score).ravel()
     return y, {"x": x, "pre1": pre1, "h": h, "y": y}
 
 
@@ -90,7 +87,7 @@ def backward_batch(cache: dict, d_loss_d_yhat: np.ndarray, p: FfnnParams) -> dic
     y = cache["y"]
     if d_y.shape != y.shape:
         raise ShapeError(f"upstream gradient shape {d_y.shape} != predictions {y.shape}")
-    d_score = d_y * y * (1.0 - y) if p.head == "sigmoid" else d_y
+    d_score = d_y * y * (1.0 - y)
     grads = FlatViews(np.empty_like(p.flat), p.layout(p.hidden, p.window_len))
     np.matmul(d_score[None, :], cache["h"], out=grads["W2"])
     grads["b2"][0] = d_score.sum()

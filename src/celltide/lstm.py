@@ -1,9 +1,9 @@
 """Single-layer LSTM regressor with hand-derived backpropagation through time.
 
 A window of T past values is run through a chain of LSTM cells sharing one
-parameter set; the prediction is an affine map of the final hidden state
-through a sigmoid (data is min-max normalized to [0,1]) or, optionally, a
-linear head. Every pass is batched over windows.
+parameter set, one value per step; the prediction is a sigmoid of an affine
+map of the final hidden state (data is min-max normalized to [0,1]). Every
+pass is batched over windows.
 """
 
 from dataclasses import dataclass
@@ -17,12 +17,14 @@ WEIGHT_KEYS = ("W_f", "W_i", "W_c", "W_o", "b_f", "b_i", "b_c", "b_o", "W_y", "b
 
 GATE_ORDER = "fioc"  # row-block order of the packed gate matrix: sigmoid gates first
 
+HIDDEN_UNITS = 50
 
-def _packed(flat: np.ndarray, hidden: int, hd: int):
-    """The packed gate matrix (4H, H+D) and gate bias (4H,): views of the
+
+def _packed(flat: np.ndarray, hidden: int):
+    """The packed gate matrix (4H, H+1) and gate bias (4H,): views of the
     head of a buffer in parameter layout."""
-    n_w = 4 * hidden * hd
-    return flat[:n_w].reshape(4 * hidden, hd), flat[n_w:n_w + 4 * hidden]
+    n_w = 4 * hidden * (hidden + 1)
+    return flat[:n_w].reshape(4 * hidden, hidden + 1), flat[n_w:n_w + 4 * hidden]
 
 
 @dataclass
@@ -30,14 +32,14 @@ class LstmParams:
     """LSTM weights, stored in one flat float64 buffer `flat`.
 
     The fields are contiguous views of that buffer. The four gate matrices are
-    the row blocks of the packed gate matrix `W` (4H, H+D) in the order
+    the row blocks of the packed gate matrix `W` (4H, H+1) in the order
     f, i, o, c, and the gate biases form the packed vector `b` (4H,) in the
     same order. Construction copies the given arrays into a fresh buffer.
     """
 
     kind: ClassVar[str] = "lstm"
 
-    W_f: np.ndarray  # (H, H+D)
+    W_f: np.ndarray  # (H, H+1)
     W_i: np.ndarray
     W_c: np.ndarray
     W_o: np.ndarray
@@ -47,58 +49,54 @@ class LstmParams:
     b_o: np.ndarray
     W_y: np.ndarray  # (1, H)
     b_y: np.ndarray  # (1,)
-    head: str = "sigmoid"  # "sigmoid" or "linear"
 
     @staticmethod
-    def layout(hidden: int, window_len: int = 0, input_size: int = 1) -> list:
+    def layout(hidden: int, window_len: int = 0) -> list:
         """(name, shape) of every weight in buffer order. The window length
-        does not shape an LSTM; model files hold scalar-input ones."""
-        hd = hidden + input_size
-        return ([(f"W_{gate}", (hidden, hd)) for gate in GATE_ORDER]
+        does not shape an LSTM."""
+        return ([(f"W_{gate}", (hidden, hidden + 1)) for gate in GATE_ORDER]
                 + [(f"b_{gate}", (hidden,)) for gate in GATE_ORDER]
                 + [("W_y", (1, hidden)), ("b_y", (1,))])
 
     def __post_init__(self):
-        hidden, hd = np.shape(self.W_f)
-        self.flat = pack_fields(self, self.layout(hidden, input_size=hd - hidden))
-        self.W, self.b = _packed(self.flat, hidden, hd)
+        hidden = np.shape(self.W_f)[0]
+        self.flat = pack_fields(self, self.layout(hidden))
+        self.W, self.b = _packed(self.flat, hidden)
 
     @property
     def hidden(self) -> int:
         return self.W_f.shape[0]
 
-    @property
-    def input_size(self) -> int:
-        return self.W_f.shape[1] - self.W_f.shape[0]
-
     def weights(self) -> dict:
         return {k: getattr(self, k) for k in WEIGHT_KEYS}
 
 
-def init_params(hidden: int, input_size: int = 1, seed: int = 0,
-                head: str = "sigmoid") -> LstmParams:
-    """Glorot-uniform weights, zero biases except forget bias = 1."""
+def init_params(hidden: int, input_size: int = 1, seed: int = 0) -> LstmParams:
+    """Glorot-uniform weights, zero biases except forget bias = 1. The LSTM
+    reads one value per step, so `input_size` must be 1."""
     if hidden < 1:
         raise ValueError("hidden size must be >= 1")
+    if input_size != 1:
+        raise ValueError(f"input size must be 1, got {input_size}")
     rng = np.random.default_rng(seed)
 
     def glorot(rows, cols, fan_in, fan_out):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(rows, cols))
 
-    hd = hidden + input_size
+    hd = hidden + 1
     mats = [glorot(hidden, hd, hd, hidden) for _ in range(4)]
     w_y = glorot(1, hidden, hidden, 1)
     return LstmParams(
         *mats,
         b_f=np.ones(hidden), b_i=np.zeros(hidden),
         b_c=np.zeros(hidden), b_o=np.zeros(hidden),
-        W_y=w_y, b_y=np.zeros(1), head=head)
+        W_y=w_y, b_y=np.zeros(1))
 
 
 def _gate_weights(p: LstmParams) -> np.ndarray:
     """The packed gate matrix transposed, with the packed bias as its last
-    row: a C-contiguous (H+D+1, 4H) array. One GEMM of a step input
+    row: a C-contiguous (H+2, 4H) array. One GEMM of a step input
     [a_prev, x, 1] with it gives all four gate pre-activations, bias included.
     """
     wt = np.empty((p.W.shape[1] + 1, p.W.shape[0]))
@@ -133,9 +131,6 @@ def forward_batch(windows: np.ndarray, p: LstmParams):
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2 or windows.shape[1] < 1:
         raise ShapeError(f"expected (batch, T>=1) windows, got shape {windows.shape}")
-    if p.input_size != 1:
-        raise ShapeError("forward_batch feeds scalar inputs; params expect "
-                         f"input size {p.input_size}")
     n, t_len = windows.shape
     h = p.hidden
     z = np.empty((t_len, n, h + 2))
@@ -153,7 +148,7 @@ def forward_batch(windows: np.ndarray, p: LstmParams):
         _step(z[t], c_prev, wt, gates[t], c[t], tanh_c[t], a_next)
         c_prev = c[t]
     score = a @ p.W_y.T + p.b_y  # (B, 1)
-    y = sigmoid(score).ravel() if p.head == "sigmoid" else score.ravel()
+    y = sigmoid(score).ravel()
     return y, {"z": z, "gates": gates, "c": c, "tanh_c": tanh_c, "a_final": a, "y": y}
 
 
@@ -168,16 +163,16 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> di
     buffer in parameter layout, kept as the result's `flat`.
     """
     z, gates, c, tanh_c = caches["z"], caches["gates"], caches["c"], caches["tanh_c"]
-    h, hd = p.hidden, p.W.shape[1]
-    if gates.shape[2] != 4 * h or z.shape[2] != hd + 1:
+    h = p.hidden
+    if gates.shape[2] != 4 * h or z.shape[2] != h + 2:
         raise ShapeError("cache does not match parameter shapes")
     d_y = np.asarray(d_loss_d_yhat, dtype=np.float64)
     y = caches["y"]
     if d_y.shape != y.shape:
         raise ShapeError(f"upstream gradient shape {d_y.shape} != predictions {y.shape}")
-    grads = FlatViews(np.empty_like(p.flat), p.layout(h, input_size=hd - h))
-    g_w, g_b = _packed(grads.flat, h, hd)
-    d_score = d_y * y * (1.0 - y) if p.head == "sigmoid" else d_y
+    grads = FlatViews(np.empty_like(p.flat), p.layout(h))
+    g_w, g_b = _packed(grads.flat, h)
+    d_score = d_y * y * (1.0 - y)
     np.matmul(d_score[None, :], caches["a_final"], out=grads["W_y"])
     grads["b_y"][0] = d_score.sum()
 
@@ -216,7 +211,7 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> di
         if t:
             np.matmul(dg, w_h, out=d_a)
             d_c *= gates[t, :, :h]
-    gwt = z.reshape(-1, hd + 1).T @ d_gates.reshape(-1, 4 * h)  # (H+2, 4H)
+    gwt = z.reshape(-1, h + 2).T @ d_gates.reshape(-1, 4 * h)  # (H+2, 4H)
     g_w[...] = gwt[:-1].T
     g_b[...] = gwt[-1]
     return grads

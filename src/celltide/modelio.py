@@ -93,36 +93,33 @@ def check_type_tag(obj: dict, expected: str) -> None:
         raise ModelFormatError(f"field 'type' is {tag!r}, expected {expected!r}")
 
 
-def dumps_neural(params, window_len: int, scaler: ScalerParams | None) -> str:
-    """A neural model file: `type`, `hidden`, `T`, `head`, `scaler`, then
-    `weights` in the model's WEIGHT_KEYS order."""
+def dumps_neural(params, window_len: int, scaler: ScalerParams) -> str:
+    """A neural model file: `type`, `hidden`, `T`, `head` (always
+    "sigmoid"), `scaler`, then `weights` in the model's WEIGHT_KEYS order."""
     return dumps({
         "type": params.kind,
         "hidden": params.hidden,
         "T": window_len,
-        "head": params.head,
-        "scaler": None if scaler is None else {"min": scaler.min, "max": scaler.max},
+        "head": "sigmoid",
+        "scaler": {"min": scaler.min, "max": scaler.max},
         "weights": params.weights(),
     })
 
 
 def loads_neural(text: str, params_cls):
-    """Read a `params_cls` model file; returns (params, window_len, scaler or
-    None). `T` and `hidden` must be integers >= 1, the weights finite and
-    shaped by them, and the scaler bounds finite with min < max."""
+    """Read a `params_cls` model file; returns (params, window_len, scaler).
+    `T` and `hidden` must be integers >= 1, `head` "sigmoid" if given, the
+    weights finite and shaped by them, and the scaler bounds finite with
+    min < max."""
     obj = loads(text)
     check_type_tag(obj, params_cls.kind)
     hidden = require_int(obj, "hidden", 1)
     window_len = require_int(obj, "T", 1)
-    head = obj.get("head", "sigmoid")
-    if head not in ("sigmoid", "linear"):
-        raise ModelFormatError(f"field 'head' has unknown value {head!r}")
+    if obj.get("head", "sigmoid") != "sigmoid":
+        raise ModelFormatError(f"field 'head' is {obj['head']!r}, expected 'sigmoid'")
     weights = {k: require_array(obj, f"weights.{k}", shape)
                for k, shape in params_cls.layout(hidden, window_len)}
-    scaler = None
-    if obj.get("scaler") is not None:
-        lo, hi = require_finite(obj, "scaler.min"), require_finite(obj, "scaler.max")
-        if not lo < hi:
-            raise ModelFormatError(f"field 'scaler' has min {lo!r} >= max {hi!r}")
-        scaler = ScalerParams(lo, hi)
-    return params_cls(head=head, **weights), window_len, scaler
+    lo, hi = require_finite(obj, "scaler.min"), require_finite(obj, "scaler.max")
+    if not lo < hi:
+        raise ModelFormatError(f"field 'scaler' has min {lo!r} >= max {hi!r}")
+    return params_cls(**weights), window_len, ScalerParams(lo, hi)

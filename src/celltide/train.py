@@ -14,6 +14,9 @@ from . import ffnn, lstm
 from .dataset import ScalerParams, SplitSpec, WindowSet, windows_for_range
 
 
+BATCH_SIZE = 32
+
+
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; message carries the epoch index."""
 
@@ -22,12 +25,11 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     epochs: int = 20
     learning_rate: float = 1e-3
-    batch_size: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.learning_rate < 0 or self.batch_size < 1:
-            raise ValueError("epochs >= 1, learning_rate >= 0, batch_size >= 1 required")
+        if self.epochs < 1 or self.learning_rate < 0:
+            raise ValueError("epochs >= 1 and learning_rate >= 0 required")
 
 
 @dataclass
@@ -45,9 +47,6 @@ class History:
     @property
     def final_val_mae(self) -> float:
         return self.rows[-1][2]
-
-    def train_maes(self):
-        return [r[1] for r in self.rows]
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -89,12 +88,10 @@ def adam_step(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float,
 
 
 # kind -> (module with forward_batch/backward_batch,
-#          initialiser(window_len, hidden, seed) of fresh parameters)
+#          initialiser(window_len, seed) of fresh parameters)
 MODELS = {
-    "lstm": (lstm, lambda window_len, hidden, seed:
-             lstm.init_params(hidden, input_size=1, seed=seed)),
-    "ffnn": (ffnn, lambda window_len, hidden, seed:
-             ffnn.init_params(window_len, seed=seed)),
+    "lstm": (lstm, lambda window_len, seed: lstm.init_params(lstm.HIDDEN_UNITS, seed=seed)),
+    "ffnn": (ffnn, lambda window_len, seed: ffnn.init_params(window_len, seed=seed)),
 }
 
 
@@ -121,8 +118,8 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
         start = time.perf_counter()
         order = rng.permutation(len(train_set))
         abs_err_sum = 0.0
-        for lo in range(0, len(order), config.batch_size):
-            idx = order[lo:lo + config.batch_size]
+        for lo in range(0, len(order), BATCH_SIZE):
+            idx = order[lo:lo + BATCH_SIZE]
             xb, tb = train_set.inputs[idx], train_set.targets[idx]
             y, cache = model.forward_batch(xb, params)
             err = y - tb
@@ -139,14 +136,11 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
 
 
 def train_model(kind: str, train_set: WindowSet, val_set: WindowSet,
-                config: TrainConfig, hidden: int = 50):
-    """Initialize fresh parameters from the config seed and train them.
-
-    Returns (params, History). `hidden` only applies to the LSTM; the
-    feed-forward baseline is fixed at its 5 relu units.
-    """
+                config: TrainConfig):
+    """Initialize fresh parameters from the config seed and train them;
+    returns (params, History)."""
     _, init = _model(kind)
-    params = init(train_set.window_len, hidden, config.seed)
+    params = init(train_set.window_len, config.seed)
     history = fit(kind, params, train_set, val_set, config)
     return params, history
 
@@ -159,8 +153,6 @@ def evaluate(kind: str, params, series_values, split: SplitSpec, window_len: int
     ending just before it. Returns (target_slots, predictions, test_mae).
     """
     model, _ = _model(kind)
-    if scaler is None:
-        raise ValueError("evaluate requires the scaler the model was trained with")
     values = np.asarray(series_values, dtype=np.float64)
     normed = scaler.transform(values)
     test_set = windows_for_range(normed, window_len, split.test_start,

@@ -43,7 +43,7 @@ def lstm_forward_scalar(window, p) -> float:
         c = [g_f[j] * c[j] + g_i[j] * c_u[j] for j in range(h)]
         a = [g_o[j] * math.tanh(c[j]) for j in range(h)]
     score = sum(p.W_y[0][j] * a[j] for j in range(h)) + p.b_y[0]
-    return _sigmoid(score) if p.head == "sigmoid" else float(score)
+    return _sigmoid(score)
 
 
 def ffnn_forward_scalar(window, p) -> float:
@@ -54,7 +54,7 @@ def ffnn_forward_scalar(window, p) -> float:
         pre = sum(p.W1[j][k] * float(window[k]) for k in range(t_len)) + p.b1[j]
         h.append(pre if pre > 0 else 0.0)
     score = sum(p.W2[0][j] * h[j] for j in range(hidden)) + p.b2[0]
-    return _sigmoid(score) if p.head == "sigmoid" else float(score)
+    return _sigmoid(score)
 
 
 def numeric_gradients(forward_fn, window, params, keys, eps: float = 1e-5):

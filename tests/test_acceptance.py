@@ -119,7 +119,7 @@ def test_convergence_speed_property():
     values = dataset.gen_synthetic(62, seed=7).values
 
     def epochs_to_threshold(history, threshold=0.05):
-        return next((i + 1 for i, v in enumerate(history.train_maes()) if v < threshold),
+        return next((i + 1 for i, v in enumerate(r[1] for r in history.rows) if v < threshold),
                     len(history) + 1)
 
     tr, va = _window_sets(values, 0.4)

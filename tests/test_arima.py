@@ -74,20 +74,19 @@ class TestFit:
 
 class TestForecastOne:
     def test_mean_model(self):
-        model = arima.ArimaModel(0, 0, 0, [], [], mu=4.5, sigma2=1.0, heads=[])
+        model = arima.ArimaModel(0, 0, 0, [], [], mu=4.5, sigma2=1.0)
         assert arima.forecast_one(model, np.array([1.0, 9.0, 2.0])) == 4.5
 
     def test_random_walk(self):
-        model = arima.ArimaModel(1, 0, 0, [1.0], [], mu=0.0, sigma2=1.0, heads=[])
+        model = arima.ArimaModel(1, 0, 0, [1.0], [], mu=0.0, sigma2=1.0)
         assert arima.forecast_one(model, np.array([3.0, 7.0, 11.5])) == 11.5
 
     def test_martingale_under_differencing(self):
-        model = arima.ArimaModel(0, 1, 0, [], [], mu=0.0, sigma2=1.0, heads=[0.0])
+        model = arima.ArimaModel(0, 1, 0, [], [], mu=0.0, sigma2=1.0)
         assert arima.forecast_one(model, np.array([2.0, 5.0, 8.25])) == 8.25
 
     def test_insufficient_history(self):
-        model = arima.ArimaModel(2, 1, 0, [0.3, 0.2], [], mu=0.0, sigma2=1.0,
-                                 heads=[0.0])
+        model = arima.ArimaModel(2, 1, 0, [0.3, 0.2], [], mu=0.0, sigma2=1.0)
         with pytest.raises(ValueError):
             arima.forecast_one(model, np.array([1.0, 2.0]))
 
@@ -102,7 +101,7 @@ class TestForecastOne:
 
 class TestRollingForecast:
     def test_length_and_constant_mean(self):
-        model = arima.ArimaModel(0, 0, 0, [], [], mu=2.0, sigma2=1.0, heads=[])
+        model = arima.ArimaModel(0, 0, 0, [], [], mu=2.0, sigma2=1.0)
         series = np.arange(100.0)
         preds = arima.rolling_forecast(model, series, (80, 100))
         assert len(preds) == 20
@@ -134,7 +133,7 @@ class TestRollingForecast:
         rng = np.random.default_rng(100 + 16 * p + 4 * d + q)
         model = arima.ArimaModel(p, d, q, rng.uniform(-0.5, 0.5, p),
                                  rng.uniform(-0.5, 0.5, q), mu=rng.normal(),
-                                 sigma2=1.0, heads=np.zeros(d))
+                                 sigma2=1.0)
         series = np.cumsum(rng.normal(size=60)) + 5.0
         for start in (p + d, p + d + 1, 40):
             want = oracles.arima_rolling_forecast(model, series, start, 60)
@@ -150,7 +149,7 @@ class TestRollingForecast:
                 arima.forecast_one(model, series[:p + d - 1])
 
     def test_range_out_of_bounds(self):
-        model = arima.ArimaModel(0, 0, 0, [], [], mu=0.0, sigma2=1.0, heads=[])
+        model = arima.ArimaModel(0, 0, 0, [], [], mu=0.0, sigma2=1.0)
         with pytest.raises(ValueError):
             arima.rolling_forecast(model, np.arange(10.0), (5, 20))
 
@@ -234,8 +233,17 @@ class TestSerialization:
         assert np.array_equal(back.theta, model.theta)
         assert back.mu == model.mu and back.sigma2 == model.sigma2
 
+    def test_heads_of_older_files_ignored(self):
+        """Older model files carry `heads`, the first value of each
+        differencing level; it is read past and not written back."""
+        model = arima.fit(simulate_arma(400, phi=(0.4,), theta=(), seed=5), 1, 1, 0)
+        text = arima.serialize(model)
+        assert '"heads"' not in text
+        old = text[:-1] + ', "heads": [12.5]}'
+        assert arima.serialize(arima.deserialize(old)) == text
+
     def test_missing_field(self):
-        model = arima.ArimaModel(0, 0, 0, [], [], mu=1.0, sigma2=2.0, heads=[])
+        model = arima.ArimaModel(0, 0, 0, [], [], mu=1.0, sigma2=2.0)
         text = arima.serialize(model).replace('"mu"', '"nu"')
         with pytest.raises(ModelFormatError, match="mu"):
             arima.deserialize(text)
@@ -247,7 +255,7 @@ class TestSerialization:
     def test_bad_order_rejected(self, field, value):
         """Bad orders, and a non-finite mean or a negative or non-finite
         variance, are rejected naming the field."""
-        model = arima.ArimaModel(0, 0, 0, [], [], mu=1.0, sigma2=2.0, heads=[])
+        model = arima.ArimaModel(0, 0, 0, [], [], mu=1.0, sigma2=2.0)
         text = re.sub(f'"{field}": [^,}}]+', f'"{field}": {str(value).lower()}',
                       arima.serialize(model))
         with pytest.raises(ModelFormatError, match=f"'{field}'"):

@@ -170,6 +170,31 @@ class TestIngestDir:
             assert series.t0_ms == t0_ms
             assert np.array_equal(series.values, values), channel
 
+    def test_stray_timestamp_in_seconds_rejected(self, tmp_path):
+        """One timestamp in seconds next to one in milliseconds would stretch
+        the series back to 1970, over 2.3 million slots."""
+        _write_day_file(tmp_path / "day.txt", [(1, T0, 1.0), (1, T0 // 1000, 2.0)])
+        with pytest.raises(cdr.IngestError, match=r"^day\.txt: line 2: timestamp "
+                           r"1383260400 stretches grid 1 to 2303130 slots"):
+            cdr.ingest_dir(str(tmp_path), 1, "internet")
+
+    def test_span_guard_names_the_outlier(self, tmp_path):
+        """The timestamp farthest from the median is blamed, whichever file
+        holds it; other grids' timestamps do not count."""
+        week = [(1, T0 + k * 600_000, 1.0) for k in range(7 * 144)]
+        _write_day_file(tmp_path / "a.txt", week[:500] + [(2, 0, 1.0), (1, T0 + 10**12, 1.0)])
+        _write_day_file(tmp_path / "b.txt", week[500:])
+        with pytest.raises(cdr.IngestError, match=rf"^a\.txt: line 502: timestamp {T0 + 10**12} "):
+            cdr.ingest_dir(str(tmp_path), 1, "internet")
+        _write_day_file(tmp_path / "a.txt", week[:500] + [(2, 0, 1.0)])
+        assert len(cdr.ingest_dir(str(tmp_path), 1, "internet")) == 7 * 144
+
+    def test_one_leap_year_accepted(self, tmp_path):
+        last = T0 + (cdr.MAX_SPAN_SLOTS - 1) * 600_000
+        assert len(_ingest(tmp_path, [(1, T0, 1.0), (1, last, 2.0)])) == 366 * 144
+        with pytest.raises(cdr.IngestError, match="52705 slots, over one leap year"):
+            _ingest(tmp_path, [(1, T0, 1.0), (1, last + 600_000, 2.0)])
+
     def test_parse_error_names_file_and_line(self, tmp_path):
         (tmp_path / "bad.txt").write_text("1\t{T0}\t39\n".format(T0=T0)
                                           + "oops\tnope\t39\n")

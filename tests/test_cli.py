@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import celltide
-from celltide import cdr
+from celltide import cdr, train
 from celltide.cli import main
 
 T0 = 1_383_260_400_000
@@ -86,6 +86,17 @@ class TestIngest:
         out = tmp_path / "x.csv"
         assert main(["ingest", "--input-dir", str(raw), "--out", str(out)]) == 1
         assert "error: day0.txt: line 2: " in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_stray_timestamp_fails_naming_file_and_line(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "day0.txt").write_text(f"1\t{T0}\t39\t\t\t\t\t2.5\n"
+                                      f"1\t{T0 // 1000}\t39\t\t\t\t\t1.0\n")
+        out = tmp_path / "x.csv"
+        assert main(["ingest", "--input-dir", str(raw), "--out", str(out)]) == 1
+        assert "error: day0.txt: line 2: timestamp 1383260400 " in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -251,6 +262,23 @@ class TestCompare:
                    "--epochs", "1", "--seed", "3", "--p", "9",
                    "--out-dir", str(out_dir)])
         assert rc == 1
+        assert list(out_dir.iterdir()) == []
+
+    def test_interrupt_removes_partial_outputs(self, tmp_path, monkeypatch):
+        """An interrupt in the FFNN evaluation, after three files are written."""
+        series = make_series_csv(tmp_path, days=4)
+        out_dir = tmp_path / "out"
+        evaluate = train.evaluate
+
+        def interrupted(kind, *args):
+            if kind == "ffnn":
+                raise KeyboardInterrupt
+            return evaluate(kind, *args)
+
+        monkeypatch.setattr(train, "evaluate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", "--series", str(series), "--train-frac", "0.4",
+                  "--epochs", "1", "--seed", "3", "--p", "1", "--out-dir", str(out_dir)])
         assert list(out_dir.iterdir()) == []
 
 

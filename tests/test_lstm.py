@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from celltide import lstm, modelio
+from celltide.dataset import ScalerParams
 from celltide.linalg import ShapeError
 from celltide.modelio import ModelFormatError
 from oracles import lstm_forward_scalar, max_relative_error, numeric_gradients
@@ -63,9 +64,10 @@ class TestCellForward:
             assert forward1(x, p)[0] == pytest.approx(lstm_forward_scalar(x, p), abs=1e-12)
 
     def test_shape_mismatch(self):
-        p = lstm.init_params(2, input_size=3, seed=0)
-        with pytest.raises(ShapeError, match="input size 3"):
-            forward1([0.1], p)
+        """The LSTM reads one value per step; any other input size is refused."""
+        with pytest.raises(ValueError, match="input size must be 1, got 3"):
+            lstm.init_params(2, 3)
+        assert lstm.init_params(2, 1, seed=4).W_f.shape == (2, 3)
 
     def test_gate_and_state_ranges(self):
         rng = np.random.default_rng(8)
@@ -196,7 +198,7 @@ class TestPackedStorage:
 
     def test_copy_owns_its_buffer(self):
         p = lstm.init_params(4, seed=2)
-        q = lstm.LstmParams(**p.weights(), head=p.head)
+        q = lstm.LstmParams(**p.weights())
         assert not np.shares_memory(p.flat, q.flat)
         assert np.array_equal(p.flat, q.flat)
         q.W_c[...] += 0.5
@@ -234,29 +236,28 @@ class TestSerialization:
 
     def test_roundtrip(self):
         p = lstm.init_params(7, seed=31)
-        text = modelio.dumps_neural(p, 12, None)
+        text = modelio.dumps_neural(p, 12, ScalerParams(0.5, 3.0))
         q, window_len, scaler = modelio.loads_neural(text, lstm.LstmParams)
-        assert window_len == 12 and scaler is None
+        assert window_len == 12 and scaler == ScalerParams(0.5, 3.0)
         for k in lstm.WEIGHT_KEYS:
             assert np.array_equal(getattr(p, k), getattr(q, k))
 
     def test_missing_field_named(self):
         p = lstm.init_params(2, seed=0)
-        text = modelio.dumps_neural(p, 4, None).replace('"W_f"', '"W_x"')
+        text = modelio.dumps_neural(p, 4, ScalerParams(0, 1)).replace('"W_f"', '"W_x"')
         with pytest.raises(ModelFormatError, match="W_f"):
             modelio.loads_neural(text, lstm.LstmParams)
 
     def test_h50_scalar_count(self):
         import json
         p = lstm.init_params(50, seed=0)
-        obj = json.loads(modelio.dumps_neural(p, 12, None))
+        obj = json.loads(modelio.dumps_neural(p, 12, ScalerParams(0, 1)))
         count = 0
         for arr in obj["weights"].values():
             count += np.asarray(arr).size
         assert count == 10_451
 
     def test_scaler_roundtrip(self):
-        from celltide.dataset import ScalerParams
         p = lstm.init_params(2, seed=1)
         text = modelio.dumps_neural(p, 3, ScalerParams(1.5, 9.25))
         _, _, scaler = modelio.loads_neural(text, lstm.LstmParams)

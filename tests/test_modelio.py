@@ -32,7 +32,8 @@ def test_envelope_order_and_roundtrip(kind):
     assert tuple(obj["weights"]) == module.WEIGHT_KEYS
     q, window_len, scaler = modelio.loads_neural(text, cls)
     assert (window_len, scaler) == (4, ScalerParams(1.0, 9.0))
-    assert np.array_equal(p.flat, q.flat) and q.head == p.head
+    assert obj["head"] == "sigmoid"
+    assert np.array_equal(p.flat, q.flat)
     assert modelio.dumps_neural(q, window_len, scaler) == text
 
 
@@ -63,6 +64,18 @@ def test_bad_scaler_rejected(lo, hi, field):
     text = model_file("lstm", scaler={"min": lo, "max": hi})
     with pytest.raises(ModelFormatError, match=field):
         modelio.loads_neural(text, lstm.LstmParams)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_head_other_than_sigmoid_rejected(kind):
+    with pytest.raises(ModelFormatError, match="field 'head' is 'linear'"):
+        modelio.loads_neural(model_file(kind, head="linear"), MODELS[kind][0])
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_scaler_required(kind):
+    with pytest.raises(ModelFormatError, match="'scaler.min'"):
+        modelio.loads_neural(model_file(kind, scaler=None), MODELS[kind][0])
 
 
 def test_smallest_model_accepted():

@@ -110,7 +110,7 @@ class TestFit:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_epoch(self):
         _, _, _, tr, va = small_sets()
-        params = ffnn.init_params(tr.window_len, seed=0, head="linear")
+        params = ffnn.init_params(tr.window_len, seed=0)
         cfg = train.TrainConfig(epochs=5, learning_rate=1e200, seed=0)
         with pytest.raises(train.TrainingDiverged, match="epoch"):
             train.fit("ffnn", params, tr, va, cfg)
@@ -139,7 +139,7 @@ class TestEvaluate:
         train_part = np.tile([0.0, 10.0], 60)
         tail = np.full(30, 5.0)
         values = np.concatenate([train_part, tail])
-        spec = dataset.SplitSpec(0.8, n_train=120, n_val=15, n_test=15)
+        spec = dataset.SplitSpec(n_train=120, n_val=15, n_test=15)
         scaler = dataset.fit_scaler(values[:120])
         stub = ffnn.FfnnParams(np.zeros((5, 12)), np.zeros(5),
                                np.zeros((1, 5)), np.zeros(1))
@@ -160,7 +160,7 @@ class TestEvaluate:
     def test_constant_stub_mae_equals_distance_to_midpoint(self):
         rng = np.random.default_rng(8)
         values = rng.uniform(0, 10, 150)
-        spec = dataset.SplitSpec(0.8, n_train=120, n_val=15, n_test=15)
+        spec = dataset.SplitSpec(n_train=120, n_val=15, n_test=15)
         scaler = dataset.fit_scaler(values[:120])
         stub = ffnn.FfnnParams(np.zeros((5, 12)), np.zeros(5),
                                np.zeros((1, 5)), np.zeros(1))
@@ -168,8 +168,3 @@ class TestEvaluate:
         midpoint = scaler.inverse(np.array([0.5]))[0]
         expected = np.mean(np.abs(values[spec.test_start:] - midpoint))
         assert test_mae == pytest.approx(expected, abs=1e-12)
-
-    def test_missing_scaler(self):
-        values, spec, _, stub = self._midpoint_fixture()
-        with pytest.raises(ValueError):
-            train.evaluate("ffnn", stub, values, spec, 12, None)
