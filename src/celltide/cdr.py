@@ -7,7 +7,6 @@ in one file; a directory of day-files is merged into a single gap-free
 per-grid series of 10-minute slots.
 """
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -78,17 +77,33 @@ def aggregate(timestamps: np.ndarray, values, t0_ms: int, n_slots: int) -> np.nd
                        minlength=n_slots)
 
 
+def _not_utf8(path: str) -> str:
+    """`line N: ...` for the first line of `path` that is not UTF-8, found by
+    decoding the file again line by line in binary; for the error path only."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r and \r\n, as text mode counts
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"line {lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
+
+
 def _grid_records(dir_path: str, names: list, grid_id: int):
     """(file, line number, record) of each `grid_id` line; every line is validated."""
     for name in names:
-        with open(os.path.join(dir_path, name), encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    rec = parse_line(line, lineno)
-                except ParseError as exc:
-                    raise IngestError(f"{name}: {exc}") from None
-                if rec is not None and rec[0] == grid_id:
-                    yield name, lineno, rec
+        path = os.path.join(dir_path, name)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                for lineno, line in enumerate(fh, start=1):
+                    try:
+                        rec = parse_line(line, lineno)
+                    except ParseError as exc:
+                        raise IngestError(f"{name}: {exc}") from None
+                    if rec is not None and rec[0] == grid_id:
+                        yield name, lineno, rec
+            except UnicodeDecodeError:
+                raise IngestError(f"{name}: {_not_utf8(path)}") from None
 
 
 def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
@@ -141,40 +156,32 @@ def read_series_csv(path: str) -> ActivitySeries:
     ParseError naming the path and line.
     """
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "slot,timestamp_ms,value":
-            raise ParseError(f"{path}: unexpected series header {header!r}")
-        t0_ms = None
-        values = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                slot_s, ts_s, val_s = line.strip().split(",")
-                slot, ts, val = int(slot_s), int(ts_s), float(val_s)
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            if t0_ms is None:
-                t0_ms = ts - slot * SLOT_MS
-            if slot != len(values):
-                raise ParseError(f"{path}: line {lineno}: slot {slot} out of order")
-            if ts != t0_ms + slot * SLOT_MS:
-                raise ParseError(f"{path}: line {lineno}: timestamp {ts} does not match "
-                                 f"slot {slot} (expected {t0_ms + slot * SLOT_MS})")
-            values.append(val)
+        try:
+            header = fh.readline().strip()
+            if header != "slot,timestamp_ms,value":
+                raise ParseError(f"{path}: unexpected series header {header!r}")
+            t0_ms = None
+            values = []
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    slot_s, ts_s, val_s = line.strip().split(",")
+                    slot, ts, val = int(slot_s), int(ts_s), float(val_s)
+                except ValueError as exc:
+                    raise ParseError(f"{path}: line {lineno}: {exc}") from None
+                if t0_ms is None:
+                    t0_ms = ts - slot * SLOT_MS
+                if slot != len(values):
+                    raise ParseError(f"{path}: line {lineno}: slot {slot} out of order")
+                if ts != t0_ms + slot * SLOT_MS:
+                    raise ParseError(f"{path}: line {lineno}: timestamp {ts} does not match "
+                                     f"slot {slot} (expected {t0_ms + slot * SLOT_MS})")
+                if not math.isfinite(val):
+                    raise ParseError(f"{path}: line {lineno}: non-finite value {val}")
+                values.append(val)
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: {_not_utf8(path)}") from None
     if not values:
         raise ParseError(f"{path}: empty series")
-    values = np.array(values)
-    finite = np.isfinite(values)
-    if not finite.all():
-        slot = int(np.argmin(finite))
-        raise ParseError(f"{path}: line {_data_lineno(path, slot)}: "
-                         f"non-finite value {values[slot]}")
-    return ActivitySeries(t0_ms, values)
-
-
-def _data_lineno(path: str, index: int) -> int:
-    """Line number of the index-th non-blank data line of a series CSV."""
-    with open(path, encoding="utf-8") as fh:
-        data = (n for n, line in enumerate(fh, start=1) if n > 1 and line.strip())
-        return next(itertools.islice(data, index, None))
+    return ActivitySeries(t0_ms, np.array(values))

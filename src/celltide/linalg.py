@@ -1,5 +1,6 @@
-"""Numeric pieces shared by both neural models: the sigmoid, and weight
-storage in one flat float64 buffer with named views of it."""
+"""Numeric pieces shared by both neural models: the sigmoid, Glorot-uniform
+initialisation, and `FlatViews`, the one weight type: named views of one flat
+float64 buffer, used alike for parameters and for their gradients."""
 
 import math
 
@@ -33,27 +34,29 @@ def sigmoid(x) -> np.ndarray:
 
 
 class FlatViews(dict):
-    """Named C-contiguous views of the 1-D buffer `flat`, one per
-    (name, shape) entry of `layout`, laid out back to back in that order."""
+    """Named C-contiguous views of the 1-D float64 buffer `flat`, one per
+    (name, shape) entry of `layout`, laid out back to back in that order.
+    Each view reads both as an item and as an attribute (`v["W"]`, `v.W`);
+    `flat=None` means a fresh zeroed buffer."""
 
-    def __init__(self, flat: np.ndarray, layout):
+    def __init__(self, layout, flat: np.ndarray | None = None):
         super().__init__()
+        if flat is None:
+            flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
         at = 0
         for name, shape in layout:
             size = math.prod(shape)
             self[name] = flat[at:at + size].reshape(shape)
             at += size
+        vars(self).update(self)
         self.flat = flat
 
 
-def pack_fields(obj, layout) -> np.ndarray:
-    """Copy the named arrays of `obj` into one fresh flat buffer in `layout`
-    order and rebind each attribute to its view; returns the buffer."""
-    views = FlatViews(np.empty(sum(math.prod(shape) for _, shape in layout)), layout)
-    for name, view in views.items():
-        value = np.asarray(getattr(obj, name), dtype=np.float64)
-        if value.shape != view.shape:
-            raise ShapeError(f"{name} has shape {value.shape}, expected {view.shape}")
-        view[...] = value
-        setattr(obj, name, view)
-    return views.flat
+def glorot_uniform(views: FlatViews, keys, seed: int) -> FlatViews:
+    """Fill the named 2-D views, in `keys` order, from one generator seeded
+    with `seed`: uniform in +-sqrt(6 / (fan_in + fan_out)). Returns `views`."""
+    rng = np.random.default_rng(seed)
+    for k in keys:
+        limit = np.sqrt(6.0 / sum(views[k].shape))
+        views[k][...] = rng.uniform(-limit, limit, size=views[k].shape)
+    return views

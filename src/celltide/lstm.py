@@ -3,15 +3,14 @@
 A window of T past values is run through a chain of LSTM cells sharing one
 parameter set, one value per step; the prediction is a sigmoid of an affine
 map of the final hidden state (data is min-max normalized to [0,1]). Every
-pass is batched over windows.
+pass is batched over windows. `LstmParams` holds the weights as named views
+of one flat buffer, and `backward_batch` returns the gradient as the same
+type over a buffer of its own.
 """
-
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
-from .linalg import FlatViews, ShapeError, pack_fields, sigmoid
+from .linalg import FlatViews, ShapeError, glorot_uniform, sigmoid
 
 WEIGHT_KEYS = ("W_f", "W_i", "W_c", "W_o", "b_f", "b_i", "b_c", "b_o", "W_y", "b_y")
 
@@ -20,78 +19,40 @@ GATE_ORDER = "fioc"  # row-block order of the packed gate matrix: sigmoid gates 
 HIDDEN_UNITS = 50
 
 
-def _packed(flat: np.ndarray, hidden: int):
-    """The packed gate matrix (4H, H+1) and gate bias (4H,): views of the
-    head of a buffer in parameter layout."""
-    n_w = 4 * hidden * (hidden + 1)
-    return flat[:n_w].reshape(4 * hidden, hidden + 1), flat[n_w:n_w + 4 * hidden]
+class LstmParams(FlatViews):
+    """LSTM weights, or their gradient: views of one flat float64 buffer.
 
-
-@dataclass
-class LstmParams:
-    """LSTM weights, stored in one flat float64 buffer `flat`.
-
-    The fields are contiguous views of that buffer. The four gate matrices are
-    the row blocks of the packed gate matrix `W` (4H, H+1) in the order
-    f, i, o, c, and the gate biases form the packed vector `b` (4H,) in the
-    same order. Construction copies the given arrays into a fresh buffer.
+    The buffer holds W_f, W_i, W_o, W_c (H, H+1), then b_f, b_i, b_o, b_c
+    (H,), then W_y (1, H) and b_y (1,). The gate matrices are the row blocks
+    of the packed gate matrix `W` (4H, H+1) in GATE_ORDER, and the gate
+    biases form the packed vector `b` (4H,). The window length does not
+    shape an LSTM, so `window_len` is accepted and ignored.
     """
 
-    kind: ClassVar[str] = "lstm"
+    kind = "lstm"
+    WEIGHT_KEYS = WEIGHT_KEYS
 
-    W_f: np.ndarray  # (H, H+1)
-    W_i: np.ndarray
-    W_c: np.ndarray
-    W_o: np.ndarray
-    b_f: np.ndarray  # (H,)
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-    W_y: np.ndarray  # (1, H)
-    b_y: np.ndarray  # (1,)
-
-    @staticmethod
-    def layout(hidden: int, window_len: int = 0) -> list:
-        """(name, shape) of every weight in buffer order. The window length
-        does not shape an LSTM."""
-        return ([(f"W_{gate}", (hidden, hidden + 1)) for gate in GATE_ORDER]
-                + [(f"b_{gate}", (hidden,)) for gate in GATE_ORDER]
-                + [("W_y", (1, hidden)), ("b_y", (1,))])
-
-    def __post_init__(self):
-        hidden = np.shape(self.W_f)[0]
-        self.flat = pack_fields(self, self.layout(hidden))
-        self.W, self.b = _packed(self.flat, hidden)
-
-    @property
-    def hidden(self) -> int:
-        return self.W_f.shape[0]
-
-    def weights(self) -> dict:
-        return {k: getattr(self, k) for k in WEIGHT_KEYS}
+    def __init__(self, hidden: int, window_len: int = 0, flat: np.ndarray | None = None):
+        super().__init__([(f"W_{gate}", (hidden, hidden + 1)) for gate in GATE_ORDER]
+                         + [(f"b_{gate}", (hidden,)) for gate in GATE_ORDER]
+                         + [("W_y", (1, hidden)), ("b_y", (1,))], flat)
+        self.hidden = hidden
+        n_w = 4 * hidden * (hidden + 1)
+        self.W = self.flat[:n_w].reshape(4 * hidden, hidden + 1)
+        self.b = self.flat[n_w:n_w + 4 * hidden]
 
 
 def init_params(hidden: int, input_size: int = 1, seed: int = 0) -> LstmParams:
-    """Glorot-uniform weights, zero biases except forget bias = 1. The LSTM
-    reads one value per step, so `input_size` must be 1."""
+    """Glorot-uniform weights, drawn in the order W_f, W_i, W_c, W_o, W_y;
+    zero biases except forget bias = 1. The LSTM reads one value per step,
+    so `input_size` must be 1."""
     if hidden < 1:
         raise ValueError("hidden size must be >= 1")
     if input_size != 1:
         raise ValueError(f"input size must be 1, got {input_size}")
-    rng = np.random.default_rng(seed)
-
-    def glorot(rows, cols, fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(rows, cols))
-
-    hd = hidden + 1
-    mats = [glorot(hidden, hd, hd, hidden) for _ in range(4)]
-    w_y = glorot(1, hidden, hidden, 1)
-    return LstmParams(
-        *mats,
-        b_f=np.ones(hidden), b_i=np.zeros(hidden),
-        b_c=np.zeros(hidden), b_o=np.zeros(hidden),
-        W_y=w_y, b_y=np.zeros(1))
+    p = glorot_uniform(LstmParams(hidden), ("W_f", "W_i", "W_c", "W_o", "W_y"), seed)
+    p.b_f[...] = 1.0
+    return p
 
 
 def _gate_weights(p: LstmParams) -> np.ndarray:
@@ -152,15 +113,14 @@ def forward_batch(windows: np.ndarray, p: LstmParams):
     return y, {"z": z, "gates": gates, "c": c, "tanh_c": tanh_c, "a_final": a, "y": y}
 
 
-def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> dict:
+def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> LstmParams:
     """Gradients of sum_b d_loss_d_yhat[b] * yhat[b] w.r.t. every weight/bias.
 
     Exact BPTT through all steps of the forward call that produced `caches`;
     gradients are summed over the batch. Each step fills one (B, 4H) block of
     gate pre-activation gradients and runs one GEMM back to the hidden state.
     The gate weights and biases get their gradient from one GEMM over the
-    stacked (T*B, H+2) step inputs. The returned arrays are views of one flat
-    buffer in parameter layout, kept as the result's `flat`.
+    stacked (T*B, H+2) step inputs. Returns an LstmParams over a fresh buffer.
     """
     z, gates, c, tanh_c = caches["z"], caches["gates"], caches["c"], caches["tanh_c"]
     h = p.hidden
@@ -170,8 +130,7 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> di
     y = caches["y"]
     if d_y.shape != y.shape:
         raise ShapeError(f"upstream gradient shape {d_y.shape} != predictions {y.shape}")
-    grads = FlatViews(np.empty_like(p.flat), p.layout(h))
-    g_w, g_b = _packed(grads.flat, h)
+    grads = LstmParams(h, flat=np.empty_like(p.flat))
     d_score = d_y * y * (1.0 - y)
     np.matmul(d_score[None, :], caches["a_final"], out=grads["W_y"])
     grads["b_y"][0] = d_score.sum()
@@ -212,6 +171,6 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> di
             np.matmul(dg, w_h, out=d_a)
             d_c *= gates[t, :, :h]
     gwt = z.reshape(-1, h + 2).T @ d_gates.reshape(-1, 4 * h)  # (H+2, 4H)
-    g_w[...] = gwt[:-1].T
-    g_b[...] = gwt[-1]
+    grads.W[...] = gwt[:-1].T
+    grads.b[...] = gwt[-1]
     return grads

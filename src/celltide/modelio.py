@@ -102,7 +102,7 @@ def dumps_neural(params, window_len: int, scaler: ScalerParams) -> str:
         "T": window_len,
         "head": "sigmoid",
         "scaler": {"min": scaler.min, "max": scaler.max},
-        "weights": params.weights(),
+        "weights": {k: params[k] for k in params.WEIGHT_KEYS},
     })
 
 
@@ -117,9 +117,10 @@ def loads_neural(text: str, params_cls):
     window_len = require_int(obj, "T", 1)
     if obj.get("head", "sigmoid") != "sigmoid":
         raise ModelFormatError(f"field 'head' is {obj['head']!r}, expected 'sigmoid'")
-    weights = {k: require_array(obj, f"weights.{k}", shape)
-               for k, shape in params_cls.layout(hidden, window_len)}
+    params = params_cls(hidden, window_len)
+    for k, view in params.items():
+        view[...] = require_array(obj, f"weights.{k}", view.shape)
     lo, hi = require_finite(obj, "scaler.min"), require_finite(obj, "scaler.max")
     if not lo < hi:
         raise ModelFormatError(f"field 'scaler' has min {lo!r} >= max {hi!r}")
-    return params_cls(**weights), window_len, ScalerParams(lo, hi)
+    return params, window_len, ScalerParams(lo, hi)

@@ -28,8 +28,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.learning_rate < 0:
-            raise ValueError("epochs >= 1 and learning_rate >= 0 required")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 @dataclass

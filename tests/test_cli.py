@@ -99,6 +99,18 @@ class TestIngest:
         assert "error: day0.txt: line 2: timestamp 1383260400 " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, capsys):
+        raw = make_raw_dir(tmp_path)
+        day1 = raw / "day1.txt"
+        lines = day1.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"\t39\t", b"\t39\xff\t")
+        day1.write_bytes(b"".join(lines))
+        out = tmp_path / "x.csv"
+        assert main(["ingest", "--input-dir", str(raw), "--out", str(out)]) == 1
+        assert ("error: day1.txt: line 3: byte 0xff is not UTF-8 (invalid start byte)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_model_and_history(self, tmp_path, capsys):
@@ -125,6 +137,19 @@ class TestTrain:
                   "--out-history", str(tmp_path / f"{name}.csv")])
             models.append((tmp_path / name).read_bytes())
         assert models[0] == models[1]
+
+    @pytest.mark.parametrize("command,lr", [("train", "nan"), ("compare", "inf")])
+    def test_non_finite_learning_rate_fails_at_entry(self, tmp_path, capsys, command, lr):
+        series = make_series_csv(tmp_path)
+        outs = (["--model", "ffnn", "--out-model", str(tmp_path / "m.json"),
+                 "--out-history", str(tmp_path / "h.csv")] if command == "train"
+                else ["--out-dir", str(tmp_path / "out")])
+        assert main([command, "--series", str(series), "--train-frac", "0.4",
+                     "--epochs", "1", "--lr", lr, *outs]) == 1
+        err = capsys.readouterr().err
+        assert f"learning_rate must be finite and >= 0, got {lr}" in err
+        assert "non-finite loss" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
     def test_bad_fraction_fails(self, tmp_path):
         series = make_series_csv(tmp_path)
@@ -177,6 +202,19 @@ class TestArima:
                    "--out-predictions", str(tmp_path / "p.csv")])
         assert rc == 1
         assert "line 11: non-finite value" in capsys.readouterr().err
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, capsys):
+        series = make_series_csv(tmp_path)
+        lines = series.read_bytes().splitlines(keepends=True)
+        lines[300] = lines[300].replace(b",", b",\xc3", 1)  # a truncated two-byte sequence
+        series.write_bytes(b"".join(lines))
+        rc = main(["arima", "--series", str(series), "--train-frac", "0.4",
+                   "--out-model", str(tmp_path / "m.json"),
+                   "--out-predictions", str(tmp_path / "p.csv")])
+        assert rc == 1
+        assert (f"error: {series}: line 301: byte 0xc3 is not UTF-8"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m.json").exists()
 
     def test_mean_model_constant_predictions(self, tmp_path):
         series = make_series_csv(tmp_path)

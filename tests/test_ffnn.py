@@ -9,8 +9,7 @@ from oracles import ffnn_forward_scalar, max_relative_error, numeric_gradients
 
 
 def zero_params(t_len=3, hidden=5):
-    return ffnn.FfnnParams(np.zeros((hidden, t_len)), np.zeros(hidden),
-                           np.zeros((1, hidden)), np.zeros(1))
+    return ffnn.FfnnParams(hidden, t_len)
 
 
 def forward1(window, p):
@@ -93,9 +92,10 @@ class TestBackward:
 class TestPackedStorage:
     def test_fields_are_contiguous_views_of_one_buffer(self):
         p = ffnn.init_params(7, seed=2)
-        for k, v in p.weights().items():
+        for k, v in p.items():
             assert v.flags.c_contiguous and np.shares_memory(v, p.flat), k
-        parts = [v.ravel() for v in p.weights().values()]
+            assert getattr(p, k) is v, k
+        parts = [p[k].ravel() for k in ffnn.WEIGHT_KEYS]
         assert np.array_equal(p.flat, np.concatenate(parts))
 
     def test_gradients_are_views_of_one_buffer(self):
@@ -104,15 +104,8 @@ class TestPackedStorage:
         grads = ffnn.backward_batch(cache, np.array([1.0, -0.5]), p)
         for k in ffnn.WEIGHT_KEYS:
             assert np.shares_memory(grads[k], grads.flat), k
-        assert np.array_equal(ffnn.FfnnParams(**grads).flat, grads.flat)
-
-    def test_constructor_copies_and_checks_shapes(self):
-        mats = {k: v.copy() for k, v in ffnn.init_params(3, seed=1).weights().items()}
-        q = ffnn.FfnnParams(**mats)
-        mats["W1"][...] = 7.0
-        assert not np.any(q.W1 == 7.0)
-        with pytest.raises(ShapeError, match="b1"):
-            ffnn.FfnnParams(**{**mats, "b1": np.zeros(4)})
+        assert isinstance(grads, ffnn.FfnnParams)
+        assert (grads.hidden, grads.window_len) == (p.hidden, p.window_len)
 
 
 class TestSerialization:

@@ -29,10 +29,26 @@ class TestActivations:
 
 
 class TestFlatViews:
+    LAYOUT = [("a", (2, 3)), ("b", (3,))]
+
     def test_views_in_layout_order(self):
         flat = np.arange(9.0)
-        views = linalg.FlatViews(flat, [("a", (2, 3)), ("b", (3,))])
+        views = linalg.FlatViews(self.LAYOUT, flat)
         assert views["a"].tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
         assert views["b"].tolist() == [6.0, 7.0, 8.0]
         views["b"][0] = -1.0
         assert flat[6] == -1.0 and views.flat is flat
+
+    def test_default_is_a_fresh_zeroed_buffer(self):
+        views = linalg.FlatViews(self.LAYOUT)
+        assert views.flat.shape == (9,) and views.flat.dtype == np.float64
+        assert not np.any(views.flat)
+        assert not np.shares_memory(views.flat, linalg.FlatViews(self.LAYOUT).flat)
+
+    def test_views_read_as_attributes(self):
+        views = linalg.FlatViews(self.LAYOUT)
+        assert views.a is views["a"] and views.b is views["b"]
+        views.a[1, 2] = 4.0
+        assert views.flat[5] == 4.0
+        with pytest.raises(AttributeError, match="c"):
+            views.c

@@ -11,12 +11,7 @@ from oracles import lstm_forward_scalar, max_relative_error, numeric_gradients
 
 
 def zero_params(hidden=1):
-    hd = hidden + 1
-    return lstm.LstmParams(
-        *(np.zeros((hidden, hd)) for _ in range(4)),
-        b_f=np.zeros(hidden), b_i=np.zeros(hidden),
-        b_c=np.zeros(hidden), b_o=np.zeros(hidden),
-        W_y=np.zeros((1, hidden)), b_y=np.zeros(1))
+    return lstm.LstmParams(hidden)
 
 
 class TestInit:
@@ -156,7 +151,7 @@ class TestBackward:
         upstream = rng.uniform(-2, 2, batch)
         _, caches = lstm.forward_batch(windows, p)
         got = lstm.backward_batch(caches, upstream, p)
-        want = {k: np.zeros_like(v) for k, v in p.weights().items()}
+        want = {k: np.zeros_like(v) for k, v in p.items()}
         for window, d in zip(windows, upstream):
             _, c = forward1(window, p)
             for k, g in lstm.backward_batch(c, np.array([d]), p).items():
@@ -172,7 +167,8 @@ class TestBackward:
         assert grads.flat.shape == p.flat.shape
         for k in lstm.WEIGHT_KEYS:
             assert np.shares_memory(grads[k], grads.flat), k
-        assert np.array_equal(lstm.LstmParams(**grads).flat, grads.flat)
+        assert isinstance(grads, lstm.LstmParams)
+        assert np.array_equal(grads.W[:3], grads.W_f) and np.array_equal(grads.b[9:], grads.b_c)
 
     def test_cache_mismatch(self):
         p = lstm.init_params(3, seed=1)
@@ -185,9 +181,11 @@ class TestBackward:
 class TestPackedStorage:
     def test_fields_are_contiguous_views_of_one_buffer(self):
         p = lstm.init_params(4, seed=2)
-        for k, v in p.weights().items():
+        for k, v in p.items():
             assert v.flags.c_contiguous and np.shares_memory(v, p.flat), k
-        assert p.flat.size == sum(v.size for v in p.weights().values())
+            assert getattr(p, k) is v, k
+        assert sorted(p) == sorted(lstm.WEIGHT_KEYS)
+        assert p.flat.size == sum(v.size for v in p.values())
 
     def test_in_place_write_changes_forward(self):
         p = lstm.init_params(4, seed=2)
@@ -198,22 +196,13 @@ class TestPackedStorage:
 
     def test_copy_owns_its_buffer(self):
         p = lstm.init_params(4, seed=2)
-        q = lstm.LstmParams(**p.weights())
+        q = lstm.LstmParams(4, flat=p.flat.copy())
         assert not np.shares_memory(p.flat, q.flat)
         assert np.array_equal(p.flat, q.flat)
         q.W_c[...] += 0.5
         q.b_o[...] -= 1.0
         assert not np.array_equal(p.W_c, q.W_c)
         assert not np.array_equal(p.b_o, q.b_o)
-
-    def test_constructor_copies_and_checks_shapes(self):
-        p = lstm.init_params(3, seed=1)
-        mats = {k: v.copy() for k, v in p.weights().items()}
-        q = lstm.LstmParams(**mats)
-        mats["W_f"][...] = 7.0
-        assert not np.any(q.W_f == 7.0)
-        with pytest.raises(ShapeError, match="b_i"):
-            lstm.LstmParams(**{**mats, "b_i": np.zeros(4)})
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"

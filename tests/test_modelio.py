@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ MODELS = {"lstm": (lstm.LstmParams, lstm, lambda: lstm.init_params(2, seed=0)),
           "ffnn": (ffnn.FfnnParams, ffnn, lambda: ffnn.init_params(4, seed=0))}
 
 BAD_COUNTS = [2.5, 0, -3, "x", "4", True, None]
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def model_file(kind, **changes):
@@ -89,3 +92,14 @@ def test_hidden_must_match_the_weights():
     text = model_file("ffnn", hidden=4)
     with pytest.raises(ModelFormatError, match="weights.W1"):
         modelio.loads_neural(text, ffnn.FfnnParams)
+
+
+@pytest.mark.parametrize("fixture,init", [
+    ("init_lstm_h3.json", lambda: lstm.init_params(3, seed=0)),
+    ("init_ffnn_t4.json", lambda: ffnn.init_params(4, seed=0)),
+])
+def test_initialisers_keep_their_draws(fixture, init):
+    """Each file holds the weights an initialiser drew before the parameter
+    classes were built from their layouts: the draw order and limits stay."""
+    text = (FIXTURES / fixture).read_text()
+    assert modelio.dumps_neural(init(), 4, ScalerParams(0, 1)) == text

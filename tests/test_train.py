@@ -81,9 +81,9 @@ class TestFit:
         _, _, _, tr, va = small_sets()
         cfg = train.TrainConfig(epochs=3, learning_rate=0.0, seed=1)
         params = ffnn.init_params(tr.window_len, seed=1)
-        before = {k: v.copy() for k, v in params.weights().items()}
+        before = {k: v.copy() for k, v in params.items()}
         hist = train.fit("ffnn", params, tr, va, cfg)
-        for k, v in params.weights().items():
+        for k, v in params.items():
             assert np.array_equal(v, before[k])
         assert len({r[2] for r in hist.rows}) == 1  # flat validation curve
 
@@ -141,8 +141,7 @@ class TestEvaluate:
         values = np.concatenate([train_part, tail])
         spec = dataset.SplitSpec(n_train=120, n_val=15, n_test=15)
         scaler = dataset.fit_scaler(values[:120])
-        stub = ffnn.FfnnParams(np.zeros((5, 12)), np.zeros(5),
-                               np.zeros((1, 5)), np.zeros(1))
+        stub = ffnn.FfnnParams(5, 12)
         return values, spec, scaler, stub
 
     def test_perfect_stub_has_zero_mae(self):
@@ -162,8 +161,7 @@ class TestEvaluate:
         values = rng.uniform(0, 10, 150)
         spec = dataset.SplitSpec(n_train=120, n_val=15, n_test=15)
         scaler = dataset.fit_scaler(values[:120])
-        stub = ffnn.FfnnParams(np.zeros((5, 12)), np.zeros(5),
-                               np.zeros((1, 5)), np.zeros(1))
+        stub = ffnn.FfnnParams(5, 12)
         _, _, test_mae = train.evaluate("ffnn", stub, values, spec, 12, scaler)
         midpoint = scaler.inverse(np.array([0.5]))[0]
         expected = np.mean(np.abs(values[spec.test_start:] - midpoint))
