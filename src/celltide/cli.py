@@ -92,9 +92,69 @@ def cmd_arima(args) -> int:
     return 0
 
 
+class _ArimaWorker:
+    """The one process `compare` forks: it runs `_run_arima` while the parent
+    trains the neural models and sends back one pickled (ok, result or
+    exception) tuple through a pipe. The parent writes every file.
+
+    The worker leaves through `os._exit`, so it never flushes the stdout
+    buffer it inherited and never returns into the caller of `main`.
+    `pickle` is imported where it is used: numpy has loaded it already, and
+    `signal` is only needed to stop a worker early.
+    """
+
+    def __init__(self, values: np.ndarray, spec, order):
+        import pickle
+        self._rfd, wfd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(self._rfd)
+                try:
+                    message = (True, _run_arima(values, spec, order))
+                except BaseException as exc:  # the parent re-raises it
+                    message = (False, exc)
+                with os.fdopen(wfd, "wb") as fh:
+                    pickle.dump(message, fh)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(wfd)
+
+    def result(self):
+        """Wait for the worker and return what `_run_arima` returned, or raise
+        what it raised. A worker that exits without sending a result raises
+        ChildProcessError, a runtime error to the CLI."""
+        import pickle
+        fh, self._rfd = os.fdopen(self._rfd, "rb"), None
+        with fh:
+            data = fh.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise ChildProcessError(f"ARIMA worker exited with status {code}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def stop(self) -> None:
+        """Kill and reap the worker, unless `result` has reaped it already."""
+        if self._rfd is not None:
+            os.close(self._rfd)
+            self._rfd = None
+        if self.pid is not None:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def cmd_compare(args) -> int:
     values, spec, scaler, train_set, val_set, config = _neural_setup(args)
-    os.makedirs(args.out_dir, exist_ok=True)
+    worker = _ArimaWorker(values, spec, args.order)
     written = []
     scale = scaler.max - scaler.min
     report = {
@@ -113,6 +173,7 @@ def cmd_compare(args) -> int:
         return path
 
     try:
+        os.makedirs(args.out_dir, exist_ok=True)
         for kind in train.MODELS:
             t0 = time.perf_counter()
             params, history = train.train_model(kind, train_set, val_set, config)
@@ -130,7 +191,7 @@ def cmd_compare(args) -> int:
             }
             print(f"{kind}: test MAE {test_mae:.6f}")
 
-        model, slots, preds, test_mae, wall_ms = _run_arima(values, spec, args.order)
+        model, slots, preds, test_mae, wall_ms = worker.result()
         if args.order is None:
             print(f"arima: selected order ({model.p},{model.d},{model.q})")
         _write_predictions(out("arima_predictions.csv"), slots, values[slots], preds)
@@ -144,7 +205,8 @@ def cmd_compare(args) -> int:
 
         with open(out("report.json"), "w", encoding="utf-8") as fh:
             fh.write(modelio.dumps(report))
-    except BaseException:  # an interrupt too leaves no partial result directory
+    except BaseException:  # an interrupt too leaves no worker and no partial result
+        worker.stop()
         for path in written:
             if os.path.exists(path):
                 os.remove(path)

@@ -37,8 +37,10 @@ def init_params(window_len: int, seed: int = 0) -> FfnnParams:
     return glorot_uniform(FfnnParams(HIDDEN_UNITS, window_len), ("W1", "W2"), seed)
 
 
-def forward_batch(windows: np.ndarray, p: FfnnParams):
-    """Predictions (B,) for a batch of flat windows (B, T)."""
+def forward_batch(windows: np.ndarray, p: FfnnParams, cache: bool = True):
+    """Predictions (B,) for a batch of flat windows (B, T), and the cache for
+    backward_batch. `cache` is accepted for the LSTM's signature and ignored:
+    this cache is a few (B, 5) arrays."""
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != p.window_len:
         raise ShapeError(f"expected (batch, {p.window_len}) windows, got {x.shape}")

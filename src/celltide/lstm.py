@@ -82,34 +82,44 @@ def _step(z, c_prev, wt, gates, c, tanh_c, a):
     np.multiply(gates[:, 2 * h:3 * h], tanh_c, out=a)
 
 
-def forward_batch(windows: np.ndarray, p: LstmParams):
+def forward_batch(windows: np.ndarray, p: LstmParams, cache: bool = True):
     """Run the cell chain over a batch of windows (B, T); zero initial state.
 
     Returns predictions (B,) and the caches needed by backward_batch: the
     step inputs z = [a_prev, x, 1] (T, B, H+2), the activated gates
-    (T, B, 4H), and the cell states and their tanh (T, B, H).
+    (T, B, 4H), and the cell states and their tanh (T, B, H). With
+    cache=False every step reuses one set of (B, ·) buffers and the caches
+    are None; the predictions are the same bit for bit, as every step runs
+    the same GEMM on the same shapes.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2 or windows.shape[1] < 1:
         raise ShapeError(f"expected (batch, T>=1) windows, got shape {windows.shape}")
     n, t_len = windows.shape
     h = p.hidden
-    z = np.empty((t_len, n, h + 2))
+    steps = t_len if cache else 1
+    z = np.empty((steps, n, h + 2))
     z[0, :, :h] = 0.0
-    z[:, :, h] = windows.T
     z[:, :, h + 1] = 1.0
-    gates = np.empty((t_len, n, 4 * h))
-    c = np.empty((t_len, n, h))
-    tanh_c = np.empty((t_len, n, h))
+    if cache:
+        z[:, :, h] = windows.T
+    gates = np.empty((steps, n, 4 * h))
+    c = np.empty((steps, n, h))
+    tanh_c = np.empty((steps, n, h))
     a = np.empty((n, h))
     wt = _gate_weights(p)
     c_prev = np.zeros((n, h))
     for t in range(t_len):
-        a_next = z[t + 1, :, :h] if t + 1 < t_len else a
-        _step(z[t], c_prev, wt, gates[t], c[t], tanh_c[t], a_next)
-        c_prev = c[t]
+        k = t if cache else 0
+        if not cache:
+            z[0, :, h] = windows[:, t]
+        a_next = z[t + 1 if cache else 0, :, :h] if t + 1 < t_len else a
+        _step(z[k], c_prev, wt, gates[k], c[k], tanh_c[k], a_next)
+        c_prev = c[k]
     score = a @ p.W_y.T + p.b_y  # (B, 1)
     y = sigmoid(score).ravel()
+    if not cache:
+        return y, None
     return y, {"z": z, "gates": gates, "c": c, "tanh_c": tanh_c, "a_final": a, "y": y}
 
 

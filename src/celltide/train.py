@@ -131,7 +131,8 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
             grads = model.backward_batch(cache, np.sign(err) / len(idx), params)
             adam_step(params.flat, grads.flat, state, config.learning_rate)
         train_mae = abs_err_sum / len(order)
-        val_mae = mae(model.forward_batch(val_set.inputs, params)[0], val_set.targets)
+        val_mae = mae(model.forward_batch(val_set.inputs, params, cache=False)[0],
+                      val_set.targets)
         history.append(epoch, train_mae, val_mae,
                        (time.perf_counter() - start) * 1e3)
     return history
@@ -159,6 +160,6 @@ def evaluate(kind: str, params, series_values, split: SplitSpec, window_len: int
     normed = scaler.transform(values)
     test_set = windows_for_range(normed, window_len, split.test_start,
                                  split.test_start + split.n_test)
-    preds = scaler.inverse(model.forward_batch(test_set.inputs, params)[0])
+    preds = scaler.inverse(model.forward_batch(test_set.inputs, params, cache=False)[0])
     truth = values[test_set.target_slots]
     return test_set.target_slots, preds, mae(preds, truth)

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import celltide
-from celltide import cdr, train
+from celltide import arima, cdr, cli, modelio, train
 from celltide.cli import main
 
 T0 = 1_383_260_400_000
@@ -242,6 +243,15 @@ class TestArima:
         assert len(obj["phi"]) == 1
 
 
+COMPARE_FLAGS = ["--train-frac", "0.4", "--epochs", "1", "--seed", "3"]
+
+
+def assert_no_child_process():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestCompare:
     def test_output_contract(self, tmp_path):
         series = make_series_csv(tmp_path, days=4)
@@ -301,6 +311,7 @@ class TestCompare:
                    "--out-dir", str(out_dir)])
         assert rc == 1
         assert list(out_dir.iterdir()) == []
+        assert_no_child_process()
 
     def test_interrupt_removes_partial_outputs(self, tmp_path, monkeypatch):
         """An interrupt in the FFNN evaluation, after three files are written."""
@@ -318,6 +329,112 @@ class TestCompare:
             main(["compare", "--series", str(series), "--train-frac", "0.4",
                   "--epochs", "1", "--seed", "3", "--p", "1", "--out-dir", str(out_dir)])
         assert list(out_dir.iterdir()) == []
+        assert_no_child_process()
+
+    def test_interrupt_after_the_worker_is_reaped_kills_nothing(self, tmp_path, monkeypatch):
+        """An interrupt while report.json is written, after the ARIMA worker
+        has been reaped: its pid may belong to another process by then."""
+        series = make_series_csv(tmp_path, days=4)
+        out_dir = tmp_path / "out"
+
+        def interrupted(obj):
+            raise KeyboardInterrupt
+
+        kills = []
+        monkeypatch.setattr(modelio, "dumps", interrupted)
+        monkeypatch.setattr(os, "kill", lambda *args: kills.append(args))
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                  "--out-dir", str(out_dir)])
+        assert kills == []
+        assert list(out_dir.iterdir()) == []
+        assert_no_child_process()
+
+    def test_worker_exception_is_the_serial_error(self, tmp_path, monkeypatch, capsys):
+        series = make_series_csv(tmp_path, days=4)
+        out_dir = tmp_path / "out"
+
+        def failing(values, spec, order):
+            raise arima.ArimaFitError(f"no fit for order {order}")
+
+        monkeypatch.setattr(cli, "_run_arima", failing)
+        assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                     "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no fit for order (1, 0, 0)\n"
+        assert "arima:" not in captured.out
+        assert list(out_dir.iterdir()) == []
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("death,status", [
+        (lambda: os._exit(3), 3),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    ])
+    def test_worker_without_result_is_a_runtime_error(self, tmp_path, monkeypatch,
+                                                      capsys, death, status):
+        series = make_series_csv(tmp_path, days=4)
+        out_dir = tmp_path / "out"
+        monkeypatch.setattr(cli, "_run_arima", lambda values, spec, order: death())
+        assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                     "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: ARIMA worker exited with status {status}\n"
+        assert list(out_dir.iterdir()) == []
+        assert_no_child_process()
+
+    def test_only_compare_forks_and_only_once(self, tmp_path, monkeypatch):
+        series = make_series_csv(tmp_path, days=4)
+        raw = make_raw_dir(tmp_path)
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        calls = {
+            "synth": ["--days", "1", "--out", str(tmp_path / "s.csv")],
+            "ingest": ["--input-dir", str(raw), "--out", str(tmp_path / "i.csv")],
+            "train": ["--model", "lstm", *COMPARE_FLAGS, "--series", str(series),
+                      "--out-model", str(tmp_path / "m.json"),
+                      "--out-history", str(tmp_path / "h.csv")],
+            "arima": ["--series", str(series), "--train-frac", "0.4",
+                      "--out-model", str(tmp_path / "a.json"),
+                      "--out-predictions", str(tmp_path / "a.csv")],
+            "compare": [*COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                        "--out-dir", str(tmp_path / "out")],
+        }
+        for command, flags in calls.items():
+            assert main([command, *flags]) == 0, command
+            assert len(forks) == (command == "compare"), command
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("order", [["--p", "1"], []])
+    def test_real_interpreter_output(self, tmp_path, order):
+        """`compare` in a fresh interpreter whose stdout is a pipe, so that a
+        worker flushing its copy of the parent's buffer would show: every
+        line once and in order, and the ARIMA predictions of `arima`."""
+        series = make_series_csv(tmp_path, days=4)
+        src_dir = os.path.dirname(os.path.dirname(celltide.__file__))
+        code = "import sys; from celltide.cli import main; sys.exit(main())"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "compare", *COMPARE_FLAGS, *order,
+             "--series", str(series), "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src_dir),
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        expected = ["split ", "lstm: test MAE ", "ffnn: test MAE ",
+                    *(["arima: selected order ("] if not order else []),
+                    "arima: test MAE "]
+        assert len(lines) == len(expected), lines
+        assert all(line.startswith(head) for line, head in zip(lines, expected)), lines
+        assert done.stderr == ""
+        assert main(["arima", "--series", str(series), "--train-frac", "0.4",
+                     *(order or ["--auto"]), "--out-model", str(tmp_path / "a.json"),
+                     "--out-predictions", str(tmp_path / "a.csv")]) == 0
+        assert ((tmp_path / "out" / "arima_predictions.csv").read_bytes()
+                == (tmp_path / "a.csv").read_bytes())
 
 
 def test_cli_import_leaves_scipy_unloaded():

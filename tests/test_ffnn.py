@@ -60,6 +60,13 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward1(np.zeros(4), zero_params(3))
 
+    def test_cache_flag_is_ignored(self):
+        p = ffnn.init_params(4, seed=3)
+        windows = np.random.default_rng(3).uniform(0, 1, (7, 4))
+        y, cache = ffnn.forward_batch(windows, p)
+        y_free, cache_free = ffnn.forward_batch(windows, p, cache=False)
+        assert np.array_equal(y, y_free) and sorted(cache) == sorted(cache_free)
+
 
 class TestBackward:
     def test_zero_upstream(self):

@@ -178,6 +178,23 @@ class TestBackward:
             lstm.backward_batch(caches, np.ones(1), other)
 
 
+class TestInference:
+    @pytest.mark.parametrize("batch", [1, 7, 893])
+    def test_uncached_pass_equals_cached_pass(self, batch):
+        p = lstm.init_params(lstm.HIDDEN_UNITS, seed=batch)
+        windows = np.random.default_rng(batch).uniform(0, 1, (batch, 12))
+        y, caches = lstm.forward_batch(windows, p)
+        y_free, none = lstm.forward_batch(windows, p, cache=False)
+        assert caches is not None and none is None
+        assert np.array_equal(y, y_free)
+
+    def test_uncached_single_step(self):
+        p = lstm.init_params(3, seed=5)
+        windows = np.linspace(0, 1, 4).reshape(4, 1)
+        assert np.array_equal(lstm.forward_batch(windows, p)[0],
+                              lstm.forward_batch(windows, p, cache=False)[0])
+
+
 class TestPackedStorage:
     def test_fields_are_contiguous_views_of_one_buffer(self):
         p = lstm.init_params(4, seed=2)
