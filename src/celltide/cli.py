@@ -92,69 +92,20 @@ def cmd_arima(args) -> int:
     return 0
 
 
-class _ArimaWorker:
-    """The one process `compare` forks: it runs `_run_arima` while the parent
-    trains the neural models and sends back one pickled (ok, result or
-    exception) tuple through a pipe. The parent writes every file.
-
-    The worker leaves through `os._exit`, so it never flushes the stdout
-    buffer it inherited and never returns into the caller of `main`.
-    `pickle` is imported where it is used: numpy has loaded it already, and
-    `signal` is only needed to stop a worker early.
-    """
-
-    def __init__(self, values: np.ndarray, spec, order):
-        import pickle
-        self._rfd, wfd = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(self._rfd)
-                try:
-                    message = (True, _run_arima(values, spec, order))
-                except BaseException as exc:  # the parent re-raises it
-                    message = (False, exc)
-                with os.fdopen(wfd, "wb") as fh:
-                    pickle.dump(message, fh)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(wfd)
-
-    def result(self):
-        """Wait for the worker and return what `_run_arima` returned, or raise
-        what it raised. A worker that exits without sending a result raises
-        ChildProcessError, a runtime error to the CLI."""
-        import pickle
-        fh, self._rfd = os.fdopen(self._rfd, "rb"), None
-        with fh:
-            data = fh.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise ChildProcessError(f"ARIMA worker exited with status {code}")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    def stop(self) -> None:
-        """Kill and reap the worker, unless `result` has reaped it already."""
-        if self._rfd is not None:
-            os.close(self._rfd)
-            self._rfd = None
-        if self.pid is not None:
-            import signal
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+def _arima_worker(tx, values: np.ndarray, spec, order) -> None:
+    """The one process `compare` starts: it runs `_run_arima` while the
+    parent trains the neural models and sends back one (ok, result or
+    exception) tuple. The parent writes every file."""
+    try:
+        message = (True, _run_arima(values, spec, order))
+    except BaseException as exc:  # an interrupt too: the parent re-raises it
+        message = (False, exc)
+    tx.send(message)
 
 
 def cmd_compare(args) -> int:
+    import multiprocessing  # here, so that importing the CLI stays cheap
     values, spec, scaler, train_set, val_set, config = _neural_setup(args)
-    worker = _ArimaWorker(values, spec, args.order)
     written = []
     scale = scaler.max - scaler.min
     report = {
@@ -172,7 +123,12 @@ def cmd_compare(args) -> int:
         written.append(path)
         return path
 
+    context = multiprocessing.get_context("fork")
+    rx, tx = context.Pipe(duplex=False)
+    worker = context.Process(target=_arima_worker, args=(tx, values, spec, args.order))
+    worker.start()
     try:
+        tx.close()
         os.makedirs(args.out_dir, exist_ok=True)
         for kind in train.MODELS:
             t0 = time.perf_counter()
@@ -191,7 +147,16 @@ def cmd_compare(args) -> int:
             }
             print(f"{kind}: test MAE {test_mae:.6f}")
 
-        model, slots, preds, test_mae, wall_ms = worker.result()
+        try:
+            ok, result = rx.recv()
+        except EOFError:
+            worker.join()
+            raise ChildProcessError(
+                f"ARIMA worker exited with status {worker.exitcode}") from None
+        worker.join()
+        if not ok:
+            raise result
+        model, slots, preds, test_mae, wall_ms = result
         if args.order is None:
             print(f"arima: selected order ({model.p},{model.d},{model.q})")
         _write_predictions(out("arima_predictions.csv"), slots, values[slots], preds)
@@ -206,11 +171,14 @@ def cmd_compare(args) -> int:
         with open(out("report.json"), "w", encoding="utf-8") as fh:
             fh.write(modelio.dumps(report))
     except BaseException:  # an interrupt too leaves no worker and no partial result
-        worker.stop()
+        worker.kill()  # a no-op once the worker has been reaped
+        worker.join()
         for path in written:
             if os.path.exists(path):
                 os.remove(path)
         raise
+    finally:
+        rx.close()
     return 0
 
 
@@ -275,13 +243,19 @@ def _resolve_defaults(parser: argparse.ArgumentParser, args) -> None:
     """Fill in the defaults that depend on the environment or on other
     flags; a bad combination is a usage error (exit code 2). `arima` and
     `compare` get `args.order`: (p, d, q), or None for the AIC search."""
+    source = "--seed"
     if getattr(args, "seed", 0) is None:
-        raw = os.environ.get(SEED_ENV, "0")
+        source, raw = SEED_ENV, os.environ.get(SEED_ENV, "0")
         try:
             args.seed = int(raw)
         except ValueError:
             parser.error(f"{SEED_ENV} must be an integer, got {raw!r}")
+    if getattr(args, "seed", 0) < 0:
+        parser.error(f"{source} must be non-negative, got {args.seed}")
     if args.command in ("arima", "compare"):
+        for k in ("p", "d", "q"):
+            if not 0 <= (getattr(args, k) or 0) <= arima.MAX_ORDER:
+                parser.error(f"--{k} must be in 0..{arima.MAX_ORDER}, got {getattr(args, k)}")
         given = ", ".join(f"--{k}" for k in ("p", "d", "q") if getattr(args, k) is not None)
         auto = args.auto if args.command == "arima" else args.p is None
         if auto and given:

@@ -15,6 +15,7 @@ from .dataset import ScalerParams, SplitSpec, WindowSet, windows_for_range
 
 
 BATCH_SIZE = 32
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -76,17 +77,16 @@ class AdamState:
         return cls(m=np.zeros_like(flat), v=np.zeros_like(flat))
 
 
-def adam_step(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
     """One in-place Adam update with bias correction of the flat weights `w`."""
     if g.shape != w.shape:
         raise ValueError(f"adam_step: gradient shape {g.shape} != param {w.shape}")
     state.t += 1
-    b1t = 1.0 - beta1 ** state.t
-    b2t = 1.0 - beta2 ** state.t
-    state.m = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * g * g
-    w -= lr * (state.m / b1t) / (np.sqrt(state.v / b2t) + eps)
+    b1t = 1.0 - ADAM_BETA1 ** state.t
+    b2t = 1.0 - ADAM_BETA2 ** state.t
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    w -= lr * (state.m / b1t) / (np.sqrt(state.v / b2t) + ADAM_EPS)
 
 
 # kind -> (module with forward_batch/backward_batch,

@@ -160,7 +160,44 @@ class TestTrain:
                      "--out-history", str(tmp_path / "h.csv")]) == 1
 
 
+def record_forks(monkeypatch):
+    """Count the os.fork calls made from now on; returns the growing list."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 class TestSeedEnvironment:
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--seed", "-1", "--out-dir", "out"],
+        ["train", "--seed", "-2", "--model", "ffnn", "--out-model", "m.json",
+         "--out-history", "h.csv"],
+    ])
+    def test_negative_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        series = make_series_csv(tmp_path)
+        forks = record_forks(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--series", str(series)])
+        assert exc.value.code == 2
+        assert f"--seed must be non-negative, got {argv[2]}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == [series.name]
+        assert forks == []
+
+    def test_negative_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CELLTIDE_SEED", "-3")
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--days", "1", "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert "CELLTIDE_SEED must be non-negative, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_non_integer_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CELLTIDE_SEED", "abc")
         with pytest.raises(SystemExit) as exc:
@@ -191,6 +228,18 @@ class TestArima:
         assert exc.value.code == 2
         assert f"--auto cannot be combined with {flag}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--q", "6"), ("--d", "-1")])
+    def test_order_out_of_range_is_usage_error(self, tmp_path, capsys, flag, value):
+        series = make_series_csv(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["arima", "--series", str(series), flag, value,
+                  "--out-model", str(tmp_path / "m.json"),
+                  "--out-predictions", str(tmp_path / "p.csv")])
+        assert exc.value.code == 2
+        assert f"{flag} must be in 0..5, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+        assert not (tmp_path / "p.csv").exists()
 
     def test_non_finite_series_value_fails_naming_line(self, tmp_path, capsys):
         series = make_series_csv(tmp_path)
@@ -280,6 +329,17 @@ class TestCompare:
         assert f"{named} cannot be combined with the AIC order search" in err
         assert not (tmp_path / "out").exists()
 
+    def test_order_out_of_range_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        series = make_series_csv(tmp_path)
+        forks = record_forks(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--series", str(series), "--p", "9",
+                  "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--p must be in 0..5, got 9" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert forks == []
+
     def test_same_seed_same_outputs(self, tmp_path):
         series = make_series_csv(tmp_path, days=4)
         dirs = [tmp_path / "a", tmp_path / "b"]
@@ -305,9 +365,10 @@ class TestCompare:
     def test_failure_removes_partial_outputs(self, tmp_path):
         series = make_series_csv(tmp_path, days=4)
         out_dir = tmp_path / "out"
-        # ARIMA order above the supported ceiling fails after the NN steps
-        rc = main(["compare", "--series", str(series), "--train-frac", "0.4",
-                   "--epochs", "1", "--seed", "3", "--p", "9",
+        # ARIMA(5,0,5) needs more observations than the 0.1 training slice
+        # holds, which only the worker finds, after the NN steps
+        rc = main(["compare", "--series", str(series), "--train-frac", "0.1",
+                   "--epochs", "1", "--seed", "3", "--p", "5", "--q", "5",
                    "--out-dir", str(out_dir)])
         assert rc == 1
         assert list(out_dir.iterdir()) == []
@@ -438,10 +499,12 @@ class TestCompare:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Only the ARIMA code needs scipy, so importing the CLI must not load it."""
+    """Only the ARIMA code needs scipy and only `compare` needs
+    multiprocessing, so importing the CLI must load neither."""
     src_dir = os.path.dirname(os.path.dirname(celltide.__file__))
-    code = "import sys, celltide.cli; print('scipy' in sys.modules)"
+    code = ("import sys, celltide.cli; "
+            "print('scipy' in sys.modules, 'multiprocessing' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src_dir), timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
