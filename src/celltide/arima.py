@@ -31,10 +31,6 @@ class ArimaModel:
     mu: float           # mean of the d-differenced training series
     sigma2: float       # innovation variance from the CSS at the optimum
 
-    def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=np.float64)
-        self.theta = np.asarray(self.theta, dtype=np.float64)
-
 
 def difference(series, d: int) -> np.ndarray:
     series = np.asarray(series, dtype=np.float64)
@@ -144,10 +140,12 @@ def fit(series, p: int, d: int, q: int) -> ArimaModel:
     if not (_stable(phi0) and _stable(-theta0)):
         x0 = np.zeros_like(x0)  # HR start outside the valid region; restart at white noise
 
+    penalty = 1e12 * max(1.0, float(y @ y))  # scales with the series, as the CSS does
+
     def objective(x):
         phi, theta = x[:p], x[p:]
         if not (_stable(phi) and _stable(-theta)):
-            return 1e12 * (1.0 + float(np.abs(x).sum()))
+            return penalty * (1.0 + float(np.abs(x).sum()))
         return css(y, phi, theta)
 
     from scipy.optimize import minimize

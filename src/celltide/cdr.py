@@ -89,23 +89,6 @@ def _not_utf8(path: str) -> str:
             return f"line {lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
 
 
-def _grid_records(dir_path: str, names: list, grid_id: int):
-    """(file, line number, record) of each `grid_id` line; every line is validated."""
-    for name in names:
-        path = os.path.join(dir_path, name)
-        with open(path, encoding="utf-8") as fh:
-            try:
-                for lineno, line in enumerate(fh, start=1):
-                    try:
-                        rec = parse_line(line, lineno)
-                    except ParseError as exc:
-                        raise IngestError(f"{name}: {exc}") from None
-                    if rec is not None and rec[0] == grid_id:
-                        yield name, lineno, rec
-            except UnicodeDecodeError:
-                raise IngestError(f"{name}: {_not_utf8(path)}") from None
-
-
 def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
     """Merge all day-files of a directory into one gap-free activity series.
 
@@ -121,10 +104,22 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
                    if os.path.isfile(os.path.join(dir_path, n)))
     if not names:
         raise IngestError(f"no input files in {dir_path}")
-    timestamps, values = [], []
-    for _, _, rec in _grid_records(dir_path, names, grid_id):
-        timestamps.append(rec[1])
-        values.append(rec[col])
+    timestamps, values, where = [], [], []  # where: (file, line) of each kept record
+    for name in names:
+        path = os.path.join(dir_path, name)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                for lineno, line in enumerate(fh, start=1):
+                    try:
+                        rec = parse_line(line, lineno)
+                    except ParseError as exc:
+                        raise IngestError(f"{name}: {exc}") from None
+                    if rec is not None and rec[0] == grid_id:
+                        timestamps.append(rec[1])
+                        values.append(rec[col])
+                        where.append((name, lineno))
+            except UnicodeDecodeError:
+                raise IngestError(f"{name}: {_not_utf8(path)}") from None
     if not timestamps:
         raise IngestError(f"no records for grid {grid_id} in {dir_path}")
     timestamps = np.array(timestamps, dtype=np.int64)
@@ -132,9 +127,8 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
     n_slots = (int(timestamps.max()) - t0_ms) // SLOT_MS + 1
     if n_slots > MAX_SPAN_SLOTS:
         mid = float(np.sort(timestamps)[len(timestamps) // 2])
-        far = int(timestamps[np.argmax(np.abs(timestamps - mid))])
-        name, lineno = next((n, i) for n, i, r in _grid_records(dir_path, names, grid_id)
-                            if r[1] == far)
+        i = int(np.argmax(np.abs(timestamps - mid)))
+        (name, lineno), far = where[i], int(timestamps[i])
         raise IngestError(f"{name}: line {lineno}: timestamp {far} stretches grid {grid_id} "
                           f"to {n_slots} slots, over one leap year ({MAX_SPAN_SLOTS})")
     return ActivitySeries(t0_ms, aggregate(timestamps, np.array(values), t0_ms, n_slots))

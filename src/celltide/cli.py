@@ -28,7 +28,8 @@ def _neural_setup(args):
     """Shared start of `train` and `compare`: read the series, split it,
     fit the scaler on the training slice, print the split, and build the
     training and validation windows and the training config. Returns
-    (values, spec, scaler, train_set, val_set, config)."""
+    (values, normed, spec, scaler, train_set, val_set, config), `normed`
+    being the whole series on the training slice's scale."""
     values = cdr.read_series_csv(args.series).values
     spec = dataset.split(len(values), args.train_frac)
     scaler = dataset.fit_scaler(values[:spec.n_train])
@@ -38,7 +39,7 @@ def _neural_setup(args):
     val_set = dataset.windows_for_range(normed, args.window, spec.val_start,
                                         spec.test_start)
     config = train.TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
-    return values, spec, scaler, train_set, val_set, config
+    return values, normed, spec, scaler, train_set, val_set, config
 
 
 def cmd_synth(args) -> int:
@@ -56,7 +57,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _, _, scaler, train_set, val_set, config = _neural_setup(args)
+    _, _, _, scaler, train_set, val_set, config = _neural_setup(args)
     params, history = train.train_model(args.model, train_set, val_set, config)
     with open(args.out_model, "w", encoding="utf-8") as fh:
         fh.write(modelio.dumps_neural(params, args.window, scaler))
@@ -105,7 +106,9 @@ def _arima_worker(tx, values: np.ndarray, spec, order) -> None:
 
 def cmd_compare(args) -> int:
     import multiprocessing  # here, so that importing the CLI stays cheap
-    values, spec, scaler, train_set, val_set, config = _neural_setup(args)
+    values, normed, spec, scaler, train_set, val_set, config = _neural_setup(args)
+    test_set = dataset.windows_for_range(normed, args.window, spec.test_start,
+                                         spec.test_start + spec.n_test)
     written = []
     scale = scaler.max - scaler.min
     report = {
@@ -135,10 +138,9 @@ def cmd_compare(args) -> int:
             params, history = train.train_model(kind, train_set, val_set, config)
             wall_ms = (time.perf_counter() - t0) * 1e3
             history.write_csv(out(f"{kind}_history.csv"))
-            slots, preds, test_mae = train.evaluate(
-                kind, params, values, spec, args.window, scaler)
-            _write_predictions(out(f"{kind}_predictions.csv"),
-                               slots, values[slots], preds)
+            preds, test_mae = train.evaluate(kind, params, test_set, values, scaler)
+            _write_predictions(out(f"{kind}_predictions.csv"), test_set.target_slots,
+                               values[test_set.target_slots], preds)
             report["models"][kind] = {
                 "test_mae": test_mae,
                 "test_mae_normalized": test_mae / scale,
@@ -189,6 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     seed_help = f"random seed (default: ${SEED_ENV}, else 0)"
 
+    def add_command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, parser=p)  # `parser` reports the subcommand's usage errors
+        return p
+
     def add_common_train_flags(p):
         p.add_argument("--series", required=True, help="series CSV (slot,timestamp_ms,value)")
         p.add_argument("--train-frac", type=float, default=0.8)
@@ -197,27 +204,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lr", type=float, default=1e-3)
         p.add_argument("--seed", type=int, help=seed_help)
 
-    p = sub.add_parser("synth", help="generate a synthetic diurnal traffic series")
+    p = add_command("synth", cmd_synth, "generate a synthetic diurnal traffic series")
     p.add_argument("--days", type=int, required=True)
     p.add_argument("--seed", type=int, help=seed_help)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse a directory of raw CDR day-files")
+    p = add_command("ingest", cmd_ingest, "parse a directory of raw CDR day-files")
     p.add_argument("--input-dir", required=True)
     p.add_argument("--grid", type=int, default=1)
     p.add_argument("--channel", choices=cdr.CHANNELS, default="internet")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", help="train the LSTM or feed-forward model")
+    p = add_command("train", cmd_train, "train the LSTM or feed-forward model")
     p.add_argument("--model", choices=tuple(train.MODELS), required=True)
     add_common_train_flags(p)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-history", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("arima", help="fit the ARIMA baseline and forecast the test slice")
+    p = add_command("arima", cmd_arima, "fit the ARIMA baseline and forecast the test slice")
     p.add_argument("--series", required=True)
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--auto", action="store_true",
@@ -227,22 +231,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, help="MA order (default 0)")
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-predictions", required=True)
-    p.set_defaults(func=cmd_arima)
 
-    p = sub.add_parser("compare", help="LSTM vs FFNN vs ARIMA under one split")
+    p = add_command("compare", cmd_compare, "LSTM vs FFNN vs ARIMA under one split")
     add_common_train_flags(p)
     p.add_argument("--p", type=int, help="ARIMA AR order; omitted = AIC search")
     p.add_argument("--d", type=int, help="differencing order (default 0; needs --p)")
     p.add_argument("--q", type=int, help="MA order (default 0; needs --p)")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
-def _resolve_defaults(parser: argparse.ArgumentParser, args) -> None:
+def _resolve_defaults(args) -> None:
     """Fill in the defaults that depend on the environment or on other
-    flags; a bad combination is a usage error (exit code 2). `arima` and
-    `compare` get `args.order`: (p, d, q), or None for the AIC search."""
+    flags; a bad combination is a usage error (exit code 2) under the
+    subcommand's usage line. `arima` and `compare` get `args.order`:
+    (p, d, q), or None for the AIC search."""
+    parser = args.parser
     source = "--seed"
     if getattr(args, "seed", 0) is None:
         source, raw = SEED_ENV, os.environ.get(SEED_ENV, "0")
@@ -268,13 +272,11 @@ def _resolve_defaults(parser: argparse.ArgumentParser, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _resolve_defaults(parser, args)
+    args = build_parser().parse_args(argv)
+    _resolve_defaults(args)
     try:
         return args.func(args)
-    except (cdr.ParseError, cdr.IngestError, arima.ArimaFitError,
-            train.TrainingDiverged, modelio.ModelFormatError,
+    except (cdr.IngestError, arima.ArimaFitError, train.TrainingDiverged,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

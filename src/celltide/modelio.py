@@ -22,14 +22,10 @@ def _encode(obj) -> str:
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         return _encode(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
         return format(float(obj), ".17g")
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return str(int(obj))
-    if obj is None:
-        return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ffnn, lstm
-from .dataset import ScalerParams, SplitSpec, WindowSet, windows_for_range
+from .dataset import ScalerParams, WindowSet
 
 
 BATCH_SIZE = 32
@@ -108,7 +108,8 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
     """Train `params` in place for the configured epochs; returns the History.
 
     Mini-batch order is a per-epoch seeded permutation; batch gradients are
-    averaged. Validation is a full deterministic pass after each epoch.
+    averaged. Validation is a full deterministic pass after each epoch. An
+    overflow or invalid value anywhere in an epoch raises TrainingDiverged.
     """
     model, _ = _model(kind)
     if len(train_set) == 0 or len(val_set) == 0:
@@ -120,20 +121,23 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
         start = time.perf_counter()
         order = rng.permutation(len(train_set))
         abs_err_sum = 0.0
-        for lo in range(0, len(order), BATCH_SIZE):
-            idx = order[lo:lo + BATCH_SIZE]
-            xb, tb = train_set.inputs[idx], train_set.targets[idx]
-            y, cache = model.forward_batch(xb, params)
-            err = y - tb
-            if not np.all(np.isfinite(err)):
-                raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
-            abs_err_sum += float(np.abs(err).sum())
-            grads = model.backward_batch(cache, np.sign(err) / len(idx), params)
-            adam_step(params.flat, grads.flat, state, config.learning_rate)
-        train_mae = abs_err_sum / len(order)
-        val_mae = mae(model.forward_batch(val_set.inputs, params, cache=False)[0],
-                      val_set.targets)
-        history.append(epoch, train_mae, val_mae,
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for lo in range(0, len(order), BATCH_SIZE):
+                    idx = order[lo:lo + BATCH_SIZE]
+                    xb, tb = train_set.inputs[idx], train_set.targets[idx]
+                    y, cache = model.forward_batch(xb, params)
+                    err = y - tb
+                    if not np.all(np.isfinite(err)):
+                        raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
+                    abs_err_sum += float(np.abs(err).sum())
+                    grads = model.backward_batch(cache, np.sign(err) / len(idx), params)
+                    adam_step(params.flat, grads.flat, state, config.learning_rate)
+                val_mae = mae(model.forward_batch(val_set.inputs, params, cache=False)[0],
+                              val_set.targets)
+        except FloatingPointError as exc:
+            raise TrainingDiverged(f"training diverged ({exc}) in epoch {epoch}") from None
+        history.append(epoch, abs_err_sum / len(order), val_mae,
                        (time.perf_counter() - start) * 1e3)
     return history
 
@@ -148,18 +152,10 @@ def train_model(kind: str, train_set: WindowSet, val_set: WindowSet,
     return params, history
 
 
-def evaluate(kind: str, params, series_values, split: SplitSpec, window_len: int,
-             scaler: ScalerParams):
-    """Rolling one-step predictions over the test slice, on the original scale.
-
-    Each test slot is predicted from the true (normalized) history window
-    ending just before it. Returns (target_slots, predictions, test_mae).
-    """
+def evaluate(kind: str, params, test_set: WindowSet, values, scaler: ScalerParams):
+    """Predictions for the normalized `test_set` windows, on the original
+    scale, scored against `values`, the series the windows were cut from.
+    Returns (predictions, test_mae)."""
     model, _ = _model(kind)
-    values = np.asarray(series_values, dtype=np.float64)
-    normed = scaler.transform(values)
-    test_set = windows_for_range(normed, window_len, split.test_start,
-                                 split.test_start + split.n_test)
     preds = scaler.inverse(model.forward_batch(test_set.inputs, params, cache=False)[0])
-    truth = values[test_set.target_slots]
-    return test_set.target_slots, preds, mae(preds, truth)
+    return preds, mae(preds, values[test_set.target_slots])

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from celltide import arima
+from celltide import arima, dataset
 from celltide.modelio import ModelFormatError
 
 import oracles
@@ -186,6 +186,22 @@ class TestAutoOrder:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             arima.auto_order(np.arange(100.0))
+
+
+class TestScale:
+    def test_fit_does_not_depend_on_the_scale_of_the_series(self):
+        """The invalid-region penalty scales with the series as the CSS does,
+        so at scale 1e6 the fit finds the same order and coefficients."""
+        v = dataset.gen_synthetic(20, seed=3).values
+        v = v[:int(0.8 * len(v))]
+        base, scaled = arima.auto_order(v), arima.auto_order(v * 1e6)
+        assert (scaled.p, scaled.d, scaled.q) == (base.p, base.d, base.q)
+        assert np.allclose(scaled.phi, base.phi, rtol=0, atol=1e-6)
+        assert np.allclose(scaled.theta, base.theta, rtol=0, atol=1e-6)
+        assert scaled.mu == pytest.approx(base.mu * 1e6, rel=1e-6)
+        assert scaled.sigma2 == pytest.approx(base.sigma2 * 1e12, rel=1e-6)
+        scaled_303 = arima.fit(v * 1e6, 3, 0, 3)
+        assert np.allclose(scaled_303.phi, arima.fit(v, 3, 0, 3).phi, rtol=0, atol=1e-6)
 
 
 class TestValidity:

@@ -189,6 +189,22 @@ class TestIngestDir:
         _write_day_file(tmp_path / "a.txt", week[:500] + [(2, 0, 1.0)])
         assert len(cdr.ingest_dir(str(tmp_path), 1, "internet")) == 7 * 144
 
+    def test_span_guard_parses_each_line_once(self, tmp_path, monkeypatch):
+        """Naming the outlier takes no second pass over the files."""
+        _write_day_file(tmp_path / "a.txt", [(1, T0, 1.0), (2, T0, 1.0)])
+        _write_day_file(tmp_path / "b.txt", [(1, T0 + 10**12, 1.0), (1, T0, 2.0)])
+        seen = []
+        parse_line = cdr.parse_line
+
+        def counted(line, lineno=0):
+            seen.append(line)
+            return parse_line(line, lineno)
+
+        monkeypatch.setattr(cdr, "parse_line", counted)
+        with pytest.raises(cdr.IngestError, match=r"^b\.txt: line 1: timestamp "):
+            cdr.ingest_dir(str(tmp_path), 1, "internet")
+        assert len(seen) == 4
+
     def test_one_leap_year_accepted(self, tmp_path):
         last = T0 + (cdr.MAX_SPAN_SLOTS - 1) * 600_000
         assert len(_ingest(tmp_path, [(1, T0, 1.0), (1, last, 2.0)])) == 366 * 144

@@ -152,6 +152,26 @@ class TestTrain:
         assert "non-finite loss" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
+    @pytest.mark.parametrize("model", sorted(train.MODELS))
+    def test_overflowing_learning_rate_fails_in_one_line(self, tmp_path, model):
+        """An lr so large that the first update overflows fails cleanly, in a
+        fresh interpreter so that any numpy warning would reach stderr."""
+        series = make_series_csv(tmp_path)
+        src_dir = os.path.dirname(os.path.dirname(celltide.__file__))
+        code = "import sys; from celltide.cli import main; sys.exit(main())"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "train", "--model", model, "--series", str(series),
+             "--train-frac", "0.4", "--epochs", "2", "--lr", "1e300",
+             "--out-model", str(tmp_path / "m.json"), "--out-history", str(tmp_path / "h.csv")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src_dir),
+            timeout=120)
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+        assert lines[0].endswith(" epoch 1")
+        assert "RuntimeWarning" not in done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
+
     def test_bad_fraction_fails(self, tmp_path):
         series = make_series_csv(tmp_path)
         assert main(["train", "--model", "ffnn", "--series", str(series),
@@ -195,7 +215,9 @@ class TestSeedEnvironment:
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--days", "1", "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 2
-        assert "CELLTIDE_SEED must be non-negative, got -3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: celltide synth ")  # the subcommand's usage line
+        assert "CELLTIDE_SEED must be non-negative, got -3" in err
         assert not (tmp_path / "s.csv").exists()
 
     def test_non_integer_is_usage_error(self, tmp_path, monkeypatch, capsys):
@@ -336,7 +358,9 @@ class TestCompare:
             main(["compare", "--series", str(series), "--p", "9",
                   "--out-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
-        assert "--p must be in 0..5, got 9" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: celltide compare ")  # the subcommand's usage line
+        assert "--p must be in 0..5, got 9" in err
         assert not (tmp_path / "out").exists()
         assert forks == []
 

@@ -103,3 +103,10 @@ def test_initialisers_keep_their_draws(fixture, init):
     classes were built from their layouts: the draw order and limits stay."""
     text = (FIXTURES / fixture).read_text()
     assert modelio.dumps_neural(init(), 4, ScalerParams(0, 1)) == text
+
+
+@pytest.mark.parametrize("value", [True, None, np.bool_(True)])
+def test_dumps_refuses_what_no_model_file_holds(value):
+    """A bool is not written as 1 and None not as null: no file holds either."""
+    with pytest.raises(TypeError):
+        modelio.dumps({"hidden": value})

@@ -131,6 +131,11 @@ class TestFit:
         assert hist.final_val_mae < 0.05
 
 
+def _test_windows(values, spec, scaler):
+    return dataset.windows_for_range(scaler.transform(values), 12, spec.test_start,
+                                     spec.test_start + spec.n_test)
+
+
 class TestEvaluate:
     @staticmethod
     def _midpoint_fixture():
@@ -146,15 +151,17 @@ class TestEvaluate:
 
     def test_perfect_stub_has_zero_mae(self):
         values, spec, scaler, stub = self._midpoint_fixture()
-        _, preds, test_mae = train.evaluate("ffnn", stub, values, spec, 12, scaler)
+        test_set = _test_windows(values, spec, scaler)
+        preds, test_mae = train.evaluate("ffnn", stub, test_set, values, scaler)
         assert test_mae == 0.0
         assert np.all(preds == 5.0)
 
     def test_prediction_count_is_n_test(self):
         values, spec, scaler, stub = self._midpoint_fixture()
-        slots, preds, _ = train.evaluate("ffnn", stub, values, spec, 12, scaler)
+        test_set = _test_windows(values, spec, scaler)
+        preds, _ = train.evaluate("ffnn", stub, test_set, values, scaler)
         assert len(preds) == spec.n_test
-        assert slots[0] == spec.test_start
+        assert test_set.target_slots[0] == spec.test_start
 
     def test_constant_stub_mae_equals_distance_to_midpoint(self):
         rng = np.random.default_rng(8)
@@ -162,7 +169,8 @@ class TestEvaluate:
         spec = dataset.SplitSpec(n_train=120, n_val=15, n_test=15)
         scaler = dataset.fit_scaler(values[:120])
         stub = ffnn.FfnnParams(5, 12)
-        _, _, test_mae = train.evaluate("ffnn", stub, values, spec, 12, scaler)
+        test_set = _test_windows(values, spec, scaler)
+        _, test_mae = train.evaluate("ffnn", stub, test_set, values, scaler)
         midpoint = scaler.inverse(np.array([0.5]))[0]
         expected = np.mean(np.abs(values[spec.test_start:] - midpoint))
         assert test_mae == pytest.approx(expected, abs=1e-12)
