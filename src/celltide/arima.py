@@ -3,8 +3,10 @@
 Fitting works on the d-differenced, mean-centered series in two steps:
 Hannan-Rissanen (long-AR least squares, then regression on lagged values and
 lagged residuals) for starting coefficients, then Nelder-Mead refinement of
-the conditional sum of squared innovations with zero pre-sample residuals.
-Forecasts are one-step conditional expectations rolled over true history.
+the conditional sum of squared innovations with zero pre-sample residuals,
+at unit scale over reflection coefficients tanh(u), where every real u is a
+valid model. Forecasts are one-step conditional expectations rolled over
+true history.
 """
 
 import itertools
@@ -36,32 +38,42 @@ def difference(series, d: int) -> np.ndarray:
     series = np.asarray(series, dtype=np.float64)
     if len(series) <= d:
         raise ValueError(f"series of length {len(series)} too short to difference {d} times")
-    for _ in range(d):
-        series = np.diff(series)
-    return series
+    return np.diff(series, n=d)
 
 
 _ROOT_MARGIN = 1.0 + 1e-9  # roots must lie strictly beyond this radius
 
 
-def _stable(coeffs) -> bool:
-    """True when 1 - c1 z - ... - ck z^k has all roots outside |z| = 1 + 1e-9.
-
-    Schur-Cohn step-down (Durbin-Levinson run backwards): substituting
-    z = (1 + 1e-9) w scales c_i by (1 + 1e-9)**i, and the scaled polynomial
-    has all roots outside the unit circle exactly when every reflection
-    coefficient met on the way down has magnitude below 1. A zero trailing
-    coefficient steps down to the shorter polynomial; NaN and inf fail the
-    comparison, at once or at a later step they propagate to.
-    """
-    a = [v * _ROOT_MARGIN ** i for i, v in enumerate(np.asarray(coeffs, float).tolist(), 1)]
+def _reflections(coeffs):
+    """Reflection coefficients k1..kn of 1 - c1 z - ... - cn z^n by the
+    Schur-Cohn step-down, the inverse of `_from_reflections`; None once one
+    has magnitude 1 or more, or is NaN (a root lies on or inside |z| = 1)."""
+    a, ks = list(coeffs), []
     for m in range(len(a) - 1, -1, -1):
         k = a[m]
         if not abs(k) < 1.0:
-            return False
+            return None
+        ks.append(k)
         s = 1.0 - k * k
         a = [(a[i] + k * a[m - 1 - i]) / s for i in range(m)]
-    return True
+    return ks[::-1]
+
+
+def _from_reflections(u) -> np.ndarray:
+    """Coefficients c of 1 - c1 z - ... - cn z^n whose reflection coefficients
+    are tanh(u): the Durbin-Levinson recursion (Jones 1980)."""
+    c = []
+    for k in np.tanh(u).tolist():
+        c = [a - k * b for a, b in zip(c, reversed(c))] + [k]
+    return np.array(c)
+
+
+def _stable(coeffs) -> bool:
+    """True when 1 - c1 z - ... - ck z^k has all roots outside |z| = 1 + 1e-9,
+    that is when z = (1 + 1e-9) w, which scales c_i by (1 + 1e-9)**i, leaves
+    every reflection coefficient below 1 in magnitude."""
+    c = np.asarray(coeffs, float).tolist()
+    return _reflections([v * _ROOT_MARGIN ** i for i, v in enumerate(c, 1)]) is not None
 
 
 def residuals(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -94,22 +106,15 @@ def hannan_rissanen(y: np.ndarray, p: int, q: int):
     if n <= m + max(p, q):
         raise ArimaFitError("series too short for Hannan-Rissanen initialization")
 
-    def lag_matrix(x, lags, start, stop):
-        return np.column_stack([x[start - k:stop - k] for k in range(1, lags + 1)])
-
-    x_long = lag_matrix(y, m, m, n)
+    x_long = np.column_stack([y[m - k:n - k] for k in range(1, m + 1)])
     beta, _, rank, _ = np.linalg.lstsq(x_long, y[m:], rcond=None)
     if rank < m:
         raise ArimaFitError("singular least squares in long-AR step; try lower orders")
     e_proxy = np.concatenate([np.zeros(m), y[m:] - x_long @ beta])
 
     start = m + max(p, q)
-    cols = []
-    if p:
-        cols.append(lag_matrix(y, p, start, n))
-    if q:
-        cols.append(lag_matrix(e_proxy, q, start, n))
-    x2 = np.hstack(cols)
+    x2 = np.column_stack([y[start - k:n - k] for k in range(1, p + 1)]
+                         + [e_proxy[start - k:n - k] for k in range(1, q + 1)])
     coef, _, rank, _ = np.linalg.lstsq(x2, y[start:], rcond=None)
     if rank < p + q:
         raise ArimaFitError("singular least squares in ARMA regression; try lower orders")
@@ -136,22 +141,15 @@ def fit(series, p: int, d: int, q: int) -> ArimaModel:
         return ArimaModel(p, d, q, np.empty(0), np.empty(0), mu, sigma2)
 
     phi0, theta0 = hannan_rissanen(y, p, q)
-    x0 = np.concatenate([phi0, theta0])
-    if not (_stable(phi0) and _stable(-theta0)):
-        x0 = np.zeros_like(x0)  # HR start outside the valid region; restart at white noise
-
-    penalty = 1e12 * max(1.0, float(y @ y))  # scales with the series, as the CSS does
-
-    def objective(x):
-        phi, theta = x[:p], x[p:]
-        if not (_stable(phi) and _stable(-theta)):
-            return penalty * (1.0 + float(np.abs(x).sum()))
-        return css(y, phi, theta)
-
+    u0 = np.zeros(p + q)  # white noise, where HR lands outside the valid region
+    if _stable(phi0) and _stable(-theta0):
+        u0 = np.arctanh(_reflections(phi0) + _reflections(-theta0))
+    z = y / np.std(y)  # unit scale, so Nelder-Mead's tolerances are relative
     from scipy.optimize import minimize
-    res = minimize(objective, x0, method="Nelder-Mead",
+    res = minimize(lambda u: css(z, _from_reflections(u[:p]), -_from_reflections(u[p:])), u0,
+                   method="Nelder-Mead",
                    options={"fatol": 1e-8, "xatol": 1e-8, "maxiter": 2000, "maxfev": 4000})
-    phi, theta = res.x[:p], res.x[p:]
+    phi, theta = _from_reflections(res.x[:p]), -_from_reflections(res.x[p:])
     if not (_stable(phi) and _stable(-theta)):
         raise ArimaFitError(
             f"optimum for orders ({p},{d},{q}) is non-stationary or non-invertible; "
@@ -206,13 +204,14 @@ def rolling_forecast(model: ArimaModel, series, test_range) -> np.ndarray:
     return _forecasts(model, series[:stop - 1], start)
 
 
-def aic(model: ArimaModel, n_eff: int) -> float:
-    return n_eff * np.log(model.sigma2) + 2.0 * (model.p + model.q + 1)
+def aic(model: ArimaModel, n: int) -> float:
+    return n * np.log(model.sigma2) + 2.0 * (model.p + model.q + 1)
 
 
 def auto_order(series) -> ArimaModel:
     """Grid-search p, q in 0..3 and d in 0..1 by AIC and return the winning
-    fitted model; ties prefer fewer AR+MA terms, then lower d."""
+    fitted model; ties prefer fewer AR+MA terms, then lower d. All share one
+    n, the series length, so a change of units shifts every AIC alike."""
     series = np.asarray(series, dtype=np.float64)
     if len(series) < 200:
         raise ValueError("need at least 200 observations for order selection")
@@ -224,8 +223,7 @@ def auto_order(series) -> ArimaModel:
             continue
         if model.sigma2 <= 0:
             continue
-        n_eff = len(series) - d - p
-        candidates.append(((aic(model, n_eff), p + q, d, p, q), model))
+        candidates.append(((aic(model, len(series)), p + q, d, p, q), model))
     if not candidates:
         raise ArimaFitError("no ARIMA order in the search grid could be fitted")
     return min(candidates, key=lambda c: c[0])[1]

@@ -163,12 +163,12 @@ class TestAutoOrder:
         assert hits >= 8
 
     def test_selected_never_loses_to_mean_model(self):
-        # AIC selection: whatever wins must beat the plain-mean candidate
+        # AIC selection, every candidate on the same n: whatever wins must
+        # beat the plain-mean candidate
         y = simulate_arma(500, seed=1)
         chosen = arima.auto_order(y)
         mean_model = arima.fit(y, 0, 0, 0)
-        assert (arima.aic(chosen, len(y) - chosen.d - chosen.p)
-                <= arima.aic(mean_model, len(y)) + 1e-9)
+        assert arima.aic(chosen, len(y)) <= arima.aic(mean_model, len(y)) + 1e-9
 
     def test_returns_the_fit_of_the_chosen_order(self):
         y = simulate_arma(500, phi=(0.6,), theta=(0.3,), seed=3)
@@ -189,19 +189,34 @@ class TestAutoOrder:
 
 
 class TestScale:
-    def test_fit_does_not_depend_on_the_scale_of_the_series(self):
-        """The invalid-region penalty scales with the series as the CSS does,
-        so at scale 1e6 the fit finds the same order and coefficients."""
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e6])
+    def test_fit_does_not_depend_on_the_scale_of_the_series(self, scale):
+        """The search runs on the series divided by its standard deviation and
+        AIC scores every candidate on the same n, so at any scale the fit
+        finds the same order and coefficients."""
         v = dataset.gen_synthetic(20, seed=3).values
         v = v[:int(0.8 * len(v))]
-        base, scaled = arima.auto_order(v), arima.auto_order(v * 1e6)
+        base, scaled = arima.auto_order(v), arima.auto_order(v * scale)
         assert (scaled.p, scaled.d, scaled.q) == (base.p, base.d, base.q)
         assert np.allclose(scaled.phi, base.phi, rtol=0, atol=1e-6)
         assert np.allclose(scaled.theta, base.theta, rtol=0, atol=1e-6)
-        assert scaled.mu == pytest.approx(base.mu * 1e6, rel=1e-6)
-        assert scaled.sigma2 == pytest.approx(base.sigma2 * 1e12, rel=1e-6)
-        scaled_303 = arima.fit(v * 1e6, 3, 0, 3)
+        assert scaled.mu == pytest.approx(base.mu * scale, rel=1e-6)
+        assert scaled.sigma2 == pytest.approx(base.sigma2 * scale**2, rel=1e-6)
+        scaled_303 = arima.fit(v * scale, 3, 0, 3)
         assert np.allclose(scaled_303.phi, arima.fit(v, 3, 0, 3).phi, rtol=0, atol=1e-6)
+
+
+class TestReflectionMap:
+    def test_every_point_is_valid_and_the_step_down_inverts_the_map(self):
+        # the search space: any u gives roots outside the unit circle, and the
+        # margin-free step-down recovers the reflection coefficients tanh(u)
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            u = rng.uniform(-2.0, 2.0, int(rng.integers(1, arima.MAX_ORDER + 1)))
+            c = arima._from_reflections(u)
+            # 1 - c1 z - ... - ck z^k, highest power first
+            assert np.all(np.abs(np.roots(np.concatenate((-c[::-1], [1.0])))) > 1.0), u
+            assert np.allclose(arima._reflections(c), np.tanh(u), rtol=0, atol=1e-9), u
 
 
 class TestValidity:

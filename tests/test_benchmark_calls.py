@@ -13,7 +13,7 @@ import pathlib
 
 import numpy as np
 
-from celltide import cdr, dataset, ffnn, linalg, lstm, train
+from celltide import arima, cdr, dataset, ffnn, linalg, lstm, train
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,3 +66,15 @@ def test_every_tracer_target_exists():
     missing = [f"{mod}.{fn}" for mod, fn, _, _ in tracer.TARGETS
                if not callable(getattr(importlib.import_module(f"celltide.{mod}"), fn, None))]
     assert missing == []
+
+
+def test_fit_reaches_css_through_the_module(monkeypatch):
+    """The tracer counts `arima.css_evals` by replacing `arima.css`; a fit
+    that bound `css` at import time would make that count read 0, and a
+    search that bound it would leave only the final variance's call."""
+    calls = []
+    css = arima.css
+    monkeypatch.setattr(arima, "css", lambda *args: calls.append(1) or css(*args))
+    y = np.random.default_rng(0).normal(size=300)
+    arima.fit(y, 1, 0, 1)
+    assert len(calls) > 1
