@@ -121,16 +121,23 @@ def hannan_rissanen(y: np.ndarray, p: int, q: int):
     return coef[:p], coef[p:]
 
 
+def check_length(n: int, order=None) -> None:
+    """Raise ValueError if `n` observations are too few to fit `order` (None: the AIC search)."""
+    if order is None and n < 200:
+        raise ValueError("need at least 200 observations for order selection")
+    p, d, q = order or (0, 0, 0)
+    if n < 10 * (p + q + 1) + d:
+        raise ValueError(f"need at least {10 * (p + q + 1) + d} observations for orders "
+                         f"({p},{d},{q}), got {n}")
+
+
 def fit(series, p: int, d: int, q: int) -> ArimaModel:
     """Estimate an ARIMA(p,d,q) model on a training series."""
     series = np.asarray(series, dtype=np.float64)
     for name, v in (("p", p), ("d", d), ("q", q)):
         if not (0 <= v <= MAX_ORDER):
             raise ValueError(f"order {name}={v} outside 0..{MAX_ORDER}")
-    if len(series) < 10 * (p + q + 1) + d:
-        raise ValueError(
-            f"need at least {10 * (p + q + 1) + d} observations for orders "
-            f"({p},{d},{q}), got {len(series)}")
+    check_length(len(series), (p, d, q))
     w = difference(series, d)
     mu = float(np.mean(w))
     y = w - mu
@@ -213,8 +220,7 @@ def auto_order(series) -> ArimaModel:
     fitted model; ties prefer fewer AR+MA terms, then lower d. All share one
     n, the series length, so a change of units shifts every AIC alike."""
     series = np.asarray(series, dtype=np.float64)
-    if len(series) < 200:
-        raise ValueError("need at least 200 observations for order selection")
+    check_length(len(series))
     candidates = []
     for d, p, q in itertools.product(range(2), range(4), range(4)):
         try:

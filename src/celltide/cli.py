@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -17,29 +18,65 @@ from . import arima, cdr, dataset, modelio, train
 SEED_ENV = "CELLTIDE_SEED"
 
 
-def _write_predictions(path: str, slots, truth, preds) -> None:
+def _write_predictions(path: str, values: np.ndarray, test_range, preds) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("slot,truth,prediction\n")
-        for s, t, p in zip(slots, truth, preds):
-            fh.write(f"{s},{t:.17g},{p:.17g}\n")
+        for s, p in zip(range(*test_range), preds):
+            fh.write(f"{s},{values[s]:.17g},{p:.17g}\n")
 
 
-def _neural_setup(args):
-    """Shared start of `train` and `compare`: read the series, split it,
-    fit the scaler on the training slice, print the split, and build the
-    training and validation windows and the training config. Returns
-    (values, normed, spec, scaler, train_set, val_set, config), `normed`
-    being the whole series on the training slice's scale."""
+@contextlib.contextmanager
+def _outputs(out_dir: str = ""):
+    """Yield `out(name)`, which records and returns the path of output file
+    `name`; a failure or an interrupt removes every recorded file."""
+    written = []
+
+    def out(name):
+        written.append(os.path.join(out_dir, name))
+        return written[-1]
+
+    try:
+        yield out
+    except BaseException:
+        for path in filter(os.path.isfile, written):
+            os.remove(path)
+        raise
+
+
+def _prepare(args) -> argparse.Namespace:
+    """Shared start of `train`, `arima` and `compare`: read and split the series.
+    For the neural models also print the split, fit the scaler and cut the windows."""
     values = cdr.read_series_csv(args.series).values
     spec = dataset.split(len(values), args.train_frac)
-    scaler = dataset.fit_scaler(values[:spec.n_train])
+    data = argparse.Namespace(values=values, spec=spec,
+                              test_range=(spec.test_start, spec.test_start + spec.n_test))
+    if args.command == "arima":
+        return data
+    data.scaler = dataset.fit_scaler(values[:spec.n_train])
     print(f"split {spec.n_train}/{spec.n_val}/{spec.n_test}")
-    normed = scaler.transform(values)
-    train_set = dataset.windows_for_range(normed, args.window, 0, spec.n_train)
-    val_set = dataset.windows_for_range(normed, args.window, spec.val_start,
-                                        spec.test_start)
-    config = train.TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
-    return values, normed, spec, scaler, train_set, val_set, config
+    normed = data.scaler.transform(values)
+    data.train_set = dataset.windows_for_range(normed, args.window, 0, spec.n_train)
+    data.val_set = dataset.windows_for_range(normed, args.window, spec.val_start, spec.test_start)
+    if args.command == "compare":
+        data.test_set = dataset.windows_for_range(normed, args.window, *data.test_range)
+    data.config = train.TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
+    return data
+
+
+def _run(kind: str, data, order=None):
+    """Fit `kind` ("arima" at `order`; None: AIC search) on `data`'s training slice and
+    forecast its test slice. Returns (model, history or None, preds, test MAE, fit ms)."""
+    t0 = time.perf_counter()
+    if kind == "arima":
+        y = data.values[:data.spec.n_train]
+        model, history = (arima.auto_order(y) if order is None else arima.fit(y, *order)), None
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        preds = arima.rolling_forecast(model, data.values, data.test_range)
+    else:
+        model, history = train.train_model(kind, data.train_set, data.val_set, data.config)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        preds = train.evaluate(kind, model, data.test_set, data.scaler)
+    return model, history, preds, train.mae(preds, data.values[slice(*data.test_range)]), wall_ms
 
 
 def cmd_synth(args) -> int:
@@ -57,48 +94,34 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _, _, _, scaler, train_set, val_set, config = _neural_setup(args)
-    params, history = train.train_model(args.model, train_set, val_set, config)
-    with open(args.out_model, "w", encoding="utf-8") as fh:
-        fh.write(modelio.dumps_neural(params, args.window, scaler))
-    history.write_csv(args.out_history)
+    data = _prepare(args)
+    params, history = train.train_model(args.model, data.train_set, data.val_set, data.config)
+    with _outputs() as out:
+        with open(out(args.out_model), "w", encoding="utf-8") as fh:
+            fh.write(modelio.dumps_neural(params, args.window, data.scaler))
+        history.write_csv(out(args.out_history))
     print(f"final val MAE (normalized) {history.final_val_mae:.6f}")
     return 0
 
 
-def _run_arima(values: np.ndarray, spec, order):
-    """Fit `order`, or select one by AIC when it is None, on the training
-    slice; then forecast the test slice one step at a time. Returns (model,
-    test slots, predictions, test MAE, fit wall time in ms)."""
-    t0 = time.perf_counter()
-    train_slice = values[:spec.n_train]
-    model = arima.auto_order(train_slice) if order is None else arima.fit(train_slice, *order)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    test_stop = spec.test_start + spec.n_test
-    preds = arima.rolling_forecast(model, values, (spec.test_start, test_stop))
-    slots = np.arange(spec.test_start, test_stop)
-    return model, slots, preds, train.mae(preds, values[slots]), wall_ms
-
-
 def cmd_arima(args) -> int:
-    values = cdr.read_series_csv(args.series).values
-    spec = dataset.split(len(values), args.train_frac)
-    model, slots, preds, test_mae, _ = _run_arima(values, spec, args.order)
+    data = _prepare(args)
+    model, _, preds, test_mae, _ = _run("arima", data, args.order)
     if args.order is None:
         print(f"selected order ({model.p},{model.d},{model.q})")
-    with open(args.out_model, "w", encoding="utf-8") as fh:
-        fh.write(arima.serialize(model))
-    _write_predictions(args.out_predictions, slots, values[slots], preds)
+    with _outputs() as out:
+        with open(out(args.out_model), "w", encoding="utf-8") as fh:
+            fh.write(arima.serialize(model))
+        _write_predictions(out(args.out_predictions), data.values, data.test_range, preds)
     print(f"test MAE {test_mae:.6f}")
     return 0
 
 
-def _arima_worker(tx, values: np.ndarray, spec, order) -> None:
-    """The one process `compare` starts: it runs `_run_arima` while the
-    parent trains the neural models and sends back one (ok, result or
-    exception) tuple. The parent writes every file."""
+def _worker(tx, *args) -> None:
+    """The one process `compare` starts: it runs `_run(*args)` while the parent
+    trains the neural models, and sends back (ok, result or exception)."""
     try:
-        message = (True, _run_arima(values, spec, order))
+        message = (True, _run(*args))
     except BaseException as exc:  # an interrupt too: the parent re-raises it
         message = (False, exc)
     tx.send(message)
@@ -106,11 +129,10 @@ def _arima_worker(tx, values: np.ndarray, spec, order) -> None:
 
 def cmd_compare(args) -> int:
     import multiprocessing  # here, so that importing the CLI stays cheap
-    values, normed, spec, scaler, train_set, val_set, config = _neural_setup(args)
-    test_set = dataset.windows_for_range(normed, args.window, spec.test_start,
-                                         spec.test_start + spec.n_test)
-    written = []
-    scale = scaler.max - scaler.min
+    data = _prepare(args)
+    os.makedirs(args.out_dir, exist_ok=True)
+    arima.check_length(data.spec.n_train, args.order)  # before any model is trained
+    spec, scale = data.spec, data.scaler.max - data.scaler.min
     report = {
         "seed": args.seed,
         "config": {"train_frac": args.train_frac, "window": args.window,
@@ -120,66 +142,41 @@ def cmd_compare(args) -> int:
                    "n_test": spec.n_test},
         "models": {},
     }
-
-    def out(name):
-        path = os.path.join(args.out_dir, name)
-        written.append(path)
-        return path
-
     context = multiprocessing.get_context("fork")
     rx, tx = context.Pipe(duplex=False)
-    worker = context.Process(target=_arima_worker, args=(tx, values, spec, args.order))
+    worker = context.Process(target=_worker, args=(tx, "arima", data, args.order))
     worker.start()
     try:
         tx.close()
-        os.makedirs(args.out_dir, exist_ok=True)
-        for kind in train.MODELS:
-            t0 = time.perf_counter()
-            params, history = train.train_model(kind, train_set, val_set, config)
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            history.write_csv(out(f"{kind}_history.csv"))
-            preds, test_mae = train.evaluate(kind, params, test_set, values, scaler)
-            _write_predictions(out(f"{kind}_predictions.csv"), test_set.target_slots,
-                               values[test_set.target_slots], preds)
-            report["models"][kind] = {
-                "test_mae": test_mae,
-                "test_mae_normalized": test_mae / scale,
-                "epochs": len(history),
-                "train_wall_ms": wall_ms,
-            }
-            print(f"{kind}: test MAE {test_mae:.6f}")
-
-        try:
-            ok, result = rx.recv()
-        except EOFError:
-            worker.join()
-            raise ChildProcessError(
-                f"ARIMA worker exited with status {worker.exitcode}") from None
-        worker.join()
-        if not ok:
-            raise result
-        model, slots, preds, test_mae, wall_ms = result
-        if args.order is None:
-            print(f"arima: selected order ({model.p},{model.d},{model.q})")
-        _write_predictions(out("arima_predictions.csv"), slots, values[slots], preds)
-        report["models"]["arima"] = {
-            "order": [model.p, model.d, model.q],
-            "test_mae": test_mae,
-            "test_mae_normalized": test_mae / scale,
-            "train_wall_ms": wall_ms,
-        }
-        print(f"arima: test MAE {test_mae:.6f}")
-
-        with open(out("report.json"), "w", encoding="utf-8") as fh:
-            fh.write(modelio.dumps(report))
-    except BaseException:  # an interrupt too leaves no worker and no partial result
+        with _outputs(args.out_dir) as out:
+            for kind in (*train.MODELS, "arima"):
+                if kind in train.MODELS:
+                    result = _run(kind, data)
+                else:
+                    ok, result = False, None
+                    with contextlib.suppress(EOFError):  # the worker died without a result
+                        ok, result = rx.recv()
+                    worker.join()
+                    if not ok:
+                        raise result or ChildProcessError(
+                            f"ARIMA worker exited with status {worker.exitcode}")
+                model, history, preds, test_mae, wall_ms = result
+                if history is None and args.order is None:
+                    print(f"{kind}: selected order ({model.p},{model.d},{model.q})")
+                entry = {"order": [model.p, model.d, model.q]} if history is None else {}
+                entry.update(test_mae=test_mae, test_mae_normalized=test_mae / scale)
+                if history is not None:
+                    history.write_csv(out(f"{kind}_history.csv"))
+                    entry["epochs"] = len(history)
+                report["models"][kind] = {**entry, "train_wall_ms": wall_ms}
+                _write_predictions(out(f"{kind}_predictions.csv"), data.values,
+                                   data.test_range, preds)
+                print(f"{kind}: test MAE {test_mae:.6f}")
+            with open(out("report.json"), "w", encoding="utf-8") as fh:
+                fh.write(modelio.dumps(report))
+    finally:  # an interrupt too leaves no worker
         worker.kill()  # a no-op once the worker has been reaped
         worker.join()
-        for path in written:
-            if os.path.exists(path):
-                os.remove(path)
-        raise
-    finally:
         rx.close()
     return 0
 

@@ -172,6 +172,15 @@ class TestTrain:
         assert "RuntimeWarning" not in done.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
+    def test_failed_history_write_leaves_no_model(self, tmp_path, capsys):
+        series = make_series_csv(tmp_path)
+        model = tmp_path / "m.json"
+        assert main(["train", "--model", "ffnn", "--series", str(series),
+                     "--train-frac", "0.4", "--epochs", "1", "--out-model", str(model),
+                     "--out-history", str(tmp_path / "nodir" / "h.csv")]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_bad_fraction_fails(self, tmp_path):
         series = make_series_csv(tmp_path)
         assert main(["train", "--model", "ffnn", "--series", str(series),
@@ -288,6 +297,15 @@ class TestArima:
                 in capsys.readouterr().err)
         assert not (tmp_path / "m.json").exists()
 
+    def test_failed_predictions_write_leaves_no_model(self, tmp_path, capsys):
+        series = make_series_csv(tmp_path)
+        model = tmp_path / "a.json"
+        assert main(["arima", "--series", str(series), "--train-frac", "0.4", "--p", "1",
+                     "--out-model", str(model),
+                     "--out-predictions", str(tmp_path / "nodir" / "a.csv")]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_mean_model_constant_predictions(self, tmp_path):
         series = make_series_csv(tmp_path)
         preds_path = tmp_path / "preds.csv"
@@ -315,6 +333,13 @@ class TestArima:
 
 
 COMPARE_FLAGS = ["--train-frac", "0.4", "--epochs", "1", "--seed", "3"]
+
+
+def patch_arima_run(monkeypatch, replacement):
+    """Make `cli._run` call `replacement(data, order)` for kind "arima"."""
+    run = cli._run
+    monkeypatch.setattr(cli, "_run", lambda kind, data, order=None: (
+        replacement(data, order) if kind == "arima" else run(kind, data, order)))
 
 
 def assert_no_child_process():
@@ -390,7 +415,7 @@ class TestCompare:
         series = make_series_csv(tmp_path, days=4)
         out_dir = tmp_path / "out"
         # ARIMA(5,0,5) needs more observations than the 0.1 training slice
-        # holds, which only the worker finds, after the NN steps
+        # holds, which the parent finds before it trains or forks anything
         rc = main(["compare", "--series", str(series), "--train-frac", "0.1",
                    "--epochs", "1", "--seed", "3", "--p", "5", "--q", "5",
                    "--out-dir", str(out_dir)])
@@ -398,8 +423,49 @@ class TestCompare:
         assert list(out_dir.iterdir()) == []
         assert_no_child_process()
 
+    @pytest.mark.parametrize("order,need", [
+        ([], "at least 200 observations for order selection"),
+        (["--p", "3", "--d", "1", "--q", "3"],
+         "at least 71 observations for orders (3,1,3), got 57"),
+    ])
+    def test_too_short_arima_slice_fails_before_training(self, tmp_path, monkeypatch,
+                                                          capsys, order, need):
+        series = make_series_csv(tmp_path, days=4)
+        out_dir = tmp_path / "out"
+        forks = record_forks(monkeypatch)
+        capsys.readouterr()
+        assert main(["compare", "--series", str(series), "--train-frac", "0.1",
+                     "--epochs", "1", *order, "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: need {need}\n"
+        assert captured.out == "split 57/58/58\n"
+        assert forks == []
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("order", [["--p", "1"], []])
+    def test_commands_share_one_setup(self, tmp_path, order):
+        """`train` and `arima` fit and forecast as `compare` does: the same
+        history rows for each neural model and the same ARIMA predictions."""
+        series = make_series_csv(tmp_path, days=4)
+        out_dir = tmp_path / "out"
+        assert main(["compare", *COMPARE_FLAGS, *order, "--series", str(series),
+                     "--out-dir", str(out_dir)]) == 0
+        for kind in train.MODELS:
+            history = tmp_path / f"{kind}.csv"
+            assert main(["train", "--model", kind, *COMPARE_FLAGS, "--series", str(series),
+                         "--out-model", str(tmp_path / f"{kind}.json"),
+                         "--out-history", str(history)]) == 0
+            rows = [[line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+                    for path in (history, out_dir / f"{kind}_history.csv")]
+            assert rows[0][0] == "epoch,train_mae,val_mae" and rows[0] == rows[1], kind
+        assert main(["arima", "--series", str(series), "--train-frac", "0.4",
+                     *(order or ["--auto"]), "--out-model", str(tmp_path / "a.json"),
+                     "--out-predictions", str(tmp_path / "a.csv")]) == 0
+        assert ((out_dir / "arima_predictions.csv").read_bytes()
+                == (tmp_path / "a.csv").read_bytes())
+
     def test_interrupt_removes_partial_outputs(self, tmp_path, monkeypatch):
-        """An interrupt in the FFNN evaluation, after three files are written."""
+        """An interrupt in the FFNN evaluation, after two files are written."""
         series = make_series_csv(tmp_path, days=4)
         out_dir = tmp_path / "out"
         evaluate = train.evaluate
@@ -439,10 +505,10 @@ class TestCompare:
         series = make_series_csv(tmp_path, days=4)
         out_dir = tmp_path / "out"
 
-        def failing(values, spec, order):
+        def failing(data, order):
             raise arima.ArimaFitError(f"no fit for order {order}")
 
-        monkeypatch.setattr(cli, "_run_arima", failing)
+        patch_arima_run(monkeypatch, failing)
         assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
                      "--out-dir", str(out_dir)]) == 1
         captured = capsys.readouterr()
@@ -459,7 +525,7 @@ class TestCompare:
                                                       capsys, death, status):
         series = make_series_csv(tmp_path, days=4)
         out_dir = tmp_path / "out"
-        monkeypatch.setattr(cli, "_run_arima", lambda values, spec, order: death())
+        patch_arima_run(monkeypatch, lambda data, order: death())
         assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
                      "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err == f"error: ARIMA worker exited with status {status}\n"

@@ -1,0 +1,57 @@
+"""Every top-level function and class of the package has a caller outside
+the tests: a name that only tests reach is a helper to delete, or to list
+in ALLOWED with the reason it stays.
+
+A name counts as used when another top-level statement of a package module
+or of a `perfbench/*.py` file names it, as a variable, an attribute or a
+string (the tracer names its targets in strings). Matching is by name
+alone, so a name shared by two modules counts for both.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "celltide"
+
+ALLOWED = {
+    "arima.deserialize": "reads ARIMA model files; waits for a `predict` command",
+    "modelio.loads_neural": "reads neural model files; waits for a `predict` command",
+}
+
+
+def _named(node) -> set:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def unused_names() -> list:
+    """`module.name` of each top-level function or class of the package that
+    no other top-level statement of the package or the benchmark names."""
+    statements = []  # (module, name defined or None, names used)
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            defined = (stmt.name if path.parent == PACKAGE and isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None)
+            statements.append((path.stem, defined, _named(stmt)))
+    unused = []
+    for i, (module, defined, _) in enumerate(statements):
+        if defined is not None and not any(
+                defined in used for j, (_, _, used) in enumerate(statements) if j != i):
+            unused.append(f"{module}.{defined}")
+    return unused
+
+
+def test_every_package_name_has_a_caller_outside_the_tests():
+    assert sorted(set(unused_names()) - set(ALLOWED)) == []
+
+
+def test_every_allowed_name_is_still_unused():
+    assert sorted(set(ALLOWED) - set(unused_names())) == []

@@ -152,14 +152,14 @@ class TestEvaluate:
     def test_perfect_stub_has_zero_mae(self):
         values, spec, scaler, stub = self._midpoint_fixture()
         test_set = _test_windows(values, spec, scaler)
-        preds, test_mae = train.evaluate("ffnn", stub, test_set, values, scaler)
-        assert test_mae == 0.0
+        preds = train.evaluate("ffnn", stub, test_set, scaler)
+        assert train.mae(preds, values[test_set.target_slots]) == 0.0
         assert np.all(preds == 5.0)
 
     def test_prediction_count_is_n_test(self):
         values, spec, scaler, stub = self._midpoint_fixture()
         test_set = _test_windows(values, spec, scaler)
-        preds, _ = train.evaluate("ffnn", stub, test_set, values, scaler)
+        preds = train.evaluate("ffnn", stub, test_set, scaler)
         assert len(preds) == spec.n_test
         assert test_set.target_slots[0] == spec.test_start
 
@@ -170,7 +170,8 @@ class TestEvaluate:
         scaler = dataset.fit_scaler(values[:120])
         stub = ffnn.FfnnParams(5, 12)
         test_set = _test_windows(values, spec, scaler)
-        _, test_mae = train.evaluate("ffnn", stub, test_set, values, scaler)
+        test_mae = train.mae(train.evaluate("ffnn", stub, test_set, scaler),
+                             values[test_set.target_slots])
         midpoint = scaler.inverse(np.array([0.5]))[0]
         expected = np.mean(np.abs(values[spec.test_start:] - midpoint))
         assert test_mae == pytest.approx(expected, abs=1e-12)
