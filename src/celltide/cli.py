@@ -27,8 +27,10 @@ def _write_predictions(path: str, values: np.ndarray, test_range, preds) -> None
 
 @contextlib.contextmanager
 def _outputs(out_dir: str = ""):
-    """Yield `out(name)`, which records and returns the path of output file
-    `name`; a failure or an interrupt removes every recorded file."""
+    """Make `out_dir` if it is missing and yield `out(name)`, which records and
+    returns the path of output file `name`. A failure or an interrupt removes
+    every recorded file, and `out_dir` too if it was made here."""
+    made = bool(out_dir) and not os.path.isdir(out_dir)
     written = []
 
     def out(name):
@@ -36,10 +38,15 @@ def _outputs(out_dir: str = ""):
         return written[-1]
 
     try:
+        if made:
+            os.makedirs(out_dir)
         yield out
     except BaseException:
         for path in filter(os.path.isfile, written):
             os.remove(path)
+        if made:
+            with contextlib.suppress(OSError):  # never made, or no longer empty
+                os.rmdir(out_dir)
         raise
 
 
@@ -81,14 +88,16 @@ def _run(kind: str, data, order=None):
 
 def cmd_synth(args) -> int:
     series = dataset.gen_synthetic(args.days, seed=args.seed)
-    cdr.write_series_csv(series, args.out)
+    with _outputs() as out:
+        cdr.write_series_csv(series, out(args.out))
     print(f"wrote {len(series)} slots to {args.out}")
     return 0
 
 
 def cmd_ingest(args) -> int:
     series = cdr.ingest_dir(args.input_dir, args.grid, args.channel)
-    cdr.write_series_csv(series, args.out)
+    with _outputs() as out:
+        cdr.write_series_csv(series, out(args.out))
     print(f"{len(series)} slots")
     return 0
 
@@ -99,8 +108,8 @@ def cmd_train(args) -> int:
     with _outputs() as out:
         with open(out(args.out_model), "w", encoding="utf-8") as fh:
             fh.write(modelio.dumps_neural(params, args.window, data.scaler))
-        history.write_csv(out(args.out_history))
-    print(f"final val MAE (normalized) {history.final_val_mae:.6f}")
+        train.write_history(out(args.out_history), history)
+    print(f"final val MAE (normalized) {history[-1].val_mae:.6f}")
     return 0
 
 
@@ -130,7 +139,6 @@ def _worker(tx, *args) -> None:
 def cmd_compare(args) -> int:
     import multiprocessing  # here, so that importing the CLI stays cheap
     data = _prepare(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     arima.check_length(data.spec.n_train, args.order)  # before any model is trained
     spec, scale = data.spec, data.scaler.max - data.scaler.min
     report = {
@@ -166,7 +174,7 @@ def cmd_compare(args) -> int:
                 entry = {"order": [model.p, model.d, model.q]} if history is None else {}
                 entry.update(test_mae=test_mae, test_mae_normalized=test_mae / scale)
                 if history is not None:
-                    history.write_csv(out(f"{kind}_history.csv"))
+                    train.write_history(out(f"{kind}_history.csv"), history)
                     entry["epochs"] = len(history)
                 report["models"][kind] = {**entry, "train_wall_ms": wall_ms}
                 _write_predictions(out(f"{kind}_predictions.csv"), data.values,

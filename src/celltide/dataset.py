@@ -36,16 +36,12 @@ def fit_scaler(train_values) -> ScalerParams:
 
 @dataclass
 class WindowSet:
-    """Sliding input windows and next-step targets.
-
-    inputs[i] covers target_slots[i]-T .. target_slots[i]-1 of the source
-    series; targets[i] is the value at target_slots[i].
-    """
+    """Sliding input windows and next-step targets: inputs[i] holds the T
+    values of the source series that precede targets[i]."""
 
     window_len: int
-    inputs: np.ndarray       # (n_windows, T)
-    targets: np.ndarray      # (n_windows,)
-    target_slots: np.ndarray  # (n_windows,) absolute indices into the series
+    inputs: np.ndarray   # (n_windows, T)
+    targets: np.ndarray  # (n_windows,)
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -64,9 +60,8 @@ def windows_for_range(values, window_len: int, start: int, stop: int) -> WindowS
     if not (start < stop <= len(values)):
         raise ValueError(
             f"no targets in range [{start}, {stop}) for series of length {len(values)}")
-    slots = np.arange(start, stop)
-    inputs = np.stack([values[i - window_len:i] for i in slots])
-    return WindowSet(window_len, inputs, values[slots].copy(), slots)
+    inputs = np.stack([values[i - window_len:i] for i in range(start, stop)])
+    return WindowSet(window_len, inputs, values[start:stop].copy())
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,9 @@ def forward_batch(windows: np.ndarray, p: LstmParams, cache: bool = True):
     Returns predictions (B,) and the caches needed by backward_batch: the
     step inputs z = [a_prev, x, 1] (T, B, H+2), the activated gates
     (T, B, 4H), and the cell states and their tanh (T, B, H). With
-    cache=False every step reuses one set of (B, ·) buffers and the caches
-    are None; the predictions are the same bit for bit, as every step runs
-    the same GEMM on the same shapes.
+    cache=False there is one set of (B, ·) step buffers instead of T, and
+    the caches are None; the predictions are the same bit for bit, as every
+    step runs the same GEMM on the same inputs and shapes.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2 or windows.shape[1] < 1:
@@ -99,28 +99,20 @@ def forward_batch(windows: np.ndarray, p: LstmParams, cache: bool = True):
     h = p.hidden
     steps = t_len if cache else 1
     z = np.empty((steps, n, h + 2))
-    z[0, :, :h] = 0.0
     z[:, :, h + 1] = 1.0
-    if cache:
-        z[:, :, h] = windows.T
-    gates = np.empty((steps, n, 4 * h))
-    c = np.empty((steps, n, h))
-    tanh_c = np.empty((steps, n, h))
-    a = np.empty((n, h))
+    gates, c, tanh_c = (np.empty((steps, n, width)) for width in (4 * h, h, h))
+    a, c_prev = np.zeros((n, h)), np.zeros((n, h))
     wt = _gate_weights(p)
-    c_prev = np.zeros((n, h))
     for t in range(t_len):
-        k = t if cache else 0
-        if not cache:
-            z[0, :, h] = windows[:, t]
-        a_next = z[t + 1 if cache else 0, :, :h] if t + 1 < t_len else a
-        _step(z[k], c_prev, wt, gates[k], c[k], tanh_c[k], a_next)
+        k = t % steps
+        z[k, :, :h] = a
+        z[k, :, h] = windows[:, t]
+        _step(z[k], c_prev, wt, gates[k], c[k], tanh_c[k], a)
         c_prev = c[k]
     score = a @ p.W_y.T + p.b_y  # (B, 1)
     y = sigmoid(score).ravel()
-    if not cache:
-        return y, None
-    return y, {"z": z, "gates": gates, "c": c, "tanh_c": tanh_c, "a_final": a, "y": y}
+    return y, ({"z": z, "gates": gates, "c": c, "tanh_c": tanh_c, "a_final": a, "y": y}
+               if cache else None)
 
 
 def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> LstmParams:

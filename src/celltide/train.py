@@ -5,8 +5,9 @@ subgradient at zero error is taken as 0. Loss is computed on the normalized
 scale; evaluation returns predictions on the original scale.
 """
 
+import collections
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,27 +36,15 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
-@dataclass
-class History:
-    """Per-epoch (epoch, train_mae, val_mae, wall_ms) records."""
+# one row of a training history; `fit` returns a list of them
+Epoch = collections.namedtuple("Epoch", "epoch train_mae val_mae wall_ms")
 
-    rows: list = field(default_factory=list)
 
-    def append(self, epoch: int, train_mae: float, val_mae: float, wall_ms: float):
-        self.rows.append((epoch, train_mae, val_mae, wall_ms))
-
-    def __len__(self):
-        return len(self.rows)
-
-    @property
-    def final_val_mae(self) -> float:
-        return self.rows[-1][2]
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("epoch,train_mae,val_mae,wall_ms\n")
-            for epoch, tr, va, ms in self.rows:
-                fh.write(f"{epoch},{tr:.17g},{va:.17g},{ms:.3f}\n")
+def write_history(path: str, history: list) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(Epoch._fields) + "\n")
+        for epoch, tr, va, ms in history:
+            fh.write(f"{epoch},{tr:.17g},{va:.17g},{ms:.3f}\n")
 
 
 def mae(pred, truth) -> float:
@@ -66,27 +55,17 @@ def mae(pred, truth) -> float:
     return float(np.mean(np.abs(pred - truth)))
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def for_params(cls, flat: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(flat), v=np.zeros_like(flat))
-
-
-def adam_step(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
-    """One in-place Adam update with bias correction of the flat weights `w`."""
+def adam_step(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+              lr: float) -> None:
+    """Adam update number `t` (from 1, for the bias correction) of the flat
+    weights `w` and their moment estimates `m` and `v`, all in place."""
     if g.shape != w.shape:
         raise ValueError(f"adam_step: gradient shape {g.shape} != param {w.shape}")
-    state.t += 1
-    b1t = 1.0 - ADAM_BETA1 ** state.t
-    b2t = 1.0 - ADAM_BETA2 ** state.t
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
-    w -= lr * (state.m / b1t) / (np.sqrt(state.v / b2t) + ADAM_EPS)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    w -= lr * (m / (1.0 - ADAM_BETA1 ** t)) / (np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
 
 
 # kind -> (module with forward_batch/backward_batch,
@@ -104,8 +83,8 @@ def _model(kind: str):
 
 
 def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
-        config: TrainConfig) -> History:
-    """Train `params` in place for the configured epochs; returns the History.
+        config: TrainConfig) -> list:
+    """Train `params` in place for the configured epochs; returns one Epoch per epoch.
 
     Mini-batch order is a per-epoch seeded permutation; batch gradients are
     averaged. Validation is a full deterministic pass after each epoch. An
@@ -114,9 +93,9 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
     model, _ = _model(kind)
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be nonempty")
-    state = AdamState.for_params(params.flat)
+    m, v, step = np.zeros_like(params.flat), np.zeros_like(params.flat), 0
     rng = np.random.default_rng(config.seed)
-    history = History()
+    history = []
     for epoch in range(1, config.epochs + 1):
         start = time.perf_counter()
         order = rng.permutation(len(train_set))
@@ -132,20 +111,21 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
                         raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
                     abs_err_sum += float(np.abs(err).sum())
                     grads = model.backward_batch(cache, np.sign(err) / len(idx), params)
-                    adam_step(params.flat, grads.flat, state, config.learning_rate)
+                    step += 1
+                    adam_step(params.flat, grads.flat, m, v, step, config.learning_rate)
                 val_mae = mae(model.forward_batch(val_set.inputs, params, cache=False)[0],
                               val_set.targets)
         except FloatingPointError as exc:
             raise TrainingDiverged(f"training diverged ({exc}) in epoch {epoch}") from None
-        history.append(epoch, abs_err_sum / len(order), val_mae,
-                       (time.perf_counter() - start) * 1e3)
+        history.append(Epoch(epoch, abs_err_sum / len(order), val_mae,
+                             (time.perf_counter() - start) * 1e3))
     return history
 
 
 def train_model(kind: str, train_set: WindowSet, val_set: WindowSet,
                 config: TrainConfig):
     """Initialize fresh parameters from the config seed and train them;
-    returns (params, History)."""
+    returns (params, history)."""
     _, init = _model(kind)
     params = init(train_set.window_len, config.seed)
     history = fit(kind, params, train_set, val_set, config)

@@ -119,7 +119,7 @@ def test_convergence_speed_property():
     values = dataset.gen_synthetic(62, seed=7).values
 
     def epochs_to_threshold(history, threshold=0.05):
-        return next((i + 1 for i, v in enumerate(r[1] for r in history.rows) if v < threshold),
+        return next((i + 1 for i, v in enumerate(r.train_mae for r in history) if v < threshold),
                     len(history) + 1)
 
     tr, va = _window_sets(values, 0.4)
@@ -136,8 +136,8 @@ def test_convergence_speed_property():
         cfg = train.TrainConfig(epochs=20, seed=seed)
         _, h_lstm = train.train_model("lstm", tr, va, cfg)
         _, h_ffnn = train.train_model("ffnn", tr, va, cfg)
-        small_wins += (h_lstm.final_val_mae < 0.1
-                       and h_ffnn.final_val_mae >= 1.5 * h_lstm.final_val_mae)
+        small_wins += (h_lstm[-1].val_mae < 0.1
+                       and h_ffnn[-1].val_mae >= 1.5 * h_lstm[-1].val_mae)
     elapsed = time.perf_counter() - start
     check("convergence speed: medium split, LSTM epochs-to-0.05 <= FFNN",
           medium_wins >= 7, f"{medium_wins}/10 seeds")

@@ -21,6 +21,18 @@ def make_series_csv(tmp_path, days=4, seed=1, name="series.csv"):
     return path
 
 
+def cut_series_writes(monkeypatch):
+    """Make `cdr.write_series_csv` write one row, then raise KeyboardInterrupt:
+    a series CSV cut at a line boundary reads back as a valid, shorter series."""
+    write = cdr.write_series_csv
+
+    def cut(series, path):
+        write(cdr.ActivitySeries(series.t0_ms, series.values[:1]), path)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cdr, "write_series_csv", cut)
+
+
 def make_raw_dir(tmp_path, n_slots=10):
     raw = tmp_path / "raw"
     raw.mkdir()
@@ -46,6 +58,13 @@ class TestSynth:
         b = make_series_csv(tmp_path, seed=9, name="b.csv")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_interrupt_removes_partial_series(self, tmp_path, monkeypatch):
+        cut_series_writes(monkeypatch)
+        out = tmp_path / "series.csv"
+        with pytest.raises(KeyboardInterrupt):
+            main(["synth", "--days", "2", "--out", str(out)])
+        assert not out.exists()
+
 
 class TestIngest:
     def test_reports_slot_count(self, tmp_path, capsys):
@@ -55,6 +74,14 @@ class TestIngest:
                      "--out", str(out)]) == 0
         assert "10 slots" in capsys.readouterr().out
         assert len(cdr.read_series_csv(str(out))) == 10
+
+    def test_interrupt_removes_partial_series(self, tmp_path, monkeypatch):
+        raw = make_raw_dir(tmp_path)
+        cut_series_writes(monkeypatch)
+        out = tmp_path / "series.csv"
+        with pytest.raises(KeyboardInterrupt):
+            main(["ingest", "--input-dir", str(raw), "--out", str(out)])
+        assert not out.exists()
 
     def test_unknown_channel_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -420,7 +447,7 @@ class TestCompare:
                    "--epochs", "1", "--seed", "3", "--p", "5", "--q", "5",
                    "--out-dir", str(out_dir)])
         assert rc == 1
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
         assert_no_child_process()
 
     @pytest.mark.parametrize("order,need", [
@@ -440,7 +467,7 @@ class TestCompare:
         assert captured.err == f"error: need {need}\n"
         assert captured.out == "split 57/58/58\n"
         assert forks == []
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("order", [["--p", "1"], []])
     def test_commands_share_one_setup(self, tmp_path, order):
@@ -464,10 +491,11 @@ class TestCompare:
         assert ((out_dir / "arima_predictions.csv").read_bytes()
                 == (tmp_path / "a.csv").read_bytes())
 
-    def test_interrupt_removes_partial_outputs(self, tmp_path, monkeypatch):
-        """An interrupt in the FFNN evaluation, after two files are written."""
+    @staticmethod
+    def _interrupt_ffnn_evaluation(tmp_path, monkeypatch, out_dir):
+        """Run `compare` into `out_dir` with an interrupt in the FFNN
+        evaluation, after two files are written."""
         series = make_series_csv(tmp_path, days=4)
-        out_dir = tmp_path / "out"
         evaluate = train.evaluate
 
         def interrupted(kind, *args):
@@ -479,8 +507,18 @@ class TestCompare:
         with pytest.raises(KeyboardInterrupt):
             main(["compare", "--series", str(series), "--train-frac", "0.4",
                   "--epochs", "1", "--seed", "3", "--p", "1", "--out-dir", str(out_dir)])
-        assert list(out_dir.iterdir()) == []
         assert_no_child_process()
+
+    def test_interrupt_removes_partial_outputs(self, tmp_path, monkeypatch):
+        out_dir = tmp_path / "out"
+        self._interrupt_ffnn_evaluation(tmp_path, monkeypatch, out_dir)
+        assert not out_dir.exists()
+
+    def test_interrupt_keeps_an_existing_out_dir(self, tmp_path, monkeypatch):
+        out_dir = tmp_path / "out"
+        (out_dir / "kept").mkdir(parents=True)
+        self._interrupt_ffnn_evaluation(tmp_path, monkeypatch, out_dir)
+        assert [p.name for p in out_dir.iterdir()] == ["kept"]
 
     def test_interrupt_after_the_worker_is_reaped_kills_nothing(self, tmp_path, monkeypatch):
         """An interrupt while report.json is written, after the ARIMA worker
@@ -498,7 +536,7 @@ class TestCompare:
             main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
                   "--out-dir", str(out_dir)])
         assert kills == []
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
         assert_no_child_process()
 
     def test_worker_exception_is_the_serial_error(self, tmp_path, monkeypatch, capsys):
@@ -514,7 +552,7 @@ class TestCompare:
         captured = capsys.readouterr()
         assert captured.err == "error: no fit for order (1, 0, 0)\n"
         assert "arima:" not in captured.out
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
         assert_no_child_process()
 
     @pytest.mark.parametrize("death,status", [
@@ -529,7 +567,7 @@ class TestCompare:
         assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
                      "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err == f"error: ARIMA worker exited with status {status}\n"
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
         assert_no_child_process()
 
     def test_only_compare_forks_and_only_once(self, tmp_path, monkeypatch):

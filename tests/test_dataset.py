@@ -66,7 +66,7 @@ class TestWindows:
     def test_range_windows_use_preceding_history(self):
         values = np.arange(20.0)
         ws = dataset.windows_for_range(values, 4, 10, 15)
-        assert ws.target_slots.tolist() == [10, 11, 12, 13, 14]
+        assert ws.targets.tolist() == values[10:15].tolist()
         assert ws.inputs[0].tolist() == [6.0, 7.0, 8.0, 9.0]
 
 

@@ -179,10 +179,14 @@ class TestBackward:
 
 
 class TestInference:
-    @pytest.mark.parametrize("batch", [1, 7, 893])
-    def test_uncached_pass_equals_cached_pass(self, batch):
+    # window lengths 1 and 2 reuse the one step buffer at once; the
+    # default length 12 keeps the plain batch id
+    @pytest.mark.parametrize("batch,t_len", [
+        pytest.param(b, t, id=str(b) if t == 12 else f"{b}-T{t}")
+        for b in (1, 7, 893) for t in (12, 1, 2)])
+    def test_uncached_pass_equals_cached_pass(self, batch, t_len):
         p = lstm.init_params(lstm.HIDDEN_UNITS, seed=batch)
-        windows = np.random.default_rng(batch).uniform(0, 1, (batch, 12))
+        windows = np.random.default_rng(batch).uniform(0, 1, (batch, t_len))
         y, caches = lstm.forward_batch(windows, p)
         y_free, none = lstm.forward_batch(windows, p, cache=False)
         assert caches is not None and none is None

@@ -1,11 +1,14 @@
 """Every top-level function and class of the package has a caller outside
-the tests: a name that only tests reach is a helper to delete, or to list
-in ALLOWED with the reason it stays.
+the tests, and every field of a package dataclass has a reader outside the
+tests: a name that only tests reach is a helper to delete, or to list in
+ALLOWED with the reason it stays.
 
 A name counts as used when another top-level statement of a package module
 or of a `perfbench/*.py` file names it, as a variable, an attribute or a
-string (the tracer names its targets in strings). Matching is by name
-alone, so a name shared by two modules counts for both.
+string (the tracer names its targets in strings). A field counts as read
+when a statement of those files reads it as an attribute or names it in a
+string. Matching is by name alone, so a name shared by two modules counts
+for both.
 """
 
 import ast
@@ -55,3 +58,31 @@ def test_every_package_name_has_a_caller_outside_the_tests():
 
 def test_every_allowed_name_is_still_unused():
     assert sorted(set(ALLOWED) - set(unused_names())) == []
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def unread_fields() -> list:
+    """`module.Class.field` of each field of a package dataclass that no
+    statement of the package or the benchmark reads."""
+    fields, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                read.add(sub.value)
+        if path.parent == PACKAGE:
+            fields += [(f"{path.stem}.{stmt.name}.{field.target.id}", field.target.id)
+                       for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+                       and any(map(_is_dataclass, stmt.decorator_list))
+                       for field in stmt.body if isinstance(field, ast.AnnAssign)]
+    return [label for label, name in fields if name not in read]
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    assert unread_fields() == []

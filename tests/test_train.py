@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,37 +39,35 @@ class TestMae:
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
         w = np.array([0.0])
-        state = train.AdamState.for_params(w)
-        train.adam_step(w, np.array([2.5]), state, lr=1e-3)
+        train.adam_step(w, np.array([2.5]), np.zeros(1), np.zeros(1), 1, lr=1e-3)
         assert abs(abs(w[0]) - 1e-3) < 1e-6
 
     def test_zero_gradient_keeps_params(self):
         w = np.array([1.0, -2.0])
-        state = train.AdamState.for_params(w)
-        train.adam_step(w, np.zeros(2), state, lr=0.1)
+        train.adam_step(w, np.zeros(2), np.zeros(2), np.zeros(2), 1, lr=0.1)
         assert np.array_equal(w, [1.0, -2.0])
 
     def test_deterministic_trajectory(self):
         def run():
-            w = np.array([0.3])
-            state = train.AdamState.for_params(w)
+            w, m, v = np.array([0.3]), np.zeros(1), np.zeros(1)
             for i in range(50):
-                train.adam_step(w, np.array([np.sin(i) + 0.2]), state, 1e-2)
+                train.adam_step(w, np.array([np.sin(i) + 0.2]), m, v, i + 1, 1e-2)
             return w[0]
         assert run() == run()
 
     def test_shape_mismatch(self):
         w = np.zeros(3)
-        state = train.AdamState.for_params(w)
         with pytest.raises(ValueError):
-            train.adam_step(w, np.zeros(2), state, 1e-3)
+            train.adam_step(w, np.zeros(2), np.zeros(3), np.zeros(3), 1, 1e-3)
 
     def test_step_counter(self):
-        w = np.zeros(1)
-        state = train.AdamState.for_params(w)
-        for _ in range(3):
-            train.adam_step(w, np.ones(1), state, 1e-3)
-        assert state.t == 3
+        # bias correction by the step count makes each step of a constant
+        # gradient move the weight by lr; m and v are updated in place
+        w, m, v = np.zeros(1), np.zeros(1), np.zeros(1)
+        for t in range(1, 4):
+            train.adam_step(w, np.ones(1), m, v, t, 1e-3)
+        assert w[0] == pytest.approx(-3e-3, rel=1e-6)
+        assert m[0] == pytest.approx(1 - 0.9 ** 3) and v[0] == pytest.approx(1 - 0.999 ** 3)
 
 
 class TestFit:
@@ -75,7 +75,7 @@ class TestFit:
         _, _, _, tr, va = small_sets()
         _, hist = train.train_model("ffnn", tr, va, train.TrainConfig(epochs=20, seed=0))
         assert len(hist) == 20
-        assert all(r[1] >= 0 and r[2] >= 0 for r in hist.rows)
+        assert all(r.train_mae >= 0 and r.val_mae >= 0 for r in hist)
 
     def test_zero_learning_rate_keeps_params(self):
         _, _, _, tr, va = small_sets()
@@ -85,14 +85,14 @@ class TestFit:
         hist = train.fit("ffnn", params, tr, va, cfg)
         for k, v in params.items():
             assert np.array_equal(v, before[k])
-        assert len({r[2] for r in hist.rows}) == 1  # flat validation curve
+        assert len({r.val_mae for r in hist}) == 1  # flat validation curve
 
     def test_reproducible_history(self):
         _, _, _, tr, va = small_sets()
         cfg = train.TrainConfig(epochs=3, seed=5)
         _, h1 = train.train_model("lstm", tr, va, cfg)
         _, h2 = train.train_model("lstm", tr, va, cfg)
-        assert [r[:3] for r in h1.rows] == [r[:3] for r in h2.rows]
+        assert [r[:3] for r in h1] == [r[:3] for r in h2]
 
     def test_normalized_history_is_scale_free(self):
         # scaling raw data by a power of two leaves normalized windows bit-identical
@@ -105,7 +105,7 @@ class TestFit:
         cfg = train.TrainConfig(epochs=2, seed=3)
         _, h1 = train.train_model("ffnn", tr, va, cfg)
         _, h2 = train.train_model("ffnn", tr4, va4, cfg)
-        assert [r[:3] for r in h1.rows] == [r[:3] for r in h2.rows]
+        assert [r[:3] for r in h1] == [r[:3] for r in h2]
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_epoch(self):
@@ -114,6 +114,15 @@ class TestFit:
         cfg = train.TrainConfig(epochs=5, learning_rate=1e200, seed=0)
         with pytest.raises(train.TrainingDiverged, match="epoch"):
             train.fit("ffnn", params, tr, va, cfg)
+
+    def test_adam_step_count_runs_on_across_epochs(self, monkeypatch):
+        _, _, _, tr, va = small_sets()
+        steps = []
+        adam_step = train.adam_step
+        monkeypatch.setattr(train, "adam_step", lambda w, g, m, v, t, lr: (
+            steps.append(t), adam_step(w, g, m, v, t, lr)))
+        train.train_model("ffnn", tr, va, train.TrainConfig(epochs=3, seed=0))
+        assert steps == list(range(1, 3 * math.ceil(len(tr) / train.BATCH_SIZE) + 1))
 
     def test_unknown_kind(self):
         _, _, _, tr, va = small_sets()
@@ -128,7 +137,7 @@ class TestFit:
         tr = dataset.windows_for_range(normed, 12, 0, spec.n_train)
         va = dataset.windows_for_range(normed, 12, spec.val_start, spec.test_start)
         _, hist = train.train_model("lstm", tr, va, train.TrainConfig(epochs=20, seed=0))
-        assert hist.final_val_mae < 0.05
+        assert hist[-1].val_mae < 0.05
 
 
 def _test_windows(values, spec, scaler):
@@ -153,7 +162,7 @@ class TestEvaluate:
         values, spec, scaler, stub = self._midpoint_fixture()
         test_set = _test_windows(values, spec, scaler)
         preds = train.evaluate("ffnn", stub, test_set, scaler)
-        assert train.mae(preds, values[test_set.target_slots]) == 0.0
+        assert train.mae(preds, values[spec.test_start:]) == 0.0
         assert np.all(preds == 5.0)
 
     def test_prediction_count_is_n_test(self):
@@ -161,7 +170,7 @@ class TestEvaluate:
         test_set = _test_windows(values, spec, scaler)
         preds = train.evaluate("ffnn", stub, test_set, scaler)
         assert len(preds) == spec.n_test
-        assert test_set.target_slots[0] == spec.test_start
+        assert np.array_equal(test_set.targets, scaler.transform(values[spec.test_start:]))
 
     def test_constant_stub_mae_equals_distance_to_midpoint(self):
         rng = np.random.default_rng(8)
@@ -171,7 +180,7 @@ class TestEvaluate:
         stub = ffnn.FfnnParams(5, 12)
         test_set = _test_windows(values, spec, scaler)
         test_mae = train.mae(train.evaluate("ffnn", stub, test_set, scaler),
-                             values[test_set.target_slots])
+                             values[spec.test_start:])
         midpoint = scaler.inverse(np.array([0.5]))[0]
         expected = np.mean(np.abs(values[spec.test_start:] - midpoint))
         assert test_mae == pytest.approx(expected, abs=1e-12)
