@@ -9,6 +9,7 @@ per-grid series of 10-minute slots.
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,18 @@ SLOTS_PER_DAY = 144
 MAX_SPAN_SLOTS = 366 * SLOTS_PER_DAY  # one leap year; a wider span is a stray timestamp
 
 CHANNELS = ("sms_in", "sms_out", "call_in", "call_out", "internet")
+
+# The line form that ingest_dir's fast path takes: a grid id in canonical form
+# (at most 18 digits, as int() refuses very long digit strings), a timestamp
+# of at most 18 digits (inside int64), an empty or at most 15-digit country
+# code and up to five empty or plain decimal activities, so every value is
+# finite (below 1e119); 2 to 8 fields, or an empty line. parse_line accepts
+# every such line without error. Possessive repeats keep the scan of a block
+# linear, with no backtracking state.
+_ACTIVITY = r"(?:[0-9]{1,20}+(?:\.[0-9]*+)?+(?:[eE][-+]?+[0-9]{1,2}+)?+)?+"
+_LINE = (r"(?:0|[1-9][0-9]{0,17}+)\t[0-9]{1,18}+"
+         rf"(?:\t(?:[0-9]{{1,15}}+)?+(?:\t{_ACTIVITY}){{0,5}}+)?+")
+_BLOCK = re.compile(rf"(?:\n(?:{_LINE})?+)*+")  # each line behind a newline
 
 
 class ParseError(ValueError):
@@ -89,6 +102,33 @@ def _not_utf8(path: str) -> str:
             return f"line {lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
 
 
+def _grid_lines(fh, grid_id: int) -> list | None:
+    """(line number, line) of each line of grid `grid_id` in the text file
+    `fh`, found with no other line parsed. The file is read in blocks of whole
+    lines, each checked against `_BLOCK`. None when a block is not all in that
+    form or the file is not UTF-8: the per-line loop then reports the error."""
+    key = f"\n{grid_id}\t"
+    found, first = [], 1  # first: number of the block's first line
+    try:
+        while lines := fh.readlines(1 << 16):
+            block = "\n" + "".join(lines)
+            if not _BLOCK.fullmatch(block):
+                return None
+            lineno, counted = first - 1, 0
+            at = block.find(key)
+            while at >= 0:
+                lineno += block.count("\n", counted, at + 1)
+                counted = at + 1
+                end = block.find("\n", counted)
+                end = len(block) if end < 0 else end
+                found.append((lineno, block[counted:end]))
+                at = block.find(key, end)
+            first += len(lines)
+    except UnicodeDecodeError:
+        return None
+    return found
+
+
 def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
     """Merge all day-files of a directory into one gap-free activity series.
 
@@ -96,6 +136,10 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
     slot-aligned floor of the earliest timestamp seen, and the series spans
     first to last observed slot with zeros where nothing was recorded. A wider
     span than MAX_SPAN_SLOTS fails at the timestamp farthest from the median.
+
+    A file whose lines are all in the `_LINE` form has only the grid's lines
+    parsed; any other file has every line parsed, so that the first bad line
+    names the error. Both give the same records.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
@@ -109,7 +153,11 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
         path = os.path.join(dir_path, name)
         with open(path, encoding="utf-8") as fh:
             try:
-                for lineno, line in enumerate(fh, start=1):
+                lines = _grid_lines(fh, grid_id)
+                if lines is None:
+                    fh.seek(0)
+                    lines = enumerate(fh, start=1)
+                for lineno, line in lines:
                     try:
                         rec = parse_line(line, lineno)
                     except ParseError as exc:

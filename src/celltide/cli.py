@@ -29,8 +29,12 @@ def _write_predictions(path: str, values: np.ndarray, test_range, preds) -> None
 def _outputs(out_dir: str = ""):
     """Make `out_dir` if it is missing and yield `out(name)`, which records and
     returns the path of output file `name`. A failure or an interrupt removes
-    every recorded file, and `out_dir` too if it was made here."""
-    made = bool(out_dir) and not os.path.isdir(out_dir)
+    every recorded file, and `out_dir` and each parent of it that was made
+    here, leaf first."""
+    made, missing = [], out_dir  # made: the directories makedirs will create
+    while missing and not os.path.isdir(missing):
+        made.append(missing)
+        missing = os.path.dirname(missing.rstrip(os.sep))
     written = []
 
     def out(name):
@@ -44,9 +48,9 @@ def _outputs(out_dir: str = ""):
     except BaseException:
         for path in filter(os.path.isfile, written):
             os.remove(path)
-        if made:
+        for path in made:
             with contextlib.suppress(OSError):  # never made, or no longer empty
-                os.rmdir(out_dir)
+                os.rmdir(path)
         raise
 
 

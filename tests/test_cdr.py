@@ -1,5 +1,10 @@
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from celltide import cdr
 
@@ -36,6 +41,22 @@ def _write_day_file(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for grid, ts, internet in rows:
             fh.write(f"{grid}\t{ts}\t39\t\t\t\t\t{internet}\n")
+
+
+@pytest.fixture
+def paths_taken(monkeypatch):
+    """One entry per file ingest_dir reads: True when it took the fast path,
+    False when it parsed the file line by line."""
+    taken = []
+    grid_lines = cdr._grid_lines
+
+    def spy(fh, grid_id):
+        lines = grid_lines(fh, grid_id)
+        taken.append(lines is not None)
+        return lines
+
+    monkeypatch.setattr(cdr, "_grid_lines", spy)
+    return taken
 
 
 def _ingest(tmp_path, rows):
@@ -145,11 +166,14 @@ class TestIngestDir:
         with pytest.raises(cdr.IngestError):
             cdr.ingest_dir(str(tmp_path), 1, "internet")
 
-    def test_matches_per_record_reference(self, tmp_path):
+    def test_matches_per_record_reference(self, tmp_path, paths_taken):
         """Three files share slots, so the per-slot sums depend on file order
-        and line order; every channel must equal the reference bit for bit."""
+        and line order; every channel must equal the reference bit for bit.
+        Whitespace-only lines send a.txt and b.txt through the per-line loop;
+        c.txt, with empty blank lines only, takes the fast path."""
         rng = np.random.default_rng(5)
         for name in ("a.txt", "b.txt", "c.txt"):
+            pad = 1 if name == "c.txt" else 3
             lines = []
             for _ in range(400):
                 grid = int(rng.choice([1, 1, 1, 2]))  # grid 2 is the decoy
@@ -161,7 +185,7 @@ class TestIngestDir:
                 if rng.random() < 0.1:
                     lines.append(lines[-1])  # exact duplicate
                 if rng.random() < 0.05:
-                    lines.append(" " * int(rng.integers(0, 3)))  # blank line
+                    lines.append(" " * int(rng.integers(0, pad)))  # blank line
             lines.append(f"1\t{T0 + 7 * 600_000 + 4321}\t39\t1\t2\t3\t4\t5")  # off the boundary
             (tmp_path / name).write_text("\n".join(lines) + "\n")
         for channel in cdr.CHANNELS:
@@ -169,6 +193,7 @@ class TestIngestDir:
             t0_ms, values = oracles.cdr_ingest_reference(str(tmp_path), 1, channel)
             assert series.t0_ms == t0_ms
             assert np.array_equal(series.values, values), channel
+        assert paths_taken == [False, False, True] * len(cdr.CHANNELS)
 
     def test_stray_timestamp_in_seconds_rejected(self, tmp_path):
         """One timestamp in seconds next to one in milliseconds would stretch
@@ -189,9 +214,14 @@ class TestIngestDir:
         _write_day_file(tmp_path / "a.txt", week[:500] + [(2, 0, 1.0)])
         assert len(cdr.ingest_dir(str(tmp_path), 1, "internet")) == 7 * 144
 
-    def test_span_guard_parses_each_line_once(self, tmp_path, monkeypatch):
-        """Naming the outlier takes no second pass over the files."""
-        _write_day_file(tmp_path / "a.txt", [(1, T0, 1.0), (2, T0, 1.0)])
+    @pytest.mark.parametrize("second, parsed", [
+        (f"2\t{T0}\t39\t\t\t\t\t1.0\n", 3),  # fast path: grid 1's lines alone
+        ("   \n", 4),  # a.txt line by line: every line
+    ], ids=["fast", "per-line"])
+    def test_span_guard_parses_each_line_once(self, tmp_path, monkeypatch, second, parsed):
+        """Naming the outlier takes no second pass over the files, and the
+        fast path parses no line of another grid."""
+        (tmp_path / "a.txt").write_text(f"1\t{T0}\t39\t\t\t\t\t1.0\n" + second)
         _write_day_file(tmp_path / "b.txt", [(1, T0 + 10**12, 1.0), (1, T0, 2.0)])
         seen = []
         parse_line = cdr.parse_line
@@ -203,7 +233,7 @@ class TestIngestDir:
         monkeypatch.setattr(cdr, "parse_line", counted)
         with pytest.raises(cdr.IngestError, match=r"^b\.txt: line 1: timestamp "):
             cdr.ingest_dir(str(tmp_path), 1, "internet")
-        assert len(seen) == 4
+        assert len(seen) == parsed
 
     def test_one_leap_year_accepted(self, tmp_path):
         last = T0 + (cdr.MAX_SPAN_SLOTS - 1) * 600_000
@@ -216,6 +246,128 @@ class TestIngestDir:
                                           + "oops\tnope\t39\n")
         with pytest.raises(cdr.IngestError, match=r"bad\.txt.*line 2"):
             cdr.ingest_dir(str(tmp_path), 1, "internet")
+
+    @pytest.mark.parametrize("filler_lines", [100, 9000])  # about 25 kB, 2.3 MB
+    def test_malformed_line_named_before_a_later_non_utf8_byte(self, tmp_path, filler_lines):
+        """A malformed line is the error when a non-UTF-8 byte comes later in
+        its block of 64k characters, or blocks later, as line by line."""
+        filler = f"2\t{T0}\t39\t{'1.25' * 60}\n" * filler_lines
+        (tmp_path / "bad.txt").write_bytes(
+            f"1\t{T0}\t39\noops\tnope\t39\n{filler}".encode() + b"1\t\xff\n")
+        with pytest.raises(cdr.IngestError, match=r"^bad\.txt: line 2: bad grid/timestamp"):
+            cdr.ingest_dir(str(tmp_path), 1, "internet")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_fast_path_names_the_outlier_blocks_later(self, tmp_path, paths_taken, newline):
+        """Line numbers carry across blocks and line ends, so the span guard
+        names the outlier's line on the fast path as line by line."""
+        rows = [(2 - (k % 100 == 0), T0 + k // 100 * 600_000, 1.0) for k in range(8_000)]
+        rows[6_000] = (1, T0 + 10**12, 1.0)
+        with open(tmp_path / "day.txt", "w", encoding="utf-8", newline=newline) as fh:
+            fh.writelines(f"{g}\t{ts}\t39\t\t\t\t\t{v}\n" for g, ts, v in rows)
+        assert (tmp_path / "day.txt").stat().st_size > 3 << 16  # over three blocks
+        with pytest.raises(cdr.IngestError, match=r"^day\.txt: line 6001: timestamp "):
+            cdr.ingest_dir(str(tmp_path), 1, "internet")
+        assert paths_taken == [True]
+
+    def test_crlf_file_takes_the_fast_path(self, tmp_path, paths_taken):
+        rows = [(1, T0 + s * 600_000, s + 0.5) for s in range(6)] + [(2, T0, 9.0)]
+        _write_day_file(tmp_path / "lf.txt", rows)
+        (tmp_path / "crlf.txt").write_bytes((tmp_path / "lf.txt").read_bytes()
+                                            .replace(b"\n", b"\r\n"))
+        both = cdr.ingest_dir(str(tmp_path), 1, "internet")  # each record twice
+        os.remove(tmp_path / "lf.txt")
+        crlf = cdr.ingest_dir(str(tmp_path), 1, "internet")
+        assert paths_taken == [True, True, True]
+        assert crlf.values.tolist() == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
+        assert (both.t0_ms, both.values.tolist()) == (crlf.t0_ms, (2 * crlf.values).tolist())
+
+
+# Fields outside the fast-path form: parse_line accepts some and rejects the
+# rest, and ingest_dir must do as it does. "\udcff" is written as byte 0xff.
+_ODD_FIELDS = ["01", "+1", "-1", " 3", "4 ", "1_0", "1.0", ".5", "1.5.5", "1e 5", "1e400",
+               "1e-400", "1e100", "1" * 19, "9" * 19, "1" * 21, "nan", "inf", "-inf",
+               "\u0661", "x", "\udcff"]
+_OK_FIELD = st.one_of(
+    st.sampled_from(["", "0", "39", "1.5", "2.", "1e5", "3E-7", "1e+99", "007",
+                     "99999999999999999999.5e99"]),
+    st.integers(0, 10**6).map(str),
+    st.floats(1e-30, 1e6).map(repr))
+_OK_STAMP = st.one_of(
+    st.integers(0, 40).map(lambda k: str(T0 + k * 600_000 + (k % 3) * 17)),
+    st.sampled_from(["0", "1383260400", "999999999999999999"]))
+
+
+def _mostly(ok, odd):
+    """Draws from `ok` 19 times in 20, and one of the strings `odd` otherwise."""
+    return st.integers(0, 19).flatmap(lambda k: st.sampled_from(odd) if k == 0 else ok)
+
+
+_LINE = _mostly(
+    st.tuples(_mostly(st.sampled_from(["1", "1", "2", "10", "0"]), _ODD_FIELDS),
+              _mostly(_OK_STAMP, _ODD_FIELDS),
+              _mostly(st.sampled_from(["", "0", "39", "007"]), _ODD_FIELDS),
+              st.lists(_mostly(_OK_FIELD, _ODD_FIELDS), max_size=5),
+              st.integers(2, 8)).map(lambda t: "\t".join([*t[:3], *t[3]][:t[4]])),
+    ["", "", " ", "\t", "  \t ", "1", "\t".join(["1", str(T0)] + ["1"] * 7)])
+
+
+@st.composite
+def _day_file(draw):
+    """Day-file bytes, mostly in the fast-path form, with odd fields, odd
+    lines, \\r\\n and bare \\r line ends, and maybe no final newline."""
+    lines = draw(st.lists(_LINE, max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _outcome(dir_path, channel):
+    try:
+        series = cdr.ingest_dir(dir_path, 1, channel)
+    except cdr.IngestError as exc:
+        return str(exc)
+    return series.t0_ms, series.values
+
+
+def _assert_same_as_per_line_loop(dir_path):
+    """Every channel equals the per-record reference bit for bit, or fails
+    with the text that the per-line loop gives."""
+    for channel in cdr.CHANNELS:
+        got = _outcome(dir_path, channel)
+        with mock.patch.object(cdr, "_grid_lines", lambda fh, grid_id: None):
+            want = _outcome(dir_path, channel)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            t0_ms, values = oracles.cdr_ingest_reference(dir_path, 1, channel)
+            assert got[0] == want[0] == t0_ms
+            assert np.array_equal(got[1], values) and np.array_equal(want[1], values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_day_file(), min_size=1, max_size=3))
+def test_fast_path_matches_the_per_line_loop(files):
+    with tempfile.TemporaryDirectory() as dir_path:
+        for i, data in enumerate(files):
+            with open(os.path.join(dir_path, f"day{i}.txt"), "wb") as fh:
+                fh.write(data)
+        _assert_same_as_per_line_loop(dir_path)
+
+
+@pytest.mark.parametrize("column", range(8))
+def test_each_odd_field_matches_the_per_line_loop(tmp_path, column):
+    """Each odd field in each column of another grid's line, between two
+    lines of grid 1: the fast path must not skip what parse_line rejects."""
+    for odd in _ODD_FIELDS:
+        fields = ["2", str(T0), "39", "1", "2", "3", "4", "5"]
+        fields[column] = odd
+        lines = [f"1\t{T0}\t39\t1\t1\t1\t1\t1", "\t".join(fields), f"1\t{T0 + 600_000}\t39\t2"]
+        (tmp_path / "day.txt").write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+        _assert_same_as_per_line_loop(str(tmp_path))
 
 
 def test_series_csv_roundtrip(tmp_path, fixture_dir):

@@ -520,6 +520,21 @@ class TestCompare:
         self._interrupt_ffnn_evaluation(tmp_path, monkeypatch, out_dir)
         assert [p.name for p in out_dir.iterdir()] == ["kept"]
 
+    @pytest.mark.parametrize("parent_existed", [False, True])
+    def test_failure_removes_the_out_dir_parents_it_made(self, tmp_path, capsys,
+                                                         parent_existed):
+        """A nested --out-dir loses every directory the call made, and keeps
+        an empty parent that was there before."""
+        series = make_series_csv(tmp_path, days=4)
+        if parent_existed:
+            (tmp_path / "a").mkdir()
+        assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--lr", "1e300",
+                     "--series", str(series), "--out-dir", str(tmp_path / "a" / "b")]) == 1
+        assert "diverged" in capsys.readouterr().err
+        assert (tmp_path / "a").exists() == parent_existed
+        assert not (tmp_path / "a" / "b").exists()
+        assert_no_child_process()
+
     def test_interrupt_after_the_worker_is_reaped_kills_nothing(self, tmp_path, monkeypatch):
         """An interrupt while report.json is written, after the ARIMA worker
         has been reaped: its pid may belong to another process by then."""
