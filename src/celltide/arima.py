@@ -34,13 +34,6 @@ class ArimaModel:
     sigma2: float       # innovation variance from the CSS at the optimum
 
 
-def difference(series, d: int) -> np.ndarray:
-    series = np.asarray(series, dtype=np.float64)
-    if len(series) <= d:
-        raise ValueError(f"series of length {len(series)} too short to difference {d} times")
-    return np.diff(series, n=d)
-
-
 _ROOT_MARGIN = 1.0 + 1e-9  # roots must lie strictly beyond this radius
 
 
@@ -138,7 +131,7 @@ def fit(series, p: int, d: int, q: int) -> ArimaModel:
         if not (0 <= v <= MAX_ORDER):
             raise ValueError(f"order {name}={v} outside 0..{MAX_ORDER}")
     check_length(len(series), (p, d, q))
-    w = difference(series, d)
+    w = np.diff(series, n=d)
     mu = float(np.mean(w))
     y = w - mu
     n_eff = len(y) - p

@@ -2,9 +2,11 @@
 
 Raw input is tab-separated text, one record per line:
     grid_id, timestamp_ms, country_code, sms_in, sms_out, call_in, call_out, internet
-Empty numeric fields mean "missing" and are read as 0.0. A day of data lives
-in one file; a directory of day-files is merged into a single gap-free
-per-grid series of 10-minute slots.
+Empty numeric fields mean "missing" and are read as 0.0; a line has at most
+these 8 fields. A day of data lives in one file; a directory of day-files is
+merged into a single gap-free per-grid series of 10-minute slots. Each file
+is read once, with any byte that is not UTF-8 kept as a lone surrogate, so
+the first bad line in file order is the error, whatever is wrong with it.
 """
 
 import math
@@ -57,13 +59,16 @@ def parse_line(line: str, lineno: int = 0) -> tuple | None:
 
     Returns (grid_id, timestamp_ms, country_code, sms_in, sms_out, call_in,
     call_out, internet). Missing trailing columns and empty fields after the
-    timestamp are read as 0. A non-numeric or non-finite field, or a timestamp
-    outside the int64 range, raises ParseError carrying `lineno`.
+    timestamp are read as 0. More than 8 fields, a non-numeric or non-finite
+    field, or a timestamp outside the int64 range raises ParseError carrying
+    `lineno`.
     """
     line = line.rstrip("\n\r")
     if not line.strip():
         return None
     parts = line.split("\t")
+    if len(parts) > 8:
+        raise ParseError(f"line {lineno}: {len(parts)} fields, at most 8 allowed")
     parts += [""] * (8 - len(parts))
     try:
         grid_id = int(parts[0])
@@ -90,30 +95,31 @@ def aggregate(timestamps: np.ndarray, values, t0_ms: int, n_slots: int) -> np.nd
                        minlength=n_slots)
 
 
-def _not_utf8(path: str) -> str:
-    """`line N: ...` for the first line of `path` that is not UTF-8, found by
-    decoding the file again line by line in binary; for the error path only."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()  # at \n, \r and \r\n, as text mode counts
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return f"line {lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
-
-
-def _grid_lines(fh, grid_id: int) -> list | None:
-    """(line number, line) of each line of grid `grid_id` in the text file
-    `fh`, found with no other line parsed. The file is read in blocks of whole
-    lines, each checked against `_BLOCK`. None when a block is not all in that
-    form or the file is not UTF-8: the per-line loop then reports the error."""
-    key = f"\n{grid_id}\t"
-    found, first = [], 1  # first: number of the block's first line
+def _check_utf8(line: str, lineno: int) -> None:
+    """Raise ParseError if `line`, read with errors="surrogateescape", holds
+    a byte that is not UTF-8: each lone surrogate stands for one such byte.
+    Decoding the line's bytes strictly names the first of them and why."""
+    raw = line.rstrip("\n").encode("utf-8", "surrogateescape")
     try:
-        while lines := fh.readlines(1 << 16):
-            block = "\n" + "".join(lines)
-            if not _BLOCK.fullmatch(block):
-                return None
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"line {lineno}: byte 0x{raw[exc.start]:02x} is not UTF-8 "
+                         f"({exc.reason})") from None
+
+
+def _lines_to_parse(fh, grid_id: int):
+    """(line number, line) of each line of the text file `fh` that must be
+    parsed. The file is read once, in blocks of whole lines, each checked
+    against `_BLOCK`: a block in that form yields only grid `grid_id`'s
+    lines, found with no other line parsed; any other block yields every
+    line, so that its first bad line names the error."""
+    key = f"\n{grid_id}\t"
+    first = 1  # number of the block's first line
+    while lines := fh.readlines(1 << 16):
+        block = "\n" + "".join(lines)
+        if not _BLOCK.fullmatch(block):
+            yield from enumerate(lines, start=first)
+        else:
             lineno, counted = first - 1, 0
             at = block.find(key)
             while at >= 0:
@@ -121,12 +127,9 @@ def _grid_lines(fh, grid_id: int) -> list | None:
                 counted = at + 1
                 end = block.find("\n", counted)
                 end = len(block) if end < 0 else end
-                found.append((lineno, block[counted:end]))
+                yield lineno, block[counted:end]
                 at = block.find(key, end)
-            first += len(lines)
-    except UnicodeDecodeError:
-        return None
-    return found
+        first += len(lines)
 
 
 def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
@@ -137,9 +140,9 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
     first to last observed slot with zeros where nothing was recorded. A wider
     span than MAX_SPAN_SLOTS fails at the timestamp farthest from the median.
 
-    A file whose lines are all in the `_LINE` form has only the grid's lines
-    parsed; any other file has every line parsed, so that the first bad line
-    names the error. Both give the same records.
+    A block of lines all in the `_LINE` form has only the grid's lines
+    parsed; any other block has every line parsed. Both give the same
+    records and the same errors.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
@@ -151,23 +154,18 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
     timestamps, values, where = [], [], []  # where: (file, line) of each kept record
     for name in names:
         path = os.path.join(dir_path, name)
-        with open(path, encoding="utf-8") as fh:
-            try:
-                lines = _grid_lines(fh, grid_id)
-                if lines is None:
-                    fh.seek(0)
-                    lines = enumerate(fh, start=1)
-                for lineno, line in lines:
-                    try:
-                        rec = parse_line(line, lineno)
-                    except ParseError as exc:
-                        raise IngestError(f"{name}: {exc}") from None
-                    if rec is not None and rec[0] == grid_id:
-                        timestamps.append(rec[1])
-                        values.append(rec[col])
-                        where.append((name, lineno))
-            except UnicodeDecodeError:
-                raise IngestError(f"{name}: {_not_utf8(path)}") from None
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in _lines_to_parse(fh, grid_id):
+                try:
+                    if not line.isascii():
+                        _check_utf8(line, lineno)
+                    rec = parse_line(line, lineno)
+                except ParseError as exc:
+                    raise IngestError(f"{name}: {exc}") from None
+                if rec is not None and rec[0] == grid_id:
+                    timestamps.append(rec[1])
+                    values.append(rec[col])
+                    where.append((name, lineno))
     if not timestamps:
         raise IngestError(f"no records for grid {grid_id} in {dir_path}")
     timestamps = np.array(timestamps, dtype=np.int64)
@@ -194,36 +192,40 @@ def read_series_csv(path: str) -> ActivitySeries:
     """Read a series CSV written by write_series_csv.
 
     Slots must count up from 0, each timestamp must equal
-    t0 + slot * SLOT_MS, and every value must be finite; a violation raises
-    ParseError naming the path and line.
+    t0 + slot * SLOT_MS, and every value must be finite; a violation, or a
+    byte that is not UTF-8, raises ParseError naming the path and line.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         try:
-            header = fh.readline().strip()
-            if header != "slot,timestamp_ms,value":
-                raise ParseError(f"{path}: unexpected series header {header!r}")
+            header = fh.readline()
+            if not header.isascii():
+                _check_utf8(header, 1)
+            if header.strip() != "slot,timestamp_ms,value":
+                raise ParseError(f"unexpected series header {header.strip()!r}")
             t0_ms = None
             values = []
             for lineno, line in enumerate(fh, start=2):
+                if not line.isascii():
+                    _check_utf8(line, lineno)
                 if not line.strip():
                     continue
                 try:
                     slot_s, ts_s, val_s = line.strip().split(",")
                     slot, ts, val = int(slot_s), int(ts_s), float(val_s)
                 except ValueError as exc:
-                    raise ParseError(f"{path}: line {lineno}: {exc}") from None
+                    raise ParseError(f"line {lineno}: {exc}") from None
                 if t0_ms is None:
                     t0_ms = ts - slot * SLOT_MS
                 if slot != len(values):
-                    raise ParseError(f"{path}: line {lineno}: slot {slot} out of order")
+                    raise ParseError(f"line {lineno}: slot {slot} out of order")
                 if ts != t0_ms + slot * SLOT_MS:
-                    raise ParseError(f"{path}: line {lineno}: timestamp {ts} does not match "
+                    raise ParseError(f"line {lineno}: timestamp {ts} does not match "
                                      f"slot {slot} (expected {t0_ms + slot * SLOT_MS})")
                 if not math.isfinite(val):
-                    raise ParseError(f"{path}: line {lineno}: non-finite value {val}")
+                    raise ParseError(f"line {lineno}: non-finite value {val}")
                 values.append(val)
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: {_not_utf8(path)}") from None
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     if not values:
         raise ParseError(f"{path}: empty series")
     return ActivitySeries(t0_ms, np.array(values))

@@ -15,8 +15,6 @@ import numpy as np
 
 from . import arima, cdr, dataset, modelio, train
 
-SEED_ENV = "CELLTIDE_SEED"
-
 
 def _write_predictions(path: str, values: np.ndarray, test_range, preds) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -198,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="celltide",
         description="Univariate cellular traffic forecasting toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_help = f"random seed (default: ${SEED_ENV}, else 0)"
 
     def add_command(name, func, help):
         p = sub.add_parser(name, help=help)
@@ -211,11 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=int, default=12)
         p.add_argument("--epochs", type=int, default=20)
         p.add_argument("--lr", type=float, default=1e-3)
-        p.add_argument("--seed", type=int, help=seed_help)
+        p.add_argument("--seed", type=int, default=0, help="random seed")
 
     p = add_command("synth", cmd_synth, "generate a synthetic diurnal traffic series")
     p.add_argument("--days", type=int, required=True)
-    p.add_argument("--seed", type=int, help=seed_help)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out", required=True)
 
     p = add_command("ingest", cmd_ingest, "parse a directory of raw CDR day-files")
@@ -251,20 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_defaults(args) -> None:
-    """Fill in the defaults that depend on the environment or on other
-    flags; a bad combination is a usage error (exit code 2) under the
-    subcommand's usage line. `arima` and `compare` get `args.order`:
-    (p, d, q), or None for the AIC search."""
+    """Fill in the defaults that depend on other flags; a bad value or
+    combination is a usage error (exit code 2) under the subcommand's usage
+    line. `arima` and `compare` get `args.order`: (p, d, q), or None for the
+    AIC search."""
     parser = args.parser
-    source = "--seed"
-    if getattr(args, "seed", 0) is None:
-        source, raw = SEED_ENV, os.environ.get(SEED_ENV, "0")
-        try:
-            args.seed = int(raw)
-        except ValueError:
-            parser.error(f"{SEED_ENV} must be an integer, got {raw!r}")
     if getattr(args, "seed", 0) < 0:
-        parser.error(f"{source} must be non-negative, got {args.seed}")
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     if args.command in ("arima", "compare"):
         for k in ("p", "d", "q"):
             if not 0 <= (getattr(args, k) or 0) <= arima.MAX_ORDER:

@@ -23,19 +23,6 @@ def simulate_arma(n, phi=(), theta=(), sigma=1.0, seed=0, burn=100):
     return y[burn:]
 
 
-class TestDifferencing:
-    def test_first_difference(self):
-        assert arima.difference([1.0, 2.0, 4.0], 1).tolist() == [1.0, 2.0]
-
-    def test_ramp_becomes_constant(self):
-        d = arima.difference(np.arange(0.0, 50.0, 2.5), 1)
-        assert np.allclose(d, 2.5)
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            arima.difference([1.0], 1)
-
-
 class TestFit:
     def test_ar1_recovery(self):
         hits = 0

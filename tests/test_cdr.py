@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -37,6 +38,11 @@ def test_parse_error_carries_line_number():
         cdr.parse_line("abc\t123\t39", lineno=17)
 
 
+def test_parse_rejects_more_than_eight_fields():
+    with pytest.raises(cdr.ParseError, match=r"^line 4: 9 fields, at most 8 allowed$"):
+        cdr.parse_line("1\t1383260400000\t39\t1\t2\t3\t4\t5\tgarbage", lineno=4)
+
+
 def _write_day_file(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for grid, ts, internet in rows:
@@ -45,17 +51,18 @@ def _write_day_file(path, rows):
 
 @pytest.fixture
 def paths_taken(monkeypatch):
-    """One entry per file ingest_dir reads: True when it took the fast path,
-    False when it parsed the file line by line."""
+    """One entry per block of lines ingest_dir reads: True when the block took
+    the fast path, False when its lines were parsed one by one."""
     taken = []
-    grid_lines = cdr._grid_lines
+    block = cdr._BLOCK
 
-    def spy(fh, grid_id):
-        lines = grid_lines(fh, grid_id)
-        taken.append(lines is not None)
-        return lines
+    class Spy:
+        def fullmatch(self, text):
+            match = block.fullmatch(text)
+            taken.append(match is not None)
+            return match
 
-    monkeypatch.setattr(cdr, "_grid_lines", spy)
+    monkeypatch.setattr(cdr, "_BLOCK", Spy())
     return taken
 
 
@@ -169,8 +176,8 @@ class TestIngestDir:
     def test_matches_per_record_reference(self, tmp_path, paths_taken):
         """Three files share slots, so the per-slot sums depend on file order
         and line order; every channel must equal the reference bit for bit.
-        Whitespace-only lines send a.txt and b.txt through the per-line loop;
-        c.txt, with empty blank lines only, takes the fast path."""
+        Whitespace-only lines send a.txt's and b.txt's one block through the
+        per-line loop; c.txt, with empty blank lines only, takes the fast path."""
         rng = np.random.default_rng(5)
         for name in ("a.txt", "b.txt", "c.txt"):
             pad = 1 if name == "c.txt" else 3
@@ -235,6 +242,32 @@ class TestIngestDir:
             cdr.ingest_dir(str(tmp_path), 1, "internet")
         assert len(seen) == parsed
 
+    def test_odd_block_alone_is_parsed_line_by_line(self, tmp_path, monkeypatch, paths_taken):
+        """A whitespace-only line in the first block of a multi-block file
+        sends that block alone through the per-line loop: every later block
+        has only grid 1's lines parsed."""
+        rows = [(2 - (k % 100 == 0), T0 + k // 100 * 600_000, 1.0) for k in range(8_000)]
+        _write_day_file(tmp_path / "day.txt", rows)
+        lines = (tmp_path / "day.txt").read_text().splitlines(keepends=True)
+        lines[4] = "   \n"
+        (tmp_path / "day.txt").write_text("".join(lines))
+        with open(tmp_path / "day.txt", encoding="utf-8") as fh:
+            first_block = len(fh.readlines(1 << 16))
+        assert first_block < len(lines)
+        parsed = []
+        parse_line = cdr.parse_line
+
+        def counted(line, lineno=0):
+            parsed.append(lineno)
+            return parse_line(line, lineno)
+
+        monkeypatch.setattr(cdr, "parse_line", counted)
+        series = cdr.ingest_dir(str(tmp_path), 1, "internet")
+        later = [k + 1 for k in range(first_block, len(lines)) if k % 100 == 0]
+        assert parsed == list(range(1, first_block + 1)) + later
+        assert paths_taken[0] is False and all(paths_taken[1:]) and len(paths_taken) > 3
+        assert series.values.tolist() == [1.0] * 80
+
     def test_one_leap_year_accepted(self, tmp_path):
         last = T0 + (cdr.MAX_SPAN_SLOTS - 1) * 600_000
         assert len(_ingest(tmp_path, [(1, T0, 1.0), (1, last, 2.0)])) == 366 * 144
@@ -247,14 +280,23 @@ class TestIngestDir:
         with pytest.raises(cdr.IngestError, match=r"bad\.txt.*line 2"):
             cdr.ingest_dir(str(tmp_path), 1, "internet")
 
-    @pytest.mark.parametrize("filler_lines", [100, 9000])  # about 25 kB, 2.3 MB
+    @pytest.mark.parametrize("filler_lines", [0, 100, 9000])  # about 0, 25 kB, 2.3 MB
     def test_malformed_line_named_before_a_later_non_utf8_byte(self, tmp_path, filler_lines):
-        """A malformed line is the error when a non-UTF-8 byte comes later in
-        its block of 64k characters, or blocks later, as line by line."""
+        """A malformed line is the error when a non-UTF-8 byte comes on the
+        next line, later in its block of 64k characters, or blocks later."""
         filler = f"2\t{T0}\t39\t{'1.25' * 60}\n" * filler_lines
         (tmp_path / "bad.txt").write_bytes(
             f"1\t{T0}\t39\noops\tnope\t39\n{filler}".encode() + b"1\t\xff\n")
         with pytest.raises(cdr.IngestError, match=r"^bad\.txt: line 2: bad grid/timestamp"):
+            cdr.ingest_dir(str(tmp_path), 1, "internet")
+
+    def test_ninth_field_names_file_and_line(self, tmp_path):
+        """A line of another grid with a ninth field fails, as in parse_line."""
+        _write_day_file(tmp_path / "day.txt", [(1, T0, 1.0), (2, T0, 2.0), (1, T0, 3.0)])
+        text = (tmp_path / "day.txt").read_text().split("\n")
+        text[1] += "\tgarbage"
+        (tmp_path / "day.txt").write_text("\n".join(text))
+        with pytest.raises(cdr.IngestError, match=r"^day\.txt: line 2: 9 fields, at most 8"):
             cdr.ingest_dir(str(tmp_path), 1, "internet")
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -268,7 +310,7 @@ class TestIngestDir:
         assert (tmp_path / "day.txt").stat().st_size > 3 << 16  # over three blocks
         with pytest.raises(cdr.IngestError, match=r"^day\.txt: line 6001: timestamp "):
             cdr.ingest_dir(str(tmp_path), 1, "internet")
-        assert paths_taken == [True]
+        assert len(paths_taken) > 3 and all(paths_taken)
 
     def test_crlf_file_takes_the_fast_path(self, tmp_path, paths_taken):
         rows = [(1, T0 + s * 600_000, s + 0.5) for s in range(6)] + [(2, T0, 9.0)]
@@ -338,7 +380,7 @@ def _assert_same_as_per_line_loop(dir_path):
     with the text that the per-line loop gives."""
     for channel in cdr.CHANNELS:
         got = _outcome(dir_path, channel)
-        with mock.patch.object(cdr, "_grid_lines", lambda fh, grid_id: None):
+        with mock.patch.object(cdr, "_BLOCK", re.compile("(?!)")):  # never matches
             want = _outcome(dir_path, channel)
         if isinstance(want, str):
             assert got == want
@@ -419,3 +461,25 @@ def test_series_csv_rejects_off_grid_timestamp(tmp_path):
     path = _write_lines(tmp_path, lines)
     with pytest.raises(cdr.ParseError, match=r"series\.csv: line 5: timestamp"):
         cdr.read_series_csv(path)
+
+
+@pytest.mark.parametrize("filler_lines", [0, 100, 9000])
+def test_series_csv_malformed_line_named_before_a_later_non_utf8_byte(tmp_path, filler_lines):
+    """A bad value is the error when a non-UTF-8 byte comes on the next line,
+    later in the decoder's chunk, or chunks later."""
+    filler = "".join(f"{i},{T0 + i * 600_000},{i + 0.25}\n" for i in range(1, filler_lines + 1))
+    path = tmp_path / "series.csv"
+    path.write_bytes(f"slot,timestamp_ms,value\n0,{T0},oops\n{filler}".encode()
+                     + f"{filler_lines + 1},{T0},".encode() + b"\xc3\n")
+    with pytest.raises(cdr.ParseError, match=r"series\.csv: line 2: could not convert"):
+        cdr.read_series_csv(str(path))
+
+
+def test_series_csv_non_utf8_header_byte_names_line_1(tmp_path):
+    lines = _series_lines()
+    path = tmp_path / "series.csv"
+    path.write_bytes(("\n".join(lines) + "\n").replace(",", ",\udcff", 1)
+                     .encode("utf-8", "surrogateescape"))
+    with pytest.raises(cdr.ParseError, match=r"series\.csv: line 1: byte 0xff is not "
+                       r"UTF-8 \(invalid start byte\)$"):
+        cdr.read_series_csv(str(path))

@@ -242,37 +242,11 @@ class TestSeedEnvironment:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--series", str(series)])
         assert exc.value.code == 2
-        assert f"--seed must be non-negative, got {argv[2]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: celltide {argv[0]} ")  # the subcommand's usage line
+        assert f"--seed must be non-negative, got {argv[2]}" in err
         assert os.listdir(tmp_path) == [series.name]
         assert forks == []
-
-    def test_negative_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CELLTIDE_SEED", "-3")
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", "--days", "1", "--out", str(tmp_path / "s.csv")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: celltide synth ")  # the subcommand's usage line
-        assert "CELLTIDE_SEED must be non-negative, got -3" in err
-        assert not (tmp_path / "s.csv").exists()
-
-    def test_non_integer_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CELLTIDE_SEED", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", "--days", "1", "--out", str(tmp_path / "s.csv")])
-        assert exc.value.code == 2
-        assert "CELLTIDE_SEED" in capsys.readouterr().err
-        assert not (tmp_path / "s.csv").exists()
-
-    def test_sets_the_default_seed(self, tmp_path, monkeypatch):
-        explicit = make_series_csv(tmp_path, days=1, seed=9, name="explicit.csv")
-        monkeypatch.setenv("CELLTIDE_SEED", "9")
-        assert main(["synth", "--days", "1", "--out", str(tmp_path / "env.csv")]) == 0
-        assert (tmp_path / "env.csv").read_bytes() == explicit.read_bytes()
-
-    def test_explicit_seed_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CELLTIDE_SEED", "abc")
-        make_series_csv(tmp_path, days=1, seed=2)
 
 
 class TestArima:
