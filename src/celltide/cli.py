@@ -142,6 +142,24 @@ def cmd_compare(args) -> int:
     import multiprocessing  # here, so that importing the CLI stays cheap
     data = _prepare(args)
     arima.check_length(data.spec.n_train, args.order)  # before any model is trained
+    context = multiprocessing.get_context("fork")
+    rx, tx = context.Pipe(duplex=False)
+    worker = context.Process(target=_worker, args=(tx, "arima", data, args.order))
+    worker.start()
+    try:
+        tx.close()
+        results = {kind: _run(kind, data) for kind in train.MODELS}
+        ok, results["arima"] = False, None
+        with contextlib.suppress(EOFError):  # the worker died without a result
+            ok, results["arima"] = rx.recv()
+        worker.join()
+        if not ok:
+            raise results["arima"] or ChildProcessError(
+                f"ARIMA worker exited with status {worker.exitcode}")
+    finally:  # an interrupt too leaves no worker
+        worker.kill()  # a no-op once the worker has been reaped
+        worker.join()
+        rx.close()
     spec, scale = data.spec, data.scaler.max - data.scaler.min
     report = {
         "seed": args.seed,
@@ -152,42 +170,21 @@ def cmd_compare(args) -> int:
                    "n_test": spec.n_test},
         "models": {},
     }
-    context = multiprocessing.get_context("fork")
-    rx, tx = context.Pipe(duplex=False)
-    worker = context.Process(target=_worker, args=(tx, "arima", data, args.order))
-    worker.start()
-    try:
-        tx.close()
-        with _outputs(args.out_dir) as out:
-            for kind in (*train.MODELS, "arima"):
-                if kind in train.MODELS:
-                    result = _run(kind, data)
-                else:
-                    ok, result = False, None
-                    with contextlib.suppress(EOFError):  # the worker died without a result
-                        ok, result = rx.recv()
-                    worker.join()
-                    if not ok:
-                        raise result or ChildProcessError(
-                            f"ARIMA worker exited with status {worker.exitcode}")
-                model, history, preds, test_mae, wall_ms = result
-                if history is None and args.order is None:
-                    print(f"{kind}: selected order ({model.p},{model.d},{model.q})")
-                entry = {"order": [model.p, model.d, model.q]} if history is None else {}
-                entry.update(test_mae=test_mae, test_mae_normalized=test_mae / scale)
-                if history is not None:
-                    train.write_history(out(f"{kind}_history.csv"), history)
-                    entry["epochs"] = len(history)
-                report["models"][kind] = {**entry, "train_wall_ms": wall_ms}
-                _write_predictions(out(f"{kind}_predictions.csv"), data.values,
-                                   data.test_range, preds)
-                print(f"{kind}: test MAE {test_mae:.6f}")
-            with open(out("report.json"), "w", encoding="utf-8") as fh:
-                fh.write(modelio.dumps(report))
-    finally:  # an interrupt too leaves no worker
-        worker.kill()  # a no-op once the worker has been reaped
-        worker.join()
-        rx.close()
+    with _outputs(args.out_dir) as out:  # only once every fit has succeeded
+        for kind, (model, history, preds, test_mae, wall_ms) in results.items():
+            if history is None and args.order is None:
+                print(f"{kind}: selected order ({model.p},{model.d},{model.q})")
+            entry = {"order": [model.p, model.d, model.q]} if history is None else {}
+            entry.update(test_mae=test_mae, test_mae_normalized=test_mae / scale)
+            if history is not None:
+                train.write_history(out(f"{kind}_history.csv"), history)
+                entry["epochs"] = len(history)
+            report["models"][kind] = {**entry, "train_wall_ms": wall_ms}
+            _write_predictions(out(f"{kind}_predictions.csv"), data.values,
+                               data.test_range, preds)
+            print(f"{kind}: test MAE {test_mae:.6f}")
+        with open(out("report.json"), "w", encoding="utf-8") as fh:
+            fh.write(modelio.dumps(report))
     return 0
 
 

@@ -39,7 +39,6 @@ class WindowSet:
     """Sliding input windows and next-step targets: inputs[i] holds the T
     values of the source series that precede targets[i]."""
 
-    window_len: int
     inputs: np.ndarray   # (n_windows, T)
     targets: np.ndarray  # (n_windows,)
 
@@ -60,8 +59,10 @@ def windows_for_range(values, window_len: int, start: int, stop: int) -> WindowS
     if not (start < stop <= len(values)):
         raise ValueError(
             f"no targets in range [{start}, {stop}) for series of length {len(values)}")
-    inputs = np.stack([values[i - window_len:i] for i in range(start, stop)])
-    return WindowSet(window_len, inputs, values[start:stop].copy())
+    # the view's rows overlap; the copy gives each window its own row
+    inputs = np.lib.stride_tricks.sliding_window_view(
+        values[start - window_len:stop - 1], window_len).copy()
+    return WindowSet(inputs, values[start:stop].copy())
 
 
 @dataclass(frozen=True)

@@ -76,12 +76,6 @@ MODELS = {
 }
 
 
-def _model(kind: str):
-    if kind not in MODELS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return MODELS[kind]
-
-
 def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
         config: TrainConfig) -> list:
     """Train `params` in place for the configured epochs; returns one Epoch per epoch.
@@ -90,7 +84,7 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
     averaged. Validation is a full deterministic pass after each epoch. An
     overflow or invalid value anywhere in an epoch raises TrainingDiverged.
     """
-    model, _ = _model(kind)
+    model, _ = MODELS[kind]
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be nonempty")
     m, v, step = np.zeros_like(params.flat), np.zeros_like(params.flat), 0
@@ -126,13 +120,13 @@ def train_model(kind: str, train_set: WindowSet, val_set: WindowSet,
                 config: TrainConfig):
     """Initialize fresh parameters from the config seed and train them;
     returns (params, history)."""
-    _, init = _model(kind)
-    params = init(train_set.window_len, config.seed)
+    _, init = MODELS[kind]
+    params = init(train_set.inputs.shape[1], config.seed)
     history = fit(kind, params, train_set, val_set, config)
     return params, history
 
 
 def evaluate(kind: str, params, test_set: WindowSet, scaler: ScalerParams) -> np.ndarray:
     """Predictions for the normalized `test_set` windows, on the original scale."""
-    model, _ = _model(kind)
+    model, _ = MODELS[kind]
     return scaler.inverse(model.forward_batch(test_set.inputs, params, cache=False)[0])

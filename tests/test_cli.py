@@ -298,6 +298,22 @@ class TestArima:
                 in capsys.readouterr().err)
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: ["slot,ts,value", *lines[1:]], "unexpected series header 'slot,ts,value'"),
+        (lambda lines: lines[:5] + lines[6:], "line 6: slot 5 out of order"),
+        (lambda lines: lines[:1], "empty series"),
+    ])
+    def test_bad_series_csv_fails_in_one_line_naming_the_file(self, tmp_path, capsys,
+                                                              edit, message):
+        series = make_series_csv(tmp_path)
+        series.write_text("\n".join(edit(series.read_text().splitlines())) + "\n")
+        rc = main(["arima", "--series", str(series), "--train-frac", "0.4",
+                   "--out-model", str(tmp_path / "m.json"),
+                   "--out-predictions", str(tmp_path / "p.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {series}: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
+
     def test_failed_predictions_write_leaves_no_model(self, tmp_path, capsys):
         series = make_series_csv(tmp_path)
         model = tmp_path / "a.json"
@@ -341,6 +357,19 @@ def patch_arima_run(monkeypatch, replacement):
     run = cli._run
     monkeypatch.setattr(cli, "_run", lambda kind, data, order=None: (
         replacement(data, order) if kind == "arima" else run(kind, data, order)))
+
+
+def fail_ffnn_history_write(monkeypatch):
+    """Make `train.write_history` write ffnn_history.csv, then raise a full-disk
+    OSError: a failure in `compare`'s write phase, after three files."""
+    write = train.write_history
+
+    def failing(path, history):
+        write(path, history)
+        if os.path.basename(path) == "ffnn_history.csv":
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(train, "write_history", failing)
 
 
 def assert_no_child_process():
@@ -507,6 +536,63 @@ class TestCompare:
         assert "diverged" in capsys.readouterr().err
         assert (tmp_path / "a").exists() == parent_existed
         assert not (tmp_path / "a" / "b").exists()
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("failure", ["arima", "interrupt"])
+    def test_failed_fit_leaves_an_earlier_run_as_it_was(self, tmp_path, monkeypatch, capsys,
+                                                        failure):
+        """A re-run that fails in the ARIMA fit, or is interrupted in the FFNN
+        evaluation, leaves the earlier run's six files in its out dir byte for
+        byte, and adds none."""
+        series = make_series_csv(tmp_path, days=4)
+        out_dir = tmp_path / "out"
+        argv = ["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert len(before) == 6
+        if failure == "arima":
+            def failing(data, order):
+                raise arima.ArimaFitError(f"no fit for order {order}")
+
+            patch_arima_run(monkeypatch, failing)
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("split 230/58/58\n",
+                                           "error: no fit for order (1, 0, 0)\n")
+        else:
+            self._interrupt_ffnn_evaluation(tmp_path, monkeypatch, out_dir)
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("parent_existed", [False, True])
+    def test_failed_write_removes_the_out_dir_parents_it_made(self, tmp_path, monkeypatch,
+                                                              capsys, parent_existed):
+        """A write that fails after the out dir is made removes the files
+        written so far, and every directory the call made for them."""
+        series = make_series_csv(tmp_path, days=4)
+        if parent_existed:
+            (tmp_path / "a").mkdir()
+        fail_ffnn_history_write(monkeypatch)
+        assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                     "--out-dir", str(tmp_path / "a" / "b")]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["a", "series.csv"] if parent_existed else ["series.csv"])
+        if parent_existed:
+            assert list((tmp_path / "a").iterdir()) == []
+        assert_no_child_process()
+
+    def test_failed_write_keeps_an_existing_out_dir_and_its_files(self, tmp_path, monkeypatch):
+        series = make_series_csv(tmp_path, days=4)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("kept\n")
+        fail_ffnn_history_write(monkeypatch)
+        assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                     "--out-dir", str(out_dir)]) == 1
+        assert [p.name for p in out_dir.iterdir()] == ["notes.txt"]
+        assert (out_dir / "notes.txt").read_text() == "kept\n"
         assert_no_child_process()
 
     def test_interrupt_after_the_worker_is_reaped_kills_nothing(self, tmp_path, monkeypatch):

@@ -69,6 +69,21 @@ class TestWindows:
         assert ws.targets.tolist() == values[10:15].tolist()
         assert ws.inputs[0].tolist() == [6.0, 7.0, 8.0, 9.0]
 
+    @pytest.mark.parametrize("window_len", [1, 2, 12, 50])
+    @pytest.mark.parametrize("frac", [0.1, 0.4, 0.8])
+    def test_split_windows_match_the_loop(self, window_len, frac):
+        """Each split's windows equal one slice per target, stacked, and are
+        C-contiguous rows of their own."""
+        values = dataset.gen_synthetic(4, seed=2).values
+        spec = dataset.split(len(values), frac)
+        for start, stop in [(0, spec.n_train), (spec.val_start, spec.test_start),
+                            (spec.test_start, spec.test_start + spec.n_test)]:
+            ws = dataset.windows_for_range(values, window_len, start, stop)
+            first = max(start, window_len)
+            loop = np.stack([values[i - window_len:i] for i in range(first, stop)])
+            assert np.array_equal(ws.inputs, loop)
+            assert ws.inputs.flags.c_contiguous and ws.inputs.flags.owndata
+
 
 class TestSplit:
     @pytest.mark.parametrize("frac,expected_train", [(0.8, 7142), (0.4, 3571), (0.1, 892)])

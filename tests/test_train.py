@@ -80,7 +80,7 @@ class TestFit:
     def test_zero_learning_rate_keeps_params(self):
         _, _, _, tr, va = small_sets()
         cfg = train.TrainConfig(epochs=3, learning_rate=0.0, seed=1)
-        params = ffnn.init_params(tr.window_len, seed=1)
+        params = ffnn.init_params(tr.inputs.shape[1], seed=1)
         before = {k: v.copy() for k, v in params.items()}
         hist = train.fit("ffnn", params, tr, va, cfg)
         for k, v in params.items():
@@ -110,7 +110,7 @@ class TestFit:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_epoch(self):
         _, _, _, tr, va = small_sets()
-        params = ffnn.init_params(tr.window_len, seed=0)
+        params = ffnn.init_params(tr.inputs.shape[1], seed=0)
         cfg = train.TrainConfig(epochs=5, learning_rate=1e200, seed=0)
         with pytest.raises(train.TrainingDiverged, match="epoch"):
             train.fit("ffnn", params, tr, va, cfg)
@@ -123,11 +123,6 @@ class TestFit:
             steps.append(t), adam_step(w, g, m, v, t, lr)))
         train.train_model("ffnn", tr, va, train.TrainConfig(epochs=3, seed=0))
         assert steps == list(range(1, 3 * math.ceil(len(tr) / train.BATCH_SIZE) + 1))
-
-    def test_unknown_kind(self):
-        _, _, _, tr, va = small_sets()
-        with pytest.raises(ValueError):
-            train.train_model("cnn", tr, va, train.TrainConfig())
 
     def test_lstm_learns_synthetic_medium_split(self):
         values = dataset.gen_synthetic(62, seed=7).values
