@@ -208,14 +208,10 @@ def aic(model: ArimaModel, n: int) -> float:
     return n * np.log(model.sigma2) + 2.0 * (model.p + model.q + 1)
 
 
-def auto_order(series) -> ArimaModel:
-    """Grid-search p, q in 0..3 and d in 0..1 by AIC and return the winning
-    fitted model; ties prefer fewer AR+MA terms, then lower d. All share one
-    n, the series length, so a change of units shifts every AIC alike."""
-    series = np.asarray(series, dtype=np.float64)
-    check_length(len(series))
+def _fit_grid_at(series: np.ndarray, d: int) -> list:
+    """((AIC, p+q, d, p, q), model) of each order (p, d, q), p and q in 0..3, that fits."""
     candidates = []
-    for d, p, q in itertools.product(range(2), range(4), range(4)):
+    for p, q in itertools.product(range(4), range(4)):
         try:
             model = fit(series, p, d, q)
         except (ArimaFitError, ValueError):
@@ -223,6 +219,20 @@ def auto_order(series) -> ArimaModel:
         if model.sigma2 <= 0:
             continue
         candidates.append(((aic(model, len(series)), p + q, d, p, q), model))
+    return candidates
+
+
+def auto_order(series, map=map) -> ArimaModel:
+    """Grid-search p, q in 0..3 and d in 0..1 by AIC and return the winning
+    fitted model; ties prefer fewer AR+MA terms, then lower d. All share one
+    n, the series length, so a change of units shifts every AIC alike.
+    `map` fits the d = 0 and d = 1 halves; each fit is deterministic and each
+    key unique, so a map that runs a half in another process picks the same."""
+    series = np.asarray(series, dtype=np.float64)
+    check_length(len(series))
+    from scipy import optimize, signal  # noqa: F401  before `map` forks: the worker inherits them
+    halves = map(lambda d: _fit_grid_at(series, d), range(2))
+    candidates = list(itertools.chain(*halves))
     if not candidates:
         raise ArimaFitError("no ARIMA order in the search grid could be fitted")
     return min(candidates, key=lambda c: c[0])[1]

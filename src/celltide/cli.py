@@ -25,26 +25,33 @@ def _write_predictions(path: str, values: np.ndarray, test_range, preds) -> None
 
 @contextlib.contextmanager
 def _outputs(out_dir: str = ""):
-    """Make `out_dir` if it is missing and yield `out(name)`, which records and
-    returns the path of output file `name`. A failure or an interrupt removes
-    every recorded file, and `out_dir` and each parent of it that was made
-    here, leaf first."""
+    """Make `out_dir` if it is missing and yield `out(name)`, which returns the
+    temporary sibling to write output file `name` to. Once the block has
+    succeeded, each temporary replaces its file. A failure or an interrupt
+    removes the temporaries instead, and `out_dir` and each parent of it that
+    was made here, leaf first, so a file that existed before stays as it was."""
     made, missing = [], out_dir  # made: the directories makedirs will create
     while missing and not os.path.isdir(missing):
         made.append(missing)
         missing = os.path.dirname(missing.rstrip(os.sep))
-    written = []
+    temporaries = {}  # output path: its temporary, in the order handed out
 
     def out(name):
-        written.append(os.path.join(out_dir, name))
-        return written[-1]
+        path = os.path.join(out_dir, name)
+        head, tail = os.path.split(path)
+        return temporaries.setdefault(path, os.path.join(head, f".{tail}.{os.getpid()}.tmp"))
 
     try:
         if made:
             os.makedirs(out_dir)
         yield out
-    except BaseException:
-        for path in filter(os.path.isfile, written):
+        for path, temporary in temporaries.items():
+            os.replace(temporary, path)
+    except BaseException as exc:
+        outputs = {temporary: path for path, temporary in temporaries.items()}
+        if isinstance(exc, OSError) and exc.filename in outputs:  # name the output file
+            exc.filename = outputs[exc.filename]
+        for path in filter(os.path.isfile, temporaries.values()):
             os.remove(path)
         for path in made:
             with contextlib.suppress(OSError):  # never made, or no longer empty
@@ -72,14 +79,15 @@ def _prepare(args) -> argparse.Namespace:
     return data
 
 
-def _run(kind: str, data, order=None):
-    """Fit `kind` ("arima" at `order`; None: AIC search) on `data`'s training slice and
-    forecast its test slice. Returns (model, history or None, preds, test MAE, fit ms)."""
+def _run(kind: str, data, order=None, map=map):
+    """Fit `kind` ("arima" at `order`; None: AIC search, whose two halves go
+    through `map`) on `data`'s training slice and forecast its test slice.
+    Returns (model, history or None, preds, test MAE, fit ms)."""
     t0 = time.perf_counter()
     if kind == "arima":
         y = data.values[:data.spec.n_train]
-        model, history = (arima.auto_order(y) if order is None else arima.fit(y, *order)), None
-        wall_ms = (time.perf_counter() - t0) * 1e3
+        model = arima.auto_order(y, map=map) if order is None else arima.fit(y, *order)
+        history, wall_ms = None, (time.perf_counter() - t0) * 1e3
         preds = arima.rolling_forecast(model, data.values, data.test_range)
     else:
         model, history = train.train_model(kind, data.train_set, data.val_set, data.config)
@@ -117,7 +125,7 @@ def cmd_train(args) -> int:
 
 def cmd_arima(args) -> int:
     data = _prepare(args)
-    model, _, preds, test_mae, _ = _run("arima", data, args.order)
+    model, _, preds, test_mae, _ = _run("arima", data, args.order, map=_map_in_two)
     if args.order is None:
         print(f"selected order ({model.p},{model.d},{model.q})")
     with _outputs() as out:
@@ -128,38 +136,54 @@ def cmd_arima(args) -> int:
     return 0
 
 
-def _worker(tx, *args) -> None:
-    """The one process `compare` starts: it runs `_run(*args)` while the parent
-    trains the neural models, and sends back (ok, result or exception)."""
+def _worker(tx, there) -> None:
+    """The one process a command starts: it calls `there()` while the parent
+    works on, and sends back (ok, result or exception)."""
     try:
-        message = (True, _run(*args))
+        message = (True, there())
     except BaseException as exc:  # an interrupt too: the parent re-raises it
         message = (False, exc)
     tx.send(message)
 
 
-def cmd_compare(args) -> int:
+def _alongside(here, there):
+    """Return (here(), there()), calling `there` in the one worker, a fork of
+    this process, while this process calls `here`."""
     import multiprocessing  # here, so that importing the CLI stays cheap
-    data = _prepare(args)
-    arima.check_length(data.spec.n_train, args.order)  # before any model is trained
     context = multiprocessing.get_context("fork")
     rx, tx = context.Pipe(duplex=False)
-    worker = context.Process(target=_worker, args=(tx, "arima", data, args.order))
+    worker = context.Process(target=_worker, args=(tx, there))
     worker.start()
     try:
         tx.close()
-        results = {kind: _run(kind, data) for kind in train.MODELS}
-        ok, results["arima"] = False, None
+        mine, ok, theirs = here(), False, None
         with contextlib.suppress(EOFError):  # the worker died without a result
-            ok, results["arima"] = rx.recv()
+            ok, theirs = rx.recv()
         worker.join()
         if not ok:
-            raise results["arima"] or ChildProcessError(
+            raise theirs or ChildProcessError(
                 f"ARIMA worker exited with status {worker.exitcode}")
     finally:  # an interrupt too leaves no worker
         worker.kill()  # a no-op once the worker has been reaped
         worker.join()
         rx.close()
+    return mine, theirs
+
+
+def _map_in_two(fn, items):
+    """`map` over two items, the second in the worker."""
+    first, second = items
+    return list(_alongside(lambda: fn(first), lambda: fn(second)))
+
+
+def cmd_compare(args) -> int:
+    data = _prepare(args)
+    arima.check_length(data.spec.n_train, args.order)  # before any model is trained
+    # the worker's AIC search stays serial: this process trains the neural models
+    results, arima_result = _alongside(
+        lambda: {kind: _run(kind, data) for kind in train.MODELS},
+        lambda: _run("arima", data, args.order))
+    results["arima"] = arima_result
     spec, scale = data.spec, data.scaler.max - data.scaler.min
     report = {
         "seed": args.seed,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import celltide
-from celltide import arima, cdr, cli, modelio, train
+from celltide import arima, cdr, cli, dataset, modelio, train
 from celltide.cli import main
 
 T0 = 1_383_260_400_000
@@ -208,6 +208,18 @@ class TestTrain:
         assert "No such file or directory" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_failed_history_write_keeps_an_earlier_model(self, tmp_path, capsys):
+        series = make_series_csv(tmp_path)
+        model = tmp_path / "m.json"
+        model.write_text("earlier\n")
+        assert main(["train", "--model", "ffnn", "--series", str(series),
+                     "--train-frac", "0.4", "--epochs", "1", "--out-model", str(model),
+                     "--out-history", str(tmp_path / "nodir" / "h.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{tmp_path / 'nodir' / 'h.csv'}'\n")
+        assert model.read_text() == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "series.csv"]
+
     def test_bad_fraction_fails(self, tmp_path):
         series = make_series_csv(tmp_path)
         assert main(["train", "--model", "ffnn", "--series", str(series),
@@ -323,6 +335,19 @@ class TestArima:
         assert "No such file or directory" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("order", [["--p", "1"], ["--auto"]])
+    def test_failed_predictions_write_keeps_an_earlier_model(self, tmp_path, capsys, order):
+        series = make_series_csv(tmp_path)
+        model = tmp_path / "a.json"
+        model.write_text("earlier\n")
+        assert main(["arima", "--series", str(series), "--train-frac", "0.4", *order,
+                     "--out-model", str(model),
+                     "--out-predictions", str(tmp_path / "nodir" / "a.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{tmp_path / 'nodir' / 'a.csv'}'\n")
+        assert model.read_text() == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "series.csv"]
+
     def test_mean_model_constant_predictions(self, tmp_path):
         series = make_series_csv(tmp_path)
         preds_path = tmp_path / "preds.csv"
@@ -349,6 +374,106 @@ class TestArima:
         assert len(obj["phi"]) == 1
 
 
+def white_noise_2():
+    """A series on which the d = 1 candidates (1,1,2), (1,1,3) and (2,1,3)
+    raise ArimaFitError: differencing white noise leaves an MA unit root."""
+    return np.random.default_rng(2).normal(size=300)
+
+
+def patch_arima_fit(monkeypatch, at_d):
+    """Make `arima.fit` call `at_d[d](p, d, q)` for each d it names."""
+    fit = arima.fit
+    monkeypatch.setattr(arima, "fit", lambda series, p, d, q: (
+        at_d[d](p, d, q) if d in at_d else fit(series, p, d, q)))
+
+
+class TestSplitSearch:
+    """`arima --auto` fits the d = 1 half of the AIC grid in the one worker
+    and the d = 0 half in this process."""
+
+    @pytest.mark.parametrize("series", [
+        *(lambda seed=seed: dataset.gen_synthetic(3, seed=seed).values[:300]
+          for seed in range(3)),
+        white_noise_2,
+    ], ids=["synthetic-0", "synthetic-1", "synthetic-2", "white-noise-2"])
+    def test_split_search_is_the_serial_search(self, series):
+        y = series()
+        if series is white_noise_2:
+            with pytest.raises(arima.ArimaFitError):
+                arima.fit(y, 1, 1, 2)
+        serial, split = arima.auto_order(y), arima.auto_order(y, map=cli._map_in_two)
+        assert (split.p, split.d, split.q) == (serial.p, serial.d, serial.q)
+        for field in ("phi", "theta"):
+            assert getattr(split, field).tobytes() == getattr(serial, field).tobytes()
+        assert (split.mu, split.sigma2) == (serial.mu, serial.sigma2)
+        assert_no_child_process()
+
+    def test_same_bytes_as_the_serial_search(self, tmp_path, monkeypatch):
+        series = make_series_csv(tmp_path, days=4)
+        written = []
+        for name in ("split", "serial"):
+            if name == "serial":
+                monkeypatch.setattr(cli, "_map_in_two", map)
+            assert main(["arima", "--series", str(series), "--train-frac", "0.4", "--auto",
+                         "--out-model", str(tmp_path / f"{name}.json"),
+                         "--out-predictions", str(tmp_path / f"{name}.csv")]) == 0
+            written.append([(tmp_path / f"{name}.{ext}").read_bytes()
+                            for ext in ("json", "csv")])
+        assert written[0] == written[1]
+
+    def test_worker_exception_is_the_serial_error(self, tmp_path, monkeypatch, capsys):
+        series = make_series_csv(tmp_path, days=4)
+
+        def failing(p, d, q):
+            raise OSError(5, f"no fit for ({p},{d},{q})")
+
+        patch_arima_fit(monkeypatch, {1: failing})
+        with pytest.raises(OSError) as serial:
+            arima.auto_order(cdr.read_series_csv(str(series)).values[:230])
+        capsys.readouterr()
+        assert main(["arima", "--series", str(series), "--train-frac", "0.4", "--auto",
+                     "--out-model", str(tmp_path / "a.json"),
+                     "--out-predictions", str(tmp_path / "a.csv")]) == 1
+        assert capsys.readouterr() == ("", f"error: {serial.value}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("death,status", [
+        (lambda: os._exit(3), 3),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    ])
+    def test_worker_without_result_is_a_runtime_error(self, tmp_path, monkeypatch,
+                                                      capsys, death, status):
+        series = make_series_csv(tmp_path, days=4)
+        parent = os.getpid()
+
+        def dying(p, d, q):
+            assert os.getpid() != parent, "the d = 1 half ran in this process"
+            death()
+
+        patch_arima_fit(monkeypatch, {1: dying})
+        assert main(["arima", "--series", str(series), "--train-frac", "0.4", "--auto",
+                     "--out-model", str(tmp_path / "a.json"),
+                     "--out-predictions", str(tmp_path / "a.csv")]) == 1
+        assert capsys.readouterr().err == f"error: ARIMA worker exited with status {status}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
+        assert_no_child_process()
+
+    def test_interrupt_in_this_half_leaves_no_child(self, tmp_path, monkeypatch):
+        series = make_series_csv(tmp_path, days=4)
+
+        def interrupted(p, d, q):
+            raise KeyboardInterrupt
+
+        patch_arima_fit(monkeypatch, {0: interrupted})
+        with pytest.raises(KeyboardInterrupt):
+            main(["arima", "--series", str(series), "--train-frac", "0.4", "--auto",
+                  "--out-model", str(tmp_path / "a.json"),
+                  "--out-predictions", str(tmp_path / "a.csv")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
+        assert_no_child_process()
+
+
 COMPARE_FLAGS = ["--train-frac", "0.4", "--epochs", "1", "--seed", "3"]
 
 
@@ -360,13 +485,13 @@ def patch_arima_run(monkeypatch, replacement):
 
 
 def fail_ffnn_history_write(monkeypatch):
-    """Make `train.write_history` write ffnn_history.csv, then raise a full-disk
-    OSError: a failure in `compare`'s write phase, after three files."""
+    """Make `train.write_history` write ffnn_history.csv's temporary, then raise
+    a full-disk OSError: a failure in `compare`'s write phase, after three files."""
     write = train.write_history
 
     def failing(path, history):
         write(path, history)
-        if os.path.basename(path) == "ffnn_history.csv":
+        if "ffnn_history.csv" in os.path.basename(path):
             raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(train, "write_history", failing)
@@ -595,6 +720,24 @@ class TestCompare:
         assert (out_dir / "notes.txt").read_text() == "kept\n"
         assert_no_child_process()
 
+    def test_failed_write_leaves_an_earlier_run_as_it_was(self, tmp_path, monkeypatch,
+                                                          capsys):
+        """A re-run whose write phase fails after three files leaves the
+        earlier run's six files byte for byte, and no temporary file."""
+        series = make_series_csv(tmp_path, days=4)
+        out_dir = tmp_path / "out"
+        argv = ["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert len(before) == 6
+        fail_ffnn_history_write(monkeypatch)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+        assert_no_child_process()
+
     def test_interrupt_after_the_worker_is_reaped_kills_nothing(self, tmp_path, monkeypatch):
         """An interrupt while report.json is written, after the ARIMA worker
         has been reaped: its pid may belong to another process by then."""
@@ -645,32 +788,47 @@ class TestCompare:
         assert not out_dir.exists()
         assert_no_child_process()
 
-    def test_only_compare_forks_and_only_once(self, tmp_path, monkeypatch):
+    def test_only_compare_and_the_arima_search_fork_and_only_once(self, tmp_path,
+                                                                  monkeypatch):
         series = make_series_csv(tmp_path, days=4)
         raw = make_raw_dir(tmp_path)
-        forks = []
-        fork = os.fork
+        forks = record_forks(monkeypatch)
+        arima_flags = ["--series", str(series), "--train-frac", "0.4",
+                       "--out-model", str(tmp_path / "a.json"),
+                       "--out-predictions", str(tmp_path / "a.csv")]
+        calls = [
+            (0, ["synth", "--days", "1", "--out", str(tmp_path / "s.csv")]),
+            (0, ["ingest", "--input-dir", str(raw), "--out", str(tmp_path / "i.csv")]),
+            (0, ["train", "--model", "lstm", *COMPARE_FLAGS, "--series", str(series),
+                 "--out-model", str(tmp_path / "m.json"),
+                 "--out-history", str(tmp_path / "h.csv")]),
+            (0, ["arima", *arima_flags]),
+            (1, ["arima", "--auto", *arima_flags]),
+            (1, ["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                 "--out-dir", str(tmp_path / "out")]),
+        ]
+        for expected, argv in calls:
+            before = len(forks)
+            assert main(argv) == 0, argv
+            assert len(forks) - before == expected, argv
+        assert_no_child_process()
 
-        def counted():
-            forks.append(os.getpid())
+    def test_compare_search_starts_one_process(self, tmp_path, monkeypatch):
+        """`compare` with the AIC search forks once: its worker searches
+        serially. Each fork appends to a file, as a fork in the worker would
+        land in the worker's copy of any list."""
+        series = make_series_csv(tmp_path, days=4)
+        log, fork = tmp_path / "forks.log", os.fork
+
+        def logged():
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             return fork()
 
-        monkeypatch.setattr(os, "fork", counted)
-        calls = {
-            "synth": ["--days", "1", "--out", str(tmp_path / "s.csv")],
-            "ingest": ["--input-dir", str(raw), "--out", str(tmp_path / "i.csv")],
-            "train": ["--model", "lstm", *COMPARE_FLAGS, "--series", str(series),
-                      "--out-model", str(tmp_path / "m.json"),
-                      "--out-history", str(tmp_path / "h.csv")],
-            "arima": ["--series", str(series), "--train-frac", "0.4",
-                      "--out-model", str(tmp_path / "a.json"),
-                      "--out-predictions", str(tmp_path / "a.csv")],
-            "compare": [*COMPARE_FLAGS, "--p", "1", "--series", str(series),
-                        "--out-dir", str(tmp_path / "out")],
-        }
-        for command, flags in calls.items():
-            assert main([command, *flags]) == 0, command
-            assert len(forks) == (command == "compare"), command
+        monkeypatch.setattr(os, "fork", logged)
+        assert main(["compare", *COMPARE_FLAGS, "--series", str(series),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert log.read_text().splitlines() == [str(os.getpid())]
         assert_no_child_process()
 
     @pytest.mark.parametrize("order", [["--p", "1"], []])
