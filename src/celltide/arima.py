@@ -134,43 +134,48 @@ def fit(series, p: int, d: int, q: int) -> ArimaModel:
     w = np.diff(series, n=d)
     mu = float(np.mean(w))
     y = w - mu
-    n_eff = len(y) - p
-
-    if p + q == 0:
-        sigma2 = float(y @ y) / n_eff
-        return ArimaModel(p, d, q, np.empty(0), np.empty(0), mu, sigma2)
-
-    phi0, theta0 = hannan_rissanen(y, p, q)
-    u0 = np.zeros(p + q)  # white noise, where HR lands outside the valid region
-    if _stable(phi0) and _stable(-theta0):
-        u0 = np.arctanh(_reflections(phi0) + _reflections(-theta0))
-    z = y / np.std(y)  # unit scale, so Nelder-Mead's tolerances are relative
-    from scipy.optimize import minimize
-    res = minimize(lambda u: css(z, _from_reflections(u[:p]), -_from_reflections(u[p:])), u0,
-                   method="Nelder-Mead",
-                   options={"fatol": 1e-8, "xatol": 1e-8, "maxiter": 2000, "maxfev": 4000})
-    phi, theta = _from_reflections(res.x[:p]), -_from_reflections(res.x[p:])
-    if not (_stable(phi) and _stable(-theta)):
-        raise ArimaFitError(
-            f"optimum for orders ({p},{d},{q}) is non-stationary or non-invertible; "
-            "try different orders")
-    sigma2 = css(y, phi, theta) / n_eff
+    phi, theta = np.empty(0), np.empty(0)
+    if p + q:
+        phi0, theta0 = hannan_rissanen(y, p, q)
+        u0 = np.zeros(p + q)  # white noise, where HR lands outside the valid region
+        if _stable(phi0) and _stable(-theta0):
+            u0 = np.arctanh(_reflections(phi0) + _reflections(-theta0))
+        z = y / np.std(y)  # unit scale, so Nelder-Mead's tolerances are relative
+        from scipy.optimize import minimize
+        res = minimize(lambda u: css(z, _from_reflections(u[:p]), -_from_reflections(u[p:])),
+                       u0, method="Nelder-Mead",
+                       options={"fatol": 1e-8, "xatol": 1e-8, "maxiter": 2000, "maxfev": 4000})
+        phi, theta = _from_reflections(res.x[:p]), -_from_reflections(res.x[p:])
+        if not (_stable(phi) and _stable(-theta)):
+            raise ArimaFitError(
+                f"optimum for orders ({p},{d},{q}) is non-stationary or non-invertible; "
+                "try different orders")
+    sigma2 = css(y, phi, theta) / (len(y) - p)
     return ArimaModel(p, d, q, phi, theta, mu, sigma2)
 
 
-def _forecasts(model: ArimaModel, history: np.ndarray, start: int) -> np.ndarray:
-    """One-step conditional expectations for slots start..len(history), slot t
-    conditioned on history[:t]. Every history is a prefix of the longest, so
-    one differencing and one residual filter serve them all; the sums run in
-    the per-slot order (mu, AR terms, MA terms, then the integration levels),
-    and a term a short history lacks is left out, never wrapped around."""
+def forecast_one(model: ArimaModel, history) -> float:
+    """The one-step forecast after `history`: a one-slot `rolling_forecast`."""
+    n = len(history)  # the appended NaN slot is never read
+    return float(rolling_forecast(model, np.append(history, np.nan), (n, n + 1))[0])
+
+
+def rolling_forecast(model: ArimaModel, series, test_range) -> np.ndarray:
+    """One-step forecasts for every slot t in [start, stop), each conditioned
+    on series[:t]. No refitting; one O(N) pass: every history is a prefix of
+    the longest, so one differencing and one residual filter serve them all.
+    The sums run in the per-slot order (mu, AR terms, MA terms, then the
+    integration levels), and a term a short history lacks is left out, never
+    wrapped around."""
+    series = np.asarray(series, dtype=np.float64)
+    start, stop = test_range
+    if not (0 <= start < stop <= len(series)):
+        raise ValueError(f"test range [{start}, {stop}) outside series of length {len(series)}")
     p, d, q = model.p, model.d, model.q
     if start < p + d:
-        raise ValueError(
-            f"history of length {start} too short for orders (p={p}, d={d})")
-    stop = len(history) + 1
+        raise ValueError(f"history of length {start} too short for orders (p={p}, d={d})")
     lasts = np.zeros(stop - start)
-    z = history
+    z = series[:stop - 1]
     for k in range(d):
         lasts += z[start - 1 - k:stop - 1 - k]  # last value of level k per slot
         z = np.diff(z)
@@ -188,22 +193,6 @@ def _forecasts(model: ArimaModel, history: np.ndarray, start: int) -> np.ndarray
     return pred + lasts
 
 
-def forecast_one(model: ArimaModel, history) -> float:
-    """One-step-ahead conditional expectation given true history."""
-    history = np.asarray(history, dtype=np.float64)
-    return float(_forecasts(model, history, len(history))[0])
-
-
-def rolling_forecast(model: ArimaModel, series, test_range) -> np.ndarray:
-    """One-step forecasts for every slot in [start, stop), each conditioned on
-    the true series up to the previous slot. No refitting; one O(N) pass."""
-    series = np.asarray(series, dtype=np.float64)
-    start, stop = test_range
-    if not (0 <= start < stop <= len(series)):
-        raise ValueError(f"test range [{start}, {stop}) outside series of length {len(series)}")
-    return _forecasts(model, series[:stop - 1], start)
-
-
 def aic(model: ArimaModel, n: int) -> float:
     return n * np.log(model.sigma2) + 2.0 * (model.p + model.q + 1)
 
@@ -216,9 +205,8 @@ def _fit_grid_at(series: np.ndarray, d: int) -> list:
             model = fit(series, p, d, q)
         except (ArimaFitError, ValueError):
             continue
-        if model.sigma2 <= 0:
-            continue
-        candidates.append(((aic(model, len(series)), p + q, d, p, q), model))
+        if model.sigma2 > 0:
+            candidates.append(((aic(model, len(series)), p + q, d, p, q), model))
     return candidates
 
 

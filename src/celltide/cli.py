@@ -276,6 +276,9 @@ def _resolve_defaults(args) -> None:
     parser = args.parser
     if getattr(args, "seed", 0) < 0:
         parser.error(f"--seed must be non-negative, got {args.seed}")
+    second = {"train": "out_history", "arima": "out_predictions"}.get(args.command)
+    if second and os.path.realpath(args.out_model) == os.path.realpath(getattr(args, second)):
+        parser.error(f"--out-model and --{second.replace('_', '-')} name the same file")
     if args.command in ("arima", "compare"):
         for k in ("p", "d", "q"):
             if not 0 <= (getattr(args, k) or 0) <= arima.MAX_ORDER:

@@ -59,7 +59,16 @@ def require(obj: dict, path: str):
 
 
 def require_array(obj: dict, path: str, shape: tuple) -> np.ndarray:
-    arr = np.asarray(require(obj, path), dtype=np.float64)
+    items = [require(obj, path)]  # the field's value, then every item nested in it
+    for v in items:  # a list appended to while it is walked
+        if isinstance(v, list):
+            items += v
+        elif type(v) not in (int, float):  # a bool, string, null or object
+            raise ModelFormatError(f"field {path!r} holds {v!r}, expected numbers")
+    try:
+        arr = np.asarray(items[0], dtype=np.float64)
+    except ValueError:  # rows of unequal length
+        raise ModelFormatError(f"field {path!r} is ragged, expected shape {shape}") from None
     if arr.shape != shape:
         raise ModelFormatError(f"field {path!r} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):

@@ -54,6 +54,17 @@ class TestFit:
         with pytest.raises(ValueError):
             arima.fit(np.arange(15.0), 2, 0, 2)
 
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_zero_order_sigma2_is_mean_square(self, d):
+        """A zero order goes through the CSS like every other order, and
+        with no coefficients that is the mean square of the centred series."""
+        series = simulate_arma(300, phi=(0.5,), seed=11) + 7.0
+        w = np.diff(series, n=d)
+        w = w - float(np.mean(w))
+        model = arima.fit(series, 0, d, 0)
+        assert model.phi.shape == model.theta.shape == (0,)
+        assert model.sigma2 == float(w @ w) / len(w)
+
     def test_order_ceiling(self):
         with pytest.raises(ValueError):
             arima.fit(np.arange(1000.0), 6, 0, 0)
@@ -277,6 +288,18 @@ class TestSerialization:
         text = re.sub(f'"{field}": [^,}}]+', f'"{field}": {str(value).lower()}',
                       arima.serialize(model))
         with pytest.raises(ModelFormatError, match=f"'{field}'"):
+            arima.deserialize(text)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("phi", '["0.5"]', "'phi' holds '0.5'"), ("phi", "[true]", "'phi' holds True"),
+        ("theta", "[null]", "'theta' holds None"), ("phi", '[{"a": 1}]', "'phi' holds"),
+        ("phi", "[[0.5], [0.1, 0.2]]", "'phi' is ragged")])
+    def test_non_numeric_coefficients_rejected(self, field, value, message):
+        """A string or bool is not read as a number, and a ragged list is
+        rejected naming the field, not by numpy."""
+        model = arima.ArimaModel(1, 0, 1, np.array([0.5]), np.array([0.2]), mu=1.0, sigma2=2.0)
+        text = re.sub(f'"{field}": \\[[^]]*\\]', f'"{field}": {value}', arima.serialize(model))
+        with pytest.raises(ModelFormatError, match=message):
             arima.deserialize(text)
 
     def test_exact_fit_round_trips(self):

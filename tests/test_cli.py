@@ -261,6 +261,24 @@ class TestSeedEnvironment:
         assert forks == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--model", "ffnn", "--out-model", "X", "--out-history", "./X"],
+    ["arima", "--out-model", "X", "--out-predictions", "./X"],
+], ids=["train", "arima"])
+def test_two_outputs_naming_one_file_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    """Both outputs would share one temporary and one would be lost, so two
+    output flags that name one file are a usage error, raised before the
+    series (here missing) is read."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--series", "missing.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: celltide {argv[0]} ")
+    assert f"{argv[-4]} and {argv[-2]} name the same file" in err
+    assert os.listdir(tmp_path) == []
+
+
 class TestArima:
     @pytest.mark.parametrize("flag", ["--p", "--d", "--q"])
     def test_auto_with_order_is_usage_error(self, tmp_path, capsys, flag):
@@ -869,3 +887,19 @@ def test_cli_import_leaves_scipy_unloaded():
                           env=dict(os.environ, PYTHONPATH=src_dir), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False False"
+
+
+@pytest.mark.parametrize("d", ["0", "1"])
+def test_zero_order_arima_leaves_scipy_unloaded(tmp_path, d):
+    """A zero-order fit needs neither the optimiser nor the MA filter."""
+    series = make_series_csv(tmp_path)
+    src_dir = os.path.dirname(os.path.dirname(celltide.__file__))
+    code = ("import sys; from celltide.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print('scipy' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", code, "arima", "--series", str(series), "--train-frac", "0.4",
+         "--p", "0", "--d", d, "--q", "0", "--out-model", str(tmp_path / "a.json"),
+         "--out-predictions", str(tmp_path / "a.csv")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src_dir), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,28 @@ def test_bad_scaler_rejected(lo, hi, field):
     text = model_file("lstm", scaler={"min": lo, "max": hi})
     with pytest.raises(ModelFormatError, match=field):
         modelio.loads_neural(text, lstm.LstmParams)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("cell", ["0.5", True, None, {}])
+def test_non_numeric_weight_rejected(kind, cell):
+    """A weight that is a string, bool, null or object is rejected naming
+    the weight, not read as a number."""
+    obj = json.loads(model_file(kind))
+    key, rows = next(iter(obj["weights"].items()))  # a matrix in both models
+    rows[0][0] = cell
+    with pytest.raises(ModelFormatError, match=re.escape(f"field 'weights.{key}' holds {cell!r}")):
+        modelio.loads_neural(json.dumps(obj), MODELS[kind][0])
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_ragged_weight_rejected(kind):
+    """A row of another length is rejected naming the weight, not by numpy."""
+    obj = json.loads(model_file(kind))
+    key, rows = next(iter(obj["weights"].items()))
+    rows[-1].pop()
+    with pytest.raises(ModelFormatError, match=f"field 'weights.{key}' is ragged"):
+        modelio.loads_neural(json.dumps(obj), MODELS[kind][0])
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
