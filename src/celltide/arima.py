@@ -234,17 +234,3 @@ def serialize(model: ArimaModel) -> str:
         "mu": model.mu, "sigma2": model.sigma2,
     })
 
-
-def deserialize(text: str) -> ArimaModel:
-    """Read a model file; a `heads` key, written by older versions, is ignored."""
-    obj = modelio.loads(text)
-    modelio.check_type_tag(obj, "arima")
-    p, d, q = (modelio.require_int(obj, name, 0, MAX_ORDER) for name in ("p", "d", "q"))
-    mu, sigma2 = modelio.require_finite(obj, "mu"), modelio.require_finite(obj, "sigma2")
-    if sigma2 < 0:  # 0 is what `fit` gives a series it models exactly
-        raise modelio.ModelFormatError(f"field 'sigma2' is {sigma2!r}, expected >= 0")
-    return ArimaModel(
-        p, d, q,
-        modelio.require_array(obj, "phi", (p,)),
-        modelio.require_array(obj, "theta", (q,)),
-        mu, sigma2)

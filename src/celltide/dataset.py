@@ -83,20 +83,18 @@ class SplitSpec:
 
 
 def split(n_total: int, train_frac: float) -> SplitSpec:
-    """floor(frac*N) training slots, ceil(0.10*N) each for validation and test.
+    """ceil(0.10*N) slots each for validation and test, and floor(frac*N)
+    training slots, capped at the N - n_val - n_test slots before them.
 
     Reproduces the 8928-slot reference counts: 0.8 -> (7142, 893, 893),
     0.4 -> 3571 train, 0.1 -> 892 train.
     """
     if not (0.0 < train_frac <= 0.8):
         raise ValueError("train_frac must be in (0, 0.8]")
-    n_train = math.floor(train_frac * n_total)
     n_val = n_test = math.ceil(0.10 * n_total)
-    if n_train < 1 or n_val < 1:
+    n_train = min(math.floor(train_frac * n_total), n_total - n_val - n_test)
+    if n_train < 1:
         raise ValueError(f"split of {n_total} slots leaves an empty part")
-    if n_train + n_val + n_test > n_total:
-        raise ValueError(
-            f"split parts {n_train}+{n_val}+{n_test} exceed {n_total} slots")
     return SplitSpec(n_train, n_val, n_test)
 
 

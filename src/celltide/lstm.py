@@ -25,14 +25,13 @@ class LstmParams(FlatViews):
     The buffer holds W_f, W_i, W_o, W_c (H, H+1), then b_f, b_i, b_o, b_c
     (H,), then W_y (1, H) and b_y (1,). The gate matrices are the row blocks
     of the packed gate matrix `W` (4H, H+1) in GATE_ORDER, and the gate
-    biases form the packed vector `b` (4H,). The window length does not
-    shape an LSTM, so `window_len` is accepted and ignored.
+    biases form the packed vector `b` (4H,).
     """
 
     kind = "lstm"
     WEIGHT_KEYS = WEIGHT_KEYS
 
-    def __init__(self, hidden: int, window_len: int = 0, flat: np.ndarray | None = None):
+    def __init__(self, hidden: int, flat: np.ndarray | None = None):
         super().__init__([(f"W_{gate}", (hidden, hidden + 1)) for gate in GATE_ORDER]
                          + [(f"b_{gate}", (hidden,)) for gate in GATE_ORDER]
                          + [("W_y", (1, hidden)), ("b_y", (1,))], flat)

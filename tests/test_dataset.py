@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -97,6 +99,23 @@ class TestSplit:
         spec = dataset.split(8928, 0.8)
         assert spec.val_start == 7142
         assert spec.test_start == 8035
+
+    def test_default_fraction_splits_every_length(self):
+        """At 0.8 every series of 3 or more slots splits: validation and test
+        keep ceil(0.10*N) slots each, and training floor(0.8*N) slots unless
+        that overruns them, when it takes every slot before them."""
+        for n in range(1, 2001):
+            n_eval = math.ceil(0.10 * n)
+            if n < 3:
+                with pytest.raises(ValueError, match="empty part"):
+                    dataset.split(n, 0.8)
+                continue
+            spec = dataset.split(n, 0.8)
+            assert (spec.n_val, spec.n_test) == (n_eval, n_eval), n
+            assert 1 <= spec.n_train <= math.floor(0.8 * n), n
+            total = spec.n_train + spec.n_val + spec.n_test
+            assert total == n or spec.n_train == math.floor(0.8 * n), n
+            assert total <= n, n
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from celltide import ffnn, modelio
 from celltide.dataset import ScalerParams
 from celltide.linalg import ShapeError
-from celltide.modelio import ModelFormatError
 from oracles import ffnn_forward_scalar, max_relative_error, numeric_gradients
 
 
@@ -118,19 +119,13 @@ class TestPackedStorage:
 class TestSerialization:
     def test_roundtrip(self):
         p = ffnn.init_params(6, seed=12)
-        text = modelio.dumps_neural(p, 6, ScalerParams(-1.0, 2.5))
-        q, window_len, scaler = modelio.loads_neural(text, ffnn.FfnnParams)
-        assert window_len == 6 and scaler == ScalerParams(-1.0, 2.5)
+        obj = json.loads(modelio.dumps_neural(p, 6, ScalerParams(-1.0, 2.5)))
+        assert (obj["type"], obj["T"]) == ("ffnn", 6)
+        assert obj["scaler"] == {"min": -1.0, "max": 2.5}
         for k in ffnn.WEIGHT_KEYS:
-            assert np.array_equal(getattr(p, k), getattr(q, k))
+            assert np.array_equal(getattr(p, k), obj["weights"][k])
 
     def test_t12_scalar_count(self):
-        import json
         text = modelio.dumps_neural(ffnn.init_params(12, seed=0), 12, ScalerParams(0, 1))
         obj = json.loads(text)
         assert sum(np.asarray(a).size for a in obj["weights"].values()) == 71
-
-    def test_wrong_type_tag(self):
-        text = modelio.dumps_neural(ffnn.init_params(3, seed=0), 3, ScalerParams(0, 1))
-        with pytest.raises(ModelFormatError, match="type"):
-            modelio.loads_neural(text.replace('"ffnn"', '"lstm"'), ffnn.FfnnParams)

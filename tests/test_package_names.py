@@ -17,10 +17,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "celltide"
 
-ALLOWED = {
-    "arima.deserialize": "reads ARIMA model files; waits for a `predict` command",
-    "modelio.loads_neural": "reads neural model files; waits for a `predict` command",
-}
+ALLOWED = {}
 
 
 def _named(node) -> set:
