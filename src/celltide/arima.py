@@ -74,8 +74,6 @@ def residuals(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     and zero pre-sample residuals. Length is len(y) - p."""
     y = np.asarray(y, dtype=np.float64)
     p, n = len(phi), len(y)
-    if n <= p:
-        raise ValueError(f"need more than {p} observations, got {n}")
     u = y[p:].copy()
     for i, ph in enumerate(phi, start=1):
         u -= ph * y[p - i:n - i]
@@ -96,9 +94,6 @@ def hannan_rissanen(y: np.ndarray, p: int, q: int):
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
     m = min(20, max(n // 10, p + q + 1))  # long-AR order for the residual proxy
-    if n <= m + max(p, q):
-        raise ArimaFitError("series too short for Hannan-Rissanen initialization")
-
     x_long = np.column_stack([y[m - k:n - k] for k in range(1, m + 1)])
     beta, _, rank, _ = np.linalg.lstsq(x_long, y[m:], rcond=None)
     if rank < m:
@@ -127,9 +122,6 @@ def check_length(n: int, order=None) -> None:
 def fit(series, p: int, d: int, q: int) -> ArimaModel:
     """Estimate an ARIMA(p,d,q) model on a training series."""
     series = np.asarray(series, dtype=np.float64)
-    for name, v in (("p", p), ("d", d), ("q", q)):
-        if not (0 <= v <= MAX_ORDER):
-            raise ValueError(f"order {name}={v} outside 0..{MAX_ORDER}")
     check_length(len(series), (p, d, q))
     w = np.diff(series, n=d)
     mu = float(np.mean(w))
@@ -155,7 +147,8 @@ def fit(series, p: int, d: int, q: int) -> ArimaModel:
 
 
 def forecast_one(model: ArimaModel, history) -> float:
-    """The one-step forecast after `history`: a one-slot `rolling_forecast`."""
+    """The one-step forecast after `history`, of at least p + d values: a
+    one-slot `rolling_forecast`."""
     n = len(history)  # the appended NaN slot is never read
     return float(rolling_forecast(model, np.append(history, np.nan), (n, n + 1))[0])
 
@@ -166,14 +159,10 @@ def rolling_forecast(model: ArimaModel, series, test_range) -> np.ndarray:
     the longest, so one differencing and one residual filter serve them all.
     The sums run in the per-slot order (mu, AR terms, MA terms, then the
     integration levels), and a term a short history lacks is left out, never
-    wrapped around."""
+    wrapped around. The caller keeps p + d <= start < stop <= len(series)."""
     series = np.asarray(series, dtype=np.float64)
     start, stop = test_range
-    if not (0 <= start < stop <= len(series)):
-        raise ValueError(f"test range [{start}, {stop}) outside series of length {len(series)}")
     p, d, q = model.p, model.d, model.q
-    if start < p + d:
-        raise ValueError(f"history of length {start} too short for orders (p={p}, d={d})")
     lasts = np.zeros(stop - start)
     z = series[:stop - 1]
     for k in range(d):

@@ -144,8 +144,6 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
     parsed; any other block has every line parsed. Both give the same
     records and the same errors.
     """
-    if channel not in CHANNELS:
-        raise ValueError(f"unknown channel {channel!r}")
     col = 3 + CHANNELS.index(channel)
     names = sorted(n for n in os.listdir(dir_path)
                    if os.path.isfile(os.path.join(dir_path, n)))

@@ -268,14 +268,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flag: (test of its value, the rule the message states); the library
+# functions the commands call assume values that pass
+_FLAG_RANGES = {
+    "seed": (lambda v: v >= 0, "non-negative"),
+    "days": (lambda v: v >= 1, ">= 1"),
+    "window": (lambda v: v >= 1, ">= 1"),
+    "epochs": (lambda v: v >= 1, ">= 1"),
+    "lr": (lambda v: 0 <= v < np.inf, "finite and >= 0"),
+    "train_frac": (lambda v: 0 < v <= 0.8, "in (0, 0.8]"),
+}
+
+
 def _resolve_defaults(args) -> None:
-    """Fill in the defaults that depend on other flags; a bad value or
-    combination is a usage error (exit code 2) under the subcommand's usage
-    line. `arima` and `compare` get `args.order`: (p, d, q), or None for the
-    AIC search."""
+    """Check every flag value and fill in the defaults that depend on other
+    flags, before the series is read; a bad value or combination is a usage
+    error (exit code 2) under the subcommand's usage line. `arima` and
+    `compare` get `args.order`: (p, d, q), or None for the AIC search."""
     parser = args.parser
-    if getattr(args, "seed", 0) < 0:
-        parser.error(f"--seed must be non-negative, got {args.seed}")
+    for name, (ok, rule) in _FLAG_RANGES.items():
+        if hasattr(args, name) and not ok(value := getattr(args, name)):
+            parser.error(f"--{name.replace('_', '-')} must be {rule}, got {value}")
     second = {"train": "out_history", "arima": "out_predictions"}.get(args.command)
     if second and os.path.realpath(args.out_model) == os.path.realpath(getattr(args, second)):
         parser.error(f"--out-model and --{second.replace('_', '-')} name the same file")

@@ -53,8 +53,6 @@ def windows_for_range(values, window_len: int, start: int, stop: int) -> WindowS
     slice; the earliest usable target index is `window_len`.
     """
     values = np.asarray(values, dtype=np.float64)
-    if window_len < 1:
-        raise ValueError("window length must be >= 1")
     start = max(start, window_len)
     if not (start < stop <= len(values)):
         raise ValueError(
@@ -84,13 +82,12 @@ class SplitSpec:
 
 def split(n_total: int, train_frac: float) -> SplitSpec:
     """ceil(0.10*N) slots each for validation and test, and floor(frac*N)
-    training slots, capped at the N - n_val - n_test slots before them.
+    training slots, capped at the N - n_val - n_test slots before them;
+    `train_frac` is in (0, 0.8].
 
     Reproduces the 8928-slot reference counts: 0.8 -> (7142, 893, 893),
     0.4 -> 3571 train, 0.1 -> 892 train.
     """
-    if not (0.0 < train_frac <= 0.8):
-        raise ValueError("train_frac must be in (0, 0.8]")
     n_val = n_test = math.ceil(0.10 * n_total)
     n_train = min(math.floor(train_frac * n_total), n_total - n_val - n_test)
     if n_train < 1:
@@ -102,8 +99,6 @@ def gen_synthetic(days: int, seed: int = 0) -> ActivitySeries:
     """Deterministic synthetic traffic: a rectified two-peak diurnal pattern
     (morning and evening busy hours), a weekly swell, and Gaussian noise,
     floored at zero."""
-    if days < 1:
-        raise ValueError("days must be >= 1")
     rng = np.random.default_rng(seed)
     t = np.arange(days * SLOTS_PER_DAY)
     base = 20.0

@@ -8,7 +8,7 @@ like the LSTM's, and `backward_batch` returns the gradient as the same type.
 
 import numpy as np
 
-from .linalg import FlatViews, ShapeError, glorot_uniform, sigmoid
+from .linalg import FlatViews, glorot_uniform, sigmoid
 
 WEIGHT_KEYS = ("W1", "b1", "W2", "b2")
 
@@ -32,8 +32,6 @@ class FfnnParams(FlatViews):
 def init_params(window_len: int, seed: int = 0) -> FfnnParams:
     """Glorot-uniform weights drawn in the order W1, W2, zero biases; the
     same scheme as the LSTM's."""
-    if window_len < 1:
-        raise ValueError("window length must be >= 1")
     return glorot_uniform(FfnnParams(HIDDEN_UNITS, window_len), ("W1", "W2"), seed)
 
 
@@ -42,8 +40,6 @@ def forward_batch(windows: np.ndarray, p: FfnnParams, cache: bool = True):
     backward_batch. `cache` is accepted for the LSTM's signature and ignored:
     this cache is a few (B, 5) arrays."""
     x = np.asarray(windows, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != p.window_len:
-        raise ShapeError(f"expected (batch, {p.window_len}) windows, got {x.shape}")
     pre1 = x @ p.W1.T + p.b1
     h = np.maximum(pre1, 0.0)
     score = h @ p.W2.T + p.b2
@@ -54,12 +50,8 @@ def forward_batch(windows: np.ndarray, p: FfnnParams, cache: bool = True):
 def backward_batch(cache: dict, d_loss_d_yhat: np.ndarray, p: FfnnParams) -> FfnnParams:
     """Batch-summed gradients as an FfnnParams over a fresh buffer; relu
     subgradient at 0 is taken as 0."""
-    if cache["x"].shape[1] != p.window_len or cache["h"].shape[1] != p.hidden:
-        raise ShapeError("cache does not match parameter shapes")
     d_y = np.asarray(d_loss_d_yhat, dtype=np.float64)
     y = cache["y"]
-    if d_y.shape != y.shape:
-        raise ShapeError(f"upstream gradient shape {d_y.shape} != predictions {y.shape}")
     d_score = d_y * y * (1.0 - y)
     grads = FfnnParams(p.hidden, p.window_len, np.empty_like(p.flat))
     np.matmul(d_score[None, :], cache["h"], out=grads["W2"])

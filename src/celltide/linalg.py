@@ -7,10 +7,6 @@ import math
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Raised when operand shapes are incompatible."""
-
-
 _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
 

@@ -10,7 +10,7 @@ type over a buffer of its own.
 
 import numpy as np
 
-from .linalg import FlatViews, ShapeError, glorot_uniform, sigmoid
+from .linalg import FlatViews, glorot_uniform, sigmoid
 
 WEIGHT_KEYS = ("W_f", "W_i", "W_c", "W_o", "b_f", "b_i", "b_c", "b_o", "W_y", "b_y")
 
@@ -45,8 +45,6 @@ def init_params(hidden: int, input_size: int = 1, seed: int = 0) -> LstmParams:
     """Glorot-uniform weights, drawn in the order W_f, W_i, W_c, W_o, W_y;
     zero biases except forget bias = 1. The LSTM reads one value per step,
     so `input_size` must be 1."""
-    if hidden < 1:
-        raise ValueError("hidden size must be >= 1")
     if input_size != 1:
         raise ValueError(f"input size must be 1, got {input_size}")
     p = glorot_uniform(LstmParams(hidden), ("W_f", "W_i", "W_c", "W_o", "W_y"), seed)
@@ -92,8 +90,6 @@ def forward_batch(windows: np.ndarray, p: LstmParams, cache: bool = True):
     step runs the same GEMM on the same inputs and shapes.
     """
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 2 or windows.shape[1] < 1:
-        raise ShapeError(f"expected (batch, T>=1) windows, got shape {windows.shape}")
     n, t_len = windows.shape
     h = p.hidden
     steps = t_len if cache else 1
@@ -125,12 +121,8 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> Ls
     """
     z, gates, c, tanh_c = caches["z"], caches["gates"], caches["c"], caches["tanh_c"]
     h = p.hidden
-    if gates.shape[2] != 4 * h or z.shape[2] != h + 2:
-        raise ShapeError("cache does not match parameter shapes")
     d_y = np.asarray(d_loss_d_yhat, dtype=np.float64)
     y = caches["y"]
-    if d_y.shape != y.shape:
-        raise ShapeError(f"upstream gradient shape {d_y.shape} != predictions {y.shape}")
     grads = LstmParams(h, flat=np.empty_like(p.flat))
     d_score = d_y * y * (1.0 - y)
     np.matmul(d_score[None, :], caches["a_final"], out=grads["W_y"])

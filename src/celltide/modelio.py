@@ -9,7 +9,9 @@ from .dataset import ScalerParams
 
 
 def dumps(obj) -> str:
-    """JSON text with floats printed to 17 significant digits (round-trip exact)."""
+    """JSON text with floats printed to 17 significant digits, and `.0`
+    after one that prints as an integer, so each reads back as the same
+    float, the sign of a zero included."""
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(k)}: {dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
@@ -18,7 +20,8 @@ def dumps(obj) -> str:
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist())
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        text = format(float(obj), ".17g")
+        return text if any(c in text for c in ".en") else text + ".0"  # n: nan, inf
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return str(int(obj))
     if isinstance(obj, str):
@@ -27,18 +30,12 @@ def dumps(obj) -> str:
 
 
 def dumps_neural(params, window_len: int, scaler: ScalerParams) -> str:
-    """A neural model file: `type`, `hidden`, `T`, `head` (always
-    "sigmoid"), `scaler`, then `weights` in the model's WEIGHT_KEYS order.
-    `hidden` and `T` must be positive ints and the scaler bounds finite
-    numbers with min < max; otherwise a ValueError names the field."""
-    for name, n in (("hidden", params.hidden), ("T", window_len)):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"field {name!r} is {n!r}, not a positive int")
-    for name, x in (("scaler.min", scaler.min), ("scaler.max", scaler.max)):
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not np.isfinite(x):
-            raise ValueError(f"field {name!r} is {x!r}, not a finite number")
-    if not scaler.min < scaler.max:
-        raise ValueError(f"field 'scaler' has min {scaler.min!r} >= max {scaler.max!r}")
+    """A neural model file: `type`, `hidden`, `T` (a positive int, else a
+    ValueError names it), `head` (always "sigmoid"), `scaler` (from
+    `fit_scaler`), then `weights` in the model's WEIGHT_KEYS order."""
+    T = window_len
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
+        raise ValueError(f"field 'T' is {T!r}, not a positive int")
     return dumps({
         "type": params.kind,
         "hidden": params.hidden,

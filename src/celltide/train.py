@@ -29,12 +29,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
 
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 <= self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-
 
 # one row of a training history; `fit` returns a list of them
 Epoch = collections.namedtuple("Epoch", "epoch train_mae val_mae wall_ms")
@@ -50,8 +44,6 @@ def write_history(path: str, history: list) -> None:
 def mae(pred, truth) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape or pred.size == 0:
-        raise ValueError(f"mae: need equal nonzero lengths, got {pred.shape} vs {truth.shape}")
     return float(np.mean(np.abs(pred - truth)))
 
 
@@ -59,8 +51,6 @@ def adam_step(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int
               lr: float) -> None:
     """Adam update number `t` (from 1, for the bias correction) of the flat
     weights `w` and their moment estimates `m` and `v`, all in place."""
-    if g.shape != w.shape:
-        raise ValueError(f"adam_step: gradient shape {g.shape} != param {w.shape}")
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
@@ -85,8 +75,6 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
     overflow or invalid value anywhere in an epoch raises TrainingDiverged.
     """
     model, _ = MODELS[kind]
-    if len(train_set) == 0 or len(val_set) == 0:
-        raise ValueError("train and validation sets must be nonempty")
     m, v, step = np.zeros_like(params.flat), np.zeros_like(params.flat), 0
     rng = np.random.default_rng(config.seed)
     history = []

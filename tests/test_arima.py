@@ -64,10 +64,6 @@ class TestFit:
         assert model.phi.shape == model.theta.shape == (0,)
         assert model.sigma2 == float(w @ w) / len(w)
 
-    def test_order_ceiling(self):
-        with pytest.raises(ValueError):
-            arima.fit(np.arange(1000.0), 6, 0, 0)
-
 
 class TestForecastOne:
     def test_mean_model(self):
@@ -81,11 +77,6 @@ class TestForecastOne:
     def test_martingale_under_differencing(self):
         model = arima.ArimaModel(0, 1, 0, [], [], mu=0.0, sigma2=1.0)
         assert arima.forecast_one(model, np.array([2.0, 5.0, 8.25])) == 8.25
-
-    def test_insufficient_history(self):
-        model = arima.ArimaModel(2, 1, 0, [0.3, 0.2], [], mu=0.0, sigma2=1.0)
-        with pytest.raises(ValueError):
-            arima.forecast_one(model, np.array([1.0, 2.0]))
 
     def test_mean_model_translation_equivariance(self):
         y = simulate_arma(400, seed=5)
@@ -139,16 +130,6 @@ class TestRollingForecast:
         assert [arima.forecast_one(model, series[:t]) for t in range(40, 60)] == want.tolist()
         want = oracles.arima_rolling_forecast(model, series, p + d, 40)
         assert [arima.forecast_one(model, series[:t]) for t in range(p + d, 40)] == want.tolist()
-        if p + d:
-            with pytest.raises(ValueError):
-                arima.rolling_forecast(model, series, (p + d - 1, 60))
-            with pytest.raises(ValueError):
-                arima.forecast_one(model, series[:p + d - 1])
-
-    def test_range_out_of_bounds(self):
-        model = arima.ArimaModel(0, 0, 0, [], [], mu=0.0, sigma2=1.0)
-        with pytest.raises(ValueError):
-            arima.rolling_forecast(model, np.arange(10.0), (5, 20))
 
 
 class TestAutoOrder:

@@ -172,10 +172,13 @@ class TestTrain:
         outs = (["--model", "ffnn", "--out-model", str(tmp_path / "m.json"),
                  "--out-history", str(tmp_path / "h.csv")] if command == "train"
                 else ["--out-dir", str(tmp_path / "out")])
-        assert main([command, "--series", str(series), "--train-frac", "0.4",
-                     "--epochs", "1", "--lr", lr, *outs]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--series", str(series), "--train-frac", "0.4",
+                  "--epochs", "1", "--lr", lr, *outs])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"learning_rate must be finite and >= 0, got {lr}" in err
+        assert err.startswith(f"usage: celltide {command} ")
+        assert f"--lr must be finite and >= 0, got {lr}" in err
         assert "non-finite loss" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
@@ -220,12 +223,18 @@ class TestTrain:
         assert model.read_text() == "earlier\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "series.csv"]
 
-    def test_bad_fraction_fails(self, tmp_path):
+    def test_bad_fraction_fails(self, tmp_path, capsys):
         series = make_series_csv(tmp_path)
-        assert main(["train", "--model", "ffnn", "--series", str(series),
-                     "--train-frac", "0.99", "--epochs", "1",
-                     "--out-model", str(tmp_path / "m.json"),
-                     "--out-history", str(tmp_path / "h.csv")]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--model", "ffnn", "--series", str(series),
+                  "--train-frac", "0.99", "--epochs", "1",
+                  "--out-model", str(tmp_path / "m.json"),
+                  "--out-history", str(tmp_path / "h.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: celltide train ")
+        assert "--train-frac must be in (0, 0.8], got 0.99" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
 
 def record_forks(monkeypatch):
@@ -277,6 +286,75 @@ def test_two_outputs_naming_one_file_is_usage_error(tmp_path, monkeypatch, capsy
     assert err.startswith(f"usage: celltide {argv[0]} ")
     assert f"{argv[-4]} and {argv[-2]} name the same file" in err
     assert os.listdir(tmp_path) == []
+
+
+TRAIN_OUTS = ["--out-model", "m.json", "--out-history", "h.csv"]
+ARIMA_OUTS = ["--out-model", "a.json", "--out-predictions", "a.csv"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["synth", "--days", "0", "--out", "s.csv"], "--days must be >= 1, got 0"),
+    (["train", "--model", "lstm", "--window", "0", *TRAIN_OUTS], "--window must be >= 1, got 0"),
+    (["compare", "--epochs", "0", "--out-dir", "out"], "--epochs must be >= 1, got 0"),
+    (["train", "--model", "ffnn", "--lr", "-1", *TRAIN_OUTS],
+     "--lr must be finite and >= 0, got -1.0"),
+    (["arima", "--train-frac", "0.99", *ARIMA_OUTS], "--train-frac must be in (0, 0.8], got 0.99"),
+    (["compare", "--train-frac", "nan", "--out-dir", "out"],
+     "--train-frac must be in (0, 0.8], got nan"),
+], ids=["days", "window", "epochs", "lr", "train-frac", "train-frac-nan"])
+def test_flag_out_of_range_is_usage_error(tmp_path, monkeypatch, capsys, argv, message):
+    """A flag value out of its range is a usage error naming the flag, raised
+    before the series (here missing) is read and any file or directory made."""
+    monkeypatch.chdir(tmp_path)
+    series = [] if argv[0] == "synth" else ["--series", "missing.csv"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *series])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: celltide {argv[0]} ")
+    assert err.endswith(f": error: {message}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_boundary_flag_values_run(tmp_path):
+    """The edge of each range is accepted: one day, a one-slot window, one
+    epoch, a learning rate of 0 and a training fraction of 0.8."""
+    series = make_series_csv(tmp_path, days=1)
+    assert main(["train", "--model", "ffnn", "--series", str(series), "--window", "1",
+                 "--epochs", "1", "--lr", "0", "--train-frac", "0.8",
+                 "--out-model", str(tmp_path / "m.json"),
+                 "--out-history", str(tmp_path / "h.csv")]) == 0
+    assert json.loads((tmp_path / "m.json").read_text())["T"] == 1
+
+
+CONSTANT = np.full(432, 5.0)
+
+
+@pytest.mark.parametrize("values,argv,message", [
+    (CONSTANT, ["arima", "--auto", *ARIMA_OUTS],
+     "no ARIMA order in the search grid could be fitted"),
+    (CONSTANT, ["arima", "--p", "1", *ARIMA_OUTS],
+     "singular least squares in long-AR step; try lower orders"),
+    (CONSTANT, ["compare", "--epochs", "1", "--out-dir", "out"],
+     "cannot fit scaler on a constant training slice"),
+    ([1.0, 2.0], ["train", "--model", "ffnn", *TRAIN_OUTS],
+     "split of 2 slots leaves an empty part"),
+    ([1.0, 2.0], ["arima", *ARIMA_OUTS], "split of 2 slots leaves an empty part"),
+    (dataset.gen_synthetic(3).values, ["train", "--model", "lstm", "--window", "400", *TRAIN_OUTS],
+     "no targets in range [400, 344) for series of length 432"),
+    (dataset.gen_synthetic(3).values, ["compare", "--window", "400", "--out-dir", "out"],
+     "no targets in range [400, 344) for series of length 432"),
+], ids=["constant-arima-auto", "constant-arima-p1", "constant-compare", "two-slots-train",
+        "two-slots-arima", "long-window-train", "long-window-compare"])
+def test_runtime_error_is_one_line(tmp_path, monkeypatch, capsys, values, argv, message):
+    """A series the command cannot fit fails with exit code 1 and one line,
+    and leaves no output behind."""
+    monkeypatch.chdir(tmp_path)
+    cdr.write_series_csv(cdr.ActivitySeries(T0, np.asarray(values, dtype=float)), "series.csv")
+    assert main([*argv, "--series", "series.csv"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["series.csv"]
+    assert_no_child_process()
 
 
 class TestArima:

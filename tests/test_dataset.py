@@ -117,10 +117,6 @@ class TestSplit:
             assert total == n or spec.n_train == math.floor(0.8 * n), n
             assert total <= n, n
 
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            dataset.split(100, 0.81)
-
     def test_determinism(self):
         assert dataset.split(5000, 0.4) == dataset.split(5000, 0.4)
 

@@ -5,7 +5,6 @@ import pytest
 
 from celltide import ffnn, modelio
 from celltide.dataset import ScalerParams
-from celltide.linalg import ShapeError
 from oracles import ffnn_forward_scalar, max_relative_error, numeric_gradients
 
 
@@ -56,10 +55,6 @@ class TestForward:
             window = rng.uniform(-1, 1, 3)
             y, _ = forward1(window, p)
             assert y == pytest.approx(ffnn_forward_scalar(window, p), abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            forward1(np.zeros(4), zero_params(3))
 
     def test_cache_flag_is_ignored(self):
         p = ffnn.init_params(4, seed=3)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from celltide import linalg
-from celltide.linalg import ShapeError
 
 
 class TestActivations:

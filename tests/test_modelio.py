@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -43,32 +44,6 @@ def test_bad_window_len_rejected(kind, value):
         modelio.dumps_neural(MODELS[kind][1](), value, ScalerParams(1.0, 9.0))
 
 
-@pytest.mark.parametrize("kind", sorted(MODELS))
-@pytest.mark.parametrize("value", BAD_COUNTS)
-def test_bad_hidden_rejected(kind, value):
-    """No file is written with a `hidden` that is not a positive int."""
-    p = MODELS[kind][1]()
-    p.hidden = value
-    with pytest.raises(ValueError, match="'hidden'"):
-        modelio.dumps_neural(p, 4, ScalerParams(1.0, 9.0))
-
-
-@pytest.mark.parametrize("lo,hi,field", [
-    (5.0, 5.0, "'scaler'"),
-    (6.0, 5.0, "'scaler'"),
-    ("nan", 5.0, "'scaler.min'"),
-    (float("nan"), 5.0, "'scaler.min'"),
-    (0.0, float("inf"), "'scaler.max'"),
-    (0.0, "9", "'scaler.max'"),
-    (False, 9.0, "'scaler.min'"),
-])
-def test_bad_scaler_rejected(lo, hi, field):
-    """No file is written whose scaler bounds are not finite numbers with
-    min < max: `.17g` would write a NaN or an infinity as no JSON number."""
-    with pytest.raises(ValueError, match=field):
-        modelio.dumps_neural(lstm.init_params(2, seed=0), 4, ScalerParams(lo, hi))
-
-
 def test_smallest_model_accepted():
     """One hidden unit and a one-slot window: every weight is written in its
     view's shape, even where it holds a single number."""
@@ -89,6 +64,17 @@ def test_every_float_round_trips_exactly():
                              [1 / 3, 0.1, 5e-324, 1.7976931348623157e308, 1e16, 2.0**53 + 2]])
     back = np.array(json.loads(modelio.dumps(values)), dtype=np.float64)
     assert np.array_equal(back, values)
+
+
+def test_integral_floats_read_back_as_floats():
+    """A float that `.17g` prints as an integer gets a `.0`, so it reads back
+    as a float and a negative zero keeps its sign; other floats and the ints
+    print as before."""
+    text = modelio.dumps([-0.0, 3.0, np.float64(1e16), 0.1, 2])
+    assert text == "[-0.0, 3.0, 10000000000000000.0, 0.10000000000000001, 2]"
+    back = json.loads(text)
+    assert [type(v) for v in back] == [float, float, float, float, int]
+    assert math.copysign(1.0, back[0]) == -1.0
 
 
 @pytest.mark.parametrize("fixture,init", [

@@ -29,12 +29,6 @@ class TestMae:
         naive = sum(abs(x - y) for x, y in zip(a, b)) / 100
         assert train.mae(a, b) == pytest.approx(naive, abs=1e-12)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            train.mae([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            train.mae([], [])
-
 
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
@@ -54,11 +48,6 @@ class TestAdam:
                 train.adam_step(w, np.array([np.sin(i) + 0.2]), m, v, i + 1, 1e-2)
             return w[0]
         assert run() == run()
-
-    def test_shape_mismatch(self):
-        w = np.zeros(3)
-        with pytest.raises(ValueError):
-            train.adam_step(w, np.zeros(2), np.zeros(3), np.zeros(3), 1, 1e-3)
 
     def test_step_counter(self):
         # bias correction by the step count makes each step of a constant
