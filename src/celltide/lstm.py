@@ -10,7 +10,7 @@ type over a buffer of its own.
 
 import numpy as np
 
-from .linalg import FlatViews, glorot_uniform, sigmoid
+from .linalg import _SIG_HI, _SIG_LO, FlatViews, glorot_uniform, sigmoid
 
 WEIGHT_KEYS = ("W_f", "W_i", "W_c", "W_o", "b_f", "b_i", "b_c", "b_o", "W_y", "b_y")
 
@@ -53,60 +53,73 @@ def init_params(hidden: int, input_size: int = 1, seed: int = 0) -> LstmParams:
 
 
 def _gate_weights(p: LstmParams) -> np.ndarray:
-    """The packed gate matrix transposed, with the packed bias as its last
-    row: a C-contiguous (H+2, 4H) array. One GEMM of a step input
-    [a_prev, x, 1] with it gives all four gate pre-activations, bias included.
+    """`[W | b]`, a C-contiguous (4H, H+2) array, with the f, i, o rows
+    halved. Its product with a step input [a_prev; x; 1] gives all four gate
+    pre-activations, bias included; for the sigmoid gates it gives x/2, the
+    tanh argument of `0.5 + 0.5*tanh(x/2)`. Scaling by a power of two is
+    exact, so those rows hold exactly half the unscaled products.
     """
-    wt = np.empty((p.W.shape[1] + 1, p.W.shape[0]))
-    wt[:-1] = p.W.T
-    wt[-1] = p.b
-    return wt
-
-
-def _step(z, c_prev, wt, gates, c, tanh_c, a):
-    """One fused cell step for a batch of step inputs z = [a_prev, x, 1].
-
-    Writes the activated gates (B, 4H) in GATE_ORDER, the new cell state, its
-    tanh and the new hidden state into the given buffers.
-    """
-    h = c.shape[1]
-    np.matmul(z, wt, out=gates)
-    gates[:, :3 * h] = sigmoid(gates[:, :3 * h])
-    np.tanh(gates[:, 3 * h:], out=gates[:, 3 * h:])
-    np.multiply(gates[:, :h], c_prev, out=c)
-    c += gates[:, h:2 * h] * gates[:, 3 * h:]
-    np.tanh(c, out=tanh_c)
-    np.multiply(gates[:, 2 * h:3 * h], tanh_c, out=a)
+    h = p.hidden
+    wg = np.empty((4 * h, h + 2))
+    wg[:, :-1] = p.W
+    wg[:, -1] = p.b
+    wg[:3 * h] *= 0.5
+    return wg
 
 
 def forward_batch(windows: np.ndarray, p: LstmParams, cache: bool = True):
     """Run the cell chain over a batch of windows (B, T); zero initial state.
 
+    Every step array is feature-major, one column per window, so each gate
+    is a contiguous (H, B) block. Step t is one GEMM of the halved gate
+    matrix with the step input z_t = [a_prev; x_t; 1] (H+2, B), one tanh over
+    the whole (4H, B) gate block, and the sigmoid's `*0.5`, `+0.5` and clamp
+    into (0, 1) in place on the f, i, o rows; the new hidden state is
+    written straight into the first H rows of z_{t+1}.
+
     Returns predictions (B,) and the caches needed by backward_batch: the
-    step inputs z = [a_prev, x, 1] (T, B, H+2), the activated gates
-    (T, B, 4H), and the cell states and their tanh (T, B, H). With
-    cache=False there is one set of (B, ·) step buffers instead of T, and
-    the caches are None; the predictions are the same bit for bit, as every
+    step inputs z (T+1, H+2, B), the last holding only the final hidden
+    state `a_final` (H, B); the activated gates (T, 4H, B) in GATE_ORDER;
+    the cell states (T+1, H, B), entry t the one step t reads, so entry 0
+    is the zero initial state; and tanh of the new cell states (T, H, B).
+    With cache=False one set of step buffers serves every step and the
+    caches are None; the predictions are the same bit for bit, as every
     step runs the same GEMM on the same inputs and shapes.
     """
     windows = np.asarray(windows, dtype=np.float64)
     n, t_len = windows.shape
     h = p.hidden
     steps = t_len if cache else 1
-    z = np.empty((steps, n, h + 2))
-    z[:, :, h + 1] = 1.0
-    gates, c, tanh_c = (np.empty((steps, n, width)) for width in (4 * h, h, h))
-    a, c_prev = np.zeros((n, h)), np.zeros((n, h))
-    wt = _gate_weights(p)
+    z = np.empty((steps + cache, h + 2, n))
+    z[0, :h] = 0.0
+    z[:, h + 1] = 1.0
+    if cache:
+        z[:t_len, h] = windows.T
+    c = np.empty((steps + cache, h, n))
+    c[0] = 0.0
+    gates, tanh_c = np.empty((steps, 4 * h, n)), np.empty((steps, h, n))
+    i_u = np.empty((h, n))
+    wg = _gate_weights(p)
     for t in range(t_len):
-        k = t % steps
-        z[k, :, :h] = a
-        z[k, :, h] = windows[:, t]
-        _step(z[k], c_prev, wt, gates[k], c[k], tanh_c[k], a)
-        c_prev = c[k]
-    score = a @ p.W_y.T + p.b_y  # (B, 1)
-    y = sigmoid(score).ravel()
-    return y, ({"z": z, "gates": gates, "c": c, "tanh_c": tanh_c, "a_final": a, "y": y}
+        k = t % steps  # step t reads z[k] and c[k] and writes entry k + cache
+        if not cache:
+            z[0, h] = windows[:, t]
+        g = gates[k]
+        np.matmul(wg, z[k], out=g)
+        np.tanh(g, out=g)
+        sig = g[:3 * h]
+        sig *= 0.5
+        sig += 0.5
+        np.maximum(sig, _SIG_LO, out=sig)  # `sigmoid`'s clamp
+        np.minimum(sig, _SIG_HI, out=sig)
+        np.multiply(g[:h], c[k], out=c[k + cache])
+        np.multiply(g[h:2 * h], g[3 * h:], out=i_u)
+        c[k + cache] += i_u
+        np.tanh(c[k + cache], out=tanh_c[k])
+        np.multiply(g[2 * h:3 * h], tanh_c[k], out=z[k + cache, :h])
+    a_final = z[-1, :h]
+    y = sigmoid(p.W_y @ a_final + p.b_y[:, None])[0]
+    return y, ({"z": z, "gates": gates, "c": c, "tanh_c": tanh_c, "a_final": a_final, "y": y}
                if cache else None)
 
 
@@ -114,56 +127,59 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> Ls
     """Gradients of sum_b d_loss_d_yhat[b] * yhat[b] w.r.t. every weight/bias.
 
     Exact BPTT through all steps of the forward call that produced `caches`;
-    gradients are summed over the batch. Each step fills one (B, 4H) block of
-    gate pre-activation gradients and runs one GEMM back to the hidden state.
-    The gate weights and biases get their gradient from one GEMM over the
-    stacked (T*B, H+2) step inputs. Returns an LstmParams over a fresh buffer.
+    gradients are summed over the batch. Each step fills one contiguous
+    (4H, B) block of gate pre-activation gradients from its whole cached
+    blocks, runs one GEMM, W_h^T (H, 4H) by that block, back to the hidden
+    state, and adds the block's product with the step inputs (B, H+2) to
+    the gate weight and bias gradient. Returns an LstmParams over a fresh
+    buffer.
     """
     z, gates, c, tanh_c = caches["z"], caches["gates"], caches["c"], caches["tanh_c"]
     h = p.hidden
-    d_y = np.asarray(d_loss_d_yhat, dtype=np.float64)
+    t_len, _, n = gates.shape
     y = caches["y"]
     grads = LstmParams(h, flat=np.empty_like(p.flat))
-    d_score = d_y * y * (1.0 - y)
-    np.matmul(d_score[None, :], caches["a_final"], out=grads["W_y"])
-    grads["b_y"][0] = d_score.sum()
+    d_score = d_loss_d_yhat * y * (1.0 - y)
+    np.matmul(caches["a_final"], d_score, out=grads.W_y[0])
+    grads.b_y[0] = d_score.sum()
 
-    # Every factor of the gate gradients that does not depend on the
-    # recurrence, for all steps at once: the activation derivative (s(1-s)
-    # for f, i, o; 1-u^2 for the candidate u) times what the gate multiplies
-    # (c_prev, u, tanh(c), i), and d a_t / d c_t = o * (1 - tanh(c_t)^2).
-    t_len, n, _ = gates.shape
-    sig, cand = gates[:, :, :3 * h], gates[:, :, 3 * h:]
-    d_gates = np.empty_like(gates)
-    np.subtract(1.0, sig, out=d_gates[:, :, :3 * h])
-    d_gates[:, :, :3 * h] *= sig
-    np.multiply(cand, cand, out=d_gates[:, :, 3 * h:])
-    np.subtract(1.0, d_gates[:, :, 3 * h:], out=d_gates[:, :, 3 * h:])
-    d_gates[0, :, :h] = 0.0  # zero initial cell state
-    d_gates[1:, :, :h] *= c[:-1]
-    d_gates[:, :, h:2 * h] *= cand
-    d_gates[:, :, 2 * h:3 * h] *= tanh_c
-    d_gates[:, :, 3 * h:] *= gates[:, :, h:2 * h]
-    da_dc = np.multiply(tanh_c, tanh_c)
+    da_dc = np.multiply(tanh_c, tanh_c)  # d a_t / d c_t = o * (1 - tanh(c_t)^2)
     np.subtract(1.0, da_dc, out=da_dc)
-    da_dc *= gates[:, :, 2 * h:3 * h]
+    da_dc *= gates[:, 2 * h:3 * h]
 
-    w_h = np.ascontiguousarray(p.W[:, :h])
-    d_a = d_score[:, None] * p.W_y  # (B, H)
+    w_ht = np.ascontiguousarray(p.W[:, :h].T)  # (H, 4H)
+    z_rows = np.ascontiguousarray(z[:t_len].transpose(0, 2, 1))  # (T, B, H+2) GEMM operands
+    d_a = np.multiply(p.W_y.T, d_score)  # (H, B)
     d_c = np.zeros_like(d_a)
     tmp = np.empty_like(d_a)
+    dg = np.empty((4 * h, n))
+    gw = np.zeros((4 * h, h + 2))
+    part = np.empty_like(gw)
     for t in range(t_len - 1, -1, -1):
         np.multiply(d_a, da_dc[t], out=tmp)
         d_c += tmp
-        dg = d_gates[t]
-        dg[:, 2 * h:3 * h] *= d_a
-        dg3 = dg.reshape(n, 4, h)
-        dg3[:, :2] *= d_c[:, None, :]
-        dg3[:, 3] *= d_c
+        # the activation derivative (s(1-s) for f, i, o; 1-u^2 for the
+        # candidate u), times what the gate multiplies (c_prev, u, tanh(c),
+        # i), times the state gradient it feeds (d_a for o, else d_c)
+        g = gates[t]
+        sig, cand = g[:3 * h], g[3 * h:]
+        np.subtract(1.0, sig, out=dg[:3 * h])
+        dg[:3 * h] *= sig
+        np.multiply(cand, cand, out=dg[3 * h:])
+        np.subtract(1.0, dg[3 * h:], out=dg[3 * h:])
+        dg[:h] *= c[t]
+        dg[h:2 * h] *= cand
+        dg[2 * h:3 * h] *= tanh_c[t]
+        dg[3 * h:] *= g[h:2 * h]
+        dg[2 * h:3 * h] *= d_a
+        d_fi = dg[:2 * h].reshape(2, h, n)
+        d_fi *= d_c
+        dg[3 * h:] *= d_c
+        np.matmul(dg, z_rows[t], out=part)
+        gw += part
         if t:
-            np.matmul(dg, w_h, out=d_a)
-            d_c *= gates[t, :, :h]
-    gwt = z.reshape(-1, h + 2).T @ d_gates.reshape(-1, 4 * h)  # (H+2, 4H)
-    grads.W[...] = gwt[:-1].T
-    grads.b[...] = gwt[-1]
+            np.matmul(w_ht, dg, out=d_a)
+            d_c *= g[:h]
+    grads.W[...] = gw[:, :-1]
+    grads.b[...] = gw[:, -1]
     return grads

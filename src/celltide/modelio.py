@@ -30,12 +30,10 @@ def dumps(obj) -> str:
 
 
 def dumps_neural(params, window_len: int, scaler: ScalerParams) -> str:
-    """A neural model file: `type`, `hidden`, `T` (a positive int, else a
-    ValueError names it), `head` (always "sigmoid"), `scaler` (from
-    `fit_scaler`), then `weights` in the model's WEIGHT_KEYS order."""
-    T = window_len
-    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError(f"field 'T' is {T!r}, not a positive int")
+    """A neural model file: `type`, `hidden`, `T` (the window length, which
+    the CLI has checked is a positive int), `head` (always "sigmoid"),
+    `scaler` (from `fit_scaler`), then `weights` in the model's WEIGHT_KEYS
+    order."""
     return dumps({
         "type": params.kind,
         "hidden": params.hidden,

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from celltide import lstm, modelio
+from celltide import dataset, lstm, modelio, train
 from celltide.dataset import ScalerParams
 from oracles import lstm_forward_scalar, max_relative_error, numeric_gradients
 
@@ -46,8 +46,8 @@ class TestCellForward:
 
     def test_zero_everything(self):
         _, caches = forward1([0.7], zero_params(3))
-        assert np.array_equal(caches["a_final"], np.zeros((1, 3)))
-        assert np.array_equal(caches["c"], np.zeros((1, 1, 3)))
+        assert np.array_equal(caches["a_final"], np.zeros((3, 1)))
+        assert np.array_equal(caches["c"], np.zeros((2, 3, 1)))
 
     def test_matches_scalar_oracle_single_step(self):
         rng = np.random.default_rng(7)
@@ -68,7 +68,7 @@ class TestCellForward:
         p = lstm.init_params(4, seed=3)
         window = rng.uniform(0, 1, 10)
         _, caches = forward1(window, p)
-        sig, cand = caches["gates"][:, :, :12], caches["gates"][:, :, 12:]  # [f, i, o | c]
+        sig, cand = caches["gates"][:, :12], caches["gates"][:, 12:]  # [f, i, o | c]
         assert np.all((sig > 0) & (sig < 1))
         assert np.all((cand > -1) & (cand < 1))
         assert np.all(np.abs(caches["a_final"]) < 1)
@@ -93,6 +93,17 @@ class TestForward:
             window = rng.uniform(0, 1, 3)
             y, _ = forward1(window, p)
             assert y == pytest.approx(lstm_forward_scalar(window, p), abs=1e-12)
+
+    def test_eval_batch_matches_scalar_oracle(self):
+        """The validation and test passes run B = 893 windows at once; the
+        gate GEMM at that shape need not sum in the training batch's order."""
+        rng = np.random.default_rng(12)
+        p = lstm.init_params(3, seed=5)
+        windows = rng.uniform(0, 1, (893, 4))
+        want = [lstm_forward_scalar(w, p) for w in windows]
+        for y in (lstm.forward_batch(windows, p)[0],
+                  lstm.forward_batch(windows, p, cache=False)[0]):
+            assert np.max(np.abs(y - want)) < 1e-12
 
     def test_determinism(self):
         p = lstm.init_params(5, seed=2)
@@ -136,7 +147,20 @@ class TestBackward:
                                         window, p, lstm.WEIGHT_KEYS)
             assert max_relative_error(analytic, numeric) < 1e-4
 
-    @pytest.mark.parametrize("batch", [2, 7, 32])
+    def test_finite_differences_eval_batch(self):
+        """The gradient summed over B = 893 windows, the eval batch size,
+        against central differences of the weighted sum of predictions."""
+        rng = np.random.default_rng(893)
+        p = lstm.init_params(2, seed=17)
+        windows = rng.uniform(0, 1, (893, 3))
+        upstream = rng.uniform(-2, 2, 893)
+        _, caches = lstm.forward_batch(windows, p)
+        analytic = lstm.backward_batch(caches, upstream, p)
+        numeric = numeric_gradients(lambda w, q: upstream @ lstm.forward_batch(w, q)[0],
+                                    windows, p, lstm.WEIGHT_KEYS)
+        assert max_relative_error(analytic, numeric) < 1e-4
+
+    @pytest.mark.parametrize("batch", [2, 7, 32, 893])
     def test_batch_gradient_is_sum_of_window_gradients(self, batch):
         rng = np.random.default_rng(batch)
         h = int(rng.integers(1, 9))
@@ -254,3 +278,28 @@ class TestSerialization:
         p = lstm.init_params(2, seed=1)
         obj = json.loads(modelio.dumps_neural(p, 3, ScalerParams(1.5, 9.25)))
         assert obj["scaler"] == {"min": 1.5, "max": 9.25}
+
+
+class TestKernelDrift:
+    # lstm_fit_4d.json was written by the batch-major kernels, the last ones
+    # before the feature-major layout: a 2-epoch fit at the `compare`
+    # defaults on a 4-day series. The layout moves results only at the
+    # last-bit level; 1e-10 relative bounds that drift (measured: 0 on the
+    # histories, 4.1e-16 on the test predictions) with room for another
+    # BLAS's summation order.
+    def test_fit_matches_batch_major_kernels(self):
+        want = json.loads((FIXTURES / "lstm_fit_4d.json").read_text())
+        values = dataset.gen_synthetic(4, seed=0).values
+        spec = dataset.split(len(values), want["train_frac"])
+        scaler = dataset.fit_scaler(values[:spec.n_train])
+        normed = scaler.transform(values)
+        sets = [dataset.windows_for_range(normed, want["window"], lo, hi) for lo, hi in
+                ((0, spec.n_train), (spec.val_start, spec.test_start),
+                 (spec.test_start, spec.test_start + spec.n_test))]
+        params, history = train.train_model(
+            "lstm", sets[0], sets[1], train.TrainConfig(epochs=want["epochs"], seed=want["seed"]))
+        got = {"train_mae": [r.train_mae for r in history],
+               "val_mae": [r.val_mae for r in history],
+               "test_predictions": train.evaluate("lstm", params, sets[2], scaler)}
+        for key, value in got.items():
+            np.testing.assert_allclose(value, want[key], rtol=1e-10, atol=0, err_msg=key)

@@ -1,20 +1,23 @@
 import json
 import math
+import os
 import pathlib
 
 import numpy as np
 import pytest
 
 from celltide import ffnn, lstm, modelio
+from celltide.cli import main
 from celltide.dataset import ScalerParams
 
 # kind -> (module, small fresh parameters, zeroed parameters of the same shape)
 MODELS = {"lstm": (lstm, lambda: lstm.init_params(2, seed=0), lambda: lstm.LstmParams(2)),
           "ffnn": (ffnn, lambda: ffnn.init_params(4, seed=0), lambda: ffnn.FfnnParams(5, 4))}
 
-BAD_COUNTS = [2.5, 0, -3, "x", "4", True, None]
-
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# --window values, as typed, that are not a positive int
+BAD_WINDOWS = ["2.5", "0", "-3", "x", "True", "None"]
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -37,11 +40,18 @@ def test_envelope_order_and_roundtrip(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
-@pytest.mark.parametrize("value", BAD_COUNTS)
-def test_bad_window_len_rejected(kind, value):
-    """No file is written with a `T` that is not a positive int."""
-    with pytest.raises(ValueError, match="'T'"):
-        modelio.dumps_neural(MODELS[kind][1](), value, ScalerParams(1.0, 9.0))
+@pytest.mark.parametrize("value", BAD_WINDOWS)
+def test_bad_window_len_rejected(tmp_path, monkeypatch, capsys, kind, value):
+    """No file is written with a `T` that is not a positive int: `T` is
+    `--window`, which `train` refuses as a usage error before the series
+    (here missing) is read."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--model", kind, "--series", "missing.csv", "--window", value,
+              "--out-model", "m.json", "--out-history", "h.csv"])
+    assert exc.value.code == 2
+    assert "--window" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_smallest_model_accepted():
