@@ -179,11 +179,6 @@ def _map_in_two(fn, items):
 def cmd_compare(args) -> int:
     data = _prepare(args)
     arima.check_length(data.spec.n_train, args.order)  # before any model is trained
-    # the worker's AIC search stays serial: this process trains the neural models
-    results, arima_result = _alongside(
-        lambda: {kind: _run(kind, data) for kind in train.MODELS},
-        lambda: _run("arima", data, args.order))
-    results["arima"] = arima_result
     spec, scale = data.spec, data.scaler.max - data.scaler.min
     report = {
         "seed": args.seed,
@@ -194,7 +189,14 @@ def cmd_compare(args) -> int:
                    "n_test": spec.n_test},
         "models": {},
     }
-    with _outputs(args.out_dir) as out:  # only once every fit has succeeded
+    # entered before the fits, so that an out_dir that cannot be made fails at
+    # once; the files are written only once every fit has succeeded
+    with _outputs(args.out_dir) as out:
+        # the worker's AIC search stays serial: this process trains the neural models
+        results, arima_result = _alongside(
+            lambda: {kind: _run(kind, data) for kind in train.MODELS},
+            lambda: _run("arima", data, args.order))
+        results["arima"] = arima_result
         for kind, (model, history, preds, test_mae, wall_ms) in results.items():
             if history is None and args.order is None:
                 print(f"{kind}: selected order ({model.p},{model.d},{model.q})")

@@ -1,6 +1,6 @@
 """Numeric pieces shared by both neural models: the sigmoid, Glorot-uniform
 initialisation, and `FlatViews`, the one weight type: named views of one flat
-float64 buffer, used alike for parameters and for their gradients."""
+float64 buffer. A gradient is a plain 1-D array in that buffer's layout."""
 
 import math
 
@@ -30,15 +30,14 @@ def sigmoid(x) -> np.ndarray:
 
 
 class FlatViews(dict):
-    """Named C-contiguous views of the 1-D float64 buffer `flat`, one per
-    (name, shape) entry of `layout`, laid out back to back in that order.
-    Each view reads both as an item and as an attribute (`v["W"]`, `v.W`);
-    `flat=None` means a fresh zeroed buffer."""
+    """Named C-contiguous views of a fresh zeroed 1-D float64 buffer `flat`,
+    one per (name, shape) entry of `layout`, laid out back to back in that
+    order. Each view reads both as an item and as an attribute (`v["W"]`,
+    `v.W`)."""
 
-    def __init__(self, layout, flat: np.ndarray | None = None):
+    def __init__(self, layout):
         super().__init__()
-        if flat is None:
-            flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
+        flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
         at = 0
         for name, shape in layout:
             size = math.prod(shape)

@@ -4,8 +4,8 @@ A window of T past values is run through a chain of LSTM cells sharing one
 parameter set, one value per step; the prediction is a sigmoid of an affine
 map of the final hidden state (data is min-max normalized to [0,1]). Every
 pass is batched over windows. `LstmParams` holds the weights as named views
-of one flat buffer, and `backward_batch` returns the gradient as the same
-type over a buffer of its own.
+of one flat buffer, and `backward_batch` returns the gradient as a new 1-D
+array in that buffer's layout.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ HIDDEN_UNITS = 50
 
 
 class LstmParams(FlatViews):
-    """LSTM weights, or their gradient: views of one flat float64 buffer.
+    """LSTM weights: views of one flat float64 buffer.
 
     The buffer holds W_f, W_i, W_o, W_c (H, H+1), then b_f, b_i, b_o, b_c
     (H,), then W_y (1, H) and b_y (1,). The gate matrices are the row blocks
@@ -31,10 +31,10 @@ class LstmParams(FlatViews):
     kind = "lstm"
     WEIGHT_KEYS = WEIGHT_KEYS
 
-    def __init__(self, hidden: int, flat: np.ndarray | None = None):
+    def __init__(self, hidden: int):
         super().__init__([(f"W_{gate}", (hidden, hidden + 1)) for gate in GATE_ORDER]
                          + [(f"b_{gate}", (hidden,)) for gate in GATE_ORDER]
-                         + [("W_y", (1, hidden)), ("b_y", (1,))], flat)
+                         + [("W_y", (1, hidden)), ("b_y", (1,))])
         self.hidden = hidden
         n_w = 4 * hidden * (hidden + 1)
         self.W = self.flat[:n_w].reshape(4 * hidden, hidden + 1)
@@ -67,7 +67,7 @@ def _gate_weights(p: LstmParams) -> np.ndarray:
     return wg
 
 
-def forward_batch(windows: np.ndarray, p: LstmParams, cache: bool = True):
+def forward_batch(windows: np.ndarray, p: LstmParams):
     """Run the cell chain over a batch of windows (B, T); zero initial state.
 
     Every step array is feature-major, one column per window, so each gate
@@ -82,48 +82,39 @@ def forward_batch(windows: np.ndarray, p: LstmParams, cache: bool = True):
     state `a_final` (H, B); the activated gates (T, 4H, B) in GATE_ORDER;
     the cell states (T+1, H, B), entry t the one step t reads, so entry 0
     is the zero initial state; and tanh of the new cell states (T, H, B).
-    With cache=False one set of step buffers serves every step and the
-    caches are None; the predictions are the same bit for bit, as every
-    step runs the same GEMM on the same inputs and shapes.
     """
     windows = np.asarray(windows, dtype=np.float64)
     n, t_len = windows.shape
     h = p.hidden
-    steps = t_len if cache else 1
-    z = np.empty((steps + cache, h + 2, n))
+    z = np.empty((t_len + 1, h + 2, n))
     z[0, :h] = 0.0
     z[:, h + 1] = 1.0
-    if cache:
-        z[:t_len, h] = windows.T
-    c = np.empty((steps + cache, h, n))
+    z[:t_len, h] = windows.T
+    c = np.empty((t_len + 1, h, n))
     c[0] = 0.0
-    gates, tanh_c = np.empty((steps, 4 * h, n)), np.empty((steps, h, n))
+    gates, tanh_c = np.empty((t_len, 4 * h, n)), np.empty((t_len, h, n))
     i_u = np.empty((h, n))
     wg = _gate_weights(p)
     for t in range(t_len):
-        k = t % steps  # step t reads z[k] and c[k] and writes entry k + cache
-        if not cache:
-            z[0, h] = windows[:, t]
-        g = gates[k]
-        np.matmul(wg, z[k], out=g)
+        g = gates[t]
+        np.matmul(wg, z[t], out=g)
         np.tanh(g, out=g)
         sig = g[:3 * h]
         sig *= 0.5
         sig += 0.5
         np.maximum(sig, _SIG_LO, out=sig)  # `sigmoid`'s clamp
         np.minimum(sig, _SIG_HI, out=sig)
-        np.multiply(g[:h], c[k], out=c[k + cache])
+        np.multiply(g[:h], c[t], out=c[t + 1])
         np.multiply(g[h:2 * h], g[3 * h:], out=i_u)
-        c[k + cache] += i_u
-        np.tanh(c[k + cache], out=tanh_c[k])
-        np.multiply(g[2 * h:3 * h], tanh_c[k], out=z[k + cache, :h])
+        c[t + 1] += i_u
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(g[2 * h:3 * h], tanh_c[t], out=z[t + 1, :h])
     a_final = z[-1, :h]
     y = sigmoid(p.W_y @ a_final + p.b_y[:, None])[0]
-    return y, ({"z": z, "gates": gates, "c": c, "tanh_c": tanh_c, "a_final": a_final, "y": y}
-               if cache else None)
+    return y, {"z": z, "gates": gates, "c": c, "tanh_c": tanh_c, "a_final": a_final, "y": y}
 
 
-def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> LstmParams:
+def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> np.ndarray:
     """Gradients of sum_b d_loss_d_yhat[b] * yhat[b] w.r.t. every weight/bias.
 
     Exact BPTT through all steps of the forward call that produced `caches`;
@@ -131,17 +122,14 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> Ls
     (4H, B) block of gate pre-activation gradients from its whole cached
     blocks, runs one GEMM, W_h^T (H, 4H) by that block, back to the hidden
     state, and adds the block's product with the step inputs (B, H+2) to
-    the gate weight and bias gradient. Returns an LstmParams over a fresh
-    buffer.
+    the gate weight and bias gradient. Returns a new 1-D float64 array in
+    the layout of `p.flat`.
     """
     z, gates, c, tanh_c = caches["z"], caches["gates"], caches["c"], caches["tanh_c"]
     h = p.hidden
     t_len, _, n = gates.shape
     y = caches["y"]
-    grads = LstmParams(h, flat=np.empty_like(p.flat))
     d_score = d_loss_d_yhat * y * (1.0 - y)
-    np.matmul(caches["a_final"], d_score, out=grads.W_y[0])
-    grads.b_y[0] = d_score.sum()
 
     da_dc = np.multiply(tanh_c, tanh_c)  # d a_t / d c_t = o * (1 - tanh(c_t)^2)
     np.subtract(1.0, da_dc, out=da_dc)
@@ -180,6 +168,5 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> Ls
         if t:
             np.matmul(w_ht, dg, out=d_a)
             d_c *= g[:h]
-    grads.W[...] = gw[:, :-1]
-    grads.b[...] = gw[:, -1]
-    return grads
+    return np.concatenate((gw[:, :-1].ravel(), gw[:, -1], caches["a_final"] @ d_score,
+                           [d_score.sum()]))

@@ -92,11 +92,10 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
                     if not np.all(np.isfinite(err)):
                         raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
                     abs_err_sum += float(np.abs(err).sum())
-                    grads = model.backward_batch(cache, np.sign(err) / len(idx), params)
+                    grad = model.backward_batch(cache, np.sign(err) / len(idx), params)
                     step += 1
-                    adam_step(params.flat, grads.flat, m, v, step, config.learning_rate)
-                val_mae = mae(model.forward_batch(val_set.inputs, params, cache=False)[0],
-                              val_set.targets)
+                    adam_step(params.flat, grad, m, v, step, config.learning_rate)
+                val_mae = mae(model.forward_batch(val_set.inputs, params)[0], val_set.targets)
         except FloatingPointError as exc:
             raise TrainingDiverged(f"training diverged ({exc}) in epoch {epoch}") from None
         history.append(Epoch(epoch, abs_err_sum / len(order), val_mae,
@@ -117,4 +116,4 @@ def train_model(kind: str, train_set: WindowSet, val_set: WindowSet,
 def evaluate(kind: str, params, test_set: WindowSet, scaler: ScalerParams) -> np.ndarray:
     """Predictions for the normalized `test_set` windows, on the original scale."""
     model, _ = MODELS[kind]
-    return scaler.inverse(model.forward_batch(test_set.inputs, params, cache=False)[0])
+    return scaler.inverse(model.forward_batch(test_set.inputs, params)[0])

@@ -48,7 +48,7 @@ def lstm_forward_scalar(window, p) -> float:
 
 def ffnn_forward_scalar(window, p) -> float:
     hidden = p.hidden
-    t_len = p.window_len
+    t_len = p.W1.shape[1]
     h = []
     for j in range(hidden):
         pre = sum(p.W1[j][k] * float(window[k]) for k in range(t_len)) + p.b1[j]
@@ -57,38 +57,34 @@ def ffnn_forward_scalar(window, p) -> float:
     return _sigmoid(score)
 
 
-def numeric_gradients(forward_fn, window, params, keys, eps: float = 1e-5):
+def numeric_gradients(forward_fn, window, params, eps: float = 1e-5):
     """Central finite differences of forward_fn(window, params) w.r.t. every
-    entry of the named parameter arrays."""
-    grads = {}
-    for key in keys:
-        arr = getattr(params, key)
-        g = arr.copy()
-        flat = arr.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            y_plus = forward_fn(window, params)
-            flat[idx] = orig - eps
-            y_minus = forward_fn(window, params)
-            flat[idx] = orig
-            g.reshape(-1)[idx] = (y_plus - y_minus) / (2.0 * eps)
-        grads[key] = g
+    entry of the flat weight buffer `params.flat`, as one array in its layout."""
+    flat = params.flat
+    grads = np.empty_like(flat)
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + eps
+        y_plus = forward_fn(window, params)
+        flat[idx] = orig - eps
+        y_minus = forward_fn(window, params)
+        flat[idx] = orig
+        grads[idx] = (y_plus - y_minus) / (2.0 * eps)
     return grads
 
 
-def max_relative_error(analytic: dict, numeric: dict, floor: float = 1e-5) -> float:
-    """Worst elementwise |a - n| / max(|a|, |n|, floor).
+def max_relative_error(analytic, numeric, floor: float = 1e-5) -> float:
+    """Worst elementwise |a - n| / max(|a|, |n|, floor) over two flat
+    gradients of one shape.
 
     The floor sits at the finite-difference step size: below that scale the
     central-difference estimate is dominated by its own truncation error, so a
     smaller denominator would measure oracle noise rather than gradient bugs.
     """
+    assert analytic.shape == numeric.shape, (analytic.shape, numeric.shape)
     worst = 0.0
-    for key, num in numeric.items():
-        ana = analytic[key]
-        for a, n in zip(ana.reshape(-1), num.reshape(-1)):
-            worst = max(worst, abs(a - n) / max(abs(a), abs(n), floor))
+    for a, n in zip(analytic.tolist(), numeric.tolist()):
+        worst = max(worst, abs(a - n) / max(abs(a), abs(n), floor))
     return worst
 
 

@@ -44,14 +44,14 @@ def test_gradient_correctness():
         _, caches = forward1(lstm, window, p)
         analytic = lstm.backward_batch(caches, np.array([upstream]), p)
         numeric = numeric_gradients(
-            lambda w, q: upstream * forward1(lstm, w, q)[0], window, p, lstm.WEIGHT_KEYS)
+            lambda w, q: upstream * forward1(lstm, w, q)[0], window, p)
         worst["lstm"] = max(worst["lstm"], max_relative_error(analytic, numeric))
 
         f = ffnn.init_params(t_len, seed=int(rng.integers(1 << 30)))
         _, cache = forward1(ffnn, window, f)
         analytic = ffnn.backward_batch(cache, np.array([upstream]), f)
         numeric = numeric_gradients(
-            lambda w, q: upstream * forward1(ffnn, w, q)[0], window, f, ffnn.WEIGHT_KEYS)
+            lambda w, q: upstream * forward1(ffnn, w, q)[0], window, f)
         worst["ffnn"] = max(worst["ffnn"], max_relative_error(analytic, numeric))
     elapsed = time.perf_counter() - start
     check("gradient correctness (100 configs each)",

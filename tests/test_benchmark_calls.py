@@ -27,7 +27,7 @@ def test_lstm_kernel_params_are_the_trained_lstm_at_seed_0():
 
 def test_ffnn_kernel_params_are_the_trained_ffnn_at_seed_0():
     bench = ffnn.init_params(12, seed=0)
-    assert (bench.hidden, bench.window_len) == (ffnn.HIDDEN_UNITS, 12)
+    assert bench.W1.shape == (ffnn.HIDDEN_UNITS, 12)
     assert np.array_equal(bench.flat, train.MODELS["ffnn"][1](12, 0).flat)
 
 
@@ -53,7 +53,7 @@ def test_kernel_timing_calls(tmp_path):
     for mod, params in ((lstm, lstm_params), (ffnn, ffnn.init_params(12, seed=0))):
         y, cache = mod.forward_batch(train_set.inputs[idx], params)
         grads = mod.backward_batch(cache, np.sign(y - train_set.targets[idx]) / 32, params)
-        assert grads.flat.shape == params.flat.shape
+        assert grads.shape == params.flat.shape
     assert lstm.forward_batch(val_set.inputs, lstm_params)[0].shape == (len(val_set),)
     _, history = train.train_model("ffnn", train_set, val_set, train.TrainConfig(epochs=1))
     assert len(history) == 1

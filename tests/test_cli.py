@@ -674,6 +674,30 @@ class TestCompare:
         assert not out_dir.exists()
         assert_no_child_process()
 
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    def test_out_dir_that_cannot_be_made_fails_before_training(self, tmp_path, monkeypatch,
+                                                              capsys, under_file):
+        """An --out-dir naming an existing file, or a path under one, fails
+        before any model is trained or any worker forked, and the file stays."""
+        series = make_series_csv(tmp_path, days=4)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out_dir = taken / "out" if under_file else taken
+
+        def untrainable(*args):
+            raise AssertionError("train_model called")
+
+        monkeypatch.setattr(train, "train_model", untrainable)
+        forks = record_forks(monkeypatch)
+        capsys.readouterr()
+        assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                     "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out_dir) in err
+        assert ("Not a directory" if under_file else "File exists") in err
+        assert taken.read_text() == "kept\n"
+        assert forks == []
+
     @pytest.mark.parametrize("order,need", [
         ([], "at least 200 observations for order selection"),
         (["--p", "3", "--d", "1", "--q", "3"],

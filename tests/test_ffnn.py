@@ -56,20 +56,12 @@ class TestForward:
             y, _ = forward1(window, p)
             assert y == pytest.approx(ffnn_forward_scalar(window, p), abs=1e-12)
 
-    def test_cache_flag_is_ignored(self):
-        p = ffnn.init_params(4, seed=3)
-        windows = np.random.default_rng(3).uniform(0, 1, (7, 4))
-        y, cache = ffnn.forward_batch(windows, p)
-        y_free, cache_free = ffnn.forward_batch(windows, p, cache=False)
-        assert np.array_equal(y, y_free) and sorted(cache) == sorted(cache_free)
-
 
 class TestBackward:
     def test_zero_upstream(self):
         p = ffnn.init_params(4, seed=2)
         _, cache = forward1(np.array([0.1, 0.2, 0.3, 0.4]), p)
-        for g in ffnn.backward_batch(cache, np.zeros(1), p).values():
-            assert not np.any(g)
+        assert not np.any(ffnn.backward_batch(cache, np.zeros(1), p))
 
     def test_finite_differences_spot_check(self):
         rng = np.random.default_rng(23)
@@ -79,15 +71,15 @@ class TestBackward:
             window = rng.uniform(-1, 1, t_len)
             _, cache = forward1(window, p)
             analytic = ffnn.backward_batch(cache, np.ones(1), p)
-            numeric = numeric_gradients(lambda w, q: forward1(w, q)[0],
-                                        window, p, ffnn.WEIGHT_KEYS)
+            numeric = numeric_gradients(lambda w, q: forward1(w, q)[0], window, p)
             assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_dead_unit_gets_zero_gradient(self):
         p = ffnn.init_params(3, seed=4)
         p.W1[2, :] = -1.0  # unit 2 dead on positive input
         _, cache = forward1(np.array([1.0, 2.0, 3.0]), p)
-        grads = ffnn.backward_batch(cache, np.ones(1), p)
+        grads = ffnn.FfnnParams(p.hidden, 3)
+        grads.flat[...] = ffnn.backward_batch(cache, np.ones(1), p)
         assert not np.any(grads["W1"][2])
         assert grads["b1"][2] == 0.0
 
@@ -100,15 +92,6 @@ class TestPackedStorage:
             assert getattr(p, k) is v, k
         parts = [p[k].ravel() for k in ffnn.WEIGHT_KEYS]
         assert np.array_equal(p.flat, np.concatenate(parts))
-
-    def test_gradients_are_views_of_one_buffer(self):
-        p = ffnn.init_params(4, seed=2)
-        _, cache = ffnn.forward_batch(np.linspace(0, 1, 8).reshape(2, 4), p)
-        grads = ffnn.backward_batch(cache, np.array([1.0, -0.5]), p)
-        for k in ffnn.WEIGHT_KEYS:
-            assert np.shares_memory(grads[k], grads.flat), k
-        assert isinstance(grads, ffnn.FfnnParams)
-        assert (grads.hidden, grads.window_len) == (p.hidden, p.window_len)
 
 
 class TestSerialization:

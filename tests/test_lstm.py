@@ -13,6 +13,13 @@ def zero_params(hidden=1):
     return lstm.LstmParams(hidden)
 
 
+def as_params(grad, hidden):
+    """The flat gradient `grad` read through the named views of a fresh LstmParams."""
+    views = lstm.LstmParams(hidden)
+    views.flat[...] = grad
+    return views
+
+
 class TestInit:
     def test_deterministic(self):
         a = lstm.init_params(6, seed=42)
@@ -101,9 +108,8 @@ class TestForward:
         p = lstm.init_params(3, seed=5)
         windows = rng.uniform(0, 1, (893, 4))
         want = [lstm_forward_scalar(w, p) for w in windows]
-        for y in (lstm.forward_batch(windows, p)[0],
-                  lstm.forward_batch(windows, p, cache=False)[0]):
-            assert np.max(np.abs(y - want)) < 1e-12
+        y = lstm.forward_batch(windows, p)[0]
+        assert np.max(np.abs(y - want)) < 1e-12
 
     def test_determinism(self):
         p = lstm.init_params(5, seed=2)
@@ -124,14 +130,12 @@ class TestBackward:
     def test_zero_upstream_gradient(self):
         p = lstm.init_params(3, seed=5)
         _, caches = forward1([0.2, 0.4], p)
-        grads = lstm.backward_batch(caches, np.zeros(1), p)
-        for g in grads.values():
-            assert not np.any(g)
+        assert not np.any(lstm.backward_batch(caches, np.zeros(1), p))
 
     def test_output_bias_closed_form(self):
         p = lstm.init_params(4, seed=9)
         y, caches = forward1([0.3, 0.1, 0.8], p)
-        grads = lstm.backward_batch(caches, np.array([1.7]), p)
+        grads = as_params(lstm.backward_batch(caches, np.array([1.7]), p), 4)
         assert grads["b_y"][0] == pytest.approx(1.7 * y * (1 - y), rel=1e-12)
 
     def test_finite_differences_spot_check(self):
@@ -143,8 +147,7 @@ class TestBackward:
             window = rng.uniform(0, 1, t_len)
             _, caches = forward1(window, p)
             analytic = lstm.backward_batch(caches, np.ones(1), p)
-            numeric = numeric_gradients(lambda w, q: forward1(w, q)[0],
-                                        window, p, lstm.WEIGHT_KEYS)
+            numeric = numeric_gradients(lambda w, q: forward1(w, q)[0], window, p)
             assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_finite_differences_eval_batch(self):
@@ -157,7 +160,7 @@ class TestBackward:
         _, caches = lstm.forward_batch(windows, p)
         analytic = lstm.backward_batch(caches, upstream, p)
         numeric = numeric_gradients(lambda w, q: upstream @ lstm.forward_batch(w, q)[0],
-                                    windows, p, lstm.WEIGHT_KEYS)
+                                    windows, p)
         assert max_relative_error(analytic, numeric) < 1e-4
 
     @pytest.mark.parametrize("batch", [2, 7, 32, 893])
@@ -169,46 +172,14 @@ class TestBackward:
         windows = rng.uniform(0, 1, (batch, t_len))
         upstream = rng.uniform(-2, 2, batch)
         _, caches = lstm.forward_batch(windows, p)
-        got = lstm.backward_batch(caches, upstream, p)
-        want = {k: np.zeros_like(v) for k, v in p.items()}
+        got = as_params(lstm.backward_batch(caches, upstream, p), h)
+        want = lstm.LstmParams(h)
         for window, d in zip(windows, upstream):
             _, c = forward1(window, p)
-            for k, g in lstm.backward_batch(c, np.array([d]), p).items():
-                want[k] += g
+            want.flat += lstm.backward_batch(c, np.array([d]), p)
         for k in lstm.WEIGHT_KEYS:
             scale = np.max(np.abs(want[k]))
             assert np.max(np.abs(got[k] - want[k])) <= 1e-12 * scale, k
-
-    def test_gradients_are_views_of_one_buffer(self):
-        p = lstm.init_params(3, seed=4)
-        _, caches = lstm.forward_batch(np.linspace(0, 1, 10).reshape(2, 5), p)
-        grads = lstm.backward_batch(caches, np.array([1.0, -0.5]), p)
-        assert grads.flat.shape == p.flat.shape
-        for k in lstm.WEIGHT_KEYS:
-            assert np.shares_memory(grads[k], grads.flat), k
-        assert isinstance(grads, lstm.LstmParams)
-        assert np.array_equal(grads.W[:3], grads.W_f) and np.array_equal(grads.b[9:], grads.b_c)
-
-
-class TestInference:
-    # window lengths 1 and 2 reuse the one step buffer at once; the
-    # default length 12 keeps the plain batch id
-    @pytest.mark.parametrize("batch,t_len", [
-        pytest.param(b, t, id=str(b) if t == 12 else f"{b}-T{t}")
-        for b in (1, 7, 893) for t in (12, 1, 2)])
-    def test_uncached_pass_equals_cached_pass(self, batch, t_len):
-        p = lstm.init_params(lstm.HIDDEN_UNITS, seed=batch)
-        windows = np.random.default_rng(batch).uniform(0, 1, (batch, t_len))
-        y, caches = lstm.forward_batch(windows, p)
-        y_free, none = lstm.forward_batch(windows, p, cache=False)
-        assert caches is not None and none is None
-        assert np.array_equal(y, y_free)
-
-    def test_uncached_single_step(self):
-        p = lstm.init_params(3, seed=5)
-        windows = np.linspace(0, 1, 4).reshape(4, 1)
-        assert np.array_equal(lstm.forward_batch(windows, p)[0],
-                              lstm.forward_batch(windows, p, cache=False)[0])
 
 
 class TestPackedStorage:
@@ -229,7 +200,8 @@ class TestPackedStorage:
 
     def test_copy_owns_its_buffer(self):
         p = lstm.init_params(4, seed=2)
-        q = lstm.LstmParams(4, flat=p.flat.copy())
+        q = lstm.LstmParams(4)
+        q.flat[...] = p.flat
         assert not np.shares_memory(p.flat, q.flat)
         assert np.array_equal(p.flat, q.flat)
         q.W_c[...] += 0.5

@@ -113,6 +113,23 @@ class TestFit:
         train.train_model("ffnn", tr, va, train.TrainConfig(epochs=3, seed=0))
         assert steps == list(range(1, 3 * math.ceil(len(tr) / train.BATCH_SIZE) + 1))
 
+    @pytest.mark.parametrize("kind", list(train.MODELS))
+    def test_backward_batch_returns_a_new_flat_array(self, kind):
+        """The gradient `fit` hands to `adam_step`: a new 1-D float64 array of
+        the weights' size, sharing memory with neither the weights, the
+        caches of the forward pass, nor an earlier gradient."""
+        model, init = train.MODELS[kind]
+        params = init(5, 4)
+        windows = np.random.default_rng(4).uniform(0, 1, (3, 5))
+        _, caches = model.forward_batch(windows, params)
+        upstream = np.array([1.0, -0.5, 0.25])
+        grad = model.backward_batch(caches, upstream, params)
+        assert type(grad) is np.ndarray and grad.dtype == np.float64
+        assert grad.shape == (params.flat.size,)
+        for other in (params.flat, windows, *caches.values(),
+                      model.backward_batch(caches, upstream, params)):
+            assert not np.shares_memory(grad, other)
+
     def test_lstm_learns_synthetic_medium_split(self):
         values = dataset.gen_synthetic(62, seed=7).values
         spec = dataset.split(len(values), 0.4)
