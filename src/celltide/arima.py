@@ -65,14 +65,13 @@ def _stable(coeffs) -> bool:
     """True when 1 - c1 z - ... - ck z^k has all roots outside |z| = 1 + 1e-9,
     that is when z = (1 + 1e-9) w, which scales c_i by (1 + 1e-9)**i, leaves
     every reflection coefficient below 1 in magnitude."""
-    c = np.asarray(coeffs, float).tolist()
-    return _reflections([v * _ROOT_MARGIN ** i for i, v in enumerate(c, 1)]) is not None
+    c = [v * _ROOT_MARGIN ** i for i, v in enumerate(coeffs.tolist(), 1)]
+    return _reflections(c) is not None
 
 
 def residuals(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Innovations of a centered ARMA series, conditioning on the first p values
     and zero pre-sample residuals. Length is len(y) - p."""
-    y = np.asarray(y, dtype=np.float64)
     p, n = len(phi), len(y)
     u = y[p:].copy()
     for i, ph in enumerate(phi, start=1):
@@ -85,13 +84,12 @@ def residuals(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def css(y: np.ndarray, phi, theta) -> float:
     """Conditional sum of squared innovations."""
-    e = residuals(y, np.asarray(phi, float), np.asarray(theta, float))
+    e = residuals(y, phi, theta)
     return float(e @ e)
 
 
 def hannan_rissanen(y: np.ndarray, p: int, q: int):
     """Starting (phi, theta) for a centered series via the two-stage regression."""
-    y = np.asarray(y, dtype=np.float64)
     n = len(y)
     m = min(20, max(n // 10, p + q + 1))  # long-AR order for the residual proxy
     x_long = np.column_stack([y[m - k:n - k] for k in range(1, m + 1)])
@@ -119,10 +117,8 @@ def check_length(n: int, order=None) -> None:
                          f"({p},{d},{q}), got {n}")
 
 
-def fit(series, p: int, d: int, q: int) -> ArimaModel:
-    """Estimate an ARIMA(p,d,q) model on a training series."""
-    series = np.asarray(series, dtype=np.float64)
-    check_length(len(series), (p, d, q))
+def fit(series: np.ndarray, p: int, d: int, q: int) -> ArimaModel:
+    """Estimate an ARIMA(p,d,q) model on a training series `check_length` accepts."""
     w = np.diff(series, n=d)
     mu = float(np.mean(w))
     y = w - mu
@@ -147,20 +143,19 @@ def fit(series, p: int, d: int, q: int) -> ArimaModel:
 
 
 def forecast_one(model: ArimaModel, history) -> float:
-    """The one-step forecast after `history`, of at least p + d values: a
+    """The one-step forecast after `history`, of at least p + q + d values: a
     one-slot `rolling_forecast`."""
     n = len(history)  # the appended NaN slot is never read
     return float(rolling_forecast(model, np.append(history, np.nan), (n, n + 1))[0])
 
 
-def rolling_forecast(model: ArimaModel, series, test_range) -> np.ndarray:
+def rolling_forecast(model: ArimaModel, series: np.ndarray, test_range) -> np.ndarray:
     """One-step forecasts for every slot t in [start, stop), each conditioned
     on series[:t]. No refitting; one O(N) pass: every history is a prefix of
     the longest, so one differencing and one residual filter serve them all.
     The sums run in the per-slot order (mu, AR terms, MA terms, then the
-    integration levels), and a term a short history lacks is left out, never
-    wrapped around. The caller keeps p + d <= start < stop <= len(series)."""
-    series = np.asarray(series, dtype=np.float64)
+    integration levels). Every history is a full one: the caller keeps
+    p + q + d <= start < stop <= len(series)."""
     start, stop = test_range
     p, d, q = model.p, model.d, model.q
     lasts = np.zeros(stop - start)
@@ -173,12 +168,10 @@ def rolling_forecast(model: ArimaModel, series, test_range) -> np.ndarray:
     pred = np.full(stop - start, model.mu)
     for i, ph in enumerate(model.phi, start=1):
         pred += ph * y[base - i:stop - d - i]
-    if q and len(y) > p:
+    if q:
         e = residuals(y, model.phi, model.theta)  # e[m] is the innovation of y[m + p]
         for j, th in enumerate(model.theta, start=1):
-            lo = max(0, p + j - base)  # first slot whose history has e[-j]
-            if lo < len(pred):
-                pred[lo:] += th * e[base + lo - p - j:stop - d - p - j]
+            pred += th * e[base - p - j:stop - d - p - j]
     return pred + lasts
 
 
@@ -199,14 +192,12 @@ def _fit_grid_at(series: np.ndarray, d: int) -> list:
     return candidates
 
 
-def auto_order(series, map=map) -> ArimaModel:
+def auto_order(series: np.ndarray, map=map) -> ArimaModel:
     """Grid-search p, q in 0..3 and d in 0..1 by AIC and return the winning
     fitted model; ties prefer fewer AR+MA terms, then lower d. All share one
     n, the series length, so a change of units shifts every AIC alike.
     `map` fits the d = 0 and d = 1 halves; each fit is deterministic and each
     key unique, so a map that runs a half in another process picks the same."""
-    series = np.asarray(series, dtype=np.float64)
-    check_length(len(series))
     from scipy import optimize, signal  # noqa: F401  before `map` forks: the worker inherits them
     halves = map(lambda d: _fit_grid_at(series, d), range(2))
     candidates = list(itertools.chain(*halves))

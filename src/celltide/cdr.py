@@ -19,6 +19,7 @@ import numpy as np
 SLOT_MS = 600_000  # 10 minutes
 SLOTS_PER_DAY = 144
 MAX_SPAN_SLOTS = 366 * SLOTS_PER_DAY  # one leap year; a wider span is a stray timestamp
+MAX_VALUE = 1e150  # a series value's magnitude bound: sums of ~1e7 squares stay finite
 
 CHANNELS = ("sms_in", "sms_out", "call_in", "call_out", "internet")
 
@@ -189,8 +190,8 @@ def write_series_csv(series: ActivitySeries, path: str) -> None:
 def read_series_csv(path: str) -> ActivitySeries:
     """Read a series CSV written by write_series_csv.
 
-    Slots must count up from 0, each timestamp must equal
-    t0 + slot * SLOT_MS, and every value must be finite; a violation, or a
+    Slots must count up from 0, each timestamp must equal t0 + slot * SLOT_MS,
+    and every value must be finite and within +-MAX_VALUE; a violation, or a
     byte that is not UTF-8, raises ParseError naming the path and line.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -221,6 +222,8 @@ def read_series_csv(path: str) -> ActivitySeries:
                                      f"slot {slot} (expected {t0_ms + slot * SLOT_MS})")
                 if not math.isfinite(val):
                     raise ParseError(f"line {lineno}: non-finite value {val}")
+                if abs(val) > MAX_VALUE:
+                    raise ParseError(f"line {lineno}: value {val} beyond +-{MAX_VALUE:g}")
                 values.append(val)
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from None

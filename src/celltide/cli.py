@@ -67,6 +67,7 @@ def _prepare(args) -> argparse.Namespace:
     data = argparse.Namespace(values=values, spec=spec,
                               test_range=(spec.test_start, spec.test_start + spec.n_test))
     if args.command == "arima":
+        arima.check_length(spec.n_train, args.order)  # the library does not check again
         return data
     data.scaler = dataset.fit_scaler(values[:spec.n_train])
     print(f"split {spec.n_train}/{spec.n_val}/{spec.n_test}")
@@ -75,6 +76,7 @@ def _prepare(args) -> argparse.Namespace:
     data.val_set = dataset.windows_for_range(normed, args.window, spec.val_start, spec.test_start)
     if args.command == "compare":
         data.test_set = dataset.windows_for_range(normed, args.window, *data.test_range)
+        arima.check_length(spec.n_train, args.order)  # before any model is trained
     data.config = train.TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
     return data
 
@@ -178,7 +180,6 @@ def _map_in_two(fn, items):
 
 def cmd_compare(args) -> int:
     data = _prepare(args)
-    arima.check_length(data.spec.n_train, args.order)  # before any model is trained
     spec, scale = data.spec, data.scaler.max - data.scaler.min
     report = {
         "seed": args.seed,

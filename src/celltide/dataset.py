@@ -19,15 +19,14 @@ class ScalerParams:
     min: float
     max: float
 
-    def transform(self, values):
-        return (np.asarray(values, dtype=np.float64) - self.min) / (self.max - self.min)
+    def transform(self, values: np.ndarray) -> np.ndarray:
+        return (values - self.min) / (self.max - self.min)
 
-    def inverse(self, values):
-        return np.asarray(values, dtype=np.float64) * (self.max - self.min) + self.min
+    def inverse(self, values: np.ndarray) -> np.ndarray:
+        return values * (self.max - self.min) + self.min
 
 
-def fit_scaler(train_values) -> ScalerParams:
-    train_values = np.asarray(train_values, dtype=np.float64)
+def fit_scaler(train_values: np.ndarray) -> ScalerParams:
     lo, hi = float(train_values.min()), float(train_values.max())
     if hi <= lo:
         raise ValueError("cannot fit scaler on a constant training slice")
@@ -46,13 +45,12 @@ class WindowSet:
         return len(self.targets)
 
 
-def windows_for_range(values, window_len: int, start: int, stop: int) -> WindowSet:
+def windows_for_range(values: np.ndarray, window_len: int, start: int, stop: int) -> WindowSet:
     """Windows whose targets fall in [start, stop).
 
     Targets near a slice boundary draw their input history from the preceding
     slice; the earliest usable target index is `window_len`.
     """
-    values = np.asarray(values, dtype=np.float64)
     start = max(start, window_len)
     if not (start < stop <= len(values)):
         raise ValueError(

@@ -38,20 +38,18 @@ def init_params(window_len: int, seed: int = 0) -> FfnnParams:
 def forward_batch(windows: np.ndarray, p: FfnnParams):
     """Predictions (B,) for a batch of flat windows (B, T), and the cache for
     backward_batch."""
-    x = np.asarray(windows, dtype=np.float64)
-    pre1 = x @ p.W1.T + p.b1
+    pre1 = windows @ p.W1.T + p.b1
     h = np.maximum(pre1, 0.0)
     score = h @ p.W2.T + p.b2
     y = sigmoid(score).ravel()
-    return y, {"x": x, "pre1": pre1, "h": h, "y": y}
+    return y, {"x": windows, "pre1": pre1, "h": h, "y": y}
 
 
 def backward_batch(cache: dict, d_loss_d_yhat: np.ndarray, p: FfnnParams) -> np.ndarray:
     """Batch-summed gradients as a new 1-D float64 array in the layout of
     `p.flat`; relu subgradient at 0 is taken as 0."""
-    d_y = np.asarray(d_loss_d_yhat, dtype=np.float64)
     y = cache["y"]
-    d_score = d_y * y * (1.0 - y)
+    d_score = d_loss_d_yhat * y * (1.0 - y)
     d_h = d_score[:, None] * p.W2
     d_pre1 = d_h * (cache["pre1"] > 0.0)
     return np.concatenate(((d_pre1.T @ cache["x"]).ravel(), d_pre1.sum(axis=0),

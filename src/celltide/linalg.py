@@ -11,7 +11,7 @@ _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
 
 
-def sigmoid(x) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, computed as 0.5 + 0.5*tanh(x/2).
 
     tanh saturates instead of overflowing, so no branch on the sign of x is
@@ -19,7 +19,6 @@ def sigmoid(x) -> np.ndarray:
     the value rounds to exactly 0 or 1 in double precision, and gate values
     must stay strictly between fully-off and fully-on.
     """
-    x = np.asarray(x, dtype=np.float64)
     out = np.multiply(x, 0.5, out=np.empty_like(x))
     np.tanh(out, out=out)
     out *= 0.5

@@ -83,7 +83,6 @@ def forward_batch(windows: np.ndarray, p: LstmParams):
     the cell states (T+1, H, B), entry t the one step t reads, so entry 0
     is the zero initial state; and tanh of the new cell states (T, H, B).
     """
-    windows = np.asarray(windows, dtype=np.float64)
     n, t_len = windows.shape
     h = p.hidden
     z = np.empty((t_len + 1, h + 2, n))

@@ -41,9 +41,7 @@ def write_history(path: str, history: list) -> None:
             fh.write(f"{epoch},{tr:.17g},{va:.17g},{ms:.3f}\n")
 
 
-def mae(pred, truth) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+def mae(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(np.abs(pred - truth)))
 
 

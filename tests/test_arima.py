@@ -51,7 +51,7 @@ class TestFit:
 
     def test_series_too_short(self):
         with pytest.raises(ValueError):
-            arima.fit(np.arange(15.0), 2, 0, 2)
+            arima.check_length(15, (2, 0, 2))
 
     @pytest.mark.parametrize("d", [0, 1])
     def test_zero_order_sigma2_is_mean_square(self, d):
@@ -116,20 +116,21 @@ class TestRollingForecast:
         *itertools.product(range(4), range(3), range(4)), (5, 2, 5)])
     def test_matches_per_slot_oracle(self, order):
         # bit-identical to re-filtering each slot's history, from the
-        # earliest legal slot p+d on, where short histories drop MA terms
+        # earliest slot whose history is a full one, p+q+d, on
         p, d, q = order
         rng = np.random.default_rng(100 + 16 * p + 4 * d + q)
         model = arima.ArimaModel(p, d, q, rng.uniform(-0.5, 0.5, p),
                                  rng.uniform(-0.5, 0.5, q), mu=rng.normal(),
                                  sigma2=1.0)
         series = np.cumsum(rng.normal(size=60)) + 5.0
-        for start in (p + d, p + d + 1, 40):
+        for start in (p + q + d, p + q + d + 1, 40):
             want = oracles.arima_rolling_forecast(model, series, start, 60)
             assert np.array_equal(arima.rolling_forecast(model, series, (start, 60)), want)
         # forecast_one is the one-slot case, at every history length
         assert [arima.forecast_one(model, series[:t]) for t in range(40, 60)] == want.tolist()
-        want = oracles.arima_rolling_forecast(model, series, p + d, 40)
-        assert [arima.forecast_one(model, series[:t]) for t in range(p + d, 40)] == want.tolist()
+        want = oracles.arima_rolling_forecast(model, series, p + q + d, 40)
+        assert [arima.forecast_one(model, series[:t])
+                for t in range(p + q + d, 40)] == want.tolist()
 
 
 class TestAutoOrder:
@@ -163,7 +164,7 @@ class TestAutoOrder:
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
-            arima.auto_order(np.arange(100.0))
+            arima.check_length(100)
 
 
 class TestScale:

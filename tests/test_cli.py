@@ -328,6 +328,9 @@ def test_boundary_flag_values_run(tmp_path):
 
 
 CONSTANT = np.full(432, 5.0)
+HUGE = dataset.gen_synthetic(4).values  # slots 10 and 20 beyond the magnitude bound
+HUGE[10], HUGE[20] = 1e308, -1e308
+HUGE_MESSAGE = "series.csv: line 12: value 1e+308 beyond +-1e+150"
 
 
 @pytest.mark.parametrize("values,argv,message", [
@@ -344,17 +347,39 @@ CONSTANT = np.full(432, 5.0)
      "no targets in range [400, 344) for series of length 432"),
     (dataset.gen_synthetic(3).values, ["compare", "--window", "400", "--out-dir", "out"],
      "no targets in range [400, 344) for series of length 432"),
+    (HUGE, ["train", "--model", "lstm", *TRAIN_OUTS], HUGE_MESSAGE),
+    (HUGE, ["arima", *ARIMA_OUTS], HUGE_MESSAGE),
+    (HUGE, ["compare", "--epochs", "1", "--out-dir", "out"], HUGE_MESSAGE),
 ], ids=["constant-arima-auto", "constant-arima-p1", "constant-compare", "two-slots-train",
-        "two-slots-arima", "long-window-train", "long-window-compare"])
+        "two-slots-arima", "long-window-train", "long-window-compare", "huge-train",
+        "huge-arima", "huge-compare"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_runtime_error_is_one_line(tmp_path, monkeypatch, capsys, values, argv, message):
     """A series the command cannot fit fails with exit code 1 and one line,
-    and leaves no output behind."""
+    and leaves no output behind; a RuntimeWarning on the way fails the test."""
     monkeypatch.chdir(tmp_path)
     cdr.write_series_csv(cdr.ActivitySeries(T0, np.asarray(values, dtype=float)), "series.csv")
     assert main([*argv, "--series", "series.csv"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(tmp_path) == ["series.csv"]
     assert_no_child_process()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_values_at_the_magnitude_bound_run(tmp_path, monkeypatch):
+    """Values of +-MAX_VALUE are accepted, and every command fits them
+    with no RuntimeWarning."""
+    monkeypatch.chdir(tmp_path)
+    values = dataset.gen_synthetic(4).values
+    values[10], values[20] = cdr.MAX_VALUE, -cdr.MAX_VALUE
+    cdr.write_series_csv(cdr.ActivitySeries(T0, values), "series.csv")
+    for argv in (["train", "--model", "lstm", "--epochs", "1", *TRAIN_OUTS],
+                 ["train", "--model", "ffnn", "--epochs", "1", *TRAIN_OUTS],
+                 ["arima", "--auto", *ARIMA_OUTS],
+                 ["compare", "--epochs", "1", "--p", "1", "--out-dir", "out"]):
+        assert main([*argv, "--series", "series.csv"]) == 0, argv
+    for name in ("m.json", "a.json", "out/report.json"):
+        json.loads((tmp_path / name).read_text())
 
 
 class TestArima:
@@ -380,6 +405,31 @@ class TestArima:
         assert f"{flag} must be in 0..5, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("order,need", [
+        (["--auto"], "at least 200 observations for order selection"),
+        (["--p", "3", "--d", "1", "--q", "3"],
+         "at least 71 observations for orders (3,1,3), got 57"),
+    ])
+    def test_too_short_training_slice_fails_before_fitting(self, tmp_path, monkeypatch,
+                                                            capsys, order, need):
+        """The length check at the entry is the only one: neither `fit` nor
+        `auto_order` is reached, and no worker is forked."""
+        series = make_series_csv(tmp_path, days=4)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an ARIMA fit was started")
+
+        monkeypatch.setattr(arima, "fit", unreachable)
+        monkeypatch.setattr(arima, "auto_order", unreachable)
+        forks = record_forks(monkeypatch)
+        capsys.readouterr()
+        assert main(["arima", "--series", str(series), "--train-frac", "0.1", *order,
+                     "--out-model", str(tmp_path / "m.json"),
+                     "--out-predictions", str(tmp_path / "p.csv")]) == 1
+        assert capsys.readouterr() == ("", f"error: need {need}\n")
+        assert forks == []
+        assert sorted(os.listdir(tmp_path)) == ["series.csv"]
 
     def test_non_finite_series_value_fails_naming_line(self, tmp_path, capsys):
         series = make_series_csv(tmp_path)

@@ -9,8 +9,8 @@ from celltide import dataset
 
 class TestScaler:
     def test_basic_transform(self):
-        scaler = dataset.fit_scaler([0.0, 10.0])
-        assert scaler.transform([0.0, 5.0, 10.0]).tolist() == [0.0, 0.5, 1.0]
+        scaler = dataset.fit_scaler(np.array([0.0, 10.0]))
+        assert scaler.transform(np.array([0.0, 5.0, 10.0])).tolist() == [0.0, 0.5, 1.0]
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
     def test_roundtrip(self, values):
@@ -22,12 +22,12 @@ class TestScaler:
         assert np.max(np.abs(back - values)) < 1e-12 * max(1.0, np.max(np.abs(values)))
 
     def test_out_of_range_not_clipped(self):
-        scaler = dataset.fit_scaler([0.0, 10.0])
-        assert scaler.transform([12.0])[0] == pytest.approx(1.2)
+        scaler = dataset.fit_scaler(np.array([0.0, 10.0]))
+        assert scaler.transform(np.array([12.0]))[0] == pytest.approx(1.2)
 
     def test_constant_slice_rejected(self):
         with pytest.raises(ValueError):
-            dataset.fit_scaler([3.0, 3.0, 3.0])
+            dataset.fit_scaler(np.array([3.0, 3.0, 3.0]))
 
     def test_no_leakage_fit_on_head_only(self):
         values = np.concatenate([np.linspace(1, 5, 50), [1000.0]])
@@ -42,7 +42,7 @@ def all_windows(values, window_len):
 
 class TestWindows:
     def test_definition(self):
-        ws = all_windows([1.0, 2.0, 3.0, 4.0], 2)
+        ws = all_windows(np.array([1.0, 2.0, 3.0, 4.0]), 2)
         assert ws.inputs.tolist() == [[1.0, 2.0], [2.0, 3.0]]
         assert ws.targets.tolist() == [3.0, 4.0]
 
@@ -51,12 +51,12 @@ class TestWindows:
         assert len(ws) == 8916
 
     def test_single_window_boundary(self):
-        ws = all_windows([1.0, 2.0, 3.0], 2)
+        ws = all_windows(np.array([1.0, 2.0, 3.0]), 2)
         assert len(ws) == 1
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            all_windows([1.0, 2.0], 2)
+            all_windows(np.array([1.0, 2.0]), 2)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(5)

@@ -18,10 +18,10 @@ def small_sets(frac=0.4, days=4, data_seed=1, window=12):
 
 class TestMae:
     def test_identical(self):
-        assert train.mae([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert train.mae(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
 
     def test_unit(self):
-        assert train.mae([0.0, 2.0], [1.0, 1.0]) == 1.0
+        assert train.mae(np.array([0.0, 2.0]), np.array([1.0, 1.0])) == 1.0
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(6)
