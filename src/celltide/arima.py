@@ -71,11 +71,18 @@ def _stable(coeffs) -> bool:
 
 def residuals(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Innovations of a centered ARMA series, conditioning on the first p values
-    and zero pre-sample residuals. Length is len(y) - p."""
+    and zero pre-sample residuals. Length is len(y) - p; with p = q = 0 it is
+    `y` itself. The AR terms are subtracted in turn, in the order of a per-slot
+    sum, the first one straight into the result and each later one through one
+    reused buffer."""
     p, n = len(phi), len(y)
-    u = y[p:].copy()
-    for i, ph in enumerate(phi, start=1):
-        u -= ph * y[p - i:n - i]
+    u = y
+    if p:
+        u = np.multiply(phi[0], y[p - 1:n - 1])
+        np.subtract(y[p:], u, out=u)
+        buf = np.empty_like(u)
+        for i in range(2, p + 1):
+            u -= np.multiply(phi[i - 1], y[p - i:n - i], out=buf)
     if len(theta):
         from scipy.signal import lfilter  # imported here: only ARIMA work pays for scipy
         u = lfilter([1.0], np.concatenate(([1.0], theta)), u)
@@ -88,17 +95,33 @@ def css(y: np.ndarray, phi, theta) -> float:
     return float(e @ e)
 
 
-def hannan_rissanen(y: np.ndarray, p: int, q: int):
-    """Starting (phi, theta) for a centered series via the two-stage regression."""
+def _long_ar_order(n: int) -> int:
+    """The first stage's AR order for n values. `check_length` keeps
+    n >= 10 * (p + q + 1), so it exceeds p + q at every fitted order."""
+    return min(20, n // 10)
+
+
+def long_ar_residuals(y: np.ndarray) -> np.ndarray:
+    """Hannan-Rissanen's first stage: the residuals of a least-squares AR(m)
+    fit to a centered series, m = `_long_ar_order(len(y))`, behind m zeros. It
+    does not depend on the orders, so the order search runs it once per d."""
     n = len(y)
-    m = min(20, max(n // 10, p + q + 1))  # long-AR order for the residual proxy
+    m = _long_ar_order(n)
     x_long = np.column_stack([y[m - k:n - k] for k in range(1, m + 1)])
     beta, _, rank, _ = np.linalg.lstsq(x_long, y[m:], rcond=None)
     if rank < m:
         raise ArimaFitError("singular least squares in long-AR step; try lower orders")
-    e_proxy = np.concatenate([np.zeros(m), y[m:] - x_long @ beta])
+    return np.concatenate([np.zeros(m), y[m:] - x_long @ beta])
 
-    start = m + max(p, q)
+
+def hannan_rissanen(y: np.ndarray, p: int, q: int, e_proxy=None):
+    """Starting (phi, theta) for a centered series via the two-stage regression:
+    lagged values and lagged residual proxies `e_proxy`, which default to
+    `long_ar_residuals(y)`."""
+    if e_proxy is None:
+        e_proxy = long_ar_residuals(y)
+    n = len(y)
+    start = _long_ar_order(n) + max(p, q)
     x2 = np.column_stack([y[start - k:n - k] for k in range(1, p + 1)]
                          + [e_proxy[start - k:n - k] for k in range(1, q + 1)])
     coef, _, rank, _ = np.linalg.lstsq(x2, y[start:], rcond=None)
@@ -117,14 +140,21 @@ def check_length(n: int, order=None) -> None:
                          f"({p},{d},{q}), got {n}")
 
 
-def fit(series: np.ndarray, p: int, d: int, q: int) -> ArimaModel:
-    """Estimate an ARIMA(p,d,q) model on a training series `check_length` accepts."""
+def _centre(series: np.ndarray, d: int):
+    """The d-differenced series minus its mean, and that mean."""
     w = np.diff(series, n=d)
     mu = float(np.mean(w))
-    y = w - mu
+    return w - mu, mu
+
+
+def fit(series: np.ndarray, p: int, d: int, q: int, shared=None) -> ArimaModel:
+    """Estimate an ARIMA(p,d,q) model on a training series `check_length` accepts.
+    `shared` is the order search's (y, mu, e_proxy) for this series and d:
+    `_centre`'s pair and `long_ar_residuals(y)`, or None where that failed."""
+    y, mu, e_proxy = shared or (*_centre(series, d), None)
     phi, theta = np.empty(0), np.empty(0)
     if p + q:
-        phi0, theta0 = hannan_rissanen(y, p, q)
+        phi0, theta0 = hannan_rissanen(y, p, q, e_proxy)
         u0 = np.zeros(p + q)  # white noise, where HR lands outside the valid region
         if _stable(phi0) and _stable(-theta0):
             u0 = np.arctanh(_reflections(phi0) + _reflections(-theta0))
@@ -180,11 +210,18 @@ def aic(model: ArimaModel, n: int) -> float:
 
 
 def _fit_grid_at(series: np.ndarray, d: int) -> list:
-    """((AIC, p+q, d, p, q), model) of each order (p, d, q), p and q in 0..3, that fits."""
+    """((AIC, p+q, d, p, q), model) of each order (p, d, q), p and q in 0..3, that
+    fits. The centred series and the first stage are computed once for all 16;
+    a singular first stage is left to each p + q > 0 order to raise again."""
+    y, mu = _centre(series, d)
+    try:
+        e_proxy = long_ar_residuals(y)
+    except ArimaFitError:
+        e_proxy = None
     candidates = []
     for p, q in itertools.product(range(4), range(4)):
         try:
-            model = fit(series, p, d, q)
+            model = fit(series, p, d, q, (y, mu, e_proxy))
         except (ArimaFitError, ValueError):
             continue
         if model.sigma2 > 0:

@@ -27,9 +27,9 @@ CHANNELS = ("sms_in", "sms_out", "call_in", "call_out", "internet")
 # (at most 18 digits, as int() refuses very long digit strings), a timestamp
 # of at most 18 digits (inside int64), an empty or at most 15-digit country
 # code and up to five empty or plain decimal activities, so every value is
-# finite (below 1e119); 2 to 8 fields, or an empty line. parse_line accepts
-# every such line without error. Possessive repeats keep the scan of a block
-# linear, with no backtracking state.
+# finite and below 1e119, inside MAX_VALUE; 2 to 8 fields, or an empty line.
+# parse_line accepts every such line without error. Possessive repeats keep
+# the scan of a block linear, with no backtracking state.
 _ACTIVITY = r"(?:[0-9]{1,20}+(?:\.[0-9]*+)?+(?:[eE][-+]?+[0-9]{1,2}+)?+)?+"
 _LINE = (r"(?:0|[1-9][0-9]{0,17}+)\t[0-9]{1,18}+"
          rf"(?:\t(?:[0-9]{{1,15}}+)?+(?:\t{_ACTIVITY}){{0,5}}+)?+")
@@ -61,8 +61,8 @@ def parse_line(line: str, lineno: int = 0) -> tuple | None:
     Returns (grid_id, timestamp_ms, country_code, sms_in, sms_out, call_in,
     call_out, internet). Missing trailing columns and empty fields after the
     timestamp are read as 0. More than 8 fields, a non-numeric or non-finite
-    field, or a timestamp outside the int64 range raises ParseError carrying
-    `lineno`.
+    field, an activity beyond +-MAX_VALUE, or a timestamp outside the int64
+    range raises ParseError carrying `lineno`.
     """
     line = line.rstrip("\n\r")
     if not line.strip():
@@ -85,6 +85,9 @@ def parse_line(line: str, lineno: int = 0) -> tuple | None:
         raise ParseError(f"line {lineno}: bad numeric field: {exc}") from None
     if not all(map(math.isfinite, acts)):
         raise ParseError(f"line {lineno}: non-finite activity field")
+    for a in acts:
+        if abs(a) > MAX_VALUE:
+            raise ParseError(f"line {lineno}: activity {a:g} beyond +-{MAX_VALUE:g}")
     return (grid_id, timestamp_ms, country, *acts)
 
 
@@ -139,7 +142,8 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
     Files are processed in lexicographic name order; the series origin is the
     slot-aligned floor of the earliest timestamp seen, and the series spans
     first to last observed slot with zeros where nothing was recorded. A wider
-    span than MAX_SPAN_SLOTS fails at the timestamp farthest from the median.
+    span than MAX_SPAN_SLOTS fails at the timestamp farthest from the median,
+    and a slot total beyond +-MAX_VALUE at the first record of that slot.
 
     A block of lines all in the `_LINE` form has only the grid's lines
     parsed; any other block has every line parsed. Both give the same
@@ -176,7 +180,14 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
         (name, lineno), far = where[i], int(timestamps[i])
         raise IngestError(f"{name}: line {lineno}: timestamp {far} stretches grid {grid_id} "
                           f"to {n_slots} slots, over one leap year ({MAX_SPAN_SLOTS})")
-    return ActivitySeries(t0_ms, aggregate(timestamps, np.array(values), t0_ms, n_slots))
+    totals = aggregate(timestamps, np.array(values), t0_ms, n_slots)
+    over = np.flatnonzero(np.abs(totals) > MAX_VALUE)  # each record is within it
+    if len(over):
+        slot = int(over[0])
+        name, lineno = where[int(np.argmax(timestamps // SLOT_MS - t0_ms // SLOT_MS == slot))]
+        raise IngestError(f"{name}: line {lineno}: grid {grid_id} slot at {t0_ms + slot * SLOT_MS} "
+                          f"totals {totals[slot]:g}, beyond +-{MAX_VALUE:g}")
+    return ActivitySeries(t0_ms, totals)
 
 
 def write_series_csv(series: ActivitySeries, path: str) -> None:

@@ -167,6 +167,80 @@ class TestAutoOrder:
             arima.check_length(100)
 
 
+class TestSharedWork:
+    """The order search centres the series and runs Hannan-Rissanen's first
+    stage once per d and hands both to every order's `fit`."""
+
+    SERIES = simulate_arma(300, phi=(0.6,), theta=(0.3,), seed=21) + 4.0
+
+    @staticmethod
+    def _bits(model):
+        return (model.phi.tobytes(), model.theta.tobytes(), model.mu, model.sigma2)
+
+    def test_every_grid_model_equals_a_lone_fit_bit_for_bit(self):
+        fitted = 0
+        for d in range(2):
+            grid = {(m.p, m.q): m for _, m in arima._fit_grid_at(self.SERIES, d)}
+            for p, q in itertools.product(range(4), range(4)):
+                try:
+                    lone = arima.fit(self.SERIES, p, d, q)
+                except arima.ArimaFitError:
+                    assert (p, q) not in grid
+                    continue
+                fitted += 1
+                assert self._bits(grid[(p, q)]) == self._bits(lone), (p, d, q)
+        assert fitted >= 24
+
+    def test_long_ar_regression_runs_once_per_d(self, monkeypatch):
+        calls = []
+        long_ar = arima.long_ar_residuals
+        monkeypatch.setattr(arima, "long_ar_residuals",
+                            lambda y: calls.append(len(y)) or long_ar(y))
+        arima.auto_order(self.SERIES)
+        assert sorted(calls) == [299, 300]
+
+    def test_singular_first_stage_skips_only_the_orders_that_need_it(self, monkeypatch):
+        # a straight line: its lagged copies are collinear at d = 0, and at
+        # d = 1 the centred series is all zeros
+        ramp = 2.0 * np.arange(300.0) + 1.0
+        outcomes = {}
+        fit = arima.fit
+
+        def recording_fit(series, p, d, q, *shared):
+            try:
+                outcomes[(p, d, q)] = fit(series, p, d, q, *shared)
+            except arima.ArimaFitError as exc:
+                outcomes[(p, d, q)] = str(exc)
+                raise
+            return outcomes[(p, d, q)]
+
+        monkeypatch.setattr(arima, "fit", recording_fit)
+        chosen = arima.auto_order(ramp)
+        assert (chosen.p, chosen.d, chosen.q) == (0, 0, 0)
+        message = "singular least squares in long-AR step; try lower orders"
+        assert len(outcomes) == 32
+        for (p, d, q), outcome in outcomes.items():
+            if p + q:
+                assert outcome == message, (p, d, q)
+            else:
+                assert isinstance(outcome, arima.ArimaModel), (p, d, q)
+        monkeypatch.undo()
+        for d in range(2):
+            with pytest.raises(arima.ArimaFitError, match=f"^{message}$"):
+                arima.fit(ramp, 1, d, 1)
+
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("q", range(4))
+    def test_residuals_match_the_oracle_and_leave_the_input(self, p, q):
+        rng = np.random.default_rng(50 + 4 * p + q)
+        y = rng.normal(size=200)
+        before = y.copy()
+        phi, theta = rng.uniform(-0.5, 0.5, p), rng.uniform(-0.5, 0.5, q)
+        assert np.array_equal(arima.residuals(y, phi, theta),
+                              oracles._arima_residuals(y, phi, theta))
+        assert np.array_equal(y, before)
+
+
 class TestScale:
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e6])
     def test_fit_does_not_depend_on_the_scale_of_the_series(self, scale):

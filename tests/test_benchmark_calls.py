@@ -78,3 +78,16 @@ def test_fit_reaches_css_through_the_module(monkeypatch):
     y = np.random.default_rng(0).normal(size=300)
     arima.fit(y, 1, 0, 1)
     assert len(calls) > 1
+
+
+def test_search_reaches_fit_and_hannan_rissanen_through_the_module(monkeypatch):
+    """The tracer counts `arima.fit_calls` and times `arima.hannan_rissanen`
+    by replacing them on the module: the order search calls `fit` once per
+    order and `hannan_rissanen` once per order with p + q > 0."""
+    calls = []
+    fit, hr = arima.fit, arima.hannan_rissanen
+    monkeypatch.setattr(arima, "fit", lambda *args: calls.append("fit") or fit(*args))
+    monkeypatch.setattr(arima, "hannan_rissanen",
+                        lambda *args: calls.append("hr") or hr(*args))
+    arima.auto_order(np.random.default_rng(0).normal(size=300))
+    assert (calls.count("fit"), calls.count("hr")) == (32, 30)

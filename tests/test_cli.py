@@ -116,6 +116,45 @@ class TestIngest:
         assert "error: day0.txt: line 2: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1e200", "-1e200", "1e308", "1.0000000000000001e150"])
+    def test_activity_beyond_the_magnitude_bound_names_file_and_line(self, tmp_path, capsys,
+                                                                     value):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "day0.txt").write_text(f"1\t{T0}\t39\t\t\t\t\t2.5\n"
+                                      f"1\t{T0}\t39\t\t\t\t\t{value}\n")
+        out = tmp_path / "x.csv"
+        assert main(["ingest", "--input-dir", str(raw), "--out", str(out)]) == 1
+        assert (f"error: day0.txt: line 2: activity {float(value):g} beyond +-1e+150"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_slot_total_beyond_the_magnitude_bound_names_grid_slot_file_and_line(
+            self, tmp_path, capsys):
+        """Two records each within the bound sum beyond it in one slot."""
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "day0.txt").write_text(f"1\t{T0}\t39\t\t\t\t\t2.5\n"
+                                      f"1\t{T0 + 600_000}\t39\t\t\t\t\t1e150\n")
+        (raw / "day1.txt").write_text(f"1\t{T0 + 600_000}\t39\t\t\t\t\t1e150\n")
+        out = tmp_path / "x.csv"
+        assert main(["ingest", "--input-dir", str(raw), "--out", str(out)]) == 1
+        assert (f"error: day0.txt: line 2: grid 1 slot at {T0 + 600_000} totals 2e+150, "
+                "beyond +-1e+150") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_values_at_the_magnitude_bound_ingest(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "day0.txt").write_text(f"1\t{T0}\t39\t\t\t\t\t1e150\n"
+                                      f"1\t{T0 + 600_000}\t39\t\t\t\t\t-1e150\n"
+                                      f"1\t{T0 + 1_200_000}\t39\t\t\t\t\t1e150\n"
+                                      f"1\t{T0 + 1_200_000}\t39\t\t\t\t\t-1e150\n")
+        out = tmp_path / "x.csv"
+        assert main(["ingest", "--input-dir", str(raw), "--out", str(out)]) == 0
+        assert "3 slots" in capsys.readouterr().out
+        assert cdr.read_series_csv(str(out)).values.tolist() == [1e150, -1e150, 0.0]
+
 
     def test_stray_timestamp_fails_naming_file_and_line(self, tmp_path, capsys):
         raw = tmp_path / "raw"
@@ -527,10 +566,11 @@ def white_noise_2():
 
 
 def patch_arima_fit(monkeypatch, at_d):
-    """Make `arima.fit` call `at_d[d](p, d, q)` for each d it names."""
+    """Make `arima.fit` call `at_d[d](p, d, q)` for each d it names; the
+    order search's shared work, when given, goes on to the real `fit`."""
     fit = arima.fit
-    monkeypatch.setattr(arima, "fit", lambda series, p, d, q: (
-        at_d[d](p, d, q) if d in at_d else fit(series, p, d, q)))
+    monkeypatch.setattr(arima, "fit", lambda series, p, d, q, *shared: (
+        at_d[d](p, d, q) if d in at_d else fit(series, p, d, q, *shared)))
 
 
 class TestSplitSearch:
