@@ -119,10 +119,10 @@ def _lines_to_parse(fh, grid_id: int):
     line, so that its first bad line names the error."""
     key = f"\n{grid_id}\t"
     first = 1  # number of the block's first line
-    while lines := fh.readlines(1 << 16):
-        block = "\n" + "".join(lines)
+    while text := fh.read(1 << 16) + fh.readline():  # the lines readlines(1 << 16) gives
+        block = "\n" + text
         if not _BLOCK.fullmatch(block):
-            yield from enumerate(lines, start=first)
+            yield from enumerate(text.removesuffix("\n").split("\n"), start=first)
         else:
             lineno, counted = first - 1, 0
             at = block.find(key)
@@ -133,28 +133,14 @@ def _lines_to_parse(fh, grid_id: int):
                 end = len(block) if end < 0 else end
                 yield lineno, block[counted:end]
                 at = block.find(key, end)
-        first += len(lines)
+        first += text.count("\n")
 
 
-def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
-    """Merge all day-files of a directory into one gap-free activity series.
-
-    Files are processed in lexicographic name order; the series origin is the
-    slot-aligned floor of the earliest timestamp seen, and the series spans
-    first to last observed slot with zeros where nothing was recorded. A wider
-    span than MAX_SPAN_SLOTS fails at the timestamp farthest from the median,
-    and a slot total beyond +-MAX_VALUE at the first record of that slot.
-
-    A block of lines all in the `_LINE` form has only the grid's lines
-    parsed; any other block has every line parsed. Both give the same
-    records and the same errors.
-    """
-    col = 3 + CHANNELS.index(channel)
-    names = sorted(n for n in os.listdir(dir_path)
-                   if os.path.isfile(os.path.join(dir_path, n)))
-    if not names:
-        raise IngestError(f"no input files in {dir_path}")
-    timestamps, values, where = [], [], []  # where: (file, line) of each kept record
+def _scan(dir_path: str, names: list, grid_id: int, col: int) -> tuple:
+    """(timestamps, values, where) of grid `grid_id`'s records in the files
+    `names` of `dir_path`, in file and line order: each record's timestamp,
+    its column `col` and its (file, line)."""
+    timestamps, values, where = [], [], []
     for name in names:
         path = os.path.join(dir_path, name)
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -169,6 +155,41 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str) -> ActivitySeries:
                     timestamps.append(rec[1])
                     values.append(rec[col])
                     where.append((name, lineno))
+    return timestamps, values, where
+
+
+def ingest_dir(dir_path: str, grid_id: int, channel: str, map=map) -> ActivitySeries:
+    """Merge all day-files of a directory into one gap-free activity series.
+
+    Files are processed in lexicographic name order; the series origin is the
+    slot-aligned floor of the earliest timestamp seen, and the series spans
+    first to last observed slot with zeros where nothing was recorded. A wider
+    span than MAX_SPAN_SLOTS fails at the timestamp farthest from the median,
+    and a slot total beyond +-MAX_VALUE at the first record of that slot.
+
+    A block of lines all in the `_LINE` form has only the grid's lines
+    parsed; any other block has every line parsed. Both give the same
+    records and the same errors.
+
+    Two or more files are scanned in two halves through `map`, cut at the
+    file boundary nearest half their bytes, and the halves' records are
+    joined in file order. So a map that scans the later half in another
+    process gives the same series, and the same error if it raises the
+    earlier half's error first. One file is scanned here, with no `map`.
+    """
+    col = 3 + CHANNELS.index(channel)
+    names = sorted(n for n in os.listdir(dir_path)
+                   if os.path.isfile(os.path.join(dir_path, n)))
+    if not names:
+        raise IngestError(f"no input files in {dir_path}")
+    if len(names) == 1:
+        timestamps, values, where = _scan(dir_path, names, grid_id, col)
+    else:
+        ends = np.cumsum([os.path.getsize(os.path.join(dir_path, n)) for n in names])
+        cut = 1 + int(np.argmin(np.abs(2 * ends[:-1] - ends[-1])))
+        first, second = map(lambda part: _scan(dir_path, part, grid_id, col),
+                            (names[:cut], names[cut:]))
+        timestamps, values, where = (a + b for a, b in zip(first, second))
     if not timestamps:
         raise IngestError(f"no records for grid {grid_id} in {dir_path}")
     timestamps = np.array(timestamps, dtype=np.int64)

@@ -107,7 +107,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    series = cdr.ingest_dir(args.input_dir, args.grid, args.channel)
+    series = cdr.ingest_dir(args.input_dir, args.grid, args.channel,
+                            map=lambda fn, halves: _map_in_two(fn, halves, work="ingest"))
     with _outputs() as out:
         cdr.write_series_csv(series, out(args.out))
     print(f"{len(series)} slots")
@@ -148,9 +149,11 @@ def _worker(tx, there) -> None:
     tx.send(message)
 
 
-def _alongside(here, there):
+def _alongside(here, there, work):
     """Return (here(), there()), calling `there` in the one worker, a fork of
-    this process, while this process calls `here`."""
+    this process, while this process calls `here`. An error of `here` is
+    raised before the worker's result is read; `work` names what the worker
+    does in the error when it ends without a result."""
     import multiprocessing  # here, so that importing the CLI stays cheap
     context = multiprocessing.get_context("fork")
     rx, tx = context.Pipe(duplex=False)
@@ -164,7 +167,7 @@ def _alongside(here, there):
         worker.join()
         if not ok:
             raise theirs or ChildProcessError(
-                f"ARIMA worker exited with status {worker.exitcode}")
+                f"{work} worker exited with status {worker.exitcode}")
     finally:  # an interrupt too leaves no worker
         worker.kill()  # a no-op once the worker has been reaped
         worker.join()
@@ -172,10 +175,10 @@ def _alongside(here, there):
     return mine, theirs
 
 
-def _map_in_two(fn, items):
-    """`map` over two items, the second in the worker."""
+def _map_in_two(fn, items, work="ARIMA"):
+    """`map` over two items, the second in the worker, which does `work`."""
     first, second = items
-    return list(_alongside(lambda: fn(first), lambda: fn(second)))
+    return list(_alongside(lambda: fn(first), lambda: fn(second), work))
 
 
 def cmd_compare(args) -> int:
@@ -196,7 +199,7 @@ def cmd_compare(args) -> int:
         # the worker's AIC search stays serial: this process trains the neural models
         results, arima_result = _alongside(
             lambda: {kind: _run(kind, data) for kind in train.MODELS},
-            lambda: _run("arima", data, args.order))
+            lambda: _run("arima", data, args.order), "ARIMA")
         results["arima"] = arima_result
         for kind, (model, history, preds, test_mae, wall_ms) in results.items():
             if history is None and args.order is None:

@@ -64,6 +64,23 @@ class TestFit:
         assert model.phi.shape == model.theta.shape == (0,)
         assert model.sigma2 == float(w @ w) / len(w)
 
+    def test_sigma2_is_the_css_over_the_conditioned_length(self):
+        """At p = 2 the CSS has len(y) - 2 innovations, so sigma2 divides by
+        that count, not by len(y)."""
+        series = simulate_arma(300, phi=(0.5, -0.3), theta=(0.2,), seed=12) + 3.0
+        model = arima.fit(series, 2, 0, 1)
+        y = series - model.mu
+        assert model.sigma2 == arima.css(y, model.phi, model.theta) / (len(y) - 2)
+
+
+class TestAic:
+    @pytest.mark.parametrize("p, q, sigma2, n", [(0, 0, 1.0, 300), (2, 1, 0.37, 250),
+                                                 (3, 3, 4.0, 1000)])
+    def test_penalty_counts_the_mean_too(self, p, q, sigma2, n):
+        model = arima.ArimaModel(p, 0, q, np.zeros(p), np.zeros(q), mu=0.0, sigma2=sigma2)
+        assert arima.aic(model, n) == pytest.approx(n * np.log(sigma2) + 2 * (p + q + 1),
+                                                    rel=1e-12, abs=1e-12)
+
 
 class TestForecastOne:
     def test_mean_model(self):
@@ -165,6 +182,11 @@ class TestAutoOrder:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             arima.check_length(100)
+
+    def test_equal_aics_pick_the_fewest_terms_then_the_lower_d(self, monkeypatch):
+        monkeypatch.setattr(arima, "aic", lambda model, n: 0.0)
+        chosen = arima.auto_order(simulate_arma(300, phi=(0.6,), seed=5))
+        assert (chosen.p, chosen.d, chosen.q) == (0, 0, 0)
 
 
 class TestSharedWork:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from celltide import cdr
+from celltide import cdr, cli
 
 import oracles
 
@@ -312,6 +312,40 @@ class TestIngestDir:
             cdr.ingest_dir(str(tmp_path), 1, "internet")
         assert len(paths_taken) > 3 and all(paths_taken)
 
+    @pytest.mark.parametrize("width", [32, 33], ids=["line-ends-at-64k", "line-spans-64k"])
+    def test_blocks_are_the_lines_readlines_gives(self, tmp_path, monkeypatch, width):
+        """Each block is 64k characters and the rest of the line they end in:
+        the lines of `readlines(1 << 16)`, also when a line ends exactly at
+        64k characters and readlines takes one more."""
+        line = f"2\t{T0}\t39\t{'1' * (width - 20)}\n"
+        assert len(line) == width
+        (tmp_path / "day.txt").write_text(f"1\t{T0}\t39\t\t\t\t\t1.0\n" + line * 9_000)
+        want = []
+        with open(tmp_path / "day.txt", encoding="utf-8") as fh:
+            while lines := fh.readlines(1 << 16):
+                want.append("\n" + "".join(lines))
+        assert len(want) > 2
+        blocks = []
+        block = cdr._BLOCK
+
+        class Spy:
+            def fullmatch(self, text):
+                blocks.append(text)
+                return block.fullmatch(text)
+
+        monkeypatch.setattr(cdr, "_BLOCK", Spy())
+        assert cdr.ingest_dir(str(tmp_path), 1, "internet").values.tolist() == [1.0]
+        assert blocks == want
+
+    def test_only_a_newline_ends_a_line(self, tmp_path, paths_taken):
+        """A block parsed line by line is cut at newlines alone: the \\x1c,
+        \\x85 and \\u2028 that `str.splitlines` would cut at stay in their
+        field, which `parse_line` reads as blank."""
+        (tmp_path / "day.txt").write_text(f"1\t{T0}\t39\t\x1c\t\x85\t \t\t2.5\n")
+        series = cdr.ingest_dir(str(tmp_path), 1, "internet")
+        assert paths_taken == [False]
+        assert (series.t0_ms, series.values.tolist()) == (T0, [2.5])
+
     def test_crlf_file_takes_the_fast_path(self, tmp_path, paths_taken):
         rows = [(1, T0 + s * 600_000, s + 0.5) for s in range(6)] + [(2, T0, 9.0)]
         _write_day_file(tmp_path / "lf.txt", rows)
@@ -323,6 +357,56 @@ class TestIngestDir:
         assert paths_taken == [True, True, True]
         assert crlf.values.tolist() == [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
         assert (both.t0_ms, both.values.tolist()) == (crlf.t0_ms, (2 * crlf.values).tolist())
+
+
+def _write_days(dir_path, records_per_file):
+    """Day files day0.txt, day1.txt, ... of grid 1 and decoy grid 2 records,
+    all lines of one length. The files share slots, so each slot's sum
+    depends on file order."""
+    rng = np.random.default_rng(len(records_per_file))
+    for day, n in enumerate(records_per_file):
+        rows = [(int(rng.choice([1, 1, 2])), T0 + int(rng.integers(0, 30)) * 600_000,
+                 f"{rng.uniform(1, 9):.6f}") for _ in range(n)]
+        _write_day_file(dir_path / f"day{day}.txt", rows)
+
+
+class TestTwoHalves:
+    """`ingest_dir` scans two or more files in two halves through its `map`."""
+
+    @pytest.mark.parametrize("records, halves", [
+        ([3, 1, 5, 1], (["day0.txt", "day1.txt"], ["day2.txt", "day3.txt"])),
+        ([8, 1, 1], (["day0.txt"], ["day1.txt", "day2.txt"])),
+        ([1, 1, 8], (["day0.txt", "day1.txt"], ["day2.txt"])),
+        ([2, 2], (["day0.txt"], ["day1.txt"])),
+    ])
+    def test_cut_at_the_file_boundary_nearest_half_the_bytes(self, tmp_path, records,
+                                                              halves):
+        _write_days(tmp_path, records)
+        seen = []
+
+        def recording(fn, items):
+            seen.append(items)
+            return map(fn, items)
+
+        cdr.ingest_dir(str(tmp_path), 1, "internet", map=recording)
+        assert seen == [halves]
+
+    @pytest.mark.parametrize("n_files", range(1, 8))
+    def test_worker_half_gives_the_serial_bytes(self, tmp_path, n_files):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        _write_days(raw, [40 + 25 * (k % 3) for k in range(n_files)])
+        written = []
+        for name, map_ in (("serial.csv", map), ("split.csv", cli._map_in_two)):
+            cdr.write_series_csv(cdr.ingest_dir(str(raw), 1, "internet", map=map_),
+                                 str(tmp_path / name))
+            written.append((tmp_path / name).read_bytes())
+        assert written[0] == written[1]
+        t0_ms, values = oracles.cdr_ingest_reference(str(raw), 1, "internet")
+        split = cdr.read_series_csv(str(tmp_path / "split.csv"))
+        assert (split.t0_ms, split.values.tolist()) == (t0_ms, values.tolist())
+        with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 # Fields outside the fast-path form: parse_line accepts some and rejects the

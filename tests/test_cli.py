@@ -179,6 +179,74 @@ class TestIngest:
         assert not out.exists()
 
 
+def make_days_dir(tmp_path, n_files):
+    """`n_files` day files of one size, three grid-1 records each: `ingest`
+    scans day0 up to day{n_files // 2 - 1} here and the rest in the worker."""
+    raw = tmp_path / f"days{n_files}"
+    raw.mkdir()
+    for day in range(n_files):
+        (raw / f"day{day}.txt").write_text("".join(
+            f"1\t{T0 + (3 * day + k) * 600_000}\t39\t\t\t\t\t{day + k}.5\n" for k in range(3)))
+    return raw
+
+
+class TestSplitIngest:
+    """`ingest` of two or more files scans the later half in the one worker."""
+
+    @pytest.mark.parametrize("bad", [(0,), (3,), (0, 3)],
+                             ids=["first-half", "second-half", "both-halves"])
+    def test_bad_line_is_the_serial_error(self, tmp_path, capsys, bad):
+        raw = make_days_dir(tmp_path, 4)
+        for day in bad:
+            with open(raw / f"day{day}.txt", "a") as fh:
+                fh.write(f"1\t{T0}\t39\t\t\t\t\tnope\n")
+        with pytest.raises(cdr.IngestError) as serial:
+            cdr.ingest_dir(str(raw), 1, "internet")
+        assert str(serial.value).startswith(f"day{bad[0]}.txt: line 4: ")
+        out = tmp_path / "x.csv"
+        assert main(["ingest", "--input-dir", str(raw), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {serial.value}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["days4"]
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("death,status", [
+        (lambda: os._exit(3), 3),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    ])
+    def test_worker_without_result_is_a_runtime_error(self, tmp_path, monkeypatch,
+                                                      capsys, death, status):
+        raw = make_days_dir(tmp_path, 4)
+        parent, scan = os.getpid(), cdr._scan
+
+        def dying(dir_path, names, *rest):
+            if os.getpid() != parent:
+                assert names == ["day2.txt", "day3.txt"]
+                death()
+            return scan(dir_path, names, *rest)
+
+        monkeypatch.setattr(cdr, "_scan", dying)
+        assert main(["ingest", "--input-dir", str(raw), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: ingest worker exited with status {status}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["days4"]
+        assert_no_child_process()
+
+    def test_interrupt_in_this_half_leaves_no_child(self, tmp_path, monkeypatch):
+        raw = make_days_dir(tmp_path, 4)
+        parent, scan = os.getpid(), cdr._scan
+
+        def interrupted(dir_path, names, *rest):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return scan(dir_path, names, *rest)
+
+        monkeypatch.setattr(cdr, "_scan", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["ingest", "--input-dir", str(raw), "--out", str(tmp_path / "x.csv")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["days4"]
+        assert_no_child_process()
+
+
 class TestTrain:
     def test_writes_model_and_history(self, tmp_path, capsys):
         series = make_series_csv(tmp_path)
@@ -705,6 +773,39 @@ class TestCompare:
         assert set(report["models"]) == {"lstm", "ffnn", "arima"}
         assert all(m["test_mae"] >= 0 for m in report["models"].values())
 
+    def test_predictions_and_normalized_mae_read_back_exactly(self, tmp_path, monkeypatch):
+        """Each prediction CSV value reads back as the float that was
+        forecast, and each `test_mae_normalized` is `test_mae` over the
+        training slice's range, the scaler's max - min."""
+        series = make_series_csv(tmp_path, days=4)
+        out_dir = tmp_path / "out"
+        forecast, write = {}, cli._write_predictions
+
+        def recorded(path, values, test_range, preds):
+            forecast[os.path.basename(path).split("_")[0].lstrip(".")] = preds.copy()
+            write(path, values, test_range, preds)
+
+        monkeypatch.setattr(cli, "_write_predictions", recorded)
+        assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                     "--out-dir", str(out_dir)]) == 0
+        values = cdr.read_series_csv(str(series)).values
+        spec = dataset.split(len(values), 0.4)
+        scaler = dataset.fit_scaler(values[:spec.n_train])
+        test = slice(spec.test_start, spec.test_start + spec.n_test)
+        report = json.loads((out_dir / "report.json").read_text())
+        assert set(forecast) == set(report["models"]) == {"lstm", "ffnn", "arima"}
+        for kind, preds in forecast.items():
+            rows = (out_dir / f"{kind}_predictions.csv").read_text().splitlines()[1:]
+            slots, truth, read = (np.array([float(row.split(",")[k]) for row in rows])
+                                  for k in range(3))
+            assert slots.tolist() == list(range(test.start, test.stop))
+            assert truth.tobytes() == values[test].tobytes()
+            assert read.tobytes() == preds.tobytes(), kind
+            entry = report["models"][kind]
+            assert entry["test_mae"] == train.mae(preds, values[test])
+            assert entry["test_mae_normalized"] == entry["test_mae"] / (scaler.max - scaler.min)
+            assert scaler.max - scaler.min != 1.0
+
     @pytest.mark.parametrize("flags", [["--d", "1"], ["--q", "2"], ["--d", "0", "--q", "1"]])
     def test_order_without_p_is_usage_error(self, tmp_path, capsys, flags):
         series = make_series_csv(tmp_path)
@@ -998,17 +1099,20 @@ class TestCompare:
         assert not out_dir.exists()
         assert_no_child_process()
 
-    def test_only_compare_and_the_arima_search_fork_and_only_once(self, tmp_path,
-                                                                  monkeypatch):
+    def test_only_compare_the_arima_search_and_multi_file_ingest_fork_and_only_once(
+            self, tmp_path, monkeypatch):
         series = make_series_csv(tmp_path, days=4)
         raw = make_raw_dir(tmp_path)
+        one_file, seven_files = make_days_dir(tmp_path, 1), make_days_dir(tmp_path, 7)
         forks = record_forks(monkeypatch)
         arima_flags = ["--series", str(series), "--train-frac", "0.4",
                        "--out-model", str(tmp_path / "a.json"),
                        "--out-predictions", str(tmp_path / "a.csv")]
         calls = [
             (0, ["synth", "--days", "1", "--out", str(tmp_path / "s.csv")]),
-            (0, ["ingest", "--input-dir", str(raw), "--out", str(tmp_path / "i.csv")]),
+            (0, ["ingest", "--input-dir", str(one_file), "--out", str(tmp_path / "i.csv")]),
+            (1, ["ingest", "--input-dir", str(raw), "--out", str(tmp_path / "i.csv")]),
+            (1, ["ingest", "--input-dir", str(seven_files), "--out", str(tmp_path / "i.csv")]),
             (0, ["train", "--model", "lstm", *COMPARE_FLAGS, "--series", str(series),
                  "--out-model", str(tmp_path / "m.json"),
                  "--out-history", str(tmp_path / "h.csv")]),

@@ -114,6 +114,36 @@ class TestFit:
         assert steps == list(range(1, 3 * math.ceil(len(tr) / train.BATCH_SIZE) + 1))
 
     @pytest.mark.parametrize("kind", list(train.MODELS))
+    def test_each_step_is_the_mean_gradient_of_its_batch(self, kind, monkeypatch):
+        """2 * 32 + 5 windows: the last batch's gradient is divided by its own
+        5 windows, like each full batch's by 32. The reference step averages
+        one-window gradients at the weights the step started from."""
+        _, _, _, tr, va = small_sets()
+        tr = dataset.WindowSet(tr.inputs[:2 * train.BATCH_SIZE + 5],
+                               tr.targets[:2 * train.BATCH_SIZE + 5])
+        steps, adam_step = [], train.adam_step
+
+        def recorded(w, g, m, v, t, lr):
+            steps.append((w.copy(), g.copy()))
+            adam_step(w, g, m, v, t, lr)
+
+        monkeypatch.setattr(train, "adam_step", recorded)
+        model, init = train.MODELS[kind]
+        train.fit(kind, init(tr.inputs.shape[1], 0), tr, va, train.TrainConfig(epochs=1, seed=6))
+        order = np.random.default_rng(6).permutation(len(tr))
+        batches = [order[lo:lo + train.BATCH_SIZE] for lo in range(0, len(tr), train.BATCH_SIZE)]
+        assert [len(idx) for idx in batches] == [32, 32, 5] and len(steps) == 3
+        params = init(tr.inputs.shape[1], 0)
+        for idx, (w, g) in zip(batches, steps):
+            params.flat[:] = w
+            one_window = []
+            for i in idx:
+                y, cache = model.forward_batch(tr.inputs[i:i + 1], params)
+                one_window.append(model.backward_batch(cache, np.sign(y - tr.targets[i:i + 1]),
+                                                       params))
+            np.testing.assert_allclose(g, np.mean(one_window, axis=0), rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", list(train.MODELS))
     def test_backward_batch_returns_a_new_flat_array(self, kind):
         """The gradient `fit` hands to `adam_step`: a new 1-D float64 array of
         the weights' size, sharing memory with neither the weights, the
