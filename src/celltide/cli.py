@@ -71,6 +71,9 @@ def _prepare(args) -> argparse.Namespace:
         return data
     data.scaler = dataset.fit_scaler(values[:spec.n_train])
     print(f"split {spec.n_train}/{spec.n_val}/{spec.n_test}")
+    if args.window >= spec.n_train:  # then every range below has a target; the library trusts it
+        raise ValueError(f"--window must be below the {spec.n_train} training slots, "
+                         f"got {args.window}")
     normed = data.scaler.transform(values)
     data.train_set = dataset.windows_for_range(normed, args.window, 0, spec.n_train)
     data.val_set = dataset.windows_for_range(normed, args.window, spec.val_start, spec.test_start)
@@ -81,14 +84,14 @@ def _prepare(args) -> argparse.Namespace:
     return data
 
 
-def _run(kind: str, data, order=None, map=map):
+def _run(kind: str, data, order=None):
     """Fit `kind` ("arima" at `order`; None: AIC search, whose two halves go
-    through `map`) on `data`'s training slice and forecast its test slice.
-    Returns (model, history or None, preds, test MAE, fit ms)."""
+    through `_map_in_two`) on `data`'s training slice and forecast its test
+    slice. Returns (model, history or None, preds, test MAE, fit ms)."""
     t0 = time.perf_counter()
     if kind == "arima":
         y = data.values[:data.spec.n_train]
-        model = arima.auto_order(y, map=map) if order is None else arima.fit(y, *order)
+        model = arima.auto_order(y, map=_map_in_two) if order is None else arima.fit(y, *order)
         history, wall_ms = None, (time.perf_counter() - t0) * 1e3
         preds = arima.rolling_forecast(model, data.values, data.test_range)
     else:
@@ -128,7 +131,7 @@ def cmd_train(args) -> int:
 
 def cmd_arima(args) -> int:
     data = _prepare(args)
-    model, _, preds, test_mae, _ = _run("arima", data, args.order, map=_map_in_two)
+    model, _, preds, test_mae, _ = _run("arima", data, args.order)
     if args.order is None:
         print(f"selected order ({model.p},{model.d},{model.q})")
     with _outputs() as out:
@@ -139,29 +142,33 @@ def cmd_arima(args) -> int:
     return 0
 
 
-def _worker(tx, there) -> None:
-    """The one process a command starts: it calls `there()` while the parent
-    works on, and sends back (ok, result or exception)."""
+def _worker(tx, fn, items) -> None:
+    """The one process a command starts: it maps `fn` over its share of the
+    items and sends back (ok, results or exception)."""
     try:
-        message = (True, there())
+        message = (True, list(map(fn, items)))
     except BaseException as exc:  # an interrupt too: the parent re-raises it
         message = (False, exc)
     tx.send(message)
 
 
-def _alongside(here, there, work):
-    """Return (here(), there()), calling `there` in the one worker, a fork of
-    this process, while this process calls `here`. An error of `here` is
-    raised before the worker's result is read; `work` names what the worker
-    does in the error when it ends without a result."""
+def _map_in_two(fn, items, work="ARIMA"):
+    """`list(map(fn, items))`, the first ceil(n/2) items mapped here while the
+    one worker, a fork of this process, maps the rest. An error of this
+    process's share is raised before the worker's result is read; `work`
+    names what the worker does in the error when it ends without a result.
+    In the worker itself every item is mapped here: never a second worker."""
     import multiprocessing  # here, so that importing the CLI stays cheap
+    if multiprocessing.parent_process() is not None:
+        return list(map(fn, items))
+    cut = (len(items) + 1) // 2
     context = multiprocessing.get_context("fork")
     rx, tx = context.Pipe(duplex=False)
-    worker = context.Process(target=_worker, args=(tx, there))
+    worker = context.Process(target=_worker, args=(tx, fn, items[cut:]))
     worker.start()
     try:
         tx.close()
-        mine, ok, theirs = here(), False, None
+        mine, ok, theirs = list(map(fn, items[:cut])), False, None
         with contextlib.suppress(EOFError):  # the worker died without a result
             ok, theirs = rx.recv()
         worker.join()
@@ -172,13 +179,7 @@ def _alongside(here, there, work):
         worker.kill()  # a no-op once the worker has been reaped
         worker.join()
         rx.close()
-    return mine, theirs
-
-
-def _map_in_two(fn, items, work="ARIMA"):
-    """`map` over two items, the second in the worker, which does `work`."""
-    first, second = items
-    return list(_alongside(lambda: fn(first), lambda: fn(second), work))
+    return mine + theirs
 
 
 def cmd_compare(args) -> int:
@@ -196,12 +197,10 @@ def cmd_compare(args) -> int:
     # entered before the fits, so that an out_dir that cannot be made fails at
     # once; the files are written only once every fit has succeeded
     with _outputs(args.out_dir) as out:
-        # the worker's AIC search stays serial: this process trains the neural models
-        results, arima_result = _alongside(
-            lambda: {kind: _run(kind, data) for kind in train.MODELS},
-            lambda: _run("arima", data, args.order), "ARIMA")
-        results["arima"] = arima_result
-        for kind, (model, history, preds, test_mae, wall_ms) in results.items():
+        # the LSTM and the FFNN here, ARIMA in the worker
+        kinds = [*train.MODELS, "arima"]
+        results = _map_in_two(lambda kind: _run(kind, data, args.order), kinds)
+        for kind, (model, history, preds, test_mae, wall_ms) in zip(kinds, results):
             if history is None and args.order is None:
                 print(f"{kind}: selected order ({model.p},{model.d},{model.q})")
             entry = {"order": [model.p, model.d, model.q]} if history is None else {}

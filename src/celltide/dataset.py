@@ -49,12 +49,10 @@ def windows_for_range(values: np.ndarray, window_len: int, start: int, stop: int
     """Windows whose targets fall in [start, stop).
 
     Targets near a slice boundary draw their input history from the preceding
-    slice; the earliest usable target index is `window_len`.
+    slice; the earliest usable target index is `window_len`. The caller keeps
+    max(start, window_len) < stop <= len(values).
     """
     start = max(start, window_len)
-    if not (start < stop <= len(values)):
-        raise ValueError(
-            f"no targets in range [{start}, {stop}) for series of length {len(values)}")
     # the view's rows overlap; the copy gives each window its own row
     inputs = np.lib.stride_tricks.sliding_window_view(
         values[start - window_len:stop - 1], window_len).copy()

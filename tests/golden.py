@@ -1,0 +1,69 @@
+"""Golden outputs of `compare` and of the AIC order search, read back by
+test_golden.py and written to tests/fixtures by running this file:
+
+    PYTHONPATH=src python tests/golden.py
+
+Rewrite them only for a change that means to move these numbers, and say so
+where the change is recorded.
+"""
+
+import json
+import pathlib
+import tempfile
+
+import numpy as np
+
+from celltide import arima, cdr, dataset, modelio
+from celltide.cli import main
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+COMPARE_FILE, SEARCH_FILE = FIXTURES / "golden_compare_4d.json", FIXTURES / "golden_search_4d.json"
+SERIES = "gen_synthetic(4, seed=1)"
+# no --p: the AIC search. 0.4 leaves 218 training windows, so the last
+# batch of each epoch is a partial one of 26
+COMPARE_ARGV = ["compare", "--train-frac", "0.4", "--epochs", "2"]
+SEARCH_FRAC = 0.8  # a 460-slot training slice
+
+
+def series() -> np.ndarray:
+    return dataset.gen_synthetic(4, seed=1).values
+
+
+def compare_outputs(tmp_dir) -> dict:
+    """`compare` on the series: its report.json without the timings, and each
+    prediction CSV as rows of (slot, truth, prediction)."""
+    tmp_dir = pathlib.Path(tmp_dir)
+    path, out_dir = tmp_dir / "series.csv", tmp_dir / "out"
+    cdr.write_series_csv(cdr.ActivitySeries(dataset.DEFAULT_T0_MS, series()), str(path))
+    assert main([*COMPARE_ARGV, "--series", str(path), "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    for entry in report["models"].values():
+        del entry["train_wall_ms"]
+    predictions = {kind: np.loadtxt(out_dir / f"{kind}_predictions.csv", delimiter=",",
+                                    skiprows=1).tolist() for kind in report["models"]}
+    return {"argv": COMPARE_ARGV, "series": SERIES, "report": report,
+            "predictions": predictions}
+
+
+def search_outputs() -> dict:
+    """`auto_order` on the training slice at SEARCH_FRAC: the order it selects,
+    the AIC of every candidate that fitted, keyed "p,d,q", and the model."""
+    values = series()
+    y = values[:dataset.split(len(values), SEARCH_FRAC).n_train]
+    halves = []
+
+    def recorded(fn, items):
+        halves[:] = map(fn, items)
+        return halves
+
+    model = arima.auto_order(y, map=recorded)
+    return {"series": SERIES, "train_frac": SEARCH_FRAC, "n": len(y),
+            "order": [model.p, model.d, model.q],
+            "aic": {f"{m.p},{m.d},{m.q}": key[0] for half in halves for key, m in half},
+            "phi": model.phi, "theta": model.theta, "mu": model.mu, "sigma2": model.sigma2}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        COMPARE_FILE.write_text(modelio.dumps(compare_outputs(tmp)) + "\n")
+    SEARCH_FILE.write_text(modelio.dumps(search_outputs()) + "\n")

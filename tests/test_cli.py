@@ -425,13 +425,19 @@ def test_flag_out_of_range_is_usage_error(tmp_path, monkeypatch, capsys, argv, m
 
 def test_boundary_flag_values_run(tmp_path):
     """The edge of each range is accepted: one day, a one-slot window, one
-    epoch, a learning rate of 0 and a training fraction of 0.8."""
+    epoch, a learning rate of 0 and a training fraction of 0.8; and a window
+    one slot shorter than the training slice, which leaves one training window."""
     series = make_series_csv(tmp_path, days=1)
     assert main(["train", "--model", "ffnn", "--series", str(series), "--window", "1",
                  "--epochs", "1", "--lr", "0", "--train-frac", "0.8",
                  "--out-model", str(tmp_path / "m.json"),
                  "--out-history", str(tmp_path / "h.csv")]) == 0
     assert json.loads((tmp_path / "m.json").read_text())["T"] == 1
+    series = make_series_csv(tmp_path, days=3)  # 344 training slots
+    assert main(["train", "--model", "ffnn", "--series", str(series), "--window", "343",
+                 "--epochs", "1", "--out-model", str(tmp_path / "m.json"),
+                 "--out-history", str(tmp_path / "h.csv")]) == 0
+    assert json.loads((tmp_path / "m.json").read_text())["T"] == 343
 
 
 CONSTANT = np.full(432, 5.0)
@@ -451,9 +457,9 @@ HUGE_MESSAGE = "series.csv: line 12: value 1e+308 beyond +-1e+150"
      "split of 2 slots leaves an empty part"),
     ([1.0, 2.0], ["arima", *ARIMA_OUTS], "split of 2 slots leaves an empty part"),
     (dataset.gen_synthetic(3).values, ["train", "--model", "lstm", "--window", "400", *TRAIN_OUTS],
-     "no targets in range [400, 344) for series of length 432"),
+     "--window must be below the 344 training slots, got 400"),
     (dataset.gen_synthetic(3).values, ["compare", "--window", "400", "--out-dir", "out"],
-     "no targets in range [400, 344) for series of length 432"),
+     "--window must be below the 344 training slots, got 400"),
     (HUGE, ["train", "--model", "lstm", *TRAIN_OUTS], HUGE_MESSAGE),
     (HUGE, ["arima", *ARIMA_OUTS], HUGE_MESSAGE),
     (HUGE, ["compare", "--epochs", "1", "--out-dir", "out"], HUGE_MESSAGE),
@@ -639,6 +645,36 @@ def patch_arima_fit(monkeypatch, at_d):
     fit = arima.fit
     monkeypatch.setattr(arima, "fit", lambda series, p, d, q, *shared: (
         at_d[d](p, d, q) if d in at_d else fit(series, p, d, q, *shared)))
+
+
+class TestMapInTwo:
+    """`cli._map_in_two` maps the first ceil(n/2) items here and the rest in
+    the one worker."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_the_builtin_maps_list_with_the_later_items_in_the_worker(self, n):
+        def square(x):
+            return x * x, os.getpid()
+
+        got = cli._map_in_two(square, list(range(n)))
+        assert [value for value, _ in got] == [value for value, _ in map(square, range(n))]
+        cut = (n + 1) // 2
+        assert {pid for _, pid in got[:cut]} == {os.getpid()}
+        worker = {pid for _, pid in got[cut:]}
+        assert len(worker) == 1 and os.getpid() not in worker
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("failing,raised", [({3}, 3), ({1, 4}, 1)],
+                             ids=["worker-share", "both-shares"])
+    def test_the_first_error_in_item_order_is_raised(self, failing, raised):
+        def fn(x):
+            if x in failing:
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match=f"^item {raised}$"):
+            cli._map_in_two(fn, list(range(5)))
+        assert_no_child_process()
 
 
 class TestSplitSearch:

@@ -54,10 +54,6 @@ class TestWindows:
         ws = all_windows(np.array([1.0, 2.0, 3.0]), 2)
         assert len(ws) == 1
 
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            all_windows(np.array([1.0, 2.0]), 2)
-
     def test_reconstruction(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(0, 1, 40)

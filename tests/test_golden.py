@@ -1,0 +1,68 @@
+"""The outputs of `compare` and of the AIC order search against the golden
+files that golden.py wrote. A refactor leaves them within these tolerances;
+a change that means to move them rewrites them.
+
+Neural values keep lstm_fit_4d.json's 1e-10 relative: on one machine they
+are bit-identical, and another BLAS's summation order moves them at the
+last-bit level. ARIMA values allow 1e-6 relative (1e-9 absolute, for a
+coefficient near zero): Nelder-Mead stops once its simplex is within 1e-8 of
+its best point in the reflection coordinates, so a last-bit difference
+on the way can move where it stops by about that much, which a flat CSS
+surface can scale up. A fit cut short, such as one with a lower evaluation
+budget, lands much further away.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import golden
+
+TOLERANCE = {"lstm": {"rtol": 1e-10, "atol": 0}, "ffnn": {"rtol": 1e-10, "atol": 0},
+             "arima": {"rtol": 1e-6, "atol": 1e-9}}
+
+
+def load(path) -> dict:
+    return json.loads(path.read_text())
+
+
+@pytest.fixture(scope="module")
+def compared(tmp_path_factory):
+    return golden.compare_outputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("kind", ["lstm", "ffnn", "arima"])
+def test_compare_predictions(compared, kind):
+    want = load(golden.COMPARE_FILE)["predictions"][kind]
+    got = np.array(compared["predictions"][kind])
+    assert got.shape == (len(want), 3)
+    np.testing.assert_array_equal(got[:, 0], [row[0] for row in want])  # the slots
+    np.testing.assert_allclose(got, want, **TOLERANCE[kind])
+
+
+def test_compare_report(compared):
+    want = load(golden.COMPARE_FILE)["report"]
+    got = compared["report"]
+    assert {k: v for k, v in got.items() if k != "models"} == {
+        k: v for k, v in want.items() if k != "models"}
+    assert list(got["models"]) == list(want["models"]) == list(TOLERANCE)
+    for kind, entry in got["models"].items():
+        expected = want["models"][kind]
+        assert entry.keys() == expected.keys()
+        for key, value in entry.items():
+            if key in ("order", "epochs"):
+                assert value == expected[key], (kind, key)
+            else:
+                np.testing.assert_allclose(value, expected[key], **TOLERANCE[kind],
+                                           err_msg=f"{kind} {key}")
+
+
+def test_order_search():
+    want, got = load(golden.SEARCH_FILE), golden.search_outputs()
+    assert got["order"] == want["order"]
+    assert got["aic"].keys() == want["aic"].keys()
+    for key in ("phi", "theta", "mu", "sigma2"):
+        np.testing.assert_allclose(got[key], want[key], **TOLERANCE["arima"], err_msg=key)
+    np.testing.assert_allclose([got["aic"][k] for k in want["aic"]], list(want["aic"].values()),
+                               **TOLERANCE["arima"], err_msg="aic")
