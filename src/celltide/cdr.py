@@ -9,12 +9,12 @@ is read once, with any byte that is not UTF-8 kept as a lone surrogate, so
 the first bad line in file order is the error, whatever is wrong with it.
 """
 
+import itertools
 import math
 import os
 import re
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 SLOT_MS = 600_000  # 10 minutes
 SLOTS_PER_DAY = 144
@@ -49,7 +49,7 @@ class ActivitySeries:
     """Gap-free per-grid series of one activity channel, one value per slot."""
 
     t0_ms: int
-    values: np.ndarray  # float64
+    values: object  # float64: array("d") from ingest_dir, else an ndarray
 
     def __len__(self) -> int:
         return len(self.values)
@@ -91,12 +91,14 @@ def parse_line(line: str, lineno: int = 0) -> tuple | None:
     return (grid_id, timestamp_ms, country, *acts)
 
 
-def aggregate(timestamps: np.ndarray, values, t0_ms: int, n_slots: int) -> np.ndarray:
-    """Per-slot totals of `values` from the slot-aligned `t0_ms`, each int64
+def aggregate(timestamps, values, t0_ms: int, n_slots: int) -> array:
+    """Per-slot float64 totals of `values` from the slot-aligned `t0_ms`, each
     timestamp floored to its slot; empty slots stay 0.0, and each slot sums in
-    input order. Slot indices are subtracted, not timestamps, so none overflows."""
-    return np.bincount(timestamps // SLOT_MS - t0_ms // SLOT_MS, weights=values,
-                       minlength=n_slots)
+    input order."""
+    totals, base = array("d", bytes(8 * n_slots)), t0_ms // SLOT_MS
+    for timestamp, value in zip(timestamps, values):
+        totals[timestamp // SLOT_MS - base] += value
+    return totals
 
 
 def _check_utf8(line: str, lineno: int) -> None:
@@ -185,28 +187,27 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str, map=map) -> ActivitySe
     if len(names) == 1:
         timestamps, values, where = _scan(dir_path, names, grid_id, col)
     else:
-        ends = np.cumsum([os.path.getsize(os.path.join(dir_path, n)) for n in names])
-        cut = 1 + int(np.argmin(np.abs(2 * ends[:-1] - ends[-1])))
+        ends = [*itertools.accumulate(os.path.getsize(os.path.join(dir_path, n)) for n in names)]
+        cut = 1 + min(range(len(ends) - 1), key=lambda i: abs(2 * ends[i] - ends[-1]))  # the first
         first, second = map(lambda part: _scan(dir_path, part, grid_id, col),
                             (names[:cut], names[cut:]))
         timestamps, values, where = (a + b for a, b in zip(first, second))
     if not timestamps:
         raise IngestError(f"no records for grid {grid_id} in {dir_path}")
-    timestamps = np.array(timestamps, dtype=np.int64)
-    t0_ms = int(timestamps.min()) // SLOT_MS * SLOT_MS
-    n_slots = (int(timestamps.max()) - t0_ms) // SLOT_MS + 1
+    t0_ms = min(timestamps) // SLOT_MS * SLOT_MS
+    n_slots = (max(timestamps) - t0_ms) // SLOT_MS + 1
     if n_slots > MAX_SPAN_SLOTS:
-        mid = float(np.sort(timestamps)[len(timestamps) // 2])
-        i = int(np.argmax(np.abs(timestamps - mid)))
-        (name, lineno), far = where[i], int(timestamps[i])
+        mid = float(sorted(timestamps)[len(timestamps) // 2])
+        i = max(range(len(timestamps)), key=lambda k: abs(timestamps[k] - mid))  # the first
+        (name, lineno), far = where[i], timestamps[i]
         raise IngestError(f"{name}: line {lineno}: timestamp {far} stretches grid {grid_id} "
                           f"to {n_slots} slots, over one leap year ({MAX_SPAN_SLOTS})")
-    totals = aggregate(timestamps, np.array(values), t0_ms, n_slots)
-    over = np.flatnonzero(np.abs(totals) > MAX_VALUE)  # each record is within it
-    if len(over):
-        slot = int(over[0])
-        name, lineno = where[int(np.argmax(timestamps // SLOT_MS - t0_ms // SLOT_MS == slot))]
-        raise IngestError(f"{name}: line {lineno}: grid {grid_id} slot at {t0_ms + slot * SLOT_MS} "
+    totals = aggregate(timestamps, values, t0_ms, n_slots)
+    slot = next((s for s, total in enumerate(totals) if abs(total) > MAX_VALUE), None)
+    if slot is not None:  # each record is within the bound
+        start = t0_ms + slot * SLOT_MS
+        name, lineno = next(w for t, w in zip(timestamps, where) if start <= t < start + SLOT_MS)
+        raise IngestError(f"{name}: line {lineno}: grid {grid_id} slot at {start} "
                           f"totals {totals[slot]:g}, beyond +-{MAX_VALUE:g}")
     return ActivitySeries(t0_ms, totals)
 
@@ -220,12 +221,13 @@ def write_series_csv(series: ActivitySeries, path: str) -> None:
 
 
 def read_series_csv(path: str) -> ActivitySeries:
-    """Read a series CSV written by write_series_csv.
+    """Read a series CSV written by write_series_csv; its values as an ndarray.
 
     Slots must count up from 0, each timestamp must equal t0 + slot * SLOT_MS,
     and every value must be finite and within +-MAX_VALUE; a violation, or a
     byte that is not UTF-8, raises ParseError naming the path and line.
     """
+    import numpy as np  # here, so that ingest runs without it
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         try:
             header = fh.readline()

@@ -11,12 +11,10 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import arima, cdr, dataset, modelio, train
+from . import cdr  # the model modules, and numpy with them, load in the commands that model
 
 
-def _write_predictions(path: str, values: np.ndarray, test_range, preds) -> None:
+def _write_predictions(path: str, values, test_range, preds) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("slot,truth,prediction\n")
         for s, p in zip(range(*test_range), preds):
@@ -62,6 +60,7 @@ def _outputs(out_dir: str = ""):
 def _prepare(args) -> argparse.Namespace:
     """Shared start of `train`, `arima` and `compare`: read and split the series.
     For the neural models also print the split, fit the scaler and cut the windows."""
+    from . import arima, dataset, train
     values = cdr.read_series_csv(args.series).values
     spec = dataset.split(len(values), args.train_frac)
     data = argparse.Namespace(values=values, spec=spec,
@@ -88,6 +87,7 @@ def _run(kind: str, data, order=None):
     """Fit `kind` ("arima" at `order`; None: AIC search, whose two halves go
     through `_map_in_two`) on `data`'s training slice and forecast its test
     slice. Returns (model, history or None, preds, test MAE, fit ms)."""
+    from . import arima, train
     t0 = time.perf_counter()
     if kind == "arima":
         y = data.values[:data.spec.n_train]
@@ -102,6 +102,7 @@ def _run(kind: str, data, order=None):
 
 
 def cmd_synth(args) -> int:
+    from . import dataset
     series = dataset.gen_synthetic(args.days, seed=args.seed)
     with _outputs() as out:
         cdr.write_series_csv(series, out(args.out))
@@ -119,6 +120,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import modelio, train
     data = _prepare(args)
     params, history = train.train_model(args.model, data.train_set, data.val_set, data.config)
     with _outputs() as out:
@@ -130,6 +132,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_arima(args) -> int:
+    from . import arima
     data = _prepare(args)
     model, _, preds, test_mae, _ = _run("arima", data, args.order)
     if args.order is None:
@@ -183,6 +186,7 @@ def _map_in_two(fn, items, work="ARIMA"):
 
 
 def cmd_compare(args) -> int:
+    from . import modelio, train
     data = _prepare(args)
     spec, scale = data.spec, data.scaler.max - data.scaler.min
     report = {
@@ -248,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = add_command("train", cmd_train, "train the LSTM or feed-forward model")
-    p.add_argument("--model", choices=tuple(train.MODELS), required=True)
+    p.add_argument("--model", choices=("lstm", "ffnn"), required=True)
     add_common_train_flags(p)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-history", required=True)
@@ -280,7 +284,7 @@ _FLAG_RANGES = {
     "days": (lambda v: v >= 1, ">= 1"),
     "window": (lambda v: v >= 1, ">= 1"),
     "epochs": (lambda v: v >= 1, ">= 1"),
-    "lr": (lambda v: 0 <= v < np.inf, "finite and >= 0"),
+    "lr": (lambda v: 0 <= v < float("inf"), "finite and >= 0"),
     "train_frac": (lambda v: 0 < v <= 0.8, "in (0, 0.8]"),
 }
 
@@ -298,6 +302,7 @@ def _resolve_defaults(args) -> None:
     if second and os.path.realpath(args.out_model) == os.path.realpath(getattr(args, second)):
         parser.error(f"--out-model and --{second.replace('_', '-')} name the same file")
     if args.command in ("arima", "compare"):
+        from . import arima
         for k in ("p", "d", "q"):
             if not 0 <= (getattr(args, k) or 0) <= arima.MAX_ORDER:
                 parser.error(f"--{k} must be in 0..{arima.MAX_ORDER}, got {getattr(args, k)}")
@@ -317,8 +322,9 @@ def main(argv=None) -> int:
     _resolve_defaults(args)
     try:
         return args.func(args)
-    except (cdr.IngestError, arima.ArimaFitError, train.TrainingDiverged,
-            ValueError, OSError) as exc:
+    except (cdr.IngestError, ValueError, OSError,  # and a model's error, once its module is loaded
+            *(getattr(sys.modules[m], e) for m, e in (("celltide.arima", "ArimaFitError"),
+              ("celltide.train", "TrainingDiverged")) if m in sys.modules)) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,6 +16,7 @@ from .dataset import ScalerParams, WindowSet
 
 
 BATCH_SIZE = 32
+EVAL_CHUNK = 512  # windows per evaluation pass, whose step caches grow with it
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -56,6 +57,12 @@ def adam_step(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int
     w -= lr * (m / (1.0 - ADAM_BETA1 ** t)) / (np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
 
 
+def _predict(model, inputs: np.ndarray, params) -> np.ndarray:
+    """`model.forward_batch`'s outputs for `inputs`, EVAL_CHUNK windows at a time."""
+    return np.concatenate([model.forward_batch(inputs[lo:lo + EVAL_CHUNK], params)[0]
+                           for lo in range(0, len(inputs), EVAL_CHUNK)])
+
+
 # kind -> (module with forward_batch/backward_batch,
 #          initialiser(window_len, seed) of fresh parameters)
 MODELS = {
@@ -93,7 +100,7 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
                     grad = model.backward_batch(cache, np.sign(err) / len(idx), params)
                     step += 1
                     adam_step(params.flat, grad, m, v, step, config.learning_rate)
-                val_mae = mae(model.forward_batch(val_set.inputs, params)[0], val_set.targets)
+                val_mae = mae(_predict(model, val_set.inputs, params), val_set.targets)
         except FloatingPointError as exc:
             raise TrainingDiverged(f"training diverged ({exc}) in epoch {epoch}") from None
         history.append(Epoch(epoch, abs_err_sum / len(order), val_mae,
@@ -113,5 +120,4 @@ def train_model(kind: str, train_set: WindowSet, val_set: WindowSet,
 
 def evaluate(kind: str, params, test_set: WindowSet, scaler: ScalerParams) -> np.ndarray:
     """Predictions for the normalized `test_set` windows, on the original scale."""
-    model, _ = MODELS[kind]
-    return scaler.inverse(model.forward_batch(test_set.inputs, params)[0])
+    return scaler.inverse(_predict(MODELS[kind][0], test_set.inputs, params))

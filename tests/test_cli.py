@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import oracles
 import pytest
 
 import celltide
@@ -1210,15 +1211,82 @@ class TestCompare:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Only the ARIMA code needs scipy and only `compare` needs
-    multiprocessing, so importing the CLI must load neither."""
+    """Only the model commands need numpy, only the ARIMA code needs scipy
+    and only a forking command needs multiprocessing, so importing the CLI
+    must load none of them."""
     src_dir = os.path.dirname(os.path.dirname(celltide.__file__))
     code = ("import sys, celltide.cli; "
-            "print('scipy' in sys.modules, 'multiprocessing' in sys.modules)")
+            "print(*(m in sys.modules for m in ('numpy', 'scipy', 'multiprocessing')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src_dir), timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False False"
+    assert done.stdout.strip() == "False False False"
+
+
+@pytest.mark.parametrize("n_files", [1, 3], ids=["one-file", "three-files-worker"])
+def test_ingest_runs_without_numpy(tmp_path, n_files):
+    """`ingest`, here and with the worker, writes the per-record oracle's
+    series with numpy never imported; so does its error path exit 1."""
+    raw = make_days_dir(tmp_path, n_files)
+    src_dir = os.path.dirname(os.path.dirname(celltide.__file__))
+    code = ("import sys; from celltide.cli import main; "
+            "print(main(sys.argv[1:]), 'numpy' in sys.modules)")
+
+    def ingest(input_dir, out):
+        return subprocess.run(
+            [sys.executable, "-c", code, "ingest", "--input-dir", str(input_dir),
+             "--out", str(out)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src_dir), timeout=120)
+
+    done = ingest(raw, tmp_path / "out.csv")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, f"{3 * n_files} slots\n0 False\n", "")
+    expected = cdr.ActivitySeries(*oracles.cdr_ingest_reference(str(raw), 1, "internet"))
+    cdr.write_series_csv(expected, str(tmp_path / "expected.csv"))
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    with open(raw / f"day{n_files - 1}.txt", "a") as fh:
+        fh.write("1\tnope\n")
+    done = ingest(raw, tmp_path / "bad.csv")
+    assert (done.returncode, done.stdout) == (0, "1 False\n")
+    assert done.stderr == (f"error: day{n_files - 1}.txt: line 4: bad grid/timestamp field: "
+                           "could not convert string to float: 'nope'\n")
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_train_model_choices_are_the_trained_kinds():
+    """The parser names the kinds itself, so that building it loads no model."""
+    train_parser = cli.build_parser().parse_args(
+        ["train", "--model", "lstm", "--series", "s", "--out-model", "m",
+         "--out-history", "h"]).parser
+    model = next(a for a in train_parser._actions if a.dest == "model")
+    assert model.choices == tuple(train.MODELS)
+
+
+@pytest.mark.parametrize("error", [
+    cdr.IngestError("bad dir"), arima.ArimaFitError("no fit"),
+    train.TrainingDiverged("non-finite loss in epoch 1"), ValueError("bad value"),
+    OSError(28, "No space left on device", "out.csv"),
+], ids=lambda e: type(e).__name__)
+def test_runtime_errors_exit_1_in_one_line(tmp_path, monkeypatch, capsys, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cdr, "ingest_dir", failing)
+    assert main(["ingest", "--input-dir", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("error", [RuntimeError("not one of the CLI's runtime errors"),
+                                   KeyError("slot")], ids=lambda e: type(e).__name__)
+def test_any_other_exception_propagates(tmp_path, monkeypatch, error):
+    """`main`'s runtime errors are named: a bare RuntimeError is not one."""
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cdr, "ingest_dir", failing)
+    with pytest.raises(type(error)) as raised:
+        main(["ingest", "--input-dir", str(tmp_path), "--out", str(tmp_path / "x.csv")])
+    assert raised.value is error
 
 
 @pytest.mark.parametrize("d", ["0", "1"])

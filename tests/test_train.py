@@ -215,3 +215,31 @@ class TestEvaluate:
         midpoint = scaler.inverse(np.array([0.5]))[0]
         expected = np.mean(np.abs(values[spec.test_start:] - midpoint))
         assert test_mae == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "ffnn"])
+def test_evaluation_passes_in_chunks_equal_one_pass(kind, monkeypatch):
+    """`evaluate` and `fit`'s validation pass run `forward_batch` on
+    EVAL_CHUNK windows at a time; the predictions and the validation MAE
+    equal one pass over every window, bit for bit."""
+    rng = np.random.default_rng(4)
+    n = 2 * train.EVAL_CHUNK + 37
+    big = dataset.WindowSet(rng.uniform(0, 1, (n, 12)), rng.uniform(0, 1, n))
+    model, init = train.MODELS[kind]
+    params = init(12, 3)
+    scaler = dataset.ScalerParams(2.0, 7.0)
+    one_pass = scaler.inverse(model.forward_batch(big.inputs, params)[0])
+    sizes, forward = [], model.forward_batch
+
+    def recorded(inputs, params):
+        sizes.append(len(inputs))
+        return forward(inputs, params)
+
+    monkeypatch.setattr(model, "forward_batch", recorded)
+    assert np.array_equal(train.evaluate(kind, params, big, scaler), one_pass)
+    assert sizes == [train.EVAL_CHUNK, train.EVAL_CHUNK, 37]
+    small = dataset.WindowSet(big.inputs[:40], big.targets[:40])
+    sizes.clear()
+    history = train.fit(kind, params, small, big, train.TrainConfig(epochs=1, seed=0))
+    assert sizes == [32, 8, train.EVAL_CHUNK, train.EVAL_CHUNK, 37]
+    assert history[0].val_mae == train.mae(forward(big.inputs, params)[0], big.targets)
