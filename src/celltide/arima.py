@@ -74,7 +74,10 @@ def residuals(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     and zero pre-sample residuals. Length is len(y) - p; with p = q = 0 it is
     `y` itself. The AR terms are subtracted in turn, in the order of a per-slot
     sum, the first one straight into the result and each later one through one
-    reused buffer."""
+    reused buffer. The MA part then solves the unit lower-triangular band
+    system (1 + theta_1 B + ... + theta_q B^q) e = u by forward substitution,
+    one BLAS call on a band whose every column is (1, theta_1, ..., theta_q);
+    only the AR stage's temporary is overwritten, never `y`."""
     p, n = len(phi), len(y)
     u = y
     if p:
@@ -83,9 +86,11 @@ def residuals(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
         buf = np.empty_like(u)
         for i in range(2, p + 1):
             u -= np.multiply(phi[i - 1], y[p - i:n - i], out=buf)
-    if len(theta):
-        from scipy.signal import lfilter  # imported here: only ARIMA work pays for scipy
-        u = lfilter([1.0], np.concatenate(([1.0], theta)), u)
+    if q := len(theta):
+        from scipy.linalg.blas import dtbsv  # imported here: only ARIMA work pays for scipy
+        # the transpose of a C-contiguous (n, q+1) tile is F-contiguous: f2py copies nothing
+        band = np.tile(np.concatenate(([1.0], theta)), len(u)).reshape(len(u), q + 1).T
+        u = dtbsv(q, band, u, lower=1, diag=1, overwrite_x=p > 0)
     return u
 
 
@@ -235,7 +240,8 @@ def auto_order(series: np.ndarray, map=map) -> ArimaModel:
     n, the series length, so a change of units shifts every AIC alike.
     `map` fits the d = 0 and d = 1 halves; each fit is deterministic and each
     key unique, so a map that runs a half in another process picks the same."""
-    from scipy import optimize, signal  # noqa: F401  before `map` forks: the worker inherits them
+    from scipy.linalg import blas  # noqa: F401  before `map` forks: the worker inherits them
+    from scipy import optimize  # noqa: F401
     halves = map(lambda d: _fit_grid_at(series, d), range(2))
     candidates = list(itertools.chain(*halves))
     if not candidates:

@@ -2,8 +2,10 @@
 vectorized models. Pure Python + math on purpose: no shared code paths with
 the package internals beyond reading parameter values element by element.
 The ARIMA references are the straightforward numpy forms instead (a root
-solve, one innovation filter per forecast slot), since the package's
-one-pass versions must reproduce their decisions and bits exactly. The CDR
+solve, one innovation filter per forecast slot, the same BLAS band solve as
+the package's), since the package's one-pass versions must reproduce their
+decisions and bits exactly; `tests/test_arima.py` checks that solve against a
+per-slot recursion and `scipy.signal.lfilter`. The CDR
 ingest reference shares only `cdr.parse_line`, whose checks are tested on
 their own, and adds one record at a time."""
 
@@ -11,7 +13,7 @@ import math
 import os
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.blas import dtbsv
 
 from celltide import cdr
 
@@ -111,8 +113,12 @@ def _arima_residuals(y, phi, theta):
     u = y[p:].copy()
     for i, ph in enumerate(phi, start=1):
         u -= ph * y[p - i:n - i]
-    if len(theta):
-        u = lfilter([1.0], np.concatenate(([1.0], theta)), u)
+    if q := len(theta):
+        # forward substitution through (1 + theta_1 B + ... + theta_q B^q) e = u,
+        # the unit lower band stored as one (1, theta) column per slot
+        band = np.empty((q + 1, len(u)), order="F")
+        band[:] = np.concatenate(([1.0], theta))[:, None]
+        u = dtbsv(q, band, u, lower=1, diag=1)
     return u
 
 

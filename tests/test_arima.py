@@ -262,6 +262,39 @@ class TestSharedWork:
                               oracles._arima_residuals(y, phi, theta))
         assert np.array_equal(y, before)
 
+    @pytest.mark.parametrize("p", range(4))
+    @pytest.mark.parametrize("q", range(1, 6))
+    @pytest.mark.parametrize("near_unit", [False, True], ids=["random", "near-unit-root"])
+    def test_ma_solve_matches_the_recursion_and_lfilter(self, p, q, near_unit):
+        """The MA step's band solve against a per-slot recursion,
+        e[t] = u[t] - sum_j theta_j e[t-j], and against `lfilter`, within
+        1e-12 of the largest innovation (1.3e-14 measured). The near-unit
+        theta puts every root of 1 + theta_1 z + ... at |z| = 1 + 5e-4, so the
+        solve's errors carry over thousands of slots; one root pair per
+        sector of the half circle, because roots clustered near one point make
+        the system so ill-conditioned that the three methods part by 1e-11."""
+        from scipy.signal import lfilter
+        rng = np.random.default_rng(300 + 10 * p + q)
+        y = rng.normal(size=3000)
+        phi = rng.uniform(-0.5, 0.5, p)
+        if near_unit:
+            pairs = q // 2
+            angles = (np.arange(pairs) + rng.uniform(0.3, 0.7, pairs)) * np.pi / max(pairs, 1)
+            inverse_roots = np.concatenate([np.exp(1j * angles), np.exp(-1j * angles),
+                                            [rng.choice([-1.0, 1.0])] * (q % 2)])
+            theta = np.poly(inverse_roots / (1 + 5e-4))[1:].real
+            assert np.allclose(np.abs(np.roots(np.r_[1.0, theta][::-1])), 1 + 5e-4)
+        else:
+            theta = rng.uniform(-0.5, 0.5, q)
+        u = [y[t] - sum(phi[i - 1] * y[t - i] for i in range(1, p + 1))
+             for t in range(p, len(y))]
+        e = []
+        for t, ut in enumerate(u):
+            e.append(ut - sum(theta[j - 1] * e[t - j] for j in range(1, min(q, t) + 1)))
+        got = arima.residuals(y, phi, theta)
+        for want in (np.array(e), lfilter([1.0], np.r_[1.0, theta], np.array(u))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestScale:
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e6])

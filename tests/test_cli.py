@@ -1289,17 +1289,42 @@ def test_any_other_exception_propagates(tmp_path, monkeypatch, error):
     assert raised.value is error
 
 
-@pytest.mark.parametrize("d", ["0", "1"])
-def test_zero_order_arima_leaves_scipy_unloaded(tmp_path, d):
-    """A zero-order fit needs neither the optimiser nor the MA filter."""
+def arima_in_subprocess(tmp_path, order, module, name="a", **env):
+    """Run `celltide arima` with `order` on a 4-day series in a fresh
+    interpreter, writing `name`.json and `name`.csv; True when it left
+    `module` loaded."""
     series = make_series_csv(tmp_path)
     src_dir = os.path.dirname(os.path.dirname(celltide.__file__))
     code = ("import sys; from celltide.cli import main; "
-            "assert main(sys.argv[1:]) == 0; print('scipy' in sys.modules)")
+            "assert main(sys.argv[2:]) == 0; print(sys.argv[1] in sys.modules)")
     done = subprocess.run(
-        [sys.executable, "-c", code, "arima", "--series", str(series), "--train-frac", "0.4",
-         "--p", "0", "--d", d, "--q", "0", "--out-model", str(tmp_path / "a.json"),
-         "--out-predictions", str(tmp_path / "a.csv")],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src_dir), timeout=120)
+        [sys.executable, "-c", code, module, "arima", "--series", str(series),
+         "--train-frac", "0.4", *order, "--out-model", str(tmp_path / f"{name}.json"),
+         "--out-predictions", str(tmp_path / f"{name}.csv")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src_dir, **env),
+        timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    return done.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("d", ["0", "1"])
+def test_zero_order_arima_leaves_scipy_unloaded(tmp_path, d):
+    """A zero-order fit needs neither the optimiser nor the MA filter."""
+    assert not arima_in_subprocess(tmp_path, ["--p", "0", "--d", d, "--q", "0"], "scipy")
+
+
+@pytest.mark.parametrize("order", [["--auto"], ["--p", "1", "--q", "1"]], ids=["auto", "p1-q1"])
+def test_arima_leaves_scipy_signal_unloaded(tmp_path, order):
+    """The MA filter is a BLAS band solve: neither a fixed-order fit nor the
+    order search's fits load `scipy.signal`."""
+    assert not arima_in_subprocess(tmp_path, order, "scipy.signal")
+
+
+def test_order_search_is_the_same_under_one_and_two_blas_threads(tmp_path):
+    """The MA solve and the regressions give the same bits whatever the
+    number of BLAS threads, so same-seed runs write the same files."""
+    for threads in ("1", "2"):
+        arima_in_subprocess(tmp_path, ["--auto"], "scipy", name=threads,
+                            OPENBLAS_NUM_THREADS=threads)
+    for suffix in (".json", ".csv"):
+        assert (tmp_path / f"1{suffix}").read_bytes() == (tmp_path / f"2{suffix}").read_bytes()
