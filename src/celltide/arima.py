@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import modelio
+from . import Failure, modelio
 
 MAX_ORDER = 5
 
 
-class ArimaFitError(RuntimeError):
+class ArimaFitError(Failure):
     """Estimation failed; message advises what to change."""
 
 
@@ -77,7 +77,9 @@ def residuals(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     reused buffer. The MA part then solves the unit lower-triangular band
     system (1 + theta_1 B + ... + theta_q B^q) e = u by forward substitution,
     one BLAS call on a band whose every column is (1, theta_1, ..., theta_q);
-    only the AR stage's temporary is overwritten, never `y`."""
+    only the AR stage's temporary is overwritten, never `y`. Callers keep
+    len(y) > p whenever q > 0: with no innovation to solve for, the BLAS
+    call raises."""
     p, n = len(phi), len(y)
     u = y
     if p:

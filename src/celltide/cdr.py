@@ -16,6 +16,8 @@ import re
 from array import array
 from dataclasses import dataclass
 
+from . import Failure
+
 SLOT_MS = 600_000  # 10 minutes
 SLOTS_PER_DAY = 144
 MAX_SPAN_SLOTS = 366 * SLOTS_PER_DAY  # one leap year; a wider span is a stray timestamp
@@ -40,7 +42,7 @@ class ParseError(ValueError):
     """Malformed CDR line; carries file/line location in the message."""
 
 
-class IngestError(RuntimeError):
+class IngestError(Failure):
     """Directory-level ingestion failure."""
 
 
@@ -138,25 +140,23 @@ def _lines_to_parse(fh, grid_id: int):
         first += text.count("\n")
 
 
-def _scan(dir_path: str, names: list, grid_id: int, col: int) -> tuple:
-    """(timestamps, values, where) of grid `grid_id`'s records in the files
-    `names` of `dir_path`, in file and line order: each record's timestamp,
-    its column `col` and its (file, line)."""
+def _scan(dir_path: str, name: str, grid_id: int, col: int) -> tuple:
+    """(timestamps, values, where) of grid `grid_id`'s records in the file
+    `name` of `dir_path`, in line order: each record's timestamp, its column
+    `col` and its (file, line)."""
     timestamps, values, where = [], [], []
-    for name in names:
-        path = os.path.join(dir_path, name)
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in _lines_to_parse(fh, grid_id):
-                try:
-                    if not line.isascii():
-                        _check_utf8(line, lineno)
-                    rec = parse_line(line, lineno)
-                except ParseError as exc:
-                    raise IngestError(f"{name}: {exc}") from None
-                if rec is not None and rec[0] == grid_id:
-                    timestamps.append(rec[1])
-                    values.append(rec[col])
-                    where.append((name, lineno))
+    with open(os.path.join(dir_path, name), encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in _lines_to_parse(fh, grid_id):
+            try:
+                if not line.isascii():
+                    _check_utf8(line, lineno)
+                rec = parse_line(line, lineno)
+            except ParseError as exc:
+                raise IngestError(f"{name}: {exc}") from None
+            if rec is not None and rec[0] == grid_id:
+                timestamps.append(rec[1])
+                values.append(rec[col])
+                where.append((name, lineno))
     return timestamps, values, where
 
 
@@ -173,25 +173,18 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str, map=map) -> ActivitySe
     parsed; any other block has every line parsed. Both give the same
     records and the same errors.
 
-    Two or more files are scanned in two halves through `map`, cut at the
-    file boundary nearest half their bytes, and the halves' records are
-    joined in file order. So a map that scans the later half in another
-    process gives the same series, and the same error if it raises the
-    earlier half's error first. One file is scanned here, with no `map`.
+    Each file is one item of `map`, scanned on its own, and the files'
+    records are joined in file order. So a map that scans some files in
+    another process gives the same series, and the same error if it raises
+    the first failing file's error.
     """
     col = 3 + CHANNELS.index(channel)
     names = sorted(n for n in os.listdir(dir_path)
                    if os.path.isfile(os.path.join(dir_path, n)))
     if not names:
         raise IngestError(f"no input files in {dir_path}")
-    if len(names) == 1:
-        timestamps, values, where = _scan(dir_path, names, grid_id, col)
-    else:
-        ends = [*itertools.accumulate(os.path.getsize(os.path.join(dir_path, n)) for n in names)]
-        cut = 1 + min(range(len(ends) - 1), key=lambda i: abs(2 * ends[i] - ends[-1]))  # the first
-        first, second = map(lambda part: _scan(dir_path, part, grid_id, col),
-                            (names[:cut], names[cut:]))
-        timestamps, values, where = (a + b for a, b in zip(first, second))
+    scans = list(map(lambda name: _scan(dir_path, name, grid_id, col), names))
+    timestamps, values, where = ([*itertools.chain(*part)] for part in zip(*scans))
     if not timestamps:
         raise IngestError(f"no records for grid {grid_id} in {dir_path}")
     t0_ms = min(timestamps) // SLOT_MS * SLOT_MS

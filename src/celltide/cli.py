@@ -11,7 +11,7 @@ import os
 import sys
 import time
 
-from . import cdr  # the model modules, and numpy with them, load in the commands that model
+from . import Failure, cdr  # the model modules, and numpy, load in the commands that model
 
 
 def _write_predictions(path: str, values, test_range, preds) -> None:
@@ -112,7 +112,7 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     series = cdr.ingest_dir(args.input_dir, args.grid, args.channel,
-                            map=lambda fn, halves: _map_in_two(fn, halves, work="ingest"))
+                            map=lambda fn, names: _map_in_two(fn, names, work="ingest"))
     with _outputs() as out:
         cdr.write_series_csv(series, out(args.out))
     print(f"{len(series)} slots")
@@ -160,9 +160,11 @@ def _map_in_two(fn, items, work="ARIMA"):
     one worker, a fork of this process, maps the rest. An error of this
     process's share is raised before the worker's result is read; `work`
     names what the worker does in the error when it ends without a result.
-    In the worker itself every item is mapped here: never a second worker."""
-    import multiprocessing  # here, so that importing the CLI stays cheap
-    if multiprocessing.parent_process() is not None:
+    Fewer than two items, or any number in the worker itself, are all mapped
+    here: no worker, and never a second one."""
+    if len(items) > 1:
+        import multiprocessing  # here, so that importing the CLI stays cheap
+    if len(items) < 2 or multiprocessing.parent_process() is not None:
         return list(map(fn, items))
     cut = (len(items) + 1) // 2
     context = multiprocessing.get_context("fork")
@@ -322,9 +324,7 @@ def main(argv=None) -> int:
     _resolve_defaults(args)
     try:
         return args.func(args)
-    except (cdr.IngestError, ValueError, OSError,  # and a model's error, once its module is loaded
-            *(getattr(sys.modules[m], e) for m, e in (("celltide.arima", "ArimaFitError"),
-              ("celltide.train", "TrainingDiverged")) if m in sys.modules)) as exc:
+    except (Failure, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ffnn, lstm
+from . import Failure, ffnn, lstm
 from .dataset import ScalerParams, WindowSet
 
 
@@ -20,7 +20,7 @@ EVAL_CHUNK = 512  # windows per evaluation pass, whose step caches grow with it
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(Failure):
     """Loss became non-finite; message carries the epoch index."""
 
 

@@ -182,7 +182,7 @@ class TestIngest:
 
 def make_days_dir(tmp_path, n_files):
     """`n_files` day files of one size, three grid-1 records each: `ingest`
-    scans day0 up to day{n_files // 2 - 1} here and the rest in the worker."""
+    scans the first ceil(n_files / 2) of them here and the rest in the worker."""
     raw = tmp_path / f"days{n_files}"
     raw.mkdir()
     for day in range(n_files):
@@ -192,7 +192,8 @@ def make_days_dir(tmp_path, n_files):
 
 
 class TestSplitIngest:
-    """`ingest` of two or more files scans the later half in the one worker."""
+    """`ingest` of two or more files scans all but the first ceil(n/2) of
+    them in the one worker."""
 
     @pytest.mark.parametrize("bad", [(0,), (3,), (0, 3)],
                              ids=["first-half", "second-half", "both-halves"])
@@ -217,18 +218,20 @@ class TestSplitIngest:
     def test_worker_without_result_is_a_runtime_error(self, tmp_path, monkeypatch,
                                                       capsys, death, status):
         raw = make_days_dir(tmp_path, 4)
-        parent, scan = os.getpid(), cdr._scan
+        parent, scan, scanned = os.getpid(), cdr._scan, []
 
-        def dying(dir_path, names, *rest):
+        def dying(dir_path, name, *rest):
             if os.getpid() != parent:
-                assert names == ["day2.txt", "day3.txt"]
+                assert name == "day2.txt"  # the worker's first file
                 death()
-            return scan(dir_path, names, *rest)
+            scanned.append(name)
+            return scan(dir_path, name, *rest)
 
         monkeypatch.setattr(cdr, "_scan", dying)
         assert main(["ingest", "--input-dir", str(raw), "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr() == (
             "", f"error: ingest worker exited with status {status}\n")
+        assert scanned == ["day0.txt", "day1.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["days4"]
         assert_no_child_process()
 
@@ -236,10 +239,10 @@ class TestSplitIngest:
         raw = make_days_dir(tmp_path, 4)
         parent, scan = os.getpid(), cdr._scan
 
-        def interrupted(dir_path, names, *rest):
+        def interrupted(dir_path, name, *rest):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return scan(dir_path, names, *rest)
+            return scan(dir_path, name, *rest)
 
         monkeypatch.setattr(cdr, "_scan", interrupted)
         with pytest.raises(KeyboardInterrupt):
@@ -650,7 +653,7 @@ def patch_arima_fit(monkeypatch, at_d):
 
 class TestMapInTwo:
     """`cli._map_in_two` maps the first ceil(n/2) items here and the rest in
-    the one worker."""
+    the one worker; fewer than two items start no worker."""
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_the_builtin_maps_list_with_the_later_items_in_the_worker(self, n):
@@ -664,6 +667,16 @@ class TestMapInTwo:
         worker = {pid for _, pid in got[cut:]}
         assert len(worker) == 1 and os.getpid() not in worker
         assert_no_child_process()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_items_are_mapped_here_with_no_worker(self, monkeypatch, n):
+        forks = record_forks(monkeypatch)
+
+        def square(x):
+            return x * x, os.getpid()
+
+        assert cli._map_in_two(square, list(range(n))) == list(map(square, range(n)))
+        assert forks == []
 
     @pytest.mark.parametrize("failing,raised", [({3}, 3), ({1, 4}, 1)],
                              ids=["worker-share", "both-shares"])
