@@ -5,8 +5,9 @@ Hannan-Rissanen (long-AR least squares, then regression on lagged values and
 lagged residuals) for starting coefficients, then Nelder-Mead refinement of
 the conditional sum of squared innovations with zero pre-sample residuals,
 at unit scale over reflection coefficients tanh(u), where every real u is a
-valid model. Forecasts are one-step conditional expectations rolled over
-true history.
+valid model. Nelder-Mead is an in-package port of scipy's, so of scipy only
+`scipy.linalg.blas` (the MA band solve) is loaded. Forecasts are one-step
+conditional expectations rolled over true history.
 """
 
 import itertools
@@ -137,6 +138,66 @@ def hannan_rissanen(y: np.ndarray, p: int, q: int, e_proxy=None):
     return coef[:p], coef[p:]
 
 
+class _OutOfEvaluations(Exception):
+    """`_nelder_mead`'s evaluation budget is spent."""
+
+
+def _nelder_mead(f, x0):
+    """Minimise f from x0 by the simplex of Nelder & Mead (1965): a port of
+    scipy 1.17.1's non-adaptive, unbounded Nelder-Mead at fatol = xatol =
+    1e-8, maxiter 2000 and maxfev 4000, which takes its steps bit for bit:
+    the same simplex, sorts, operand order and budget stop. Returns
+    (x, nfev, nit)."""
+    tol, maxiter, maxfev = 1e-8, 2000, 4000
+    n, nfev, nit = len(x0), 0, 1
+
+    def evaluate(x):  # past the budget it raises, and the step so far stands
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _OutOfEvaluations
+        nfev += 1
+        return f(x)
+
+    def ordered(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    # sorted twice, as scipy does: the default argsort need not keep ties in place
+    sim, fsim = ordered(*ordered(sim, np.array([evaluate(x) for x in sim])))
+    while nfev < maxfev and nit < maxiter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= tol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= tol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:  # expand, or else reflect
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:  # reflect
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract outside or inside, or else shrink towards the best
+                outside = fxr < fsim[-1]
+                xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+                fxc = evaluate(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = evaluate(sim[j])
+            nit += 1
+        except _OutOfEvaluations:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], nfev, nit
+
+
 def check_length(n: int, order=None) -> None:
     """Raise ValueError if `n` observations are too few to fit `order` (None: the AIC search)."""
     if order is None and n < 200:
@@ -165,12 +226,14 @@ def fit(series: np.ndarray, p: int, d: int, q: int, shared=None) -> ArimaModel:
         u0 = np.zeros(p + q)  # white noise, where HR lands outside the valid region
         if _stable(phi0) and _stable(-theta0):
             u0 = np.arctanh(_reflections(phi0) + _reflections(-theta0))
-        z = y / np.std(y)  # unit scale, so Nelder-Mead's tolerances are relative
-        from scipy.optimize import minimize
-        res = minimize(lambda u: css(z, _from_reflections(u[:p]), -_from_reflections(u[p:])),
-                       u0, method="Nelder-Mead",
-                       options={"fatol": 1e-8, "xatol": 1e-8, "maxiter": 2000, "maxfev": 4000})
-        phi, theta = _from_reflections(res.x[:p]), -_from_reflections(res.x[p:])
+        scale = np.std(y)
+        if not scale > 0:  # underflowed: values near 1e-300 have no representable spread
+            raise ArimaFitError(f"orders ({p},{d},{q}): the training series has standard "
+                                f"deviation {scale:g} after differencing; rescale the series")
+        z = y / scale  # unit scale, so Nelder-Mead's tolerances are relative
+        u = _nelder_mead(lambda v: css(z, _from_reflections(v[:p]), -_from_reflections(v[p:])),
+                         u0)[0]
+        phi, theta = _from_reflections(u[:p]), -_from_reflections(u[p:])
         if not (_stable(phi) and _stable(-theta)):
             raise ArimaFitError(
                 f"optimum for orders ({p},{d},{q}) is non-stationary or non-invertible; "
@@ -242,8 +305,8 @@ def auto_order(series: np.ndarray, map=map) -> ArimaModel:
     n, the series length, so a change of units shifts every AIC alike.
     `map` fits the d = 0 and d = 1 halves; each fit is deterministic and each
     key unique, so a map that runs a half in another process picks the same."""
-    from scipy.linalg import blas  # noqa: F401  before `map` forks: the worker inherits them
-    from scipy import optimize  # noqa: F401
+    # the search's one scipy module, imported before `map` forks so the worker inherits it
+    from scipy.linalg import blas  # noqa: F401
     halves = map(lambda d: _fit_grid_at(series, d), range(2))
     candidates = list(itertools.chain(*halves))
     if not candidates:

@@ -1,11 +1,13 @@
 import itertools
 import json
+import zlib
 
 import numpy as np
 import pytest
 
 from celltide import arima, dataset
 
+import golden
 import oracles
 
 
@@ -312,6 +314,71 @@ class TestScale:
         assert scaled.sigma2 == pytest.approx(base.sigma2 * scale**2, rel=1e-6)
         scaled_303 = arima.fit(v * scale, 3, 0, 3)
         assert np.allclose(scaled_303.phi, arima.fit(v, 3, 0, 3).phi, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_a_spread_that_underflows_fails_before_the_objective(self, d):
+        """Values near 1e-300 have a standard deviation that underflows to 0,
+        so they have no unit scale: the fit raises rather than divide by it."""
+        tiny = np.random.default_rng(0).normal(size=600) * 1e-300
+        with pytest.raises(arima.ArimaFitError, match=r"^orders \(1,\d,1\): .* deviation 0 "):
+            arima.fit(tiny, 1, d, 1)
+
+
+class TestNelderMead:
+    """`_nelder_mead` against the scipy routine it ports, at `fit`'s options:
+    the same point, evaluation count and iteration count, to the bit."""
+
+    @staticmethod
+    def assert_as_scipy(f, x0):
+        from scipy.optimize import minimize
+        want = minimize(f, x0, method="Nelder-Mead", options={
+            "fatol": 1e-8, "xatol": 1e-8, "maxiter": 2000, "maxfev": 4000})
+        x, nfev, nit = arima._nelder_mead(f, x0)
+        assert np.array_equal(x, want.x)
+        assert (nfev, nit) == (want.nfev, want.nit)
+        return nfev, nit
+
+    def test_every_css_objective_of_the_golden_slice(self, monkeypatch):
+        values = golden.series()
+        y = values[:dataset.split(len(values), golden.SEARCH_FRAC).n_train]
+        searches, nelder_mead = [], arima._nelder_mead
+        monkeypatch.setattr(arima, "_nelder_mead",
+                            lambda f, x0: searches.append((f, x0.copy())) or nelder_mead(f, x0))
+        arima.auto_order(y)
+        monkeypatch.undo()
+        assert len(searches) == 30  # the 15 orders with p + q > 0, at d 0 and 1
+        for f, x0 in searches:
+            self.assert_as_scipy(f, x0)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_random_positive_definite_quadratics(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        hessian, centre = a @ a.T + n * np.eye(n), rng.normal(size=n)
+        x0 = rng.normal(size=n)
+        x0[0] = 0.0  # a zero coordinate takes the fixed first step
+        self.assert_as_scipy(lambda x: float((x - centre) @ hessian @ (x - centre)), x0)
+
+    def test_rosenbrock_stops_on_the_iteration_limit(self):
+        def rosenbrock(x):
+            return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+        assert self.assert_as_scipy(rosenbrock, np.zeros(10))[1] == 2000
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_a_rough_objective_stops_inside_a_step_on_the_evaluation_budget(self, monkeypatch, n):
+        """A hash has no slope to follow, so the simplex never converges and
+        the 4,001st evaluation raises in the middle of a step."""
+        raised = []
+
+        class Recorded(arima._OutOfEvaluations):
+            def __init__(self):
+                raised.append(True)
+
+        monkeypatch.setattr(arima, "_OutOfEvaluations", Recorded)
+        nfev, _ = self.assert_as_scipy(lambda x: zlib.crc32(x.tobytes()) / 2**32,
+                                       np.arange(float(n)))
+        assert nfev == 4000 and raised == [True]
 
 
 class TestReflectionMap:

@@ -1326,11 +1326,33 @@ def test_zero_order_arima_leaves_scipy_unloaded(tmp_path, d):
     assert not arima_in_subprocess(tmp_path, ["--p", "0", "--d", d, "--q", "0"], "scipy")
 
 
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.optimize"])
 @pytest.mark.parametrize("order", [["--auto"], ["--p", "1", "--q", "1"]], ids=["auto", "p1-q1"])
-def test_arima_leaves_scipy_signal_unloaded(tmp_path, order):
-    """The MA filter is a BLAS band solve: neither a fixed-order fit nor the
-    order search's fits load `scipy.signal`."""
-    assert not arima_in_subprocess(tmp_path, order, "scipy.signal")
+def test_arima_leaves_scipy_signal_and_optimize_unloaded(tmp_path, order, module):
+    """The MA filter is a BLAS band solve and Nelder-Mead is the package's
+    own: neither a fixed-order fit nor the order search's fits load
+    `scipy.signal` or `scipy.optimize`."""
+    assert not arima_in_subprocess(tmp_path, order, module)
+
+
+@pytest.mark.parametrize("order", [["--p", "1", "--q", "1"], ["--auto"]], ids=["p1-q1", "auto"])
+def test_a_series_whose_spread_underflows_fails_without_a_warning(tmp_path, order):
+    """Values near 1e-300 have a standard deviation that underflows to 0:
+    under -W error::RuntimeWarning the fit fails in one line, with no
+    division warning first and no output file."""
+    values = np.random.default_rng(0).normal(size=600) * 1e-300
+    cdr.write_series_csv(cdr.ActivitySeries(T0, values), str(tmp_path / "series.csv"))
+    src_dir = os.path.dirname(os.path.dirname(celltide.__file__))
+    code = "import sys; from celltide.cli import main; sys.exit(main())"
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code, "arima",
+         "--series", str(tmp_path / "series.csv"), *order,
+         "--out-model", str(tmp_path / "m.json"), "--out-predictions", str(tmp_path / "p.csv")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src_dir), timeout=120)
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert sorted(os.listdir(tmp_path)) == ["series.csv"]
 
 
 def test_order_search_is_the_same_under_one_and_two_blas_threads(tmp_path):
