@@ -6,12 +6,17 @@ lagged residuals) for starting coefficients, then Nelder-Mead refinement of
 the conditional sum of squared innovations with zero pre-sample residuals,
 at unit scale over reflection coefficients tanh(u), where every real u is a
 valid model. Nelder-Mead is an in-package port of scipy's, so of scipy only
-`scipy.linalg.blas` (the MA band solve) is loaded. Forecasts are one-step
-conditional expectations rolled over true history.
+the package and the BLAS extension of the MA band solve are loaded, not
+`scipy.linalg`. Forecasts are one-step conditional expectations rolled over
+true history.
 """
 
+import importlib.util
 import itertools
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -70,6 +75,22 @@ def _stable(coeffs) -> bool:
     return _reflections(c) is not None
 
 
+def _fblas():
+    """scipy's f2py BLAS extension, loaded from its file without running
+    `scipy.linalg` (74 more modules, about 24 MB) and registered under its
+    own name, so that `import scipy.linalg` before or after shares it."""
+    name = "scipy.linalg._fblas"
+    if name not in sys.modules:
+        import scipy  # first, so that Windows wheels set up their DLLs
+        folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no {os.path.join(folder, '_fblas' + EXTENSION_SUFFIXES[0])}")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 def residuals(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Innovations of a centered ARMA series, conditioning on the first p values
     and zero pre-sample residuals. Length is len(y) - p; with p = q = 0 it is
@@ -90,10 +111,9 @@ def residuals(y: np.ndarray, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
         for i in range(2, p + 1):
             u -= np.multiply(phi[i - 1], y[p - i:n - i], out=buf)
     if q := len(theta):
-        from scipy.linalg.blas import dtbsv  # imported here: only ARIMA work pays for scipy
         # the transpose of a C-contiguous (n, q+1) tile is F-contiguous: f2py copies nothing
         band = np.tile(np.concatenate(([1.0], theta)), len(u)).reshape(len(u), q + 1).T
-        u = dtbsv(q, band, u, lower=1, diag=1, overwrite_x=p > 0)
+        u = _fblas().dtbsv(q, band, u, lower=1, diag=1, overwrite_x=p > 0)
     return u
 
 
@@ -220,16 +240,16 @@ def fit(series: np.ndarray, p: int, d: int, q: int, shared=None) -> ArimaModel:
     `shared` is the order search's (y, mu, e_proxy) for this series and d:
     `_centre`'s pair and `long_ar_residuals(y)`, or None where that failed."""
     y, mu, e_proxy = shared or (*_centre(series, d), None)
+    scale = np.std(y)
+    if not scale > 0 and y.any():  # underflowed: values near 1e-300 have no spread
+        raise ArimaFitError(f"orders ({p},{d},{q}): the training series has standard "
+                            f"deviation {scale:g} after differencing; rescale the series")
     phi, theta = np.empty(0), np.empty(0)
     if p + q:
         phi0, theta0 = hannan_rissanen(y, p, q, e_proxy)
         u0 = np.zeros(p + q)  # white noise, where HR lands outside the valid region
         if _stable(phi0) and _stable(-theta0):
             u0 = np.arctanh(_reflections(phi0) + _reflections(-theta0))
-        scale = np.std(y)
-        if not scale > 0:  # underflowed: values near 1e-300 have no representable spread
-            raise ArimaFitError(f"orders ({p},{d},{q}): the training series has standard "
-                                f"deviation {scale:g} after differencing; rescale the series")
         z = y / scale  # unit scale, so Nelder-Mead's tolerances are relative
         u = _nelder_mead(lambda v: css(z, _from_reflections(v[:p]), -_from_reflections(v[p:])),
                          u0)[0]
@@ -279,24 +299,25 @@ def aic(model: ArimaModel, n: int) -> float:
     return n * np.log(model.sigma2) + 2.0 * (model.p + model.q + 1)
 
 
-def _fit_grid_at(series: np.ndarray, d: int) -> list:
+def _fit_grid_at(series: np.ndarray, d: int) -> tuple:
     """((AIC, p+q, d, p, q), model) of each order (p, d, q), p and q in 0..3, that
-    fits. The centred series and the first stage are computed once for all 16;
-    a singular first stage is left to each p + q > 0 order to raise again."""
+    fits, and the first failure's message, or None. Centring and the first stage
+    run once for all 16; each p + q > 0 order raises a singular first stage again."""
     y, mu = _centre(series, d)
     try:
         e_proxy = long_ar_residuals(y)
     except ArimaFitError:
         e_proxy = None
-    candidates = []
+    candidates, failure = [], None
     for p, q in itertools.product(range(4), range(4)):
         try:
             model = fit(series, p, d, q, (y, mu, e_proxy))
-        except (ArimaFitError, ValueError):
+        except (ArimaFitError, ValueError) as exc:
+            failure = failure or str(exc)
             continue
         if model.sigma2 > 0:
             candidates.append(((aic(model, len(series)), p + q, d, p, q), model))
-    return candidates
+    return candidates, failure
 
 
 def auto_order(series: np.ndarray, map=map) -> ArimaModel:
@@ -305,12 +326,12 @@ def auto_order(series: np.ndarray, map=map) -> ArimaModel:
     n, the series length, so a change of units shifts every AIC alike.
     `map` fits the d = 0 and d = 1 halves; each fit is deterministic and each
     key unique, so a map that runs a half in another process picks the same."""
-    # the search's one scipy module, imported before `map` forks so the worker inherits it
-    from scipy.linalg import blas  # noqa: F401
-    halves = map(lambda d: _fit_grid_at(series, d), range(2))
-    candidates = list(itertools.chain(*halves))
+    _fblas()  # loaded before `map` forks, so that the worker inherits it
+    halves = list(map(lambda d: _fit_grid_at(series, d), range(2)))
+    candidates = [c for found, _ in halves for c in found]
     if not candidates:
-        raise ArimaFitError("no ARIMA order in the search grid could be fitted")
+        why = next(filter(None, (f for _, f in halves)), "no variance is above 0")
+        raise ArimaFitError(f"no ARIMA order in the search grid could be fitted: {why}")
     return min(candidates, key=lambda c: c[0])[1]
 
 

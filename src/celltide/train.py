@@ -16,7 +16,7 @@ from .dataset import ScalerParams, WindowSet
 
 
 BATCH_SIZE = 32
-EVAL_CHUNK = 512  # windows per evaluation pass, whose step caches grow with it
+EVAL_CHUNK = 64  # windows per evaluation pass, whose step caches grow with it
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 

@@ -59,7 +59,7 @@ def search_outputs() -> dict:
     model = arima.auto_order(y, map=recorded)
     return {"series": SERIES, "train_frac": SEARCH_FRAC, "n": len(y),
             "order": [model.p, model.d, model.q],
-            "aic": {f"{m.p},{m.d},{m.q}": key[0] for half in halves for key, m in half},
+            "aic": {f"{m.p},{m.d},{m.q}": key[0] for found, _ in halves for key, m in found},
             "phi": model.phi, "theta": model.theta, "mu": model.mu, "sigma2": model.sigma2}
 
 

@@ -1,5 +1,7 @@
 import itertools
 import json
+import re
+import sys
 import zlib
 
 import numpy as np
@@ -204,7 +206,7 @@ class TestSharedWork:
     def test_every_grid_model_equals_a_lone_fit_bit_for_bit(self):
         fitted = 0
         for d in range(2):
-            grid = {(m.p, m.q): m for _, m in arima._fit_grid_at(self.SERIES, d)}
+            grid = {(m.p, m.q): m for _, m in arima._fit_grid_at(self.SERIES, d)[0]}
             for p, q in itertools.product(range(4), range(4)):
                 try:
                     lone = arima.fit(self.SERIES, p, d, q)
@@ -298,6 +300,18 @@ class TestSharedWork:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_a_missing_blas_extension_is_an_import_error_naming_the_file(tmp_path, monkeypatch):
+    """The MA solve has no second path: with no `_fblas` file in scipy's
+    `linalg/`, the loader raises ImportError with the file's path and
+    registers nothing."""
+    import scipy
+    monkeypatch.delitem(sys.modules, "scipy.linalg._fblas", raising=False)
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_fblas"))):
+        arima.residuals(np.ones(5), np.empty(0), np.array([0.5]))
+    assert "scipy.linalg._fblas" not in sys.modules
+
+
 class TestScale:
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e6])
     def test_fit_does_not_depend_on_the_scale_of_the_series(self, scale):
@@ -318,10 +332,24 @@ class TestScale:
     @pytest.mark.parametrize("d", [0, 1])
     def test_a_spread_that_underflows_fails_before_the_objective(self, d):
         """Values near 1e-300 have a standard deviation that underflows to 0,
-        so they have no unit scale: the fit raises rather than divide by it."""
+        so they have no unit scale: the fit raises rather than divide by it,
+        and a zero order raises too rather than keep a variance of 0."""
         tiny = np.random.default_rng(0).normal(size=600) * 1e-300
-        with pytest.raises(arima.ArimaFitError, match=r"^orders \(1,\d,1\): .* deviation 0 "):
-            arima.fit(tiny, 1, d, 1)
+        for p, q in ((1, 1), (0, 0)):
+            with pytest.raises(arima.ArimaFitError,
+                               match=rf"^orders \({p},{d},{q}\): .* deviation 0 "):
+                arima.fit(tiny, p, d, q)
+
+    def test_the_search_reports_its_first_failure(self):
+        """Where no order fits, the error names the first failure of the d = 0
+        half, in (p, q) order."""
+        tiny = np.random.default_rng(0).normal(size=600) * 1e-300
+        assert arima._fit_grid_at(tiny, 1) == ([], "orders (0,1,0): the training series "
+                                               "has standard deviation 0 after differencing; "
+                                               "rescale the series")
+        with pytest.raises(arima.ArimaFitError, match=r"^no ARIMA order in the search grid "
+                           r"could be fitted: orders \(0,0,0\): .* deviation 0 "):
+            arima.auto_order(tiny)
 
 
 class TestNelderMead:

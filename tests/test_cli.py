@@ -452,7 +452,8 @@ HUGE_MESSAGE = "series.csv: line 12: value 1e+308 beyond +-1e+150"
 
 @pytest.mark.parametrize("values,argv,message", [
     (CONSTANT, ["arima", "--auto", *ARIMA_OUTS],
-     "no ARIMA order in the search grid could be fitted"),
+     "no ARIMA order in the search grid could be fitted: "
+     "singular least squares in long-AR step; try lower orders"),
     (CONSTANT, ["arima", "--p", "1", *ARIMA_OUTS],
      "singular least squares in long-AR step; try lower orders"),
     (CONSTANT, ["compare", "--epochs", "1", "--out-dir", "out"],
@@ -1326,20 +1327,61 @@ def test_zero_order_arima_leaves_scipy_unloaded(tmp_path, d):
     assert not arima_in_subprocess(tmp_path, ["--p", "0", "--d", d, "--q", "0"], "scipy")
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.optimize", "scipy.linalg"])
 @pytest.mark.parametrize("order", [["--auto"], ["--p", "1", "--q", "1"]], ids=["auto", "p1-q1"])
 def test_arima_leaves_scipy_signal_and_optimize_unloaded(tmp_path, order, module):
-    """The MA filter is a BLAS band solve and Nelder-Mead is the package's
-    own: neither a fixed-order fit nor the order search's fits load
-    `scipy.signal` or `scipy.optimize`."""
+    """The MA filter is a BLAS band solve through scipy's BLAS extension
+    alone, and Nelder-Mead is the package's own: neither a fixed-order fit
+    nor the order search's fits load `scipy.signal`, `scipy.optimize` or
+    `scipy.linalg`."""
     assert not arima_in_subprocess(tmp_path, order, module)
 
 
-@pytest.mark.parametrize("order", [["--p", "1", "--q", "1"], ["--auto"]], ids=["p1-q1", "auto"])
+@pytest.mark.parametrize("linalg_first", [False, True], ids=["loader-first", "linalg-first"])
+def test_the_blas_loader_and_scipy_linalg_share_one_extension(tmp_path, linalg_first):
+    """`arima --auto` loads scipy's BLAS extension under its own name, so an
+    `import scipy.linalg.blas` after it, or before it, leaves one `dtbsv`;
+    `residuals` then equals the oracle's solve through `scipy.linalg.blas`
+    bit for bit, whichever came first."""
+    series = make_series_csv(tmp_path)
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.dirname(os.path.dirname(celltide.__file__))
+    code = f"""
+import sys
+if {linalg_first}:
+    import scipy.linalg.blas
+import numpy as np
+from celltide import arima
+from celltide.cli import main
+assert main(sys.argv[1:]) == 0
+assert ("scipy.linalg" in sys.modules) == {linalg_first}
+rng = np.random.default_rng(7)
+cases = [(rng.normal(size=200), rng.uniform(-0.5, 0.5, p), rng.uniform(-0.5, 0.5, q))
+         for p in range(4) for q in range(1, 4)]
+got = [arima.residuals(*case) for case in cases]
+import scipy.linalg.blas
+import oracles
+assert scipy.linalg.blas.dtbsv is oracles.dtbsv is arima._fblas().dtbsv
+assert sys.modules["scipy.linalg._fblas"] is arima._fblas()
+assert all(np.array_equal(g, oracles._arima_residuals(*case)) for g, case in zip(got, cases))
+print("ok")
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code, "arima", "--series", str(series), "--train-frac", "0.4",
+         "--auto", "--out-model", str(tmp_path / "a.json"),
+         "--out-predictions", str(tmp_path / "a.csv")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir])))
+    assert (done.returncode, done.stdout.splitlines()[-1], done.stderr) == (0, "ok", "")
+
+
+@pytest.mark.parametrize("order", [["--p", "1", "--q", "1"], ["--auto"], ["--p", "0", "--q", "0"]],
+                         ids=["p1-q1", "auto", "p0-q0"])
 def test_a_series_whose_spread_underflows_fails_without_a_warning(tmp_path, order):
     """Values near 1e-300 have a standard deviation that underflows to 0:
-    under -W error::RuntimeWarning the fit fails in one line, with no
-    division warning first and no output file."""
+    under -W error::RuntimeWarning the fit fails in one line that says so,
+    for a zero order too, with no division warning first and no output
+    file; the order search's error carries its first failure."""
     values = np.random.default_rng(0).normal(size=600) * 1e-300
     cdr.write_series_csv(cdr.ActivitySeries(T0, values), str(tmp_path / "series.csv"))
     src_dir = os.path.dirname(os.path.dirname(celltide.__file__))
@@ -1352,6 +1394,8 @@ def test_a_series_whose_spread_underflows_fails_without_a_warning(tmp_path, orde
     assert done.returncode == 1
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert lines[0].endswith("the training series has standard deviation 0 after "
+                             "differencing; rescale the series"), done.stderr
     assert sorted(os.listdir(tmp_path)) == ["series.csv"]
 
 
