@@ -229,8 +229,12 @@ def check_length(n: int, order=None) -> None:
 
 
 def _centre(series: np.ndarray, d: int):
-    """The d-differenced series minus its mean, and that mean."""
+    """The d-differenced series minus its mean, and that mean: for a
+    constant one, whose mean can round (0.1 three hundred times), exact
+    zeros and its value."""
     w = np.diff(series, n=d)
+    if (w == w[0]).all():
+        return np.zeros_like(w), float(w[0])
     mu = float(np.mean(w))
     return w - mu, mu
 

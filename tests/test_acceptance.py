@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from celltide import arima, cdr, dataset, ffnn, lstm, train
+from celltide import arima, cdr, cli, dataset, ffnn, lstm, train
 from celltide.cli import main
 from oracles import (ffnn_forward_scalar, lstm_forward_scalar,
                      max_relative_error, numeric_gradients)
@@ -114,30 +114,29 @@ def _window_sets(values, frac, window=12):
 
 def test_convergence_speed_property():
     """LSTM learns faster than the feed-forward baseline on the synthetic
-    62-day series with the fixed 20-epoch budget, in >= 7/10 seeds per regime."""
+    62-day series with the fixed 20-epoch budget, in >= 7/10 seeds per regime.
+    The 20 (split, seed) cells are independent: `cli._map_in_two` fits half
+    of them in its one worker, seeds 5-9 of both splits."""
     start = time.perf_counter()
     values = dataset.gen_synthetic(62, seed=7).values
+    windows = {frac: _window_sets(values, frac) for frac in (0.4, 0.1)}
 
     def epochs_to_threshold(history, threshold=0.05):
         return next((i + 1 for i, v in enumerate(r.train_mae for r in history) if v < threshold),
                     len(history) + 1)
 
-    tr, va = _window_sets(values, 0.4)
-    medium_wins = 0
-    for seed in range(10):
+    def lstm_wins(cell):
+        frac, seed = cell
         cfg = train.TrainConfig(epochs=20, seed=seed)
-        _, h_lstm = train.train_model("lstm", tr, va, cfg)
-        _, h_ffnn = train.train_model("ffnn", tr, va, cfg)
-        medium_wins += epochs_to_threshold(h_lstm) <= epochs_to_threshold(h_ffnn)
+        _, h_lstm = train.train_model("lstm", *windows[frac], cfg)
+        _, h_ffnn = train.train_model("ffnn", *windows[frac], cfg)
+        if frac == 0.4:
+            return epochs_to_threshold(h_lstm) <= epochs_to_threshold(h_ffnn)
+        return h_lstm[-1].val_mae < 0.1 and h_ffnn[-1].val_mae >= 1.5 * h_lstm[-1].val_mae
 
-    tr, va = _window_sets(values, 0.1)
-    small_wins = 0
-    for seed in range(10):
-        cfg = train.TrainConfig(epochs=20, seed=seed)
-        _, h_lstm = train.train_model("lstm", tr, va, cfg)
-        _, h_ffnn = train.train_model("ffnn", tr, va, cfg)
-        small_wins += (h_lstm[-1].val_mae < 0.1
-                       and h_ffnn[-1].val_mae >= 1.5 * h_lstm[-1].val_mae)
+    wins = cli._map_in_two(lstm_wins, [(frac, seed) for seed in range(10)
+                                       for frac in (0.4, 0.1)], work="training")
+    medium_wins, small_wins = sum(wins[0::2]), sum(wins[1::2])
     elapsed = time.perf_counter() - start
     check("convergence speed: medium split, LSTM epochs-to-0.05 <= FFNN",
           medium_wins >= 7, f"{medium_wins}/10 seeds")

@@ -340,6 +340,20 @@ class TestScale:
                                match=rf"^orders \({p},{d},{q}\): .* deviation 0 "):
                 arima.fit(tiny, p, d, q)
 
+    @pytest.mark.parametrize("value", [0.1, 0.3, 0.7, 5.0])
+    def test_a_constant_series_is_modelled_exactly_at_the_zero_order(self, value):
+        """A constant series centres to exact zeros, also where its mean
+        rounds (300 slots of 0.1 have mean 0.10000000000000002): the zero
+        order models it with its value and `sigma2` 0, and an AR order fails
+        in Hannan-Rissanen's first stage, not on the scale check."""
+        series = np.full(300, value)
+        y, mu = arima._centre(series, 0)
+        assert (mu, y.any()) == (value, False)
+        model = arima.fit(series, 0, 0, 0)
+        assert (model.mu, model.sigma2) == (value, 0.0)
+        with pytest.raises(arima.ArimaFitError, match="^singular least squares in long-AR"):
+            arima.fit(series, 1, 0, 0)
+
     def test_the_search_reports_its_first_failure(self):
         """Where no order fits, the error names the first failure of the d = 0
         half, in (p, q) order."""
