@@ -11,11 +11,11 @@ the package and the BLAS extension of the MA band solve are loaded, not
 true history.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import os
 import sys
-from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
@@ -29,7 +29,7 @@ class ArimaFitError(Failure):
     """Estimation failed; message advises what to change."""
 
 
-@dataclass
+@dataclasses.dataclass
 class ArimaModel:
     p: int
     d: int
@@ -340,10 +340,31 @@ def auto_order(series: np.ndarray, map=map) -> ArimaModel:
 
 
 def serialize(model: ArimaModel) -> str:
-    return modelio.dumps({
-        "type": "arima",
-        "p": model.p, "d": model.d, "q": model.q,
-        "phi": model.phi, "theta": model.theta,
-        "mu": model.mu, "sigma2": model.sigma2,
-    })
+    return modelio.dumps({"type": "arima", **dataclasses.asdict(model)})
+
+
+class Forecaster:
+    """The kind table's ARIMA row: the order of `--p/--d/--q`, or for None the
+    AIC search, its halves mapped by the `map` it is given; the model is an ArimaModel."""
+
+    @staticmethod
+    def setup(data, args) -> None:
+        check_length(data.spec.n_train, args.order)  # the library does not check again
+        data.order = args.order
+
+    def fit(self, data, map) -> tuple:
+        y = data.values[:data.spec.n_train]
+        if data.order is not None:
+            return fit(y, *data.order), []  # the module's `fit`, not this method
+        model = auto_order(y, map=map)
+        return model, [f"selected order ({model.p},{model.d},{model.q})"]
+
+    def forecast(self, model, data):
+        return rolling_forecast(model, data.values, data.test_range)
+
+    def dumps(self, model, data) -> str:
+        return serialize(model)
+
+    def report(self, model, scores, out) -> dict:
+        return {"order": [model.p, model.d, model.q], **scores}
 

@@ -51,7 +51,7 @@ class ActivitySeries:
     """Gap-free per-grid series of one activity channel, one value per slot."""
 
     t0_ms: int
-    values: object  # float64: array("d") from ingest_dir, else an ndarray
+    values: object  # float64: a memoryview from ingest_dir, else an ndarray
 
     def __len__(self) -> int:
         return len(self.values)
@@ -202,7 +202,7 @@ def ingest_dir(dir_path: str, grid_id: int, channel: str, map=map) -> ActivitySe
         name, lineno = next(w for t, w in zip(timestamps, where) if start <= t < start + SLOT_MS)
         raise IngestError(f"{name}: line {lineno}: grid {grid_id} slot at {start} "
                           f"totals {totals[slot]:g}, beyond +-{MAX_VALUE:g}")
-    return ActivitySeries(t0_ms, totals)
+    return ActivitySeries(t0_ms, memoryview(totals))  # so `2 * values` raises, not repeats
 
 
 def write_series_csv(series: ActivitySeries, path: str) -> None:

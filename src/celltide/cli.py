@@ -57,48 +57,28 @@ def _outputs(out_dir: str = ""):
         raise
 
 
-def _prepare(args) -> argparse.Namespace:
-    """Shared start of `train`, `arima` and `compare`: read and split the series.
-    For the neural models also print the split, fit the scaler and cut the windows."""
-    from . import arima, dataset, train
+def _prepare(args, kinds) -> argparse.Namespace:
+    """Shared start of `train`, `arima` and `compare`: read and split the series,
+    then run each distinct setup of `kinds`' rows of the kind table on it."""
+    from . import dataset, train
     values = cdr.read_series_csv(args.series).values
     spec = dataset.split(len(values), args.train_frac)
     data = argparse.Namespace(values=values, spec=spec,
                               test_range=(spec.test_start, spec.test_start + spec.n_test))
-    if args.command == "arima":
-        arima.check_length(spec.n_train, args.order)  # the library does not check again
-        return data
-    data.scaler = dataset.fit_scaler(values[:spec.n_train])
-    print(f"split {spec.n_train}/{spec.n_val}/{spec.n_test}")
-    if args.window >= spec.n_train:  # then every range below has a target; the library trusts it
-        raise ValueError(f"--window must be below the {spec.n_train} training slots, "
-                         f"got {args.window}")
-    normed = data.scaler.transform(values)
-    data.train_set = dataset.windows_for_range(normed, args.window, 0, spec.n_train)
-    data.val_set = dataset.windows_for_range(normed, args.window, spec.val_start, spec.test_start)
-    if args.command == "compare":
-        data.test_set = dataset.windows_for_range(normed, args.window, *data.test_range)
-        arima.check_length(spec.n_train, args.order)  # before any model is trained
-    data.config = train.TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
+    for setup in dict.fromkeys(train.FORECASTERS[kind].setup for kind in kinds):
+        setup(data, args)
     return data
 
 
-def _run(kind: str, data, order=None):
-    """Fit `kind` ("arima" at `order`; None: AIC search, whose two halves go
-    through `_map_in_two`) on `data`'s training slice and forecast its test
-    slice. Returns (model, history or None, preds, test MAE, fit ms)."""
-    from . import arima, train
-    t0 = time.perf_counter()
-    if kind == "arima":
-        y = data.values[:data.spec.n_train]
-        model = arima.auto_order(y, map=_map_in_two) if order is None else arima.fit(y, *order)
-        history, wall_ms = None, (time.perf_counter() - t0) * 1e3
-        preds = arima.rolling_forecast(model, data.values, data.test_range)
-    else:
-        model, history = train.train_model(kind, data.train_set, data.val_set, data.config)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        preds = train.evaluate(kind, model, data.test_set, data.scaler)
-    return model, history, preds, train.mae(preds, data.values[slice(*data.test_range)]), wall_ms
+def _run(kind: str, data):
+    """Fit `kind`'s row on `data`'s training slice, with `_map_in_two` as its `map`,
+    and forecast its test slice. Returns (model, the fit's lines, preds, test MAE, fit ms)."""
+    from . import train
+    forecaster, t0 = train.FORECASTERS[kind], time.perf_counter()
+    model, lines = forecaster.fit(data, _map_in_two)
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    preds = forecaster.forecast(model, data)
+    return model, lines, preds, train.mae(preds, data.values[slice(*data.test_range)]), wall_ms
 
 
 def cmd_synth(args) -> int:
@@ -120,26 +100,26 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from . import modelio, train
-    data = _prepare(args)
-    params, history = train.train_model(args.model, data.train_set, data.val_set, data.config)
+    from . import train
+    data, forecaster = _prepare(args, [args.model]), train.FORECASTERS[args.model]
+    model, _ = forecaster.fit(data, _map_in_two)
     with _outputs() as out:
         with open(out(args.out_model), "w", encoding="utf-8") as fh:
-            fh.write(modelio.dumps_neural(params, args.window, data.scaler))
-        train.write_history(out(args.out_history), history)
-    print(f"final val MAE (normalized) {history[-1].val_mae:.6f}")
+            fh.write(forecaster.dumps(model, data))
+        train.write_history(out(args.out_history), model[1])
+    print(f"final val MAE (normalized) {model[1][-1].val_mae:.6f}")
     return 0
 
 
 def cmd_arima(args) -> int:
-    from . import arima
-    data = _prepare(args)
-    model, _, preds, test_mae, _ = _run("arima", data, args.order)
-    if args.order is None:
-        print(f"selected order ({model.p},{model.d},{model.q})")
+    from . import train
+    data, forecaster = _prepare(args, ["arima"]), train.FORECASTERS["arima"]
+    model, lines, preds, test_mae, _ = _run("arima", data)
+    for line in lines:
+        print(line)
     with _outputs() as out:
         with open(out(args.out_model), "w", encoding="utf-8") as fh:
-            fh.write(arima.serialize(model))
+            fh.write(forecaster.dumps(model, data))
         _write_predictions(out(args.out_predictions), data.values, data.test_range, preds)
     print(f"test MAE {test_mae:.6f}")
     return 0
@@ -189,7 +169,8 @@ def _map_in_two(fn, items, work="ARIMA"):
 
 def cmd_compare(args) -> int:
     from . import modelio, train
-    data = _prepare(args)
+    kinds = list(train.FORECASTERS)
+    data = _prepare(args, kinds)
     spec, scale = data.spec, data.scaler.max - data.scaler.min
     report = {
         "seed": args.seed,
@@ -203,18 +184,15 @@ def cmd_compare(args) -> int:
     # entered before the fits, so that an out_dir that cannot be made fails at
     # once; the files are written only once every fit has succeeded
     with _outputs(args.out_dir) as out:
-        # the LSTM and the FFNN here, ARIMA in the worker
-        kinds = [*train.MODELS, "arima"]
-        results = _map_in_two(lambda kind: _run(kind, data, args.order), kinds)
-        for kind, (model, history, preds, test_mae, wall_ms) in zip(kinds, results):
-            if history is None and args.order is None:
-                print(f"{kind}: selected order ({model.p},{model.d},{model.q})")
-            entry = {"order": [model.p, model.d, model.q]} if history is None else {}
-            entry.update(test_mae=test_mae, test_mae_normalized=test_mae / scale)
-            if history is not None:
-                train.write_history(out(f"{kind}_history.csv"), history)
-                entry["epochs"] = len(history)
-            report["models"][kind] = {**entry, "train_wall_ms": wall_ms}
+        # the table's first half here (the LSTM and the FFNN), ARIMA in the worker
+        results = _map_in_two(lambda kind: _run(kind, data), kinds)
+        for kind, (model, lines, preds, test_mae, wall_ms) in zip(kinds, results):
+            for line in lines:
+                print(f"{kind}: {line}")
+            scores = {"test_mae": test_mae, "test_mae_normalized": test_mae / scale}
+            fields = train.FORECASTERS[kind].report(model, scores,
+                                                    lambda name: out(f"{kind}_{name}"))
+            report["models"][kind] = {**fields, "train_wall_ms": wall_ms}
             _write_predictions(out(f"{kind}_predictions.csv"), data.values,
                                data.test_range, preds)
             print(f"{kind}: test MAE {test_mae:.6f}")

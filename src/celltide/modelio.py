@@ -1,11 +1,9 @@
-"""Model-file JSON output: floats to 17 significant digits, and the one
-file envelope both neural models share. No command reads a model file."""
+"""Model-file JSON output: floats to 17 significant digits. No command reads
+a model file."""
 
 import json
 
 import numpy as np
-
-from .dataset import ScalerParams
 
 
 def dumps(obj) -> str:
@@ -27,19 +25,3 @@ def dumps(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps_neural(params, window_len: int, scaler: ScalerParams) -> str:
-    """A neural model file: `type`, `hidden`, `T` (the window length, which
-    the CLI has checked is a positive int), `head` (always "sigmoid"),
-    `scaler` (from `fit_scaler`), then `weights` in the model's WEIGHT_KEYS
-    order."""
-    return dumps({
-        "type": params.kind,
-        "hidden": params.hidden,
-        "T": window_len,
-        "head": "sigmoid",
-        "scaler": {"min": scaler.min, "max": scaler.max},
-        "weights": {k: params[k] for k in params.WEIGHT_KEYS},
-    })
-

@@ -1,4 +1,5 @@
-"""Training loop, Adam optimizer, and evaluation shared by both neural models.
+"""Training loop, Adam optimizer, and evaluation shared by both neural models,
+and the kind table of every forecaster, `FORECASTERS`.
 
 Mean absolute error is both the training loss and the reported metric; its
 subgradient at zero error is taken as 0. Loss is computed on the normalized
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import Failure, ffnn, lstm
+from . import Failure, arima, dataset, ffnn, lstm, modelio
 from .dataset import ScalerParams, WindowSet
 
 
@@ -63,12 +64,60 @@ def _predict(model, inputs: np.ndarray, params) -> np.ndarray:
                            for lo in range(0, len(inputs), EVAL_CHUNK)])
 
 
-# kind -> (module with forward_batch/backward_batch,
-#          initialiser(window_len, seed) of fresh parameters)
+class Neural(collections.namedtuple("Neural", "kind module init")):
+    """A neural row of the kind table: the module with forward_batch and backward_batch,
+    and the initialiser(window_len, seed); the model is `train_model`'s (params, history)."""
+
+    @staticmethod
+    def setup(data, args) -> None:
+        """Print the split, fit the scaler and cut the windows of each slice."""
+        spec = data.spec
+        data.scaler = dataset.fit_scaler(data.values[:spec.n_train])
+        print(f"split {spec.n_train}/{spec.n_val}/{spec.n_test}")
+        # the library trusts each range below to hold a target: the window is checked first
+        if args.window >= spec.n_train:
+            raise ValueError(f"--window must be below the {spec.n_train} training slots, "
+                             f"got {args.window}")
+        normed, data.window = data.scaler.transform(data.values), args.window
+        data.train_set = dataset.windows_for_range(normed, args.window, 0, spec.n_train)
+        data.val_set = dataset.windows_for_range(normed, args.window, spec.val_start,
+                                                 spec.test_start)
+        data.test_set = dataset.windows_for_range(normed, args.window, *data.test_range)
+        data.config = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
+
+    def fit(self, data, map):
+        return train_model(self.kind, data.train_set, data.val_set, data.config), []
+
+    def forecast(self, model, data):
+        return evaluate(self.kind, model[0], data.test_set, data.scaler)
+
+    def dumps(self, model, data) -> str:
+        """`type`, `hidden`, `T` (`--window`), `head` (always "sigmoid"), `scaler`
+        (from `fit_scaler`), then `weights` in the model's WEIGHT_KEYS order."""
+        params = model[0]
+        return modelio.dumps({
+            "type": params.kind,
+            "hidden": params.hidden,
+            "T": data.window,
+            "head": "sigmoid",
+            "scaler": {"min": data.scaler.min, "max": data.scaler.max},
+            "weights": {k: params[k] for k in params.WEIGHT_KEYS},
+        })
+
+    def report(self, model, scores, out) -> dict:
+        """The history to `out("history.csv")`, and its length after the scores."""
+        write_history(out("history.csv"), model[1])
+        return {**scores, "epochs": len(model[1])}
+
+
 MODELS = {
-    "lstm": (lstm, lambda window_len, seed: lstm.init_params(lstm.HIDDEN_UNITS, seed=seed)),
-    "ffnn": (ffnn, lambda window_len, seed: ffnn.init_params(window_len, seed=seed)),
+    "lstm": Neural("lstm", lstm,
+                   lambda window_len, seed: lstm.init_params(lstm.HIDDEN_UNITS, seed=seed)),
+    "ffnn": Neural("ffnn", ffnn,
+                   lambda window_len, seed: ffnn.init_params(window_len, seed=seed)),
 }
+# the kind table, kind -> forecaster, in `compare`'s order
+FORECASTERS = {**MODELS, "arima": arima.Forecaster()}
 
 
 def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
@@ -79,7 +128,7 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
     averaged. Validation is a full deterministic pass after each epoch. An
     overflow or invalid value anywhere in an epoch raises TrainingDiverged.
     """
-    model, _ = MODELS[kind]
+    model = MODELS[kind].module
     m, v, step = np.zeros_like(params.flat), np.zeros_like(params.flat), 0
     rng = np.random.default_rng(config.seed)
     history = []
@@ -112,12 +161,11 @@ def train_model(kind: str, train_set: WindowSet, val_set: WindowSet,
                 config: TrainConfig):
     """Initialize fresh parameters from the config seed and train them;
     returns (params, history)."""
-    _, init = MODELS[kind]
-    params = init(train_set.inputs.shape[1], config.seed)
+    params = MODELS[kind].init(train_set.inputs.shape[1], config.seed)
     history = fit(kind, params, train_set, val_set, config)
     return params, history
 
 
 def evaluate(kind: str, params, test_set: WindowSet, scaler: ScalerParams) -> np.ndarray:
     """Predictions for the normalized `test_set` windows, on the original scale."""
-    return scaler.inverse(_predict(MODELS[kind][0], test_set.inputs, params))
+    return scaler.inverse(_predict(MODELS[kind].module, test_set.inputs, params))

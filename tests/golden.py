@@ -1,5 +1,6 @@
-"""Golden outputs of `compare` and of the AIC order search, read back by
-test_golden.py and written to tests/fixtures by running this file:
+"""Golden outputs of `compare`, of the AIC order search and of the model
+files `train` and `arima` write, read back by test_golden.py and written to
+tests/fixtures by running this file:
 
     PYTHONPATH=src python tests/golden.py
 
@@ -18,23 +19,31 @@ from celltide.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 COMPARE_FILE, SEARCH_FILE = FIXTURES / "golden_compare_4d.json", FIXTURES / "golden_search_4d.json"
+MODELS_FILE = FIXTURES / "golden_models_4d.json"
 SERIES = "gen_synthetic(4, seed=1)"
 # no --p: the AIC search. 0.4 leaves 218 training windows, so the last
 # batch of each epoch is a partial one of 26
 COMPARE_ARGV = ["compare", "--train-frac", "0.4", "--epochs", "2"]
 SEARCH_FRAC = 0.8  # a 460-slot training slice
+# the model-file runs: each neural kind as `compare` trains it, and ARIMA's search
+MODEL_ARGV = {kind: ["train", "--model", kind, *COMPARE_ARGV[1:]] for kind in ("lstm", "ffnn")}
+MODEL_ARGV["arima"] = ["arima", "--auto", "--train-frac", "0.4"]
 
 
 def series() -> np.ndarray:
     return dataset.gen_synthetic(4, seed=1).values
 
 
+def write_series(tmp_dir) -> pathlib.Path:
+    path = pathlib.Path(tmp_dir) / "series.csv"
+    cdr.write_series_csv(cdr.ActivitySeries(dataset.DEFAULT_T0_MS, series()), str(path))
+    return path
+
+
 def compare_outputs(tmp_dir) -> dict:
     """`compare` on the series: its report.json without the timings, and each
     prediction CSV as rows of (slot, truth, prediction)."""
-    tmp_dir = pathlib.Path(tmp_dir)
-    path, out_dir = tmp_dir / "series.csv", tmp_dir / "out"
-    cdr.write_series_csv(cdr.ActivitySeries(dataset.DEFAULT_T0_MS, series()), str(path))
+    path, out_dir = write_series(tmp_dir), pathlib.Path(tmp_dir) / "out"
     assert main([*COMPARE_ARGV, "--series", str(path), "--out-dir", str(out_dir)]) == 0
     report = json.loads((out_dir / "report.json").read_text())
     for entry in report["models"].values():
@@ -43,6 +52,19 @@ def compare_outputs(tmp_dir) -> dict:
                                     skiprows=1).tolist() for kind in report["models"]}
     return {"argv": COMPARE_ARGV, "series": SERIES, "report": report,
             "predictions": predictions}
+
+
+def model_outputs(tmp_dir) -> dict:
+    """The model file each run of MODEL_ARGV writes for the series, read back
+    with its keys in file order."""
+    path, files = write_series(tmp_dir), {}
+    for kind, argv in MODEL_ARGV.items():
+        out = pathlib.Path(tmp_dir) / f"{kind}.json"
+        second = "--out-history" if argv[0] == "train" else "--out-predictions"
+        assert main([*argv, "--series", str(path), "--out-model", str(out),
+                     second, str(out.with_suffix(".csv"))]) == 0
+        files[kind] = json.loads(out.read_text())
+    return {"argv": MODEL_ARGV, "series": SERIES, "files": files}
 
 
 def search_outputs() -> dict:
@@ -66,4 +88,5 @@ def search_outputs() -> dict:
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         COMPARE_FILE.write_text(modelio.dumps(compare_outputs(tmp)) + "\n")
+        MODELS_FILE.write_text(modelio.dumps(model_outputs(tmp)) + "\n")
     SEARCH_FILE.write_text(modelio.dumps(search_outputs()) + "\n")

@@ -20,7 +20,7 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 def test_lstm_kernel_params_are_the_trained_lstm_at_seed_0():
     bench = lstm.init_params(50, 1, seed=0)
-    trained = train.MODELS["lstm"][1](12, 0)
+    trained = train.MODELS["lstm"].init(12, 0)
     assert bench.hidden == trained.hidden == lstm.HIDDEN_UNITS == 50
     assert np.array_equal(bench.flat, trained.flat)
 
@@ -28,7 +28,7 @@ def test_lstm_kernel_params_are_the_trained_lstm_at_seed_0():
 def test_ffnn_kernel_params_are_the_trained_ffnn_at_seed_0():
     bench = ffnn.init_params(12, seed=0)
     assert bench.W1.shape == (ffnn.HIDDEN_UNITS, 12)
-    assert np.array_equal(bench.flat, train.MODELS["ffnn"][1](12, 0).flat)
+    assert np.array_equal(bench.flat, train.MODELS["ffnn"].init(12, 0).flat)
 
 
 def test_train_model_takes_kind_first():

@@ -145,6 +145,19 @@ class TestIngestDir:
         assert len(series) == 12
         assert np.all(np.isfinite(series.values))
 
+    def test_values_are_a_float64_view_that_refuses_arithmetic(self, tmp_path):
+        """The totals come as a float64 memoryview: `2 * values` raises
+        rather than repeat the series, as it would on an array("d"), and
+        numpy reads the values without a copy."""
+        _write_day_file(tmp_path / "one.txt", [(1, T0, 4.25), (1, T0 + 600_000, 1.5)])
+        values = cdr.ingest_dir(str(tmp_path), 1, "internet").values
+        assert (type(values), values.format, values.tolist()) == (memoryview, "d", [4.25, 1.5])
+        with pytest.raises(TypeError):
+            2 * values
+        read = np.asarray(values)
+        read[0] = -1.0  # a write through numpy's array shows in the view: no copy
+        assert (read.dtype, values[0]) == (np.float64, -1.0)
+
     def test_single_record(self, tmp_path):
         _write_day_file(tmp_path / "one.txt", [(1, T0, 4.25)])
         series = cdr.ingest_dir(str(tmp_path), 1, "internet")

@@ -765,11 +765,10 @@ class TestSplitSearch:
 COMPARE_FLAGS = ["--train-frac", "0.4", "--epochs", "1", "--seed", "3"]
 
 
-def patch_arima_run(monkeypatch, replacement):
-    """Make `cli._run` call `replacement(data, order)` for kind "arima"."""
-    run = cli._run
-    monkeypatch.setattr(cli, "_run", lambda kind, data, order=None: (
-        replacement(data, order) if kind == "arima" else run(kind, data, order)))
+def patch_arima_row(monkeypatch, replacement):
+    """Make the kind table's ARIMA row fit by calling `replacement(data, order)`."""
+    monkeypatch.setattr(train.FORECASTERS["arima"], "fit",
+                        lambda data, map: replacement(data, data.order))
 
 
 def fail_ffnn_history_write(monkeypatch):
@@ -1025,7 +1024,7 @@ class TestCompare:
             def failing(data, order):
                 raise arima.ArimaFitError(f"no fit for order {order}")
 
-            patch_arima_run(monkeypatch, failing)
+            patch_arima_row(monkeypatch, failing)
             capsys.readouterr()
             assert main(argv) == 1
             assert capsys.readouterr() == ("split 230/58/58\n",
@@ -1109,7 +1108,7 @@ class TestCompare:
         def failing(data, order):
             raise arima.ArimaFitError(f"no fit for order {order}")
 
-        patch_arima_run(monkeypatch, failing)
+        patch_arima_row(monkeypatch, failing)
         assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
                      "--out-dir", str(out_dir)]) == 1
         captured = capsys.readouterr()
@@ -1126,7 +1125,7 @@ class TestCompare:
                                                       capsys, death, status):
         series = make_series_csv(tmp_path, days=4)
         out_dir = tmp_path / "out"
-        patch_arima_run(monkeypatch, lambda data, order: death())
+        patch_arima_row(monkeypatch, lambda data, order: death())
         assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
                      "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err == f"error: ARIMA worker exited with status {status}\n"
@@ -1178,6 +1177,61 @@ class TestCompare:
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert log.read_text().splitlines() == [str(os.getpid())]
         assert_no_child_process()
+
+
+class LastValue:
+    """A fourth row for the kind table: each test slot's forecast is the
+    value of the slot before it. It needs no setup and writes no file."""
+
+    @staticmethod
+    def setup(data, args):
+        pass
+
+    def fit(self, data, map):
+        return None, []
+
+    def forecast(self, model, data):
+        start, stop = data.test_range
+        return data.values[start - 1:stop - 1]
+
+    def report(self, model, scores, out):
+        return scores
+
+
+def test_a_fourth_forecaster_needs_no_cli_edit(tmp_path, monkeypatch, capsys):
+    """A row added to the kind table runs in `compare` with no CLI edit: it
+    writes its predictions and its report entry, one worker is still
+    started, and every other output is the same as without it."""
+    series = make_series_csv(tmp_path, days=4)
+    argv = ["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series), "--out-dir"]
+    assert main([*argv, str(tmp_path / "three")]) == 0
+    monkeypatch.setitem(train.FORECASTERS, "last", LastValue())
+    forks = record_forks(monkeypatch)
+    capsys.readouterr()
+    assert main([*argv, str(tmp_path / "four")]) == 0
+    assert len(forks) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("last: test MAE ")
+    three, four = ({p.name: p.read_text() for p in (tmp_path / run).iterdir()}
+                   for run in ("three", "four"))
+    assert set(four) == {*three, "last_predictions.csv"}
+    for name in three.keys() - {"report.json"}:
+        untimed = [[line.rsplit(",", 1)[0] if "history" in name else line
+                    for line in run[name].splitlines()] for run in (three, four)]
+        assert untimed[0] == untimed[1], name
+    values = cdr.read_series_csv(str(series)).values
+    spec = dataset.split(len(values), 0.4)
+    rows = np.loadtxt(tmp_path / "four" / "last_predictions.csv", delimiter=",", skiprows=1)
+    assert rows[:, 0].tolist() == list(range(spec.test_start, spec.test_start + spec.n_test))
+    assert rows[:, 2].tobytes() == values[spec.test_start - 1:-1][:spec.n_test].tobytes()
+    reports = [json.loads(run["report.json"]) for run in (three, four)]
+    for report in reports:
+        for entry in report["models"].values():
+            assert entry.pop("train_wall_ms") >= 0
+    last = reports[1]["models"].pop("last")
+    assert reports[0] == reports[1]
+    assert list(last) == ["test_mae", "test_mae_normalized"]
+    assert last["test_mae"] == train.mae(rows[:, 2], rows[:, 1])
+    assert_no_child_process()
 
 
 def test_train_model_choices_are_the_trained_kinds():

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from celltide import ffnn, modelio
+from celltide import ffnn
 from celltide.dataset import ScalerParams
 from oracles import ffnn_forward_scalar, max_relative_error, numeric_gradients
+from test_modelio import model_file
 
 
 def zero_params(t_len=3, hidden=5):
@@ -97,13 +98,13 @@ class TestPackedStorage:
 class TestSerialization:
     def test_roundtrip(self):
         p = ffnn.init_params(6, seed=12)
-        obj = json.loads(modelio.dumps_neural(p, 6, ScalerParams(-1.0, 2.5)))
+        obj = json.loads(model_file(p, 6, ScalerParams(-1.0, 2.5)))
         assert (obj["type"], obj["T"]) == ("ffnn", 6)
         assert obj["scaler"] == {"min": -1.0, "max": 2.5}
         for k in ffnn.WEIGHT_KEYS:
             assert np.array_equal(getattr(p, k), obj["weights"][k])
 
     def test_t12_scalar_count(self):
-        text = modelio.dumps_neural(ffnn.init_params(12, seed=0), 12, ScalerParams(0, 1))
+        text = model_file(ffnn.init_params(12, seed=0), 12, ScalerParams(0, 1))
         obj = json.loads(text)
         assert sum(np.asarray(a).size for a in obj["weights"].values()) == 71

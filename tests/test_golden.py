@@ -1,6 +1,7 @@
-"""The outputs of `compare` and of the AIC order search against the golden
-files that golden.py wrote. A refactor leaves them within these tolerances;
-a change that means to move them rewrites them.
+"""The outputs of `compare`, of the AIC order search and the model files of
+`train` and `arima` against the golden files that golden.py wrote. A
+refactor leaves them within these tolerances; a change that means to move
+them rewrites them.
 
 Neural values keep lstm_fit_4d.json's 1e-10 relative: on one machine they
 are bit-identical, and another BLAS's summation order moves them at the
@@ -56,6 +57,31 @@ def test_compare_report(compared):
             else:
                 np.testing.assert_allclose(value, expected[key], **TOLERANCE[kind],
                                            err_msg=f"{kind} {key}")
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    return golden.model_outputs(tmp_path_factory.mktemp("golden"))["files"]
+
+
+def assert_matches(got, want, tolerance, where):
+    """`got` has `want`'s keys in order at every level, its strings and ints,
+    and its floats, alone or in nested lists, within `tolerance`."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key, value in want.items():
+            assert_matches(got[key], value, tolerance, f"{where}.{key}")
+    elif isinstance(want, (str, int)):
+        assert (type(got), got) == (type(want), want), where
+    else:
+        np.testing.assert_allclose(got, want, **tolerance, err_msg=where)
+
+
+@pytest.mark.parametrize("kind", ["lstm", "ffnn", "arima"])
+def test_model_file(model_files, kind):
+    want = load(golden.MODELS_FILE)
+    assert want["argv"] == golden.MODEL_ARGV
+    assert_matches(model_files[kind], want["files"][kind], TOLERANCE[kind], kind)
 
 
 def test_order_search():

@@ -2,11 +2,12 @@ import json
 import math
 import os
 import pathlib
+import types
 
 import numpy as np
 import pytest
 
-from celltide import ffnn, lstm, modelio
+from celltide import ffnn, lstm, modelio, train
 from celltide.cli import main
 from celltide.dataset import ScalerParams
 
@@ -20,13 +21,20 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 BAD_WINDOWS = ["2.5", "0", "-3", "x", "True", "None"]
 
 
+def model_file(params, window: int, scaler: ScalerParams) -> str:
+    """The model file that the kind table's row for `params` writes after a
+    fit on `window`-slot windows scaled by `scaler`."""
+    data = types.SimpleNamespace(window=window, scaler=scaler)
+    return train.MODELS[params.kind].dumps((params, []), data)
+
+
 @pytest.mark.parametrize("kind", sorted(MODELS))
 def test_envelope_order_and_roundtrip(kind):
     """The envelope's keys come in a fixed order, and weights filled back
     from the file's JSON are the written ones, bit for bit."""
     module, init, zeroed = MODELS[kind]
     p = init()
-    text = modelio.dumps_neural(p, 4, ScalerParams(1.0, 9.0))
+    text = model_file(p, 4, ScalerParams(1.0, 9.0))
     obj = json.loads(text)
     assert list(obj) == ["type", "hidden", "T", "head", "scaler", "weights"]
     assert (obj["type"], obj["hidden"], obj["T"], obj["head"]) == (kind, p.hidden, 4, "sigmoid")
@@ -36,7 +44,7 @@ def test_envelope_order_and_roundtrip(kind):
     for k, view in q.items():
         view[...] = obj["weights"][k]
     assert np.array_equal(p.flat, q.flat)
-    assert modelio.dumps_neural(q, 4, ScalerParams(1.0, 9.0)) == text
+    assert model_file(q, 4, ScalerParams(1.0, 9.0)) == text
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -58,7 +66,7 @@ def test_smallest_model_accepted():
     """One hidden unit and a one-slot window: every weight is written in its
     view's shape, even where it holds a single number."""
     p = lstm.init_params(1, seed=0)
-    obj = json.loads(modelio.dumps_neural(p, 1, ScalerParams(0, 1)))
+    obj = json.loads(model_file(p, 1, ScalerParams(0, 1)))
     assert (obj["hidden"], obj["T"], obj["scaler"]) == (1, 1, {"min": 0, "max": 1})
     for k, view in p.items():
         assert np.array(obj["weights"][k]).shape == view.shape, k
@@ -95,7 +103,7 @@ def test_initialisers_keep_their_draws(fixture, init):
     """Each file holds the weights an initialiser drew before the parameter
     classes were built from their layouts: the draw order and limits stay."""
     text = (FIXTURES / fixture).read_text()
-    assert modelio.dumps_neural(init(), 4, ScalerParams(0, 1)) == text
+    assert model_file(init(), 4, ScalerParams(0, 1)) == text
 
 
 @pytest.mark.parametrize("value", [True, None, np.bool_(True)])

@@ -128,7 +128,7 @@ class TestFit:
             adam_step(w, g, m, v, t, lr)
 
         monkeypatch.setattr(train, "adam_step", recorded)
-        model, init = train.MODELS[kind]
+        model, init = train.MODELS[kind].module, train.MODELS[kind].init
         train.fit(kind, init(tr.inputs.shape[1], 0), tr, va, train.TrainConfig(epochs=1, seed=6))
         order = np.random.default_rng(6).permutation(len(tr))
         batches = [order[lo:lo + train.BATCH_SIZE] for lo in range(0, len(tr), train.BATCH_SIZE)]
@@ -148,7 +148,7 @@ class TestFit:
         """The gradient `fit` hands to `adam_step`: a new 1-D float64 array of
         the weights' size, sharing memory with neither the weights, the
         caches of the forward pass, nor an earlier gradient."""
-        model, init = train.MODELS[kind]
+        model, init = train.MODELS[kind].module, train.MODELS[kind].init
         params = init(5, 4)
         windows = np.random.default_rng(4).uniform(0, 1, (3, 5))
         _, caches = model.forward_batch(windows, params)
@@ -225,7 +225,7 @@ def test_evaluation_passes_in_chunks_equal_one_pass(kind, monkeypatch):
     rng = np.random.default_rng(4)
     n = 2 * train.EVAL_CHUNK + 37
     big = dataset.WindowSet(rng.uniform(0, 1, (n, 12)), rng.uniform(0, 1, n))
-    model, init = train.MODELS[kind]
+    model, init = train.MODELS[kind].module, train.MODELS[kind].init
     params = init(12, 3)
     scaler = dataset.ScalerParams(2.0, 7.0)
     one_pass = scaler.inverse(model.forward_batch(big.inputs, params)[0])
