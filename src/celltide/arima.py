@@ -221,7 +221,7 @@ def _nelder_mead(f, x0):
 def check_length(n: int, order=None) -> None:
     """Raise ValueError if `n` observations are too few to fit `order` (None: the AIC search)."""
     if order is None and n < 200:
-        raise ValueError("need at least 200 observations for order selection")
+        raise ValueError(f"need at least 200 observations for order selection, got {n}")
     p, d, q = order or (0, 0, 0)
     if n < 10 * (p + q + 1) + d:
         raise ValueError(f"need at least {10 * (p + q + 1) + d} observations for orders "

@@ -91,8 +91,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    series = cdr.ingest_dir(args.input_dir, args.grid, args.channel,
-                            map=lambda fn, names: _map_in_two(fn, names, work="ingest"))
+    series = cdr.ingest_dir(args.input_dir, args.grid, args.channel, map=_map_in_two)
     with _outputs() as out:
         cdr.write_series_csv(series, out(args.out))
     print(f"{len(series)} slots")
@@ -135,11 +134,11 @@ def _worker(tx, fn, items) -> None:
     tx.send(message)
 
 
-def _map_in_two(fn, items, work="ARIMA"):
+def _map_in_two(fn, items):
     """`list(map(fn, items))`, the first ceil(n/2) items mapped here while the
     one worker, a fork of this process, maps the rest. An error of this
-    process's share is raised before the worker's result is read; `work`
-    names what the worker does in the error when it ends without a result.
+    process's share is raised before the worker's result is read; a worker
+    that ends without a result is a ChildProcessError naming its exit status.
     Fewer than two items, or any number in the worker itself, are all mapped
     here: no worker, and never a second one."""
     if len(items) > 1:
@@ -158,8 +157,7 @@ def _map_in_two(fn, items, work="ARIMA"):
             ok, theirs = rx.recv()
         worker.join()
         if not ok:
-            raise theirs or ChildProcessError(
-                f"{work} worker exited with status {worker.exitcode}")
+            raise theirs or ChildProcessError(f"worker exited with status {worker.exitcode}")
     finally:  # an interrupt too leaves no worker
         worker.kill()  # a no-op once the worker has been reaped
         worker.join()
@@ -184,7 +182,7 @@ def cmd_compare(args) -> int:
     # entered before the fits, so that an out_dir that cannot be made fails at
     # once; the files are written only once every fit has succeeded
     with _outputs(args.out_dir) as out:
-        # the table's first half here (the LSTM and the FFNN), ARIMA in the worker
+        # the table's first ceil(n/2) rows in this process, the rest in the worker
         results = _map_in_two(lambda kind: _run(kind, data), kinds)
         for kind, (model, lines, preds, test_mae, wall_ms) in zip(kinds, results):
             for line in lines:

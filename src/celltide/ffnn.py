@@ -20,9 +20,6 @@ class FfnnParams(FlatViews):
     """Feed-forward weights: views of one flat float64 buffer in WEIGHT_KEYS
     order, W1 (hidden, T), b1 (hidden,), W2 (1, hidden) and b2 (1,)."""
 
-    kind = "ffnn"
-    WEIGHT_KEYS = WEIGHT_KEYS
-
     def __init__(self, hidden: int, window_len: int):
         super().__init__([("W1", (hidden, window_len)), ("b1", (hidden,)),
                           ("W2", (1, hidden)), ("b2", (1,))])

@@ -28,9 +28,6 @@ class LstmParams(FlatViews):
     biases form the packed vector `b` (4H,).
     """
 
-    kind = "lstm"
-    WEIGHT_KEYS = WEIGHT_KEYS
-
     def __init__(self, hidden: int):
         super().__init__([(f"W_{gate}", (hidden, hidden + 1)) for gate in GATE_ORDER]
                          + [(f"b_{gate}", (hidden,)) for gate in GATE_ORDER]

@@ -92,16 +92,16 @@ class Neural(collections.namedtuple("Neural", "kind module init")):
         return evaluate(self.kind, model[0], data.test_set, data.scaler)
 
     def dumps(self, model, data) -> str:
-        """`type`, `hidden`, `T` (`--window`), `head` (always "sigmoid"), `scaler`
-        (from `fit_scaler`), then `weights` in the model's WEIGHT_KEYS order."""
+        """`type` (the row's kind), `hidden`, `T` (`--window`), `head` (always "sigmoid"),
+        `scaler` (from `fit_scaler`), then `weights` in the module's WEIGHT_KEYS order."""
         params = model[0]
         return modelio.dumps({
-            "type": params.kind,
+            "type": self.kind,
             "hidden": params.hidden,
             "T": data.window,
             "head": "sigmoid",
             "scaler": {"min": data.scaler.min, "max": data.scaler.max},
-            "weights": {k: params[k] for k in params.WEIGHT_KEYS},
+            "weights": {k: params[k] for k in self.module.WEIGHT_KEYS},
         })
 
     def report(self, model, scores, out) -> dict:
@@ -110,14 +110,14 @@ class Neural(collections.namedtuple("Neural", "kind module init")):
         return {**scores, "epochs": len(model[1])}
 
 
-MODELS = {
+# the kind table, kind -> forecaster, in `compare`'s order
+FORECASTERS = {
     "lstm": Neural("lstm", lstm,
                    lambda window_len, seed: lstm.init_params(lstm.HIDDEN_UNITS, seed=seed)),
     "ffnn": Neural("ffnn", ffnn,
                    lambda window_len, seed: ffnn.init_params(window_len, seed=seed)),
+    "arima": arima.Forecaster(),
 }
-# the kind table, kind -> forecaster, in `compare`'s order
-FORECASTERS = {**MODELS, "arima": arima.Forecaster()}
 
 
 def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
@@ -128,7 +128,7 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
     averaged. Validation is a full deterministic pass after each epoch. An
     overflow or invalid value anywhere in an epoch raises TrainingDiverged.
     """
-    model = MODELS[kind].module
+    model = FORECASTERS[kind].module
     m, v, step = np.zeros_like(params.flat), np.zeros_like(params.flat), 0
     rng = np.random.default_rng(config.seed)
     history = []
@@ -161,11 +161,11 @@ def train_model(kind: str, train_set: WindowSet, val_set: WindowSet,
                 config: TrainConfig):
     """Initialize fresh parameters from the config seed and train them;
     returns (params, history)."""
-    params = MODELS[kind].init(train_set.inputs.shape[1], config.seed)
+    params = FORECASTERS[kind].init(train_set.inputs.shape[1], config.seed)
     history = fit(kind, params, train_set, val_set, config)
     return params, history
 
 
 def evaluate(kind: str, params, test_set: WindowSet, scaler: ScalerParams) -> np.ndarray:
     """Predictions for the normalized `test_set` windows, on the original scale."""
-    return scaler.inverse(_predict(MODELS[kind].module, test_set.inputs, params))
+    return scaler.inverse(_predict(FORECASTERS[kind].module, test_set.inputs, params))

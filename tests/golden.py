@@ -1,13 +1,15 @@
 """Golden outputs of `compare`, of the AIC order search and of the model
 files `train` and `arima` write, read back by test_golden.py and written to
-tests/fixtures by running this file:
+tests/fixtures by running this file with the fixtures to write, one or more
+of `compare`, `models` and `search`:
 
-    PYTHONPATH=src python tests/golden.py
+    PYTHONPATH=src python tests/golden.py search
 
-Rewrite them only for a change that means to move these numbers, and say so
-where the change is recorded.
+Rewrite only the fixtures a change means to move, and say so where the
+change is recorded.
 """
 
+import argparse
 import json
 import pathlib
 import tempfile
@@ -85,8 +87,18 @@ def search_outputs() -> dict:
             "phi": model.phi, "theta": model.theta, "mu": model.mu, "sigma2": model.sigma2}
 
 
+def write(argv=None) -> None:
+    """Write each fixture named in `argv` to its file; with none named, print
+    the usage and exit 2."""
+    parser = argparse.ArgumentParser(prog="golden.py", description="write golden fixtures")
+    parser.add_argument("fixtures", nargs="+", choices=("compare", "models", "search"))
+    files = {"compare": (COMPARE_FILE, compare_outputs), "models": (MODELS_FILE, model_outputs),
+             "search": (SEARCH_FILE, lambda tmp_dir: search_outputs())}
+    for name in dict.fromkeys(parser.parse_args(argv).fixtures):
+        path, outputs = files[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            path.write_text(modelio.dumps(outputs(tmp)) + "\n")
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        COMPARE_FILE.write_text(modelio.dumps(compare_outputs(tmp)) + "\n")
-        MODELS_FILE.write_text(modelio.dumps(model_outputs(tmp)) + "\n")
-    SEARCH_FILE.write_text(modelio.dumps(search_outputs()) + "\n")
+    write()

@@ -135,7 +135,7 @@ def test_convergence_speed_property():
         return h_lstm[-1].val_mae < 0.1 and h_ffnn[-1].val_mae >= 1.5 * h_lstm[-1].val_mae
 
     wins = cli._map_in_two(lstm_wins, [(frac, seed) for seed in range(10)
-                                       for frac in (0.4, 0.1)], work="training")
+                                       for frac in (0.4, 0.1)])
     medium_wins, small_wins = sum(wins[0::2]), sum(wins[1::2])
     elapsed = time.perf_counter() - start
     check("convergence speed: medium split, LSTM epochs-to-0.05 <= FFNN",

@@ -9,6 +9,8 @@ from celltide import arima, cdr, cli, dataset, modelio, train
 from celltide.cli import main
 
 T0 = 1_383_260_400_000
+# the kind table's neural rows, in its order: the kinds `train --model` takes
+NEURAL = tuple(kind for kind, row in train.FORECASTERS.items() if isinstance(row, train.Neural))
 
 
 def make_series_csv(tmp_path, days=4, seed=1, name="series.csv"):
@@ -226,7 +228,7 @@ class TestSplitIngest:
         monkeypatch.setattr(cdr, "_scan", dying)
         assert main(["ingest", "--input-dir", str(raw), "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr() == (
-            "", f"error: ingest worker exited with status {status}\n")
+            "", f"error: worker exited with status {status}\n")
         assert scanned == ["day0.txt", "day1.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["days4"]
         assert_no_child_process()
@@ -508,7 +510,7 @@ class TestArima:
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("order,need", [
-        (["--auto"], "at least 200 observations for order selection"),
+        (["--auto"], "at least 200 observations for order selection, got 57"),
         (["--p", "3", "--d", "1", "--q", "3"],
          "at least 71 observations for orders (3,1,3), got 57"),
     ])
@@ -743,7 +745,7 @@ class TestSplitSearch:
         assert main(["arima", "--series", str(series), "--train-frac", "0.4", "--auto",
                      "--out-model", str(tmp_path / "a.json"),
                      "--out-predictions", str(tmp_path / "a.csv")]) == 1
-        assert capsys.readouterr().err == f"error: ARIMA worker exited with status {status}\n"
+        assert capsys.readouterr().err == f"error: worker exited with status {status}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
         assert_no_child_process()
 
@@ -923,7 +925,7 @@ class TestCompare:
         assert forks == []
 
     @pytest.mark.parametrize("order,need", [
-        ([], "at least 200 observations for order selection"),
+        ([], "at least 200 observations for order selection, got 57"),
         (["--p", "3", "--d", "1", "--q", "3"],
          "at least 71 observations for orders (3,1,3), got 57"),
     ])
@@ -949,7 +951,7 @@ class TestCompare:
         out_dir = tmp_path / "out"
         assert main(["compare", *COMPARE_FLAGS, *order, "--series", str(series),
                      "--out-dir", str(out_dir)]) == 0
-        for kind in train.MODELS:
+        for kind in NEURAL:
             history = tmp_path / f"{kind}.csv"
             assert main(["train", "--model", kind, *COMPARE_FLAGS, "--series", str(series),
                          "--out-model", str(tmp_path / f"{kind}.json"),
@@ -1128,7 +1130,7 @@ class TestCompare:
         patch_arima_row(monkeypatch, lambda data, order: death())
         assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
                      "--out-dir", str(out_dir)]) == 1
-        assert capsys.readouterr().err == f"error: ARIMA worker exited with status {status}\n"
+        assert capsys.readouterr().err == f"error: worker exited with status {status}\n"
         assert not out_dir.exists()
         assert_no_child_process()
 
@@ -1234,13 +1236,33 @@ def test_a_fourth_forecaster_needs_no_cli_edit(tmp_path, monkeypatch, capsys):
     assert_no_child_process()
 
 
+def test_a_fourth_row_that_ends_the_worker_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    """The error of a worker that ends without a result names no kind: here
+    the worker fits ARIMA, then a fourth row whose fit ends it with status 3."""
+    series = make_series_csv(tmp_path, days=4)
+    out_dir, parent = tmp_path / "out", os.getpid()
+
+    class EndsTheWorker(LastValue):
+        def fit(self, data, map):
+            assert os.getpid() != parent, "the fourth row was fitted in this process"
+            os._exit(3)
+
+    monkeypatch.setitem(train.FORECASTERS, "last", EndsTheWorker())
+    assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                 "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == "error: worker exited with status 3\n"
+    assert not out_dir.exists()
+    assert_no_child_process()
+
+
 def test_train_model_choices_are_the_trained_kinds():
-    """The parser names the kinds itself, so that building it loads no model."""
+    """The parser names the kinds itself, so that building it loads no model;
+    they are the neural rows of the kind table, in its order."""
     train_parser = cli.build_parser().parse_args(
         ["train", "--model", "lstm", "--series", "s", "--out-model", "m",
          "--out-history", "h"]).parser
     model = next(a for a in train_parser._actions if a.dest == "model")
-    assert model.choices == tuple(train.MODELS)
+    assert model.choices == NEURAL
 
 
 @pytest.mark.parametrize("error", [

@@ -17,9 +17,9 @@ import oracles
 import pytest
 
 import celltide
-from celltide import cdr, train
+from celltide import cdr
 from celltide.cli import main
-from test_cli import COMPARE_FLAGS, T0, make_days_dir, make_series_csv
+from test_cli import COMPARE_FLAGS, NEURAL, T0, make_days_dir, make_series_csv
 
 TESTS = os.path.dirname(os.path.realpath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -71,7 +71,7 @@ def test_every_command_runs_and_writes_strict_json(tmp_path):
             json.load(fh, parse_constant=lambda token: pytest.fail(f"{name}: {token}"))
 
 
-@pytest.mark.parametrize("model", sorted(train.MODELS))
+@pytest.mark.parametrize("model", sorted(NEURAL))
 def test_overflowing_learning_rate_fails_in_one_line(tmp_path, model):
     """An lr so large that the first update overflows fails cleanly, in a
     fresh interpreter so that any numpy warning would reach stderr."""

@@ -98,13 +98,13 @@ class TestPackedStorage:
 class TestSerialization:
     def test_roundtrip(self):
         p = ffnn.init_params(6, seed=12)
-        obj = json.loads(model_file(p, 6, ScalerParams(-1.0, 2.5)))
+        obj = json.loads(model_file("ffnn", p, 6, ScalerParams(-1.0, 2.5)))
         assert (obj["type"], obj["T"]) == ("ffnn", 6)
         assert obj["scaler"] == {"min": -1.0, "max": 2.5}
         for k in ffnn.WEIGHT_KEYS:
             assert np.array_equal(getattr(p, k), obj["weights"][k])
 
     def test_t12_scalar_count(self):
-        text = model_file(ffnn.init_params(12, seed=0), 12, ScalerParams(0, 1))
+        text = model_file("ffnn", ffnn.init_params(12, seed=0), 12, ScalerParams(0, 1))
         obj = json.loads(text)
         assert sum(np.asarray(a).size for a in obj["weights"].values()) == 71

@@ -18,6 +18,8 @@ import json
 import numpy as np
 import pytest
 
+from celltide import modelio
+
 import golden
 
 TOLERANCE = {"lstm": {"rtol": 1e-10, "atol": 0}, "ffnn": {"rtol": 1e-10, "atol": 0},
@@ -92,3 +94,30 @@ def test_order_search():
         np.testing.assert_allclose(got[key], want[key], **TOLERANCE["arima"], err_msg=key)
     np.testing.assert_allclose([got["aic"][k] for k in want["aic"]], list(want["aic"].values()),
                                **TOLERANCE["arima"], err_msg="aic")
+
+
+@pytest.fixture
+def fixture_files(tmp_path, monkeypatch):
+    """The three fixture paths of golden.py, pointed at files in `tmp_path`
+    that each hold their own name."""
+    files = {}
+    for attr in ("COMPARE_FILE", "MODELS_FILE", "SEARCH_FILE"):
+        files[attr] = tmp_path / f"{attr}.json"
+        files[attr].write_text(attr)
+        monkeypatch.setattr(golden, attr, files[attr])
+    return files
+
+
+def test_writer_writes_only_the_named_fixture(fixture_files):
+    golden.write(["search"])
+    assert {attr: path.read_text() for attr, path in fixture_files.items()} == {
+        "COMPARE_FILE": "COMPARE_FILE", "MODELS_FILE": "MODELS_FILE",
+        "SEARCH_FILE": modelio.dumps(golden.search_outputs()) + "\n"}
+
+
+def test_writer_without_a_name_prints_its_usage(fixture_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        golden.write([])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: golden.py ")
+    assert all(path.read_text() == attr for attr, path in fixture_files.items())

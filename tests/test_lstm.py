@@ -230,18 +230,18 @@ class TestSerialization:
                     0.12566812692667684, 0.15016611321767062]
         assert np.max(np.abs(y - expected)) < 1e-12
         scaler = ScalerParams(obj["scaler"]["min"], obj["scaler"]["max"])
-        assert model_file(p, obj["T"], scaler) == text
+        assert model_file("lstm", p, obj["T"], scaler) == text
 
     def test_roundtrip(self):
         p = lstm.init_params(7, seed=31)
-        obj = json.loads(model_file(p, 12, ScalerParams(0.5, 3.0)))
+        obj = json.loads(model_file("lstm", p, 12, ScalerParams(0.5, 3.0)))
         assert obj["T"] == 12
         for k in lstm.WEIGHT_KEYS:
             assert np.array_equal(getattr(p, k), obj["weights"][k])
 
     def test_h50_scalar_count(self):
         p = lstm.init_params(50, seed=0)
-        obj = json.loads(model_file(p, 12, ScalerParams(0, 1)))
+        obj = json.loads(model_file("lstm", p, 12, ScalerParams(0, 1)))
         count = 0
         for arr in obj["weights"].values():
             count += np.asarray(arr).size
@@ -249,7 +249,7 @@ class TestSerialization:
 
     def test_scaler_roundtrip(self):
         p = lstm.init_params(2, seed=1)
-        obj = json.loads(model_file(p, 3, ScalerParams(1.5, 9.25)))
+        obj = json.loads(model_file("lstm", p, 3, ScalerParams(1.5, 9.25)))
         assert obj["scaler"] == {"min": 1.5, "max": 9.25}
 
 

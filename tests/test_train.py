@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from celltide import dataset, ffnn, lstm, train
+from test_cli import NEURAL
 
 
 def small_sets(frac=0.4, days=4, data_seed=1, window=12):
@@ -113,7 +114,7 @@ class TestFit:
         train.train_model("ffnn", tr, va, train.TrainConfig(epochs=3, seed=0))
         assert steps == list(range(1, 3 * math.ceil(len(tr) / train.BATCH_SIZE) + 1))
 
-    @pytest.mark.parametrize("kind", list(train.MODELS))
+    @pytest.mark.parametrize("kind", NEURAL)
     def test_each_step_is_the_mean_gradient_of_its_batch(self, kind, monkeypatch):
         """2 * 32 + 5 windows: the last batch's gradient is divided by its own
         5 windows, like each full batch's by 32. The reference step averages
@@ -128,7 +129,7 @@ class TestFit:
             adam_step(w, g, m, v, t, lr)
 
         monkeypatch.setattr(train, "adam_step", recorded)
-        model, init = train.MODELS[kind].module, train.MODELS[kind].init
+        model, init = train.FORECASTERS[kind].module, train.FORECASTERS[kind].init
         train.fit(kind, init(tr.inputs.shape[1], 0), tr, va, train.TrainConfig(epochs=1, seed=6))
         order = np.random.default_rng(6).permutation(len(tr))
         batches = [order[lo:lo + train.BATCH_SIZE] for lo in range(0, len(tr), train.BATCH_SIZE)]
@@ -143,12 +144,12 @@ class TestFit:
                                                        params))
             np.testing.assert_allclose(g, np.mean(one_window, axis=0), rtol=1e-9, atol=1e-15)
 
-    @pytest.mark.parametrize("kind", list(train.MODELS))
+    @pytest.mark.parametrize("kind", NEURAL)
     def test_backward_batch_returns_a_new_flat_array(self, kind):
         """The gradient `fit` hands to `adam_step`: a new 1-D float64 array of
         the weights' size, sharing memory with neither the weights, the
         caches of the forward pass, nor an earlier gradient."""
-        model, init = train.MODELS[kind].module, train.MODELS[kind].init
+        model, init = train.FORECASTERS[kind].module, train.FORECASTERS[kind].init
         params = init(5, 4)
         windows = np.random.default_rng(4).uniform(0, 1, (3, 5))
         _, caches = model.forward_batch(windows, params)
@@ -225,7 +226,7 @@ def test_evaluation_passes_in_chunks_equal_one_pass(kind, monkeypatch):
     rng = np.random.default_rng(4)
     n = 2 * train.EVAL_CHUNK + 37
     big = dataset.WindowSet(rng.uniform(0, 1, (n, 12)), rng.uniform(0, 1, n))
-    model, init = train.MODELS[kind].module, train.MODELS[kind].init
+    model, init = train.FORECASTERS[kind].module, train.FORECASTERS[kind].init
     params = init(12, 3)
     scaler = dataset.ScalerParams(2.0, 7.0)
     one_pass = scaler.inverse(model.forward_batch(big.inputs, params)[0])
