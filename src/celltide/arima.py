@@ -23,6 +23,7 @@ import numpy as np
 from . import Failure, modelio
 
 MAX_ORDER = 5
+_LAG_BLOCK = 1024  # rows per product in `long_ar_residuals`: a power of two cuts no BLAS tile
 
 
 class ArimaFitError(Failure):
@@ -132,14 +133,18 @@ def _long_ar_order(n: int) -> int:
 def long_ar_residuals(y: np.ndarray) -> np.ndarray:
     """Hannan-Rissanen's first stage: the residuals of a least-squares AR(m)
     fit to a centered series, m = `_long_ar_order(len(y))`, behind m zeros. It
-    does not depend on the orders, so the order search runs it once per d."""
-    n = len(y)
-    m = _long_ar_order(n)
-    x_long = np.column_stack([y[m - k:n - k] for k in range(1, m + 1)])
-    beta, _, rank, _ = np.linalg.lstsq(x_long, y[m:], rcond=None)
+    does not depend on the orders, so the order search runs it once per d.
+    Its one n-by-m array is lstsq's own copy of the zero-copy lag view."""
+    n, m = len(y), _long_ar_order(len(y))
+    lags = np.lib.stride_tricks.sliding_window_view(y[:n - 1], m)[:, ::-1]  # row i: y[i+m-1..i]
+    beta, _, rank, _ = np.linalg.lstsq(lags, y[m:], rcond=None)
     if rank < m:
         raise ArimaFitError("singular least squares in long-AR step; try lower orders")
-    return np.concatenate([np.zeros(m), y[m:] - x_long @ beta])
+    e = np.zeros(n)
+    cuts = [*range(0, max(n - m - _LAG_BLOCK, 0) + 1, _LAG_BLOCK), n - m]
+    for lo, hi in itertools.pairwise(cuts):  # C-ordered and never one row, so `@` runs gemv
+        e[m + lo:m + hi] = y[m + lo:m + hi] - lags[lo:hi].copy() @ beta
+    return e
 
 
 def hannan_rissanen(y: np.ndarray, p: int, q: int, e_proxy=None):

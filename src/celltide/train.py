@@ -147,6 +147,7 @@ def fit(kind: str, params, train_set: WindowSet, val_set: WindowSet,
                         raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
                     abs_err_sum += float(np.abs(err).sum())
                     grad = model.backward_batch(cache, np.sign(err) / len(idx), params)
+                    del cache  # freed before the next batch's forward pass makes its own
                     step += 1
                     adam_step(params.flat, grad, m, v, step, config.learning_rate)
                 val_mae = mae(_predict(model, val_set.inputs, params), val_set.targets)

@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -298,6 +299,51 @@ class TestSharedWork:
         got = arima.residuals(y, phi, theta)
         for want in (np.array(e), lfilter([1.0], np.r_[1.0, theta], np.array(u))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestFirstStage:
+    """`long_ar_residuals` fits on a zero-copy lag view and forms the
+    residuals over blocks of rows, with the bits of one product over the
+    materialised lag matrix."""
+
+    @staticmethod
+    def materialised(y, m):
+        n = len(y)
+        x_long = np.column_stack([y[m - k:n - k] for k in range(1, m + 1)])
+        beta = np.linalg.lstsq(x_long, y[m:], rcond=None)[0]
+        return np.concatenate([np.zeros(m), y[m:] - x_long @ beta])
+
+    @pytest.mark.parametrize("d", [0, 1])
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049])
+    def test_equals_one_product_over_the_lag_matrix(self, rows, d, monkeypatch):
+        """n - m rows: one, and either side of the first and second block
+        boundaries. `_long_ar_order` gives m = 20 at these lengths; one row
+        needs m = 1, which no length gives, so the order is fixed here."""
+        m = 1 if rows == 1 else 20
+        monkeypatch.setattr(arima, "_long_ar_order", lambda n: m)
+        series = simulate_arma(rows + m + d, phi=(0.6,), theta=(0.3,), seed=rows) + 4.0
+        y = arima._centre(series, d)[0]
+        assert len(y) - m == rows
+        assert arima.long_ar_residuals(y).tobytes() == self.materialised(y, m).tobytes()
+
+    def test_a_straight_line_is_singular(self):
+        ramp = arima._centre(2.0 * np.arange(300.0) + 1.0, 0)[0]
+        with pytest.raises(arima.ArimaFitError,
+                           match="^singular least squares in long-AR step; try lower orders$"):
+            arima.long_ar_residuals(ramp)
+
+    def test_peaks_below_one_lag_matrix(self):
+        """On 25,000 values, below one n-by-m float64 array (4.0 MB): lstsq's
+        own copy of the lag view is made by LAPACK's wrapper, outside the
+        allocations tracemalloc sees, and the residual blocks are small."""
+        y = arima._centre(simulate_arma(25_000, phi=(0.6,), seed=8), 0)[0]
+        tracemalloc.start()
+        try:
+            arima.long_ar_residuals(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25_000 * 20 * 8
 
 
 def test_a_missing_blas_extension_is_an_import_error_naming_the_file(tmp_path, monkeypatch):

@@ -1180,6 +1180,28 @@ class TestCompare:
         assert log.read_text().splitlines() == [str(os.getpid())]
         assert_no_child_process()
 
+    def test_the_lstm_fits_here_and_the_other_rows_in_the_worker(self, tmp_path, monkeypatch):
+        """The LSTM, most of `compare`'s time, is fitted alone in this process,
+        and the FFNN and ARIMA in the one worker. Each fit appends its kind and
+        process id to a file, as the worker's own list would be lost."""
+        series = make_series_csv(tmp_path, days=4)
+        log, run = tmp_path / "fits.log", cli._run
+
+        def logged(kind, data):
+            with open(log, "a") as fh:
+                fh.write(f"{kind} {os.getpid()}\n")
+            return run(kind, data)
+
+        monkeypatch.setattr(cli, "_run", logged)
+        assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        fits = [line.split() for line in log.read_text().splitlines()]
+        pids = dict(fits)
+        assert sorted(kind for kind, _ in fits) == ["arima", "ffnn", "lstm"]
+        assert pids["lstm"] == str(os.getpid())
+        assert pids["ffnn"] == pids["arima"] != pids["lstm"]
+        assert_no_child_process()
+
 
 class LastValue:
     """A fourth row for the kind table: each test slot's forecast is the
@@ -1238,7 +1260,8 @@ def test_a_fourth_forecaster_needs_no_cli_edit(tmp_path, monkeypatch, capsys):
 
 def test_a_fourth_row_that_ends_the_worker_is_a_runtime_error(tmp_path, monkeypatch, capsys):
     """The error of a worker that ends without a result names no kind: here
-    the worker fits ARIMA, then a fourth row whose fit ends it with status 3."""
+    the worker fits the FFNN and ARIMA, then a fourth row whose fit ends it
+    with status 3."""
     series = make_series_csv(tmp_path, days=4)
     out_dir, parent = tmp_path / "out", os.getpid()
 

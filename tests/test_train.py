@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -143,6 +144,25 @@ class TestFit:
                 one_window.append(model.backward_batch(cache, np.sign(y - tr.targets[i:i + 1]),
                                                        params))
             np.testing.assert_allclose(g, np.mean(one_window, axis=0), rtol=1e-9, atol=1e-15)
+
+    def test_a_batch_cache_is_freed_before_the_next_forward_pass(self, monkeypatch):
+        """`fit` drops a batch's BPTT cache once `backward_batch` returns, so
+        no two batches' caches are alive at once: at every `forward_batch`
+        call after the first, the previous call's gate array is gone."""
+        _, _, _, tr, va = small_sets()
+        n = 3 * train.BATCH_SIZE
+        tr = dataset.WindowSet(tr.inputs[:n], tr.targets[:n])
+        forward, gates, alive = lstm.forward_batch, [], []
+
+        def recorded(windows, params):
+            alive.extend(ref() is not None for ref in gates[-1:])
+            y, cache = forward(windows, params)
+            gates.append(weakref.ref(cache["gates"]))
+            return y, cache
+
+        monkeypatch.setattr(lstm, "forward_batch", recorded)
+        train.fit("lstm", lstm.init_params(8, seed=0), tr, va, train.TrainConfig(epochs=2))
+        assert len(alive) == len(gates) - 1 >= 2 * 3 and not any(alive)
 
     @pytest.mark.parametrize("kind", NEURAL)
     def test_backward_batch_returns_a_new_flat_array(self, kind):

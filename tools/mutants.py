@@ -1,0 +1,167 @@
+"""Named one-line mutants of celltide, each run against the tests that should
+kill it.
+
+    python tools/mutants.py             # every mutant
+    python tools/mutants.py NAME ...    # the named ones
+    python tools/mutants.py --list      # names, files and tests
+
+The script copies `src/`, `tests/` and `pyproject.toml` to a temporary
+directory, checks that the tests it names pass there unchanged, and then, for
+each mutant, replaces one line of the copy, runs that mutant's tests with
+pytest on the copy's `src/`, and restores the line. It prints `killed` when
+the tests fail and `survived` when they pass, and exits 0 when every mutant
+was killed, 1 when one survived, and 2 when a mutant no longer applies (its
+line is not found exactly once) or the unchanged copy fails its tests.
+Bytecode is not written, so a mutant of the same size as its line is never
+read from a stale cache. It needs only the standard library and pytest, and
+it is not part of the test suite.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 1800  # per pytest run; a mutant that hangs counts as killed
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    line: str  # the line's text, stripped; it must occur exactly once
+    mutated: str  # what the stripped text becomes; the indentation stays
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+NELDER_MEAD_TESTS = ("tests/test_arima.py::TestNelderMead", "tests/test_golden.py")
+FIRST_STAGE_TESTS = ("tests/test_arima.py::TestFirstStage",)
+
+MUTANTS = (
+    # the in-package port of scipy's Nelder-Mead (`arima._nelder_mead`)
+    Mutant("nm-expand-on-ties", "src/celltide/arima.py",
+           "sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)",
+           "sim[-1], fsim[-1] = (xe, fxe) if fxe <= fxr else (xr, fxr)", NELDER_MEAD_TESTS),
+    Mutant("nm-outside-contraction-strict", "src/celltide/arima.py",
+           "if (fxc <= fxr) if outside else (fxc < fsim[-1]):",
+           "if (fxc < fxr) if outside else (fxc < fsim[-1]):", NELDER_MEAD_TESTS),
+    Mutant("nm-shrink-0.6", "src/celltide/arima.py",
+           "sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])",
+           "sim[j] = sim[0] + 0.6 * (sim[j] - sim[0])", NELDER_MEAD_TESTS),
+    Mutant("nm-budget-one-over", "src/celltide/arima.py",
+           "if nfev >= maxfev:",
+           "if nfev > maxfev:", NELDER_MEAD_TESTS),
+    Mutant("nm-zero-step-0.0003", "src/celltide/arima.py",
+           "sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025",
+           "sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.0003", NELDER_MEAD_TESTS),
+    Mutant("nm-budget-400", "src/celltide/arima.py",
+           "tol, maxiter, maxfev = 1e-8, 2000, 4000",
+           "tol, maxiter, maxfev = 1e-8, 2000, 400", NELDER_MEAD_TESTS),
+    # the first stage's residual blocks (`arima.long_ar_residuals`)
+    Mutant("first-stage-last-row-skipped", "src/celltide/arima.py",
+           "cuts = [*range(0, max(n - m - _LAG_BLOCK, 0) + 1, _LAG_BLOCK), n - m]",
+           "cuts = [*range(0, max(n - m - _LAG_BLOCK, 0) + 1, _LAG_BLOCK), n - m - 1]",
+           FIRST_STAGE_TESTS),
+    Mutant("first-stage-one-row-tail", "src/celltide/arima.py",
+           "cuts = [*range(0, max(n - m - _LAG_BLOCK, 0) + 1, _LAG_BLOCK), n - m]",
+           "cuts = [*range(0, n - m, _LAG_BLOCK), n - m]", FIRST_STAGE_TESTS),
+    Mutant("first-stage-strided-product", "src/celltide/arima.py",
+           "e[m + lo:m + hi] = y[m + lo:m + hi] - lags[lo:hi].copy() @ beta",
+           "e[m + lo:m + hi] = y[m + lo:m + hi] - lags[lo:hi] @ beta", FIRST_STAGE_TESTS),
+    # the fit loop's cache lifetime (`train.fit`)
+    Mutant("fit-keeps-the-batch-cache", "src/celltide/train.py",
+           "del cache  # freed before the next batch's forward pass makes its own",
+           "pass",
+           ("tests/test_train.py::TestFit::"
+            "test_a_batch_cache_is_freed_before_the_next_forward_pass",)),
+    # `compare`'s schedule (`cli.cmd_compare`)
+    Mutant("compare-two-rows-here", "src/celltide/cli.py",
+           "groups = _map_in_two(lambda group: [_run(k, data) for k in group], "
+           "[kinds[:1], kinds[1:]])",
+           "groups = _map_in_two(lambda group: [_run(k, data) for k in group], "
+           "[kinds[:2], kinds[2:]])",
+           ("tests/test_cli.py::TestCompare::"
+            "test_the_lstm_fits_here_and_the_other_rows_in_the_worker",)),
+)
+
+
+def _apply(copy: str, mutant: Mutant) -> str:
+    """Mutate the copy's file and return its original text; None when the
+    mutant's line is not found exactly once."""
+    path = os.path.join(copy, mutant.path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    lines = text.splitlines(keepends=True)
+    hits = [i for i, line in enumerate(lines) if line.strip() == mutant.line]
+    if len(hits) != 1:
+        return None
+    line = lines[hits[0]]
+    indent = line[:len(line) - len(line.lstrip())]
+    lines[hits[0]] = indent + mutant.mutated + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
+    return text
+
+
+def _tests_pass(copy: str, tests) -> bool:
+    """True when pytest passes `tests` on the copy; False when they fail or hang.
+    Any other pytest outcome (no test collected, a usage error) raises."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(copy, "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(argv, cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False
+    if done.returncode not in (0, 1):
+        raise RuntimeError(f"pytest exited with status {done.returncode} on {' '.join(tests)}")
+    return done.returncode == 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    if unknown := [name for name in args.names if name not in known]:
+        parser.error(f"unknown mutant: {', '.join(unknown)}")
+    chosen = [known[name] for name in args.names] or list(MUTANTS)
+    if args.list:
+        for m in chosen:
+            print(f"{m.name}  {m.path}  {' '.join(m.tests)}")
+        return 0
+    with tempfile.TemporaryDirectory(prefix="celltide-mutants-") as copy:
+        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(os.path.join(ROOT, name), os.path.join(copy, name), ignore=ignore)
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
+        baseline = list(dict.fromkeys(t for m in chosen for t in m.tests))
+        if not _tests_pass(copy, baseline):
+            print("the unchanged copy fails its tests: " + " ".join(baseline))
+            return 2
+        status = 0
+        for m in chosen:
+            original = _apply(copy, m)
+            if original is None:
+                print(f"{m.name}: no longer applies, its line is not in {m.path} exactly once")
+                status = 2
+                continue
+            try:
+                survived = _tests_pass(copy, m.tests)
+            finally:
+                with open(os.path.join(copy, m.path), "w", encoding="utf-8") as fh:
+                    fh.write(original)
+            print(f"{m.name}: {'survived' if survived else 'killed'}", flush=True)
+            if survived and status == 0:
+                status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
