@@ -81,6 +81,50 @@ def _run(kind: str, data):
     return model, lines, preds, train.mae(preds, data.values[slice(*data.test_range)]), wall_ms
 
 
+def _fit_and_write(args, kinds, paths, out_dir="") -> int:
+    """The body of `train`, `arima` and `compare`: fit and forecast each of `kinds`'
+    rows on one `_prepare`d split, print each row's lines and its test MAE, and
+    write its `model.json`, its `predictions.csv` and the files its `report`
+    names, each to `paths(name)` in `out_dir`; a name with no path is not
+    written. With several rows, each line is headed `kind: ` and each name
+    `kind_`. With an `out_dir`, `report.json` holds the config and the reports."""
+    from . import modelio, train
+    data, reports = _prepare(args, kinds), {}
+    # entered before the fits, so that an out_dir that cannot be made fails at
+    # once; the files are written only once every fit has succeeded
+    with _outputs(out_dir) as out:
+        # the first row, compare's LSTM and most of its time, here; the rest in
+        # the worker. One row is one item, which starts no worker
+        groups = [kinds[:1], kinds[1:]][:len(kinds)]
+        rows = _map_in_two(lambda group: [_run(kind, data) for kind in group], groups)
+        for kind, (model, lines, preds, test_mae, wall_ms) in zip(kinds, sum(rows, [])):
+            row, head = train.FORECASTERS[kind], f"{kind}: " if len(kinds) > 1 else ""
+
+            def file(name):  # the temporary of the row's file `name`, or None for none
+                return (path := paths(f"{kind}_{name}" if len(kinds) > 1 else name)) and out(path)
+
+            for line in lines:
+                print(head + line)
+            scores = {"test_mae": test_mae}
+            if hasattr(data, "scaler"):  # fitted by a neural row's setup
+                scores["test_mae_normalized"] = test_mae / (data.scaler.max - data.scaler.min)
+            reports[kind] = {**row.report(model, scores, file), "train_wall_ms": wall_ms}
+            if path := file("predictions.csv"):
+                _write_predictions(path, data.values, data.test_range, preds)
+            if path := file("model.json"):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(row.dumps(model, data))
+            print(f"{head}test MAE {test_mae:.6f}")
+        if out_dir:
+            config = {"train_frac": args.train_frac, "window": args.window, "epochs": args.epochs,
+                      "learning_rate": args.lr, "batch_size": train.BATCH_SIZE,
+                      **{n: getattr(data.spec, n) for n in ("n_train", "n_val", "n_test")}}
+            with open(out("report.json"), "w", encoding="utf-8") as fh:
+                fh.write(modelio.dumps({"seed": args.seed, "config": config,
+                                        "models": reports}))
+    return 0
+
+
 def cmd_synth(args) -> int:
     from . import dataset
     series = dataset.gen_synthetic(args.days, seed=args.seed)
@@ -99,29 +143,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from . import train
-    data, forecaster = _prepare(args, [args.model]), train.FORECASTERS[args.model]
-    model, _ = forecaster.fit(data, _map_in_two)
-    with _outputs() as out:
-        with open(out(args.out_model), "w", encoding="utf-8") as fh:
-            fh.write(forecaster.dumps(model, data))
-        train.write_history(out(args.out_history), model[1])
-    print(f"final val MAE (normalized) {model[1][-1].val_mae:.6f}")
-    return 0
+    return _fit_and_write(args, [args.model], {"model.json": args.out_model,
+                                               "history.csv": args.out_history}.get)
 
 
 def cmd_arima(args) -> int:
-    from . import train
-    data, forecaster = _prepare(args, ["arima"]), train.FORECASTERS["arima"]
-    model, lines, preds, test_mae, _ = _run("arima", data)
-    for line in lines:
-        print(line)
-    with _outputs() as out:
-        with open(out(args.out_model), "w", encoding="utf-8") as fh:
-            fh.write(forecaster.dumps(model, data))
-        _write_predictions(out(args.out_predictions), data.values, data.test_range, preds)
-    print(f"test MAE {test_mae:.6f}")
-    return 0
+    return _fit_and_write(args, ["arima"], {"model.json": args.out_model,
+                                            "predictions.csv": args.out_predictions}.get)
 
 
 def _worker(tx, fn, items) -> None:
@@ -166,37 +194,8 @@ def _map_in_two(fn, items):
 
 
 def cmd_compare(args) -> int:
-    from . import modelio, train
-    kinds = list(train.FORECASTERS)
-    data = _prepare(args, kinds)
-    spec, scale = data.spec, data.scaler.max - data.scaler.min
-    report = {
-        "seed": args.seed,
-        "config": {"train_frac": args.train_frac, "window": args.window,
-                   "epochs": args.epochs, "learning_rate": args.lr,
-                   "batch_size": train.BATCH_SIZE,
-                   "n_train": spec.n_train, "n_val": spec.n_val,
-                   "n_test": spec.n_test},
-        "models": {},
-    }
-    # entered before the fits, so that an out_dir that cannot be made fails at
-    # once; the files are written only once every fit has succeeded
-    with _outputs(args.out_dir) as out:
-        # the first row, the LSTM and most of the fit time, here; the rest in the worker
-        groups = _map_in_two(lambda group: [_run(k, data) for k in group], [kinds[:1], kinds[1:]])
-        for kind, (model, lines, preds, test_mae, wall_ms) in zip(kinds, sum(groups, [])):
-            for line in lines:
-                print(f"{kind}: {line}")
-            scores = {"test_mae": test_mae, "test_mae_normalized": test_mae / scale}
-            fields = train.FORECASTERS[kind].report(model, scores,
-                                                    lambda name: out(f"{kind}_{name}"))
-            report["models"][kind] = {**fields, "train_wall_ms": wall_ms}
-            _write_predictions(out(f"{kind}_predictions.csv"), data.values,
-                               data.test_range, preds)
-            print(f"{kind}: test MAE {test_mae:.6f}")
-        with open(out("report.json"), "w", encoding="utf-8") as fh:
-            fh.write(modelio.dumps(report))
-    return 0
+    from . import train
+    return _fit_and_write(args, list(train.FORECASTERS), lambda name: name, args.out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -86,7 +86,8 @@ class Neural(collections.namedtuple("Neural", "kind module init")):
         data.config = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
 
     def fit(self, data, map):
-        return train_model(self.kind, data.train_set, data.val_set, data.config), []
+        params, history = train_model(self.kind, data.train_set, data.val_set, data.config)
+        return (params, history), [f"final val MAE (normalized) {history[-1].val_mae:.6f}"]
 
     def forecast(self, model, data):
         return evaluate(self.kind, model[0], data.test_set, data.scaler)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 
 import numpy as np
@@ -485,6 +486,34 @@ def test_values_at_the_magnitude_bound_run(tmp_path, monkeypatch):
         json.loads((tmp_path / name).read_text())
 
 
+MAE = r"\d+\.\d{6}"
+SPLIT, ORDER = "split 230/58/58", r"selected order \(\d,\d,\d\)"
+VAL, TEST = rf"final val MAE \(normalized\) {MAE}", f"test MAE {MAE}"
+NEURAL_LINES = [f"{kind}: {line}" for kind in ("lstm", "ffnn") for line in (VAL, TEST)]
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (["train", "--model", "lstm", "--epochs", "1", *TRAIN_OUTS], [SPLIT, VAL, TEST]),
+    (["train", "--model", "ffnn", "--epochs", "1", *TRAIN_OUTS], [SPLIT, VAL, TEST]),
+    (["arima", "--p", "1", *ARIMA_OUTS], [TEST]),
+    (["arima", "--auto", *ARIMA_OUTS], [ORDER, TEST]),
+    (["compare", "--epochs", "1", "--p", "1", "--out-dir", "out"],
+     [SPLIT, *NEURAL_LINES, f"arima: {TEST}"]),
+    (["compare", "--epochs", "1", "--out-dir", "out"],
+     [SPLIT, *NEURAL_LINES, f"arima: {ORDER}", f"arima: {TEST}"]),
+], ids=["train-lstm", "train-ffnn", "arima-p1", "arima-auto", "compare-p1", "compare-search"])
+def test_stdout_lines(tmp_path, monkeypatch, capsys, argv, lines):
+    """Each model command prints these lines, and only these, in this order:
+    a row's lines are headed by its kind only where the command has several."""
+    monkeypatch.chdir(tmp_path)
+    make_series_csv(tmp_path)
+    capsys.readouterr()
+    assert main([*argv, "--series", "series.csv", "--train-frac", "0.4"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(lines), printed
+    assert all(re.fullmatch(want, line) for want, line in zip(lines, printed)), printed
+
+
 class TestArima:
     @pytest.mark.parametrize("flag", ["--p", "--d", "--q"])
     def test_auto_with_order_is_usage_error(self, tmp_path, capsys, flag):
@@ -775,7 +804,7 @@ def patch_arima_row(monkeypatch, replacement):
 
 def fail_ffnn_history_write(monkeypatch):
     """Make `train.write_history` write ffnn_history.csv's temporary, then raise
-    a full-disk OSError: a failure in `compare`'s write phase, after three files."""
+    a full-disk OSError: a failure in `compare`'s write phase, after four files."""
     write = train.write_history
 
     def failing(path, history):
@@ -801,7 +830,8 @@ class TestCompare:
                    "--out-dir", str(out_dir)])
         assert rc == 0
         expected = {"lstm_history.csv", "ffnn_history.csv", "lstm_predictions.csv",
-                    "ffnn_predictions.csv", "arima_predictions.csv", "report.json"}
+                    "ffnn_predictions.csv", "arima_predictions.csv", "report.json",
+                    "lstm_model.json", "ffnn_model.json", "arima_model.json"}
         assert {p.name for p in out_dir.iterdir()} == expected
         report = json.loads((out_dir / "report.json").read_text())
         assert report["seed"] == 3
@@ -946,7 +976,8 @@ class TestCompare:
     @pytest.mark.parametrize("order", [["--p", "1"], []])
     def test_commands_share_one_setup(self, tmp_path, order):
         """`train` and `arima` fit and forecast as `compare` does: the same
-        history rows for each neural model and the same ARIMA predictions."""
+        history rows for each neural model, the same ARIMA predictions, and
+        the same model file of each kind byte for byte."""
         series = make_series_csv(tmp_path, days=4)
         out_dir = tmp_path / "out"
         assert main(["compare", *COMPARE_FLAGS, *order, "--series", str(series),
@@ -960,10 +991,13 @@ class TestCompare:
                     for path in (history, out_dir / f"{kind}_history.csv")]
             assert rows[0][0] == "epoch,train_mae,val_mae" and rows[0] == rows[1], kind
         assert main(["arima", "--series", str(series), "--train-frac", "0.4",
-                     *(order or ["--auto"]), "--out-model", str(tmp_path / "a.json"),
+                     *(order or ["--auto"]), "--out-model", str(tmp_path / "arima.json"),
                      "--out-predictions", str(tmp_path / "a.csv")]) == 0
         assert ((out_dir / "arima_predictions.csv").read_bytes()
                 == (tmp_path / "a.csv").read_bytes())
+        for kind in (*NEURAL, "arima"):
+            assert ((out_dir / f"{kind}_model.json").read_bytes()
+                    == (tmp_path / f"{kind}.json").read_bytes()), kind
 
     @staticmethod
     def _interrupt_ffnn_evaluation(tmp_path, monkeypatch, out_dir):
@@ -1013,7 +1047,7 @@ class TestCompare:
     def test_failed_fit_leaves_an_earlier_run_as_it_was(self, tmp_path, monkeypatch, capsys,
                                                         failure):
         """A re-run that fails in the ARIMA fit, or is interrupted in the FFNN
-        evaluation, leaves the earlier run's six files in its out dir byte for
+        evaluation, leaves the earlier run's nine files in its out dir byte for
         byte, and adds none."""
         series = make_series_csv(tmp_path, days=4)
         out_dir = tmp_path / "out"
@@ -1021,7 +1055,7 @@ class TestCompare:
                 "--out-dir", str(out_dir)]
         assert main(argv) == 0
         before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-        assert len(before) == 6
+        assert len(before) == 9
         if failure == "arima":
             def failing(data, order):
                 raise arima.ArimaFitError(f"no fit for order {order}")
@@ -1068,15 +1102,15 @@ class TestCompare:
 
     def test_failed_write_leaves_an_earlier_run_as_it_was(self, tmp_path, monkeypatch,
                                                           capsys):
-        """A re-run whose write phase fails after three files leaves the
-        earlier run's six files byte for byte, and no temporary file."""
+        """A re-run whose write phase fails after four files leaves the
+        earlier run's nine files byte for byte, and no temporary file."""
         series = make_series_csv(tmp_path, days=4)
         out_dir = tmp_path / "out"
         argv = ["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
                 "--out-dir", str(out_dir)]
         assert main(argv) == 0
         before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-        assert len(before) == 6
+        assert len(before) == 9
         fail_ffnn_history_write(monkeypatch)
         capsys.readouterr()
         assert main(argv) == 1
@@ -1085,8 +1119,8 @@ class TestCompare:
         assert_no_child_process()
 
     def test_interrupt_after_the_worker_is_reaped_kills_nothing(self, tmp_path, monkeypatch):
-        """An interrupt while report.json is written, after the ARIMA worker
-        has been reaped: its pid may belong to another process by then."""
+        """An interrupt in the first model file's `modelio.dumps`, after the
+        ARIMA worker has been reaped: its pid may belong to another process by then."""
         series = make_series_csv(tmp_path, days=4)
         out_dir = tmp_path / "out"
 
@@ -1205,7 +1239,8 @@ class TestCompare:
 
 class LastValue:
     """A fourth row for the kind table: each test slot's forecast is the
-    value of the slot before it. It needs no setup and writes no file."""
+    value of the slot before it. It needs no setup, and its model file
+    holds only its type."""
 
     @staticmethod
     def setup(data, args):
@@ -1218,13 +1253,16 @@ class LastValue:
         start, stop = data.test_range
         return data.values[start - 1:stop - 1]
 
+    def dumps(self, model, data):
+        return modelio.dumps({"type": "last"})
+
     def report(self, model, scores, out):
         return scores
 
 
 def test_a_fourth_forecaster_needs_no_cli_edit(tmp_path, monkeypatch, capsys):
     """A row added to the kind table runs in `compare` with no CLI edit: it
-    writes its predictions and its report entry, one worker is still
+    writes its predictions, its model file and its report entry, one worker is still
     started, and every other output is the same as without it."""
     series = make_series_csv(tmp_path, days=4)
     argv = ["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series), "--out-dir"]
@@ -1237,7 +1275,8 @@ def test_a_fourth_forecaster_needs_no_cli_edit(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("last: test MAE ")
     three, four = ({p.name: p.read_text() for p in (tmp_path / run).iterdir()}
                    for run in ("three", "four"))
-    assert set(four) == {*three, "last_predictions.csv"}
+    assert set(four) == {*three, "last_predictions.csv", "last_model.json"}
+    assert four["last_model.json"] == '{"type": "last"}'
     for name in three.keys() - {"report.json"}:
         untimed = [[line.rsplit(",", 1)[0] if "history" in name else line
                     for line in run[name].splitlines()] for run in (three, four)]

@@ -65,6 +65,7 @@ def test_every_command_runs_and_writes_strict_json(tmp_path):
         assert done.returncode == 0, (argv, done.stderr)
     written = sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*.json"))
     assert written == ["arima-auto.json", "arima.json", "ffnn.json", "lstm.json",
+                       "out/arima_model.json", "out/ffnn_model.json", "out/lstm_model.json",
                        "out/report.json"]
     for name in written:
         with open(tmp_path / name, encoding="utf-8") as fh:
@@ -97,7 +98,8 @@ def test_real_interpreter_output(tmp_path, order):
                     "--out-dir", tmp_path / "out"])
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    expected = ["split ", "lstm: test MAE ", "ffnn: test MAE ",
+    expected = ["split ", "lstm: final val MAE (normalized) ", "lstm: test MAE ",
+                "ffnn: final val MAE (normalized) ", "ffnn: test MAE ",
                 *(["arima: selected order ("] if not order else []),
                 "arima: test MAE "]
     assert len(lines) == len(expected), lines

@@ -77,14 +77,17 @@ MUTANTS = (
            "pass",
            ("tests/test_train.py::TestFit::"
             "test_a_batch_cache_is_freed_before_the_next_forward_pass",)),
-    # `compare`'s schedule (`cli.cmd_compare`)
+    # the model commands' schedule (`cli._fit_and_write`)
     Mutant("compare-two-rows-here", "src/celltide/cli.py",
-           "groups = _map_in_two(lambda group: [_run(k, data) for k in group], "
-           "[kinds[:1], kinds[1:]])",
-           "groups = _map_in_two(lambda group: [_run(k, data) for k in group], "
-           "[kinds[:2], kinds[2:]])",
+           "groups = [kinds[:1], kinds[1:]][:len(kinds)]",
+           "groups = [kinds[:2], kinds[2:]][:len(kinds)]",
            ("tests/test_cli.py::TestCompare::"
             "test_the_lstm_fits_here_and_the_other_rows_in_the_worker",)),
+    Mutant("one-row-forks", "src/celltide/cli.py",
+           "groups = [kinds[:1], kinds[1:]][:len(kinds)]",
+           "groups = [kinds[:1], kinds[1:]]",
+           ("tests/test_cli.py::TestCompare::"
+            "test_only_compare_the_arima_search_and_multi_file_ingest_fork_and_only_once",)),
 )
 
 
