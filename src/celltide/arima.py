@@ -278,14 +278,14 @@ def forecast_one(model: ArimaModel, history) -> float:
     return float(rolling_forecast(model, np.append(history, np.nan), (n, n + 1))[0])
 
 
-def rolling_forecast(model: ArimaModel, series: np.ndarray, test_range) -> np.ndarray:
-    """One-step forecasts for every slot t in [start, stop), each conditioned
+def rolling_forecast(model: ArimaModel, series: np.ndarray, slots) -> np.ndarray:
+    """One-step forecasts for every slot t in `slots` = [start, stop), each conditioned
     on series[:t]. No refitting; one O(N) pass: every history is a prefix of
     the longest, so one differencing and one residual filter serve them all.
     The sums run in the per-slot order (mu, AR terms, MA terms, then the
     integration levels). Every history is a full one: the caller keeps
     p + q + d <= start < stop <= len(series)."""
-    start, stop = test_range
+    start, stop = slots
     p, d, q = model.p, model.d, model.q
     lasts = np.zeros(stop - start)
     z = series[:stop - 1]
@@ -364,8 +364,8 @@ class Forecaster:
         model = auto_order(y, map=map)
         return model, [f"selected order ({model.p},{model.d},{model.q})"]
 
-    def forecast(self, model, data):
-        return rolling_forecast(model, data.values, data.test_range)
+    def forecast(self, model, data, lo, hi):
+        return rolling_forecast(model, data.values, (lo, hi))
 
     def dumps(self, model, data) -> str:
         return serialize(model)

@@ -72,12 +72,12 @@ def _prepare(args, kinds) -> argparse.Namespace:
 
 def _run(kind: str, data):
     """Fit `kind`'s row on `data`'s training slice, with `_map_in_two` as its `map`,
-    and forecast its test slice. Returns (model, the fit's lines, preds, test MAE, fit ms)."""
+    and forecast the test slice. Returns (model, the fit's lines, preds, test MAE, fit ms)."""
     from . import train
     forecaster, t0 = train.FORECASTERS[kind], time.perf_counter()
     model, lines = forecaster.fit(data, _map_in_two)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    preds = forecaster.forecast(model, data)
+    preds = forecaster.forecast(model, data, *data.test_range)
     return model, lines, preds, train.mae(preds, data.values[slice(*data.test_range)]), wall_ms
 
 
@@ -275,9 +275,11 @@ def _resolve_defaults(args) -> None:
     for name, (ok, rule) in _FLAG_RANGES.items():
         if hasattr(args, name) and not ok(value := getattr(args, name)):
             parser.error(f"--{name.replace('_', '-')} must be {rule}, got {value}")
-    second = {"train": "out_history", "arima": "out_predictions"}.get(args.command)
-    if second and os.path.realpath(args.out_model) == os.path.realpath(getattr(args, second)):
-        parser.error(f"--out-model and --{second.replace('_', '-')} name the same file")
+    first = {}  # each resolved path: the first of the file flags that names it
+    for flag in ("series", "out_model", "out_history", "out_predictions"):
+        if hasattr(args, flag) and (other := first.setdefault(
+                os.path.realpath(getattr(args, flag)), flag)) != flag:
+            parser.error(f"--{other} and --{flag} name the same file".replace("_", "-"))
     if args.command in ("arima", "compare"):
         from . import arima
         for k in ("p", "d", "q"):

@@ -70,7 +70,7 @@ class Neural(collections.namedtuple("Neural", "kind module init")):
 
     @staticmethod
     def setup(data, args) -> None:
-        """Print the split, fit the scaler and cut the windows of each slice."""
+        """Print the split, fit the scaler and cut the training and validation windows."""
         spec = data.spec
         data.scaler = dataset.fit_scaler(data.values[:spec.n_train])
         print(f"split {spec.n_train}/{spec.n_val}/{spec.n_test}")
@@ -78,19 +78,19 @@ class Neural(collections.namedtuple("Neural", "kind module init")):
         if args.window >= spec.n_train:
             raise ValueError(f"--window must be below the {spec.n_train} training slots, "
                              f"got {args.window}")
-        normed, data.window = data.scaler.transform(data.values), args.window
-        data.train_set = dataset.windows_for_range(normed, args.window, 0, spec.n_train)
-        data.val_set = dataset.windows_for_range(normed, args.window, spec.val_start,
+        data.normed, data.window = data.scaler.transform(data.values), args.window
+        data.train_set = dataset.windows_for_range(data.normed, args.window, 0, spec.n_train)
+        data.val_set = dataset.windows_for_range(data.normed, args.window, spec.val_start,
                                                  spec.test_start)
-        data.test_set = dataset.windows_for_range(normed, args.window, *data.test_range)
         data.config = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed)
 
     def fit(self, data, map):
         params, history = train_model(self.kind, data.train_set, data.val_set, data.config)
         return (params, history), [f"final val MAE (normalized) {history[-1].val_mae:.6f}"]
 
-    def forecast(self, model, data):
-        return evaluate(self.kind, model[0], data.test_set, data.scaler)
+    def forecast(self, model, data, lo, hi):
+        windows = dataset.windows_for_range(data.normed, data.window, lo, hi)
+        return evaluate(self.kind, model[0], windows, data.scaler)
 
     def dumps(self, model, data) -> str:
         """`type` (the row's kind), `hidden`, `T` (`--window`), `head` (always "sigmoid"),
@@ -168,6 +168,6 @@ def train_model(kind: str, train_set: WindowSet, val_set: WindowSet,
     return params, history
 
 
-def evaluate(kind: str, params, test_set: WindowSet, scaler: ScalerParams) -> np.ndarray:
-    """Predictions for the normalized `test_set` windows, on the original scale."""
-    return scaler.inverse(_predict(FORECASTERS[kind].module, test_set.inputs, params))
+def evaluate(kind: str, params, windows: WindowSet, scaler: ScalerParams) -> np.ndarray:
+    """Predictions for the normalized `windows`, on the original scale."""
+    return scaler.inverse(_predict(FORECASTERS[kind].module, windows.inputs, params))

@@ -378,6 +378,35 @@ def test_two_outputs_naming_one_file_is_usage_error(tmp_path, monkeypatch, capsy
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--model", "ffnn", "--out-model", "s.csv", "--out-history", "h.csv"],
+    ["train", "--model", "ffnn", "--out-model", "m.json", "--out-history", "./s.csv"],
+    ["arima", "--out-model", "s.csv", "--out-predictions", "p.csv"],
+    ["arima", "--out-model", "m.json", "--out-predictions", "s.csv"],
+], ids=["train-model", "train-history", "arima-model", "arima-predictions"])
+def test_an_output_naming_the_series_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    """An output flag that names the input series would replace it with the
+    run's output, so it is a usage error, raised before the series is read,
+    and the series keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    series = make_series_csv(tmp_path, days=1, name="s.csv")
+    before = series.read_bytes()
+
+    def unread(path):
+        raise AssertionError("the series was read")
+
+    monkeypatch.setattr(cdr, "read_series_csv", unread)
+    flag = next(f for f, value in zip(argv, argv[1:]) if value.endswith("s.csv"))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--series", "s.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: celltide {argv[0]} ")
+    assert f"--series and {flag} name the same file" in err
+    assert series.read_bytes() == before
+    assert os.listdir(tmp_path) == ["s.csv"]
+
+
 TRAIN_OUTS = ["--out-model", "m.json", "--out-history", "h.csv"]
 ARIMA_OUTS = ["--out-model", "a.json", "--out-predictions", "a.csv"]
 
@@ -1249,9 +1278,8 @@ class LastValue:
     def fit(self, data, map):
         return None, []
 
-    def forecast(self, model, data):
-        start, stop = data.test_range
-        return data.values[start - 1:stop - 1]
+    def forecast(self, model, data, lo, hi):
+        return data.values[lo - 1:hi - 1]
 
     def dumps(self, model, data):
         return modelio.dumps({"type": "last"})
@@ -1295,6 +1323,42 @@ def test_a_fourth_forecaster_needs_no_cli_edit(tmp_path, monkeypatch, capsys):
     assert list(last) == ["test_mae", "test_mae_normalized"]
     assert last["test_mae"] == train.mae(rows[:, 2], rows[:, 1])
     assert_no_child_process()
+
+
+@pytest.mark.parametrize("kind", [*NEURAL, "arima"])
+def test_every_row_forecasts_the_range_it_is_given(tmp_path, kind):
+    """`forecast(model, data, lo, hi)` makes the one-step forecasts of the
+    slots [lo, hi) and no others, on the golden 4-day series: a later `lo`
+    drops only the leading forecasts, across EVAL_CHUNK's edges, and over the
+    validation slice a neural row gives the fit's validation pass and ARIMA
+    `rolling_forecast`'s forecasts, bit for bit.
+
+    One exception: OpenBLAS may round the last, partial block of a GEMM's
+    columns differently from its full blocks, so where a shift that is not a
+    whole EVAL_CHUNK moves a window within `_predict`'s last chunk, the LSTM,
+    whose cell chain runs one GEMM per step, can land a few ulps away."""
+    args = cli.build_parser().parse_args(
+        ["compare", *COMPARE_FLAGS, "--p", "1", "--q", "1", "--series",
+         str(make_series_csv(tmp_path, days=4)), "--out-dir", str(tmp_path / "out")])
+    cli._resolve_defaults(args)
+    data = cli._prepare(args, [kind])
+    row, spec = train.FORECASTERS[kind], data.spec
+    model, _ = row.fit(data, cli._map_in_two)
+    lo, hi = spec.val_start, len(data.values)
+    whole = row.forecast(model, data, lo, hi)
+    assert len(whole) == hi - lo
+    for k in (1, train.EVAL_CHUNK, train.EVAL_CHUNK + 1):
+        later = row.forecast(model, data, lo + k, hi)
+        assert later.shape == whole[k:].shape
+        if kind == "lstm" and k % train.EVAL_CHUNK:
+            np.testing.assert_array_max_ulp(later, whole[k:], maxulp=4)
+        else:
+            assert later.tobytes() == whole[k:].tobytes(), k
+    if kind == "arima":
+        want = arima.rolling_forecast(model, data.values, (spec.val_start, spec.test_start))
+    else:
+        want = data.scaler.inverse(train._predict(row.module, data.val_set.inputs, model[0]))
+    assert row.forecast(model, data, spec.val_start, spec.test_start).tobytes() == want.tobytes()
 
 
 def test_a_fourth_row_that_ends_the_worker_is_a_runtime_error(tmp_path, monkeypatch, capsys):

@@ -88,6 +88,16 @@ MUTANTS = (
            "groups = [kinds[:1], kinds[1:]]",
            ("tests/test_cli.py::TestCompare::"
             "test_only_compare_the_arima_search_and_multi_file_ingest_fork_and_only_once",)),
+    # each row forecasts the slots it is given (`forecast(model, data, lo, hi)`)
+    Mutant("neural-forecast-from-the-test-start", "src/celltide/train.py",
+           "windows = dataset.windows_for_range(data.normed, data.window, lo, hi)",
+           "windows = dataset.windows_for_range(data.normed, data.window, "
+           "data.spec.test_start, hi)",
+           ("tests/test_cli.py::test_every_row_forecasts_the_range_it_is_given",)),
+    Mutant("arima-forecast-on-the-test-range", "src/celltide/arima.py",
+           "return rolling_forecast(model, data.values, (lo, hi))",
+           "return rolling_forecast(model, data.values, data.test_range)",
+           ("tests/test_cli.py::test_every_row_forecasts_the_range_it_is_given",)),
 )
 
 
