@@ -280,6 +280,9 @@ def _resolve_defaults(args) -> None:
         if hasattr(args, flag) and (other := first.setdefault(
                 os.path.realpath(getattr(args, flag)), flag)) != flag:
             parser.error(f"--{other} and --{flag} name the same file".replace("_", "-"))
+    if args.command == "ingest" and (os.path.realpath(os.path.dirname(args.out))
+                                     == os.path.realpath(args.input_dir)):
+        parser.error("--out must not name a file in --input-dir: the next ingest would read it")
     if args.command in ("arima", "compare"):
         from . import arima
         for k in ("p", "d", "q"):

@@ -46,17 +46,15 @@ class WindowSet:
 
 
 def windows_for_range(values: np.ndarray, window_len: int, start: int, stop: int) -> WindowSet:
-    """Windows whose targets fall in [start, stop).
+    """Read-only views of the windows whose targets fall in [start, stop).
 
     Targets near a slice boundary draw their input history from the preceding
     slice; the earliest usable target index is `window_len`. The caller keeps
     max(start, window_len) < stop <= len(values).
     """
     start = max(start, window_len)
-    # the view's rows overlap; the copy gives each window its own row
-    inputs = np.lib.stride_tricks.sliding_window_view(
-        values[start - window_len:stop - 1], window_len).copy()
-    return WindowSet(inputs, values[start:stop].copy())
+    return WindowSet(np.lib.stride_tricks.sliding_window_view(  # rows overlap in `values`
+        values[start - window_len:stop - 1], window_len), values[start:stop])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from .dataset import ScalerParams, WindowSet
 
 
 BATCH_SIZE = 32
-EVAL_CHUNK = 64  # windows per evaluation pass, whose step caches grow with it
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -59,9 +58,10 @@ def adam_step(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int
 
 
 def _predict(model, inputs: np.ndarray, params) -> np.ndarray:
-    """`model.forward_batch`'s outputs for `inputs`, EVAL_CHUNK windows at a time."""
-    return np.concatenate([model.forward_batch(inputs[lo:lo + EVAL_CHUNK], params)[0]
-                           for lo in range(0, len(inputs), EVAL_CHUNK)])
+    """`model.forward_batch`'s outputs for `inputs`, BATCH_SIZE windows at a time; a last
+    lone window joins the chunk before it, as numpy's one-window product rounds apart."""
+    chunks = np.split(inputs, range(BATCH_SIZE, len(inputs) - 1, BATCH_SIZE))
+    return np.concatenate([model.forward_batch(chunk, params)[0] for chunk in chunks])
 
 
 class Neural(collections.namedtuple("Neural", "kind module init")):

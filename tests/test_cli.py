@@ -89,6 +89,36 @@ class TestIngest:
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("out", ["raw/series.csv", "./raw/series.csv", "link/series.csv"])
+    def test_out_in_the_input_dir_is_usage_error(self, tmp_path, monkeypatch, capsys, out):
+        """A series written into the directory that `ingest` reads would be
+        parsed as a day file by the next run, so it is a usage error, raised
+        before any day file is read; here `link` is a symlink to `raw`."""
+        monkeypatch.chdir(tmp_path)
+        raw = make_raw_dir(tmp_path)
+        (tmp_path / "link").symlink_to(raw, target_is_directory=True)
+        before = sorted(os.listdir(raw))
+
+        def unread(*args, **kwargs):
+            raise AssertionError("a day file was read")
+
+        monkeypatch.setattr(cdr, "ingest_dir", unread)
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--input-dir", "raw", "--grid", "1", "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: celltide ingest ")
+        assert "--out must not name a file in --input-dir" in err
+        assert sorted(os.listdir(raw)) == before
+
+    def test_out_in_a_subdirectory_of_the_input_dir_is_written(self, tmp_path):
+        """`ingest_dir` reads only the directory's own files, so a series in
+        a subdirectory of it is no clash."""
+        raw = make_raw_dir(tmp_path)
+        (raw / "out").mkdir()
+        assert main(["ingest", "--input-dir", str(raw), "--out", str(raw / "out" / "s.csv")]) == 0
+        assert len(cdr.read_series_csv(str(raw / "out" / "s.csv"))) == 10
+
     def test_empty_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -1329,13 +1359,13 @@ def test_a_fourth_forecaster_needs_no_cli_edit(tmp_path, monkeypatch, capsys):
 def test_every_row_forecasts_the_range_it_is_given(tmp_path, kind):
     """`forecast(model, data, lo, hi)` makes the one-step forecasts of the
     slots [lo, hi) and no others, on the golden 4-day series: a later `lo`
-    drops only the leading forecasts, across EVAL_CHUNK's edges, and over the
+    drops only the leading forecasts, across BATCH_SIZE's edges, and over the
     validation slice a neural row gives the fit's validation pass and ARIMA
     `rolling_forecast`'s forecasts, bit for bit.
 
     One exception: OpenBLAS may round the last, partial block of a GEMM's
     columns differently from its full blocks, so where a shift that is not a
-    whole EVAL_CHUNK moves a window within `_predict`'s last chunk, the LSTM,
+    whole BATCH_SIZE moves a window within `_predict`'s last chunk, the LSTM,
     whose cell chain runs one GEMM per step, can land a few ulps away."""
     args = cli.build_parser().parse_args(
         ["compare", *COMPARE_FLAGS, "--p", "1", "--q", "1", "--series",
@@ -1347,10 +1377,10 @@ def test_every_row_forecasts_the_range_it_is_given(tmp_path, kind):
     lo, hi = spec.val_start, len(data.values)
     whole = row.forecast(model, data, lo, hi)
     assert len(whole) == hi - lo
-    for k in (1, train.EVAL_CHUNK, train.EVAL_CHUNK + 1):
+    for k in (1, train.BATCH_SIZE, train.BATCH_SIZE + 1):
         later = row.forecast(model, data, lo + k, hi)
         assert later.shape == whole[k:].shape
-        if kind == "lstm" and k % train.EVAL_CHUNK:
+        if kind == "lstm" and k % train.BATCH_SIZE:
             np.testing.assert_array_max_ulp(later, whole[k:], maxulp=4)
         else:
             assert later.tobytes() == whole[k:].tobytes(), k
@@ -1401,7 +1431,8 @@ def test_runtime_errors_exit_1_in_one_line(tmp_path, monkeypatch, capsys, error)
         raise error
 
     monkeypatch.setattr(cdr, "ingest_dir", failing)
-    assert main(["ingest", "--input-dir", str(tmp_path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert main(["ingest", "--input-dir", str(tmp_path / "raw"),
+                 "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
@@ -1414,5 +1445,5 @@ def test_any_other_exception_propagates(tmp_path, monkeypatch, error):
 
     monkeypatch.setattr(cdr, "ingest_dir", failing)
     with pytest.raises(type(error)) as raised:
-        main(["ingest", "--input-dir", str(tmp_path), "--out", str(tmp_path / "x.csv")])
+        main(["ingest", "--input-dir", str(tmp_path / "raw"), "--out", str(tmp_path / "x.csv")])
     assert raised.value is error

@@ -116,7 +116,8 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     """Only the model commands need numpy, only the ARIMA code needs scipy
     and only a forking command needs multiprocessing, so importing the CLI,
     and a command that fails before any work, must load none of them."""
-    done = run_cli(["ingest", "--input-dir", tmp_path, "--out", tmp_path / "x.csv"],
+    (tmp_path / "empty").mkdir()
+    done = run_cli(["ingest", "--input-dir", tmp_path / "empty", "--out", tmp_path / "x.csv"],
                    "print(status, *(m in sys.modules for m in "
                    "('numpy', 'scipy', 'multiprocessing')))")
     assert done.returncode == 0, done.stderr

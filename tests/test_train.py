@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -238,29 +240,76 @@ class TestEvaluate:
         assert test_mae == pytest.approx(expected, abs=1e-12)
 
 
+def traced_peak(call) -> int:
+    """The peak, in bytes, of the allocations tracemalloc sees while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """On 62 days of synthetic traffic, 12-slot windows and the default split."""
+
+    def test_setup_cuts_views_not_copies(self, capsys):
+        """`Neural.setup` holds the normalised series and views of it: below
+        0.3 MiB, where a copy of the 7,130 training windows alone is 0.65 MiB."""
+        values = dataset.gen_synthetic(62, seed=7).values
+        data = types.SimpleNamespace(values=values, spec=dataset.split(len(values), 0.8))
+        args = types.SimpleNamespace(window=12, epochs=1, lr=1e-3, seed=0)
+        assert traced_peak(lambda: train.FORECASTERS["lstm"].setup(data, args)) < 0.3 * 2**20
+        assert len(data.train_set) == 7130 and len(data.val_set) == 893
+
+    def test_an_lstm_evaluation_pass_holds_one_batch_of_step_caches(self):
+        """`_predict` over the 893 validation windows peaks below 1.6 MiB: one
+        BATCH_SIZE chunk's step caches, not those of a chunk twice as wide."""
+        _, _, _, _, va = small_sets(frac=0.8, days=62, data_seed=7)
+        params = train.FORECASTERS["lstm"].init(12, 0)
+        assert len(va) == 893
+        assert traced_peak(lambda: train._predict(lstm, va.inputs, params)) < 1.6 * 2**20
+
+
+# window count -> `_predict`'s chunk sizes at a BATCH_SIZE of 32
+CHUNKS = {1: [1], 15: [15], 16: [16], 17: [17], 31: [31], 33: [33], 65: [32, 33],
+          77: [32, 32, 13], 893: [32] * 27 + [29]}
+
+
+@pytest.mark.parametrize("n", CHUNKS)
 @pytest.mark.parametrize("kind", ["lstm", "ffnn"])
-def test_evaluation_passes_in_chunks_equal_one_pass(kind, monkeypatch):
+def test_evaluation_in_batch_chunks_equals_sixteen_window_passes(kind, n, monkeypatch):
     """`evaluate` and `fit`'s validation pass run `forward_batch` on
-    EVAL_CHUNK windows at a time; the predictions and the validation MAE
-    equal one pass over every window, bit for bit."""
+    BATCH_SIZE windows at a time, a last lone window with the chunk before
+    it; the predictions and the validation MAE equal, bit for bit, the same
+    windows run 16 at a time, whatever the window count. OpenBLAS computes
+    each full 16-column block of a GEMM alike at any width, so chunks that
+    start on multiples of 16 give those windows the same bits. Two other
+    paths round apart, so the reference takes neither where `_predict` does
+    not: numpy's one-window product, and the last, partial block of a much
+    wider GEMM (one pass over all 893 windows lands an LSTM forecast an ulp
+    away from chunks of 32 and 64 alike)."""
     rng = np.random.default_rng(4)
-    n = 2 * train.EVAL_CHUNK + 37
     big = dataset.WindowSet(rng.uniform(0, 1, (n, 12)), rng.uniform(0, 1, n))
+    small = dataset.WindowSet(rng.uniform(0, 1, (40, 12)), rng.uniform(0, 1, 40))
     model, init = train.FORECASTERS[kind].module, train.FORECASTERS[kind].init
     params = init(12, 3)
     scaler = dataset.ScalerParams(2.0, 7.0)
-    one_pass = scaler.inverse(model.forward_batch(big.inputs, params)[0])
     sizes, forward = [], model.forward_batch
+
+    def sixteens():
+        return np.concatenate([forward(chunk, params)[0]
+                               for chunk in np.split(big.inputs, range(16, n - 1, 16))])
 
     def recorded(inputs, params):
         sizes.append(len(inputs))
         return forward(inputs, params)
 
+    want = scaler.inverse(sixteens())
     monkeypatch.setattr(model, "forward_batch", recorded)
-    assert np.array_equal(train.evaluate(kind, params, big, scaler), one_pass)
-    assert sizes == [train.EVAL_CHUNK, train.EVAL_CHUNK, 37]
-    small = dataset.WindowSet(big.inputs[:40], big.targets[:40])
+    assert train.evaluate(kind, params, big, scaler).tobytes() == want.tobytes()
+    assert sizes == CHUNKS[n]
     sizes.clear()
     history = train.fit(kind, params, small, big, train.TrainConfig(epochs=1, seed=0))
-    assert sizes == [32, 8, train.EVAL_CHUNK, train.EVAL_CHUNK, 37]
-    assert history[0].val_mae == train.mae(forward(big.inputs, params)[0], big.targets)
+    assert sizes == [32, 8, *CHUNKS[n]]
+    assert history[0].val_mae == train.mae(sixteens(), big.targets)

@@ -77,6 +77,23 @@ MUTANTS = (
            "pass",
            ("tests/test_train.py::TestFit::"
             "test_a_batch_cache_is_freed_before_the_next_forward_pass",)),
+    # compare's peak memory: windows are views, evaluation runs one batch at a time
+    Mutant("windows-copied", "src/celltide/dataset.py",
+           "values[start - window_len:stop - 1], window_len), values[start:stop])",
+           "values[start - window_len:stop - 1], window_len).copy(), values[start:stop])",
+           ("tests/test_dataset.py::TestWindows::test_split_windows_match_the_loop",
+            "tests/test_train.py::TestPeakMemory::test_setup_cuts_views_not_copies")),
+    Mutant("evaluation-in-double-batches", "src/celltide/train.py",
+           "chunks = np.split(inputs, range(BATCH_SIZE, len(inputs) - 1, BATCH_SIZE))",
+           "chunks = np.split(inputs, range(2 * BATCH_SIZE, len(inputs) - 1, 2 * BATCH_SIZE))",
+           ("tests/test_train.py::TestPeakMemory::"
+            "test_an_lstm_evaluation_pass_holds_one_batch_of_step_caches",
+            "tests/test_train.py::test_evaluation_in_batch_chunks_equals_sixteen_window_passes")),
+    Mutant("evaluation-of-a-lone-last-window", "src/celltide/train.py",
+           "chunks = np.split(inputs, range(BATCH_SIZE, len(inputs) - 1, BATCH_SIZE))",
+           "chunks = np.split(inputs, range(BATCH_SIZE, len(inputs), BATCH_SIZE))",
+           ("tests/test_train.py::"
+            "test_evaluation_in_batch_chunks_equals_sixteen_window_passes",)),
     # the model commands' schedule (`cli._fit_and_write`)
     Mutant("compare-two-rows-here", "src/celltide/cli.py",
            "groups = [kinds[:1], kinds[1:]][:len(kinds)]",
