@@ -351,6 +351,7 @@ def serialize(model: ArimaModel) -> str:
 class Forecaster:
     """The kind table's ARIMA row: the order of `--p/--d/--q`, or for None the
     AIC search, its halves mapped by the `map` it is given; the model is an ArimaModel."""
+    report_files = ()  # `report` writes no file
 
     @staticmethod
     def setup(data, args) -> None:

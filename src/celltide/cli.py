@@ -23,8 +23,8 @@ def _write_predictions(path: str, values, test_range, preds) -> None:
 
 @contextlib.contextmanager
 def _outputs(out_dir: str = ""):
-    """Make `out_dir` if it is missing and yield `out(name)`, which returns the
-    temporary sibling to write output file `name` to. Once the block has
+    """Make `out_dir` if it is missing and yield `out(path)`, which returns the
+    temporary sibling to write output file `path` to. Once the block has
     succeeded, each temporary replaces its file. A failure or an interrupt
     removes the temporaries instead, and `out_dir` and each parent of it that
     was made here, leaf first, so a file that existed before stays as it was."""
@@ -34,8 +34,7 @@ def _outputs(out_dir: str = ""):
         missing = os.path.dirname(missing.rstrip(os.sep))
     temporaries = {}  # output path: its temporary, in the order handed out
 
-    def out(name):
-        path = os.path.join(out_dir, name)
+    def out(path):
         head, tail = os.path.split(path)
         return temporaries.setdefault(path, os.path.join(head, f".{tail}.{os.getpid()}.tmp"))
 
@@ -81,18 +80,17 @@ def _run(kind: str, data):
     return model, lines, preds, train.mae(preds, data.values[slice(*data.test_range)]), wall_ms
 
 
-def _fit_and_write(args, kinds, paths, out_dir="") -> int:
-    """The body of `train`, `arima` and `compare`: fit and forecast each of `kinds`'
-    rows on one `_prepare`d split, print each row's lines and its test MAE, and
-    write its `model.json`, its `predictions.csv` and the files its `report`
-    names, each to `paths(name)` in `out_dir`; a name with no path is not
-    written. With several rows, each line is headed `kind: ` and each name
-    `kind_`. With an `out_dir`, `report.json` holds the config and the reports."""
+def _fit_and_write(args) -> int:
+    """`train`, `arima` and `compare`: fit and forecast `--model`'s row, or for
+    `compare` every row, on one `_prepare`d split; print each row's lines and
+    test MAE, headed `kind: ` where there are several; write each row's files
+    that `_output_paths` has a path for, and `report.json` where it has one."""
     from . import modelio, train
-    data, reports = _prepare(args, kinds), {}
+    kinds = list(train.FORECASTERS) if args.command == "compare" else [args.model]
+    data, reports, paths = _prepare(args, kinds), {}, _output_paths(args)
     # entered before the fits, so that an out_dir that cannot be made fails at
     # once; the files are written only once every fit has succeeded
-    with _outputs(out_dir) as out:
+    with _outputs(getattr(args, "out_dir", "")) as out:
         # the first row, compare's LSTM and most of its time, here; the rest in
         # the worker. One row is one item, which starts no worker
         groups = [kinds[:1], kinds[1:]][:len(kinds)]
@@ -101,7 +99,7 @@ def _fit_and_write(args, kinds, paths, out_dir="") -> int:
             row, head = train.FORECASTERS[kind], f"{kind}: " if len(kinds) > 1 else ""
 
             def file(name):  # the temporary of the row's file `name`, or None for none
-                return (path := paths(f"{kind}_{name}" if len(kinds) > 1 else name)) and out(path)
+                return (path := paths.get(f"{kind}_{name}")) and out(path[1])
 
             for line in lines:
                 print(head + line)
@@ -115,11 +113,11 @@ def _fit_and_write(args, kinds, paths, out_dir="") -> int:
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(row.dumps(model, data))
             print(f"{head}test MAE {test_mae:.6f}")
-        if out_dir:
+        if "report.json" in paths:
             config = {"train_frac": args.train_frac, "window": args.window, "epochs": args.epochs,
                       "learning_rate": args.lr, "batch_size": train.BATCH_SIZE,
                       **{n: getattr(data.spec, n) for n in ("n_train", "n_val", "n_test")}}
-            with open(out("report.json"), "w", encoding="utf-8") as fh:
+            with open(out(paths["report.json"][1]), "w", encoding="utf-8") as fh:
                 fh.write(modelio.dumps({"seed": args.seed, "config": config,
                                         "models": reports}))
     return 0
@@ -140,16 +138,6 @@ def cmd_ingest(args) -> int:
         cdr.write_series_csv(series, out(args.out))
     print(f"{len(series)} slots")
     return 0
-
-
-def cmd_train(args) -> int:
-    return _fit_and_write(args, [args.model], {"model.json": args.out_model,
-                                               "history.csv": args.out_history}.get)
-
-
-def cmd_arima(args) -> int:
-    return _fit_and_write(args, ["arima"], {"model.json": args.out_model,
-                                            "predictions.csv": args.out_predictions}.get)
 
 
 def _worker(tx, fn, items) -> None:
@@ -193,11 +181,6 @@ def _map_in_two(fn, items):
     return mine + theirs
 
 
-def cmd_compare(args) -> int:
-    from . import train
-    return _fit_and_write(args, list(train.FORECASTERS), lambda name: name, args.out_dir)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="celltide",
@@ -228,13 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=cdr.CHANNELS, default="internet")
     p.add_argument("--out", required=True)
 
-    p = add_command("train", cmd_train, "train the LSTM or feed-forward model")
+    p = add_command("train", _fit_and_write, "train the LSTM or feed-forward model")
     p.add_argument("--model", choices=("lstm", "ffnn"), required=True)
     add_common_train_flags(p)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-history", required=True)
 
-    p = add_command("arima", cmd_arima, "fit the ARIMA baseline and forecast the test slice")
+    p = add_command("arima", _fit_and_write, "fit the ARIMA baseline and forecast the test slice")
+    p.set_defaults(model="arima")  # the one row it fits
     p.add_argument("--series", required=True)
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--auto", action="store_true",
@@ -245,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-predictions", required=True)
 
-    p = add_command("compare", cmd_compare, "LSTM vs FFNN vs ARIMA under one split")
+    p = add_command("compare", _fit_and_write, "LSTM vs FFNN vs ARIMA under one split")
     add_common_train_flags(p)
     p.add_argument("--p", type=int, help="ARIMA AR order; omitted = AIC search")
     p.add_argument("--d", type=int, help="differencing order (default 0; needs --p)")
@@ -266,6 +250,22 @@ _FLAG_RANGES = {
 }
 
 
+def _output_paths(args) -> dict:
+    """Each file that `train`, `arima` or `compare` writes, as `kind_name` for a row's
+    file `name`, or `report.json`: (the flag that names it, its path). `compare`
+    writes every row's `model.json`, `predictions.csv` and `report_files` in `--out-dir`."""
+    if args.command != "compare":
+        flags = {"model.json": "out_model", "history.csv": "out_history",
+                 "predictions.csv": "out_predictions"}
+        return {f"{args.model}_{name}": (f"--{flag}".replace("_", "-"), getattr(args, flag))
+                for name, flag in flags.items() if hasattr(args, flag)}
+    from . import train
+    names = [f"{kind}_{name}" for kind, row in train.FORECASTERS.items()
+             for name in ("predictions.csv", "model.json", *row.report_files)]
+    return {name: ("--out-dir", os.path.join(args.out_dir, name))
+            for name in [*names, "report.json"]}
+
+
 def _resolve_defaults(args) -> None:
     """Check every flag value and fill in the defaults that depend on other
     flags, before the series is read; a bad value or combination is a usage
@@ -275,11 +275,11 @@ def _resolve_defaults(args) -> None:
     for name, (ok, rule) in _FLAG_RANGES.items():
         if hasattr(args, name) and not ok(value := getattr(args, name)):
             parser.error(f"--{name.replace('_', '-')} must be {rule}, got {value}")
-    first = {}  # each resolved path: the first of the file flags that names it
-    for flag in ("series", "out_model", "out_history", "out_predictions"):
-        if hasattr(args, flag) and (other := first.setdefault(
-                os.path.realpath(getattr(args, flag)), flag)) != flag:
-            parser.error(f"--{other} and --{flag} name the same file".replace("_", "-"))
+    if hasattr(args, "series"):  # a model command, whose outputs replace no file it uses
+        first = {}  # each resolved path: the flag and the path that first name it
+        for flag, path in [("--series", args.series), *_output_paths(args).values()]:
+            if (other := first.setdefault(os.path.realpath(path), (flag, path))) != (flag, path):
+                parser.error(f"{other[0]} and {flag} name the same file: {other[1]} and {path}")
     if args.command == "ingest" and (os.path.realpath(os.path.dirname(args.out))
                                      == os.path.realpath(args.input_dir)):
         parser.error("--out must not name a file in --input-dir: the next ingest would read it")
@@ -291,10 +291,8 @@ def _resolve_defaults(args) -> None:
         given = ", ".join(f"--{k}" for k in ("p", "d", "q") if getattr(args, k) is not None)
         auto = args.auto if args.command == "arima" else args.p is None
         if auto and given:
-            if args.command == "arima":
-                parser.error(f"--auto cannot be combined with {given}")
-            parser.error(f"{given} cannot be combined with the AIC order search; "
-                         "give --p too")
+            parser.error(f"--auto cannot be combined with {given}" if args.command == "arima"
+                         else f"{given} cannot be combined with the AIC order search; give --p too")
         args.order = None if auto else (1 if args.p is None else args.p,
                                         args.d or 0, args.q or 0)
 

@@ -58,15 +58,17 @@ def adam_step(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int
 
 
 def _predict(model, inputs: np.ndarray, params) -> np.ndarray:
-    """`model.forward_batch`'s outputs for `inputs`, BATCH_SIZE windows at a time; a last
-    lone window joins the chunk before it, as numpy's one-window product rounds apart."""
-    chunks = np.split(inputs, range(BATCH_SIZE, len(inputs) - 1, BATCH_SIZE))
-    return np.concatenate([model.forward_batch(chunk, params)[0] for chunk in chunks])
+    """`model.forward_batch`'s outputs for `inputs`, in passes of exactly BATCH_SIZE windows so
+    that no forecast depends on its column; copies of the last window fill the last pass."""
+    rows = np.minimum(np.arange(-len(inputs) // BATCH_SIZE * -BATCH_SIZE), len(inputs) - 1)
+    chunks = np.split(rows, range(BATCH_SIZE, len(rows), BATCH_SIZE))
+    return np.concatenate([model.forward_batch(inputs[c], params)[0] for c in chunks])[:len(inputs)]
 
 
 class Neural(collections.namedtuple("Neural", "kind module init")):
     """A neural row of the kind table: the module with forward_batch and backward_batch,
     and the initialiser(window_len, seed); the model is `train_model`'s (params, history)."""
+    report_files = ("history.csv",)  # the files that `report` writes, by name
 
     @staticmethod
     def setup(data, args) -> None:
@@ -164,8 +166,7 @@ def train_model(kind: str, train_set: WindowSet, val_set: WindowSet,
     """Initialize fresh parameters from the config seed and train them;
     returns (params, history)."""
     params = FORECASTERS[kind].init(train_set.inputs.shape[1], config.seed)
-    history = fit(kind, params, train_set, val_set, config)
-    return params, history
+    return params, fit(kind, params, train_set, val_set, config)
 
 
 def evaluate(kind: str, params, windows: WindowSet, scaler: ScalerParams) -> np.ndarray:

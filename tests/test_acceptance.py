@@ -189,7 +189,7 @@ def _report_without_wall(path):
 
 
 def test_compare_end_to_end_determinism(tmp_path):
-    """cmd_compare twice with one seed: predictions byte-identical, histories
+    """`compare` twice with one seed: predictions byte-identical, histories
     and report identical up to wall-clock columns (which cannot repeat)."""
     series_path = tmp_path / "series.csv"
     assert main(["synth", "--days", "6", "--seed", "4", "--out", str(series_path)]) == 0

@@ -271,24 +271,23 @@ class TestPeakMemory:
         assert traced_peak(lambda: train._predict(lstm, va.inputs, params)) < 1.6 * 2**20
 
 
-# window count -> `_predict`'s chunk sizes at a BATCH_SIZE of 32
-CHUNKS = {1: [1], 15: [15], 16: [16], 17: [17], 31: [31], 33: [33], 65: [32, 33],
-          77: [32, 32, 13], 893: [32] * 27 + [29]}
+# window count -> `_predict`'s pass widths at a BATCH_SIZE of 32: ceil(n/32) passes, each full
+CHUNKS = {1: [32], 15: [32], 16: [32], 17: [32], 31: [32], 33: [32, 32], 65: [32] * 3,
+          77: [32] * 3, 893: [32] * 28}
 
 
 @pytest.mark.parametrize("n", CHUNKS)
 @pytest.mark.parametrize("kind", ["lstm", "ffnn"])
 def test_evaluation_in_batch_chunks_equals_sixteen_window_passes(kind, n, monkeypatch):
     """`evaluate` and `fit`'s validation pass run `forward_batch` on
-    BATCH_SIZE windows at a time, a last lone window with the chunk before
-    it; the predictions and the validation MAE equal, bit for bit, the same
-    windows run 16 at a time, whatever the window count. OpenBLAS computes
-    each full 16-column block of a GEMM alike at any width, so chunks that
-    start on multiples of 16 give those windows the same bits. Two other
-    paths round apart, so the reference takes neither where `_predict` does
-    not: numpy's one-window product, and the last, partial block of a much
-    wider GEMM (one pass over all 893 windows lands an LSTM forecast an ulp
-    away from chunks of 32 and 64 alike)."""
+    BATCH_SIZE windows at a time, the last pass padded to full width; the
+    predictions and the validation MAE equal, bit for bit, the same windows
+    run 16 at a time, whatever the window count. OpenBLAS computes each
+    full 16-column block of a GEMM alike at any width, so passes that start
+    on multiples of 16 give those windows the same bits, and a padded pass
+    has no partial block, which can round apart with the width around it.
+    The reference's own last pass is ragged, and at these counts it lands
+    on the same bits all the same."""
     rng = np.random.default_rng(4)
     big = dataset.WindowSet(rng.uniform(0, 1, (n, 12)), rng.uniform(0, 1, n))
     small = dataset.WindowSet(rng.uniform(0, 1, (40, 12)), rng.uniform(0, 1, 40))

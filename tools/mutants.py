@@ -84,16 +84,17 @@ MUTANTS = (
            ("tests/test_dataset.py::TestWindows::test_split_windows_match_the_loop",
             "tests/test_train.py::TestPeakMemory::test_setup_cuts_views_not_copies")),
     Mutant("evaluation-in-double-batches", "src/celltide/train.py",
-           "chunks = np.split(inputs, range(BATCH_SIZE, len(inputs) - 1, BATCH_SIZE))",
-           "chunks = np.split(inputs, range(2 * BATCH_SIZE, len(inputs) - 1, 2 * BATCH_SIZE))",
+           "chunks = np.split(rows, range(BATCH_SIZE, len(rows), BATCH_SIZE))",
+           "chunks = np.split(rows, range(2 * BATCH_SIZE, len(rows), 2 * BATCH_SIZE))",
            ("tests/test_train.py::TestPeakMemory::"
             "test_an_lstm_evaluation_pass_holds_one_batch_of_step_caches",
             "tests/test_train.py::test_evaluation_in_batch_chunks_equals_sixteen_window_passes")),
-    Mutant("evaluation-of-a-lone-last-window", "src/celltide/train.py",
-           "chunks = np.split(inputs, range(BATCH_SIZE, len(inputs) - 1, BATCH_SIZE))",
-           "chunks = np.split(inputs, range(BATCH_SIZE, len(inputs), BATCH_SIZE))",
-           ("tests/test_train.py::"
-            "test_evaluation_in_batch_chunks_equals_sixteen_window_passes",)),
+    # every evaluation pass is BATCH_SIZE wide, so no forecast depends on its range
+    Mutant("evaluation-last-chunk-unpadded", "src/celltide/train.py",
+           "rows = np.minimum(np.arange(-len(inputs) // BATCH_SIZE * -BATCH_SIZE), "
+           "len(inputs) - 1)",
+           "rows = np.arange(len(inputs))",
+           ("tests/test_cli.py::test_every_row_forecasts_the_range_it_is_given",)),
     # the model commands' schedule (`cli._fit_and_write`)
     Mutant("compare-two-rows-here", "src/celltide/cli.py",
            "groups = [kinds[:1], kinds[1:]][:len(kinds)]",
@@ -105,6 +106,12 @@ MUTANTS = (
            "groups = [kinds[:1], kinds[1:]]",
            ("tests/test_cli.py::TestCompare::"
             "test_only_compare_the_arima_search_and_multi_file_ingest_fork_and_only_once",)),
+    # no model command replaces a file it uses (`cli._resolve_defaults`)
+    Mutant("compare-outputs-unchecked", "src/celltide/cli.py",
+           'for flag, path in [("--series", args.series), *_output_paths(args).values()]:',
+           'for flag, path in [("--series", args.series), '
+           '*(_output_paths(args).values() if args.command != "compare" else ())]:',
+           ("tests/test_cli.py::test_a_compare_output_naming_the_series_is_usage_error",)),
     # each row forecasts the slots it is given (`forecast(model, data, lo, hi)`)
     Mutant("neural-forecast-from-the-test-start", "src/celltide/train.py",
            "windows = dataset.windows_for_range(data.normed, data.window, lo, hi)",
