@@ -535,12 +535,12 @@ class TestSerialization:
         assert '"heads"' not in arima.serialize(model)
 
     def test_exact_bytes(self):
-        """Key order and 17-significant-digit floats, pinned."""
+        """Key order and shortest round-trip floats, pinned."""
         model = arima.ArimaModel(2, 1, 0, np.array([0.5, -0.25]), np.empty(0),
                                  mu=1 / 3, sigma2=0.1)
         assert arima.serialize(model) == (
             '{"type": "arima", "p": 2, "d": 1, "q": 0, "phi": [0.5, -0.25], "theta": [], '
-            '"mu": 0.33333333333333331, "sigma2": 0.10000000000000001}')
+            '"mu": 0.3333333333333333, "sigma2": 0.1}')
 
     def test_exact_fit_round_trips(self):
         """`fit` gives a variance of 0 to a series it models exactly, and its

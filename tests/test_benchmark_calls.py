@@ -13,7 +13,10 @@ import pathlib
 
 import numpy as np
 
-from celltide import arima, cdr, dataset, ffnn, linalg, lstm, train
+from celltide import arima, cdr, dataset, ffnn, linalg, lstm, modelio, train
+from celltide.cli import main
+
+import golden
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -91,3 +94,17 @@ def test_search_reaches_fit_and_hannan_rissanen_through_the_module(monkeypatch):
                         lambda *args: calls.append("hr") or hr(*args))
     arima.auto_order(np.random.default_rng(0).normal(size=300))
     assert (calls.count("fit"), calls.count("hr")) == (32, 30)
+
+
+def test_one_dumps_call_per_json_file(tmp_path, monkeypatch):
+    """The tracer wraps `modelio.dumps` and sums `len(result)` over its calls
+    as `modelio.bytes_written`; a writer that called itself by that name
+    would make a span of every nested row and item, and count their bytes
+    again. `compare` writes three model files and report.json."""
+    calls = []
+    dumps = modelio.dumps
+    monkeypatch.setattr(modelio, "dumps", lambda obj: calls.append(obj) or dumps(obj))
+    out = tmp_path / "out"
+    argv = ["compare", "--p", "1", "--epochs", "1", "--out-dir", str(out)]
+    assert main([*argv, "--series", str(golden.write_series(tmp_path))]) == 0
+    assert len(calls) == len(list(out.glob("*.json"))) == 4

@@ -216,8 +216,9 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 class TestSerialization:
     def test_model_file_from_unpacked_layout_loads(self):
-        # lstm_h3.json was written by the serializer of the unpacked
-        # per-gate implementation; the predictions below are its outputs.
+        # lstm_h3.json holds, bit for bit, the weights that the serializer
+        # of the unpacked per-gate implementation wrote, in the current
+        # writer's text; the predictions below are that implementation's outputs.
         text = (FIXTURES / "lstm_h3.json").read_text()
         obj = json.loads(text)
         assert (obj["hidden"], obj["T"]) == (3, 6)

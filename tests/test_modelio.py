@@ -10,6 +10,7 @@ import pytest
 from celltide import ffnn, lstm, modelio, train
 from celltide.cli import main
 from celltide.dataset import ScalerParams
+from test_train import traced_peak
 
 # kind -> (module, small fresh parameters, zeroed parameters of the same shape)
 MODELS = {"lstm": (lstm, lambda: lstm.init_params(2, seed=0), lambda: lstm.LstmParams(2)),
@@ -74,8 +75,9 @@ def test_smallest_model_accepted():
 
 
 def test_every_float_round_trips_exactly():
-    """17 significant digits give back the value of every finite float,
-    subnormals and the extremes included, through plain `json.loads`."""
+    """Python's shortest round-trip float text gives back the value of every
+    finite float, subnormals and the extremes included, through plain
+    `json.loads`."""
     bits = np.random.default_rng(0).integers(0, 2**64, size=5000, dtype=np.uint64)
     values = bits.view(np.float64)
     values = np.concatenate([values[np.isfinite(values)],
@@ -85,14 +87,40 @@ def test_every_float_round_trips_exactly():
 
 
 def test_integral_floats_read_back_as_floats():
-    """A float that `.17g` prints as an integer gets a `.0`, so it reads back
-    as a float and a negative zero keeps its sign; other floats and the ints
-    print as before."""
-    text = modelio.dumps([-0.0, 3.0, np.float64(1e16), 0.1, 2])
-    assert text == "[-0.0, 3.0, 10000000000000000.0, 0.10000000000000001, 2]"
+    """A float's text always has a `.` or an exponent, so it reads back as a
+    float and a negative zero keeps its sign; ints print as ints."""
+    text = modelio.dumps([-0.0, 3.0, np.float64(1e16), 0.1, 2, np.int64(-7)])
+    assert text == "[-0.0, 3.0, 1e+16, 0.1, 2, -7]"
     back = json.loads(text)
-    assert [type(v) for v in back] == [float, float, float, float, int]
+    assert [type(v) for v in back] == [float, float, float, float, int, int]
     assert math.copysign(1.0, back[0]) == -1.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_floats_are_refused(value):
+    """No model file holds a bare `NaN` or `Infinity`, which is not JSON."""
+    for obj in ({"x": np.array([value])}, {"x": np.array([[0.5, value]])}, {"x": value}):
+        with pytest.raises(ValueError):
+            modelio.dumps(obj)
+
+
+def test_text_is_the_standard_writers():
+    """Rows and items joined pass by pass give the text of one `json.dumps`
+    over the whole, arrays as lists: 2-D and empty arrays, numpy scalars and
+    escaped strings included."""
+    obj = {"a": np.arange(6.0).reshape(2, 3) / 10, "b": {"c": [1e16, "d"], "e": np.empty((0, 2))},
+           "f": np.float64(-0.0), "g": np.ones(3), "h": np.int64(5), "i": "x\"y"}
+    assert modelio.dumps(obj) == json.dumps(obj, default=lambda a: a.tolist())
+
+
+def test_lstm_file_peaks_below_half_a_mebibyte():
+    """The H = 50, T = 12 LSTM file is about 0.2 MiB of text. A single encoder
+    pass over it holds each of its 10,456 numbers' text until the last join
+    and peaks above 1 MiB; one pass per 51-float row stays below 0.5 MiB."""
+    data = types.SimpleNamespace(window=12, scaler=ScalerParams(0.0, 1.0))
+    model = (train.FORECASTERS["lstm"].init(12, 0), [])
+    assert len(train.FORECASTERS["lstm"].dumps(model, data)) > 0.2 * 2**20
+    assert traced_peak(lambda: train.FORECASTERS["lstm"].dumps(model, data)) < 0.5 * 2**20
 
 
 @pytest.mark.parametrize("fixture,init", [
@@ -104,10 +132,3 @@ def test_initialisers_keep_their_draws(fixture, init):
     classes were built from their layouts: the draw order and limits stay."""
     text = (FIXTURES / fixture).read_text()
     assert model_file(fixture.split("_")[1], init(), 4, ScalerParams(0, 1)) == text
-
-
-@pytest.mark.parametrize("value", [True, None, np.bool_(True)])
-def test_dumps_refuses_what_no_model_file_holds(value):
-    """A bool is not written as 1 and None not as null: no file holds either."""
-    with pytest.raises(TypeError):
-        modelio.dumps({"hidden": value})

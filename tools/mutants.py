@@ -112,6 +112,10 @@ MUTANTS = (
            'for flag, path in [("--series", args.series), '
            '*(_output_paths(args).values() if args.command != "compare" else ())]:',
            ("tests/test_cli.py::test_a_compare_output_naming_the_series_is_usage_error",)),
+    Mutant("ingest-out-in-input-dir-unchecked", "src/celltide/cli.py",
+           'if args.command == "ingest" and (os.path.realpath(os.path.dirname(args.out))',
+           'if False and (os.path.realpath(os.path.dirname(args.out))',
+           ("tests/test_cli.py::TestIngest::test_out_in_the_input_dir_is_usage_error",)),
     # each row forecasts the slots it is given (`forecast(model, data, lo, hi)`)
     Mutant("neural-forecast-from-the-test-start", "src/celltide/train.py",
            "windows = dataset.windows_for_range(data.normed, data.window, lo, hi)",
@@ -122,6 +126,15 @@ MUTANTS = (
            "return rolling_forecast(model, data.values, (lo, hi))",
            "return rolling_forecast(model, data.values, data.test_range)",
            ("tests/test_cli.py::test_every_row_forecasts_the_range_it_is_given",)),
+    # model files: one encoder pass per array row, one `dumps` call per file
+    Mutant("model-file-in-one-encoder-pass", "src/celltide/modelio.py",
+           "return encode(obj)",
+           "return json.dumps(obj, default=lambda a: a.tolist(), allow_nan=False)",
+           ("tests/test_modelio.py::test_lstm_file_peaks_below_half_a_mebibyte",)),
+    Mutant("dumps-recurses-by-name", "src/celltide/modelio.py",
+           'return "{" + ", ".join(f"{json.dumps(k)}: {encode(x)}" for k, x in v.items()) + "}"',
+           'return "{" + ", ".join(f"{json.dumps(k)}: {dumps(x)}" for k, x in v.items()) + "}"',
+           ("tests/test_benchmark_calls.py::test_one_dumps_call_per_json_file",)),
 )
 
 
