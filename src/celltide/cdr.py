@@ -75,7 +75,10 @@ def parse_line(line: str, lineno: int = 0) -> tuple | None:
     parts += [""] * (8 - len(parts))
     try:
         grid_id = int(parts[0])
-        timestamp_ms = int(float(parts[1]))
+        try:
+            timestamp_ms = int(parts[1])  # exact: a float holds 53 bits, a timestamp 63
+        except ValueError:
+            timestamp_ms = int(float(parts[1]))
     except (ValueError, OverflowError) as exc:
         raise ParseError(f"line {lineno}: bad grid/timestamp field: {exc}") from None
     if not -2**63 <= timestamp_ms < 2**63:

@@ -21,11 +21,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """
     out = np.multiply(x, 0.5, out=np.empty_like(x))
     np.tanh(out, out=out)
-    out *= 0.5
-    out += 0.5
-    np.maximum(out, _SIG_LO, out=out)
-    np.minimum(out, _SIG_HI, out=out)
-    return out
+    return sigmoid_from_tanh(out)
+
+
+def sigmoid_from_tanh(t: np.ndarray) -> np.ndarray:
+    """tanh(x/2) into sigmoid(x), in place: `*0.5`, `+0.5`, clamp into (0, 1)."""
+    t *= 0.5
+    t += 0.5
+    np.maximum(t, _SIG_LO, out=t)
+    np.minimum(t, _SIG_HI, out=t)
+    return t
 
 
 class FlatViews(dict):

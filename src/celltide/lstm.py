@@ -10,11 +10,11 @@ array in that buffer's layout.
 
 import numpy as np
 
-from .linalg import _SIG_HI, _SIG_LO, FlatViews, glorot_uniform, sigmoid
+from .linalg import FlatViews, glorot_uniform, sigmoid, sigmoid_from_tanh
 
 WEIGHT_KEYS = ("W_f", "W_i", "W_c", "W_o", "b_f", "b_i", "b_c", "b_o", "W_y", "b_y")
 
-GATE_ORDER = "fioc"  # row-block order of the packed gate matrix: sigmoid gates first
+GATE_ORDER = "fioc"  # row-block order of the packed gate block `Wb`: sigmoid gates first
 
 HIDDEN_UNITS = 50
 
@@ -22,20 +22,18 @@ HIDDEN_UNITS = 50
 class LstmParams(FlatViews):
     """LSTM weights: views of one flat float64 buffer.
 
-    The buffer holds W_f, W_i, W_o, W_c (H, H+1), then b_f, b_i, b_o, b_c
-    (H,), then W_y (1, H) and b_y (1,). The gate matrices are the row blocks
-    of the packed gate matrix `W` (4H, H+1) in GATE_ORDER, and the gate
-    biases form the packed vector `b` (4H,).
+    The buffer holds `Wb` (4H, H+2), then W_y (1, H) and b_y (1,). Row block
+    g of `Wb` is [W_<gate> (H, H+1) | b_<gate> (H,)] for gate GATE_ORDER[g].
+    `Wb` is an attribute, not an item.
     """
 
     def __init__(self, hidden: int):
-        super().__init__([(f"W_{gate}", (hidden, hidden + 1)) for gate in GATE_ORDER]
-                         + [(f"b_{gate}", (hidden,)) for gate in GATE_ORDER]
-                         + [("W_y", (1, hidden)), ("b_y", (1,))])
+        super().__init__([("Wb", (4 * hidden, hidden + 2)), ("W_y", (1, hidden)), ("b_y", (1,))])
         self.hidden = hidden
-        n_w = 4 * hidden * (hidden + 1)
-        self.W = self.flat[:n_w].reshape(4 * hidden, hidden + 1)
-        self.b = self.flat[n_w:n_w + 4 * hidden]
+        del self["Wb"]
+        for gate, rows in zip(GATE_ORDER, self.Wb.reshape(4, hidden, hidden + 2)):
+            self[f"W_{gate}"], self[f"b_{gate}"] = rows[:, :-1], rows[:, -1]
+        vars(self).update(self)
 
 
 def init_params(hidden: int, input_size: int = 1, seed: int = 0) -> LstmParams:
@@ -49,30 +47,15 @@ def init_params(hidden: int, input_size: int = 1, seed: int = 0) -> LstmParams:
     return p
 
 
-def _gate_weights(p: LstmParams) -> np.ndarray:
-    """`[W | b]`, a C-contiguous (4H, H+2) array, with the f, i, o rows
-    halved. Its product with a step input [a_prev; x; 1] gives all four gate
-    pre-activations, bias included; for the sigmoid gates it gives x/2, the
-    tanh argument of `0.5 + 0.5*tanh(x/2)`. Scaling by a power of two is
-    exact, so those rows hold exactly half the unscaled products.
-    """
-    h = p.hidden
-    wg = np.empty((4 * h, h + 2))
-    wg[:, :-1] = p.W
-    wg[:, -1] = p.b
-    wg[:3 * h] *= 0.5
-    return wg
-
-
 def forward_batch(windows: np.ndarray, p: LstmParams):
     """Run the cell chain over a batch of windows (B, T); zero initial state.
 
     Every step array is feature-major, one column per window, so each gate
-    is a contiguous (H, B) block. Step t is one GEMM of the halved gate
-    matrix with the step input z_t = [a_prev; x_t; 1] (H+2, B), one tanh over
-    the whole (4H, B) gate block, and the sigmoid's `*0.5`, `+0.5` and clamp
-    into (0, 1) in place on the f, i, o rows; the new hidden state is
-    written straight into the first H rows of z_{t+1}.
+    is a contiguous (H, B) block. Step t is one GEMM of `p.Wb`, copied with
+    its f, i, o rows halved (exactly) to give the x/2 of 0.5 + 0.5*tanh(x/2),
+    by the step input z_t = [a_prev; x_t; 1] (H+2, B); one tanh over the
+    (4H, B) gate block; and `sigmoid_from_tanh` in place on the f, i, o rows.
+    The new hidden state is written straight into the first H rows of z_{t+1}.
 
     Returns predictions (B,) and the caches needed by backward_batch: the
     step inputs z (T+1, H+2, B), the last holding only the final hidden
@@ -90,16 +73,13 @@ def forward_batch(windows: np.ndarray, p: LstmParams):
     c[0] = 0.0
     gates, tanh_c = np.empty((t_len, 4 * h, n)), np.empty((t_len, h, n))
     i_u = np.empty((h, n))
-    wg = _gate_weights(p)
+    wg = p.Wb.copy()
+    wg[:3 * h] *= 0.5
     for t in range(t_len):
         g = gates[t]
         np.matmul(wg, z[t], out=g)
         np.tanh(g, out=g)
-        sig = g[:3 * h]
-        sig *= 0.5
-        sig += 0.5
-        np.maximum(sig, _SIG_LO, out=sig)  # `sigmoid`'s clamp
-        np.minimum(sig, _SIG_HI, out=sig)
+        sigmoid_from_tanh(g[:3 * h])
         np.multiply(g[:h], c[t], out=c[t + 1])
         np.multiply(g[h:2 * h], g[3 * h:], out=i_u)
         c[t + 1] += i_u
@@ -118,8 +98,7 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> np
     (4H, B) block of gate pre-activation gradients from its whole cached
     blocks, runs one GEMM, W_h^T (H, 4H) by that block, back to the hidden
     state, and adds the block's product with the step inputs (B, H+2) to
-    the gate weight and bias gradient. Returns a new 1-D float64 array in
-    the layout of `p.flat`.
+    the gradient of `p.Wb`. Returns a new 1-D float64 array in `p.flat`'s layout.
     """
     z, gates, c, tanh_c = caches["z"], caches["gates"], caches["c"], caches["tanh_c"]
     h = p.hidden
@@ -131,7 +110,7 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> np
     np.subtract(1.0, da_dc, out=da_dc)
     da_dc *= gates[:, 2 * h:3 * h]
 
-    w_ht = np.ascontiguousarray(p.W[:, :h].T)  # (H, 4H)
+    w_ht = np.ascontiguousarray(p.Wb[:, :h].T)  # (H, 4H)
     z_rows = np.ascontiguousarray(z[:t_len].transpose(0, 2, 1))  # (T, B, H+2) GEMM operands
     d_a = np.multiply(p.W_y.T, d_score)  # (H, B)
     d_c = np.zeros_like(d_a)
@@ -164,5 +143,4 @@ def backward_batch(caches: dict, d_loss_d_yhat: np.ndarray, p: LstmParams) -> np
         if t:
             np.matmul(w_ht, dg, out=d_a)
             d_c *= g[:h]
-    return np.concatenate((gw[:, :-1].ravel(), gw[:, -1], caches["a_final"] @ d_score,
-                           [d_score.sum()]))
+    return np.concatenate((gw.ravel(), caches["a_final"] @ d_score, [d_score.sum()]))

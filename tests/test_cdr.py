@@ -38,6 +38,25 @@ def test_parse_error_carries_line_number():
         cdr.parse_line("abc\t123\t39", lineno=17)
 
 
+@pytest.mark.parametrize("text, want", [
+    ("9007199254740993", 2**53 + 1), ("9223372036854775807", 2**63 - 1),
+    ("-9223372036854775808", -2**63), ("1383260400000.0", 1383260400000)])
+def test_parse_timestamp_is_exact_over_the_int64_range(text, want):
+    assert cdr.parse_line(f"1\t{text}")[1] == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("abc", "bad grid/timestamp field: could not convert string to float: 'abc'"),
+    ("1e400", "bad grid/timestamp field: cannot convert float infinity to integer"),
+    ("nan", "bad grid/timestamp field: cannot convert float NaN to integer"),
+    ("\u00b2", "bad grid/timestamp field: could not convert string to float: '\u00b2'"),
+    ("9223372036854775808", "timestamp 9223372036854775808 outside the int64 range"),
+])
+def test_parse_bad_timestamp_message(text, message):
+    with pytest.raises(cdr.ParseError, match=f"^line 3: {re.escape(message)}$"):
+        cdr.parse_line(f"1\t{text}", lineno=3)
+
+
 def test_parse_rejects_more_than_eight_fields():
     with pytest.raises(cdr.ParseError, match=r"^line 4: 9 fields, at most 8 allowed$"):
         cdr.parse_line("1\t1383260400000\t39\t1\t2\t3\t4\t5\tgarbage", lineno=4)

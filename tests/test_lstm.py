@@ -112,6 +112,14 @@ class TestForward:
         y = lstm.forward_batch(windows, p)[0]
         assert np.max(np.abs(y - want)) < 1e-12
 
+    def test_saturated_sigmoid_gates_stay_inside_the_open_unit_interval(self):
+        """A pre-activation of +-1000 rounds the sigmoid to exactly 1 or 0;
+        the gate rows clamp it to the nearest doubles inside (0, 1)."""
+        p = lstm.init_params(3, seed=0)
+        p.b_f[...], p.b_i[...], p.b_o[...] = 1e3, -1e3, 1e3
+        gates = lstm.forward_batch(np.full((2, 4), 0.5), p)[1]["gates"][:, :9]
+        assert gates.max() == np.nextafter(1.0, 0.0) and gates.min() == np.nextafter(0.0, 1.0)
+
     def test_determinism(self):
         p = lstm.init_params(5, seed=2)
         w = np.linspace(0, 1, 8)
@@ -184,13 +192,23 @@ class TestBackward:
 
 
 class TestPackedStorage:
-    def test_fields_are_contiguous_views_of_one_buffer(self):
-        p = lstm.init_params(4, seed=2)
+    def test_fields_are_views_of_the_packed_gate_block(self):
+        h = 4
+        p = lstm.init_params(h, seed=2)
         for k, v in p.items():
-            assert v.flags.c_contiguous and np.shares_memory(v, p.flat), k
+            assert np.shares_memory(v, p.flat), k
             assert getattr(p, k) is v, k
         assert sorted(p) == sorted(lstm.WEIGHT_KEYS)
         assert p.flat.size == sum(v.size for v in p.values())
+        n = p.Wb.size
+        assert p.Wb.shape == (4 * h, h + 2) and p.Wb.flags.c_contiguous
+        assert np.shares_memory(p.Wb, p.flat[:n]) and not np.shares_memory(p.Wb, p.flat[n:])
+        for g, gate in enumerate(lstm.GATE_ORDER):
+            rows = p.Wb[g * h:(g + 1) * h]
+            assert np.array_equal(rows, np.column_stack((p[f"W_{gate}"], p[f"b_{gate}"]))), gate
+        assert np.array_equal(p.flat[n:], np.concatenate((p.W_y.ravel(), p.b_y)))
+        p.W_c[1, 2] = 7.5
+        assert p.Wb[3 * h + 1, 2] == 7.5
 
     def test_in_place_write_changes_forward(self):
         p = lstm.init_params(4, seed=2)

@@ -9,6 +9,10 @@ string (the tracer names its targets in strings). A field counts as read
 when a statement of those files reads it as an attribute or names it in a
 string. Matching is by name alone, so a name shared by two modules counts
 for both.
+
+No package module imports or reads another package module's `_`-prefixed
+name: such a name is that module's own business, free to change without
+notice to any other module.
 """
 
 import ast
@@ -83,3 +87,34 @@ def unread_fields() -> list:
 
 def test_every_dataclass_field_is_read_outside_the_tests():
     assert unread_fields() == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads() -> list:
+    """`module: other._name` for each `_`-prefixed name of another package
+    module that a package module imports (`from .other import _name`) or reads
+    as an attribute of an imported module (`other._name`)."""
+    stems = {path.stem for path in PACKAGE.glob("*.py")}
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level or (node.module or "").split(".")[0] == "celltide")]
+        modules = {alias.asname or alias.name for node in imports
+                   if node.module in (None, "celltide") for alias in node.names
+                   if alias.name in stems}
+        found = {f"{(node.module or '__init__').split('.')[-1]}.{alias.name}"
+                 for node in imports for alias in node.names if _private(alias.name)}
+        found |= {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _private(node.attr)}
+        if found:
+            reads.append(f"{path.stem}: {', '.join(sorted(found))}")
+    return reads
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_reads() == []

@@ -135,6 +135,21 @@ MUTANTS = (
            'return "{" + ", ".join(f"{json.dumps(k)}: {encode(x)}" for k, x in v.items()) + "}"',
            'return "{" + ", ".join(f"{json.dumps(k)}: {dumps(x)}" for k, x in v.items()) + "}"',
            ("tests/test_benchmark_calls.py::test_one_dumps_call_per_json_file",)),
+    # the LSTM kernels: the fused-gate operand is a halved copy of `p.Wb`
+    Mutant("gate-operand-not-copied", "src/celltide/lstm.py",
+           "wg = p.Wb.copy()",
+           "wg = p.Wb",
+           ("tests/test_lstm.py::TestForward::test_determinism",)),
+    Mutant("candidate-gate-halved", "src/celltide/lstm.py",
+           "wg[:3 * h] *= 0.5",
+           "wg[:4 * h] *= 0.5",
+           ("tests/test_lstm.py::TestForward::test_matches_scalar_oracle",)),
+    Mutant("squash-clamps-at-one", "src/celltide/linalg.py",
+           "np.minimum(t, _SIG_HI, out=t)",
+           "np.minimum(t, 1.0, out=t)",
+           ("tests/test_linalg.py::TestActivations::test_sigmoid_monotone",
+            "tests/test_lstm.py::TestForward::"
+            "test_saturated_sigmoid_gates_stay_inside_the_open_unit_interval")),
 )
 
 
