@@ -22,7 +22,6 @@ import numpy as np
 
 from . import Failure, modelio
 
-MAX_ORDER = 5
 _LAG_BLOCK = 1024  # rows per product in `long_ar_residuals`: a power of two cuts no BLAS tile
 
 

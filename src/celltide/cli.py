@@ -247,6 +247,7 @@ _FLAG_RANGES = {
     "epochs": (lambda v: v >= 1, ">= 1"),
     "lr": (lambda v: 0 <= v < float("inf"), "finite and >= 0"),
     "train_frac": (lambda v: 0 < v <= 0.8, "in (0, 0.8]"),
+    **dict.fromkeys(("p", "d", "q"), (lambda v: v is None or 0 <= v <= 5, "in 0..5")),
 }
 
 
@@ -284,10 +285,6 @@ def _resolve_defaults(args) -> None:
                                      == os.path.realpath(args.input_dir)):
         parser.error("--out must not name a file in --input-dir: the next ingest would read it")
     if args.command in ("arima", "compare"):
-        from . import arima
-        for k in ("p", "d", "q"):
-            if not 0 <= (getattr(args, k) or 0) <= arima.MAX_ORDER:
-                parser.error(f"--{k} must be in 0..{arima.MAX_ORDER}, got {getattr(args, k)}")
         given = ", ".join(f"--{k}" for k in ("p", "d", "q") if getattr(args, k) is not None)
         auto = args.auto if args.command == "arima" else args.p is None
         if auto and given:

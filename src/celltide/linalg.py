@@ -33,22 +33,18 @@ def sigmoid_from_tanh(t: np.ndarray) -> np.ndarray:
     return t
 
 
-class FlatViews(dict):
+class FlatViews:
     """Named C-contiguous views of a fresh zeroed 1-D float64 buffer `flat`,
-    one per (name, shape) entry of `layout`, laid out back to back in that
-    order. Each view reads both as an item and as an attribute (`v["W"]`,
-    `v.W`)."""
+    one attribute per (name, shape) entry of `layout`, laid out back to back
+    in that order."""
 
     def __init__(self, layout):
-        super().__init__()
-        flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
         at = 0
         for name, shape in layout:
             size = math.prod(shape)
-            self[name] = flat[at:at + size].reshape(shape)
+            setattr(self, name, self.flat[at:at + size].reshape(shape))
             at += size
-        vars(self).update(self)
-        self.flat = flat
 
 
 def glorot_uniform(views: FlatViews, keys, seed: int) -> FlatViews:
@@ -56,6 +52,7 @@ def glorot_uniform(views: FlatViews, keys, seed: int) -> FlatViews:
     with `seed`: uniform in +-sqrt(6 / (fan_in + fan_out)). Returns `views`."""
     rng = np.random.default_rng(seed)
     for k in keys:
-        limit = np.sqrt(6.0 / sum(views[k].shape))
-        views[k][...] = rng.uniform(-limit, limit, size=views[k].shape)
+        view = getattr(views, k)
+        limit = np.sqrt(6.0 / sum(view.shape))
+        view[...] = rng.uniform(-limit, limit, size=view.shape)
     return views

@@ -23,17 +23,16 @@ class LstmParams(FlatViews):
     """LSTM weights: views of one flat float64 buffer.
 
     The buffer holds `Wb` (4H, H+2), then W_y (1, H) and b_y (1,). Row block
-    g of `Wb` is [W_<gate> (H, H+1) | b_<gate> (H,)] for gate GATE_ORDER[g].
-    `Wb` is an attribute, not an item.
+    g of `Wb` is [W_<gate> (H, H+1) | b_<gate> (H,)] for gate GATE_ORDER[g],
+    and those eight strided views are attributes too.
     """
 
     def __init__(self, hidden: int):
         super().__init__([("Wb", (4 * hidden, hidden + 2)), ("W_y", (1, hidden)), ("b_y", (1,))])
         self.hidden = hidden
-        del self["Wb"]
         for gate, rows in zip(GATE_ORDER, self.Wb.reshape(4, hidden, hidden + 2)):
-            self[f"W_{gate}"], self[f"b_{gate}"] = rows[:, :-1], rows[:, -1]
-        vars(self).update(self)
+            setattr(self, f"W_{gate}", rows[:, :-1])
+            setattr(self, f"b_{gate}", rows[:, -1])
 
 
 def init_params(hidden: int, input_size: int = 1, seed: int = 0) -> LstmParams:

@@ -104,7 +104,7 @@ class Neural(collections.namedtuple("Neural", "kind module init")):
             "T": data.window,
             "head": "sigmoid",
             "scaler": {"min": data.scaler.min, "max": data.scaler.max},
-            "weights": {k: params[k] for k in self.module.WEIGHT_KEYS},
+            "weights": {k: getattr(params, k) for k in self.module.WEIGHT_KEYS},
         })
 
     def report(self, model, scores, out) -> dict:

@@ -1,4 +1,5 @@
-"""The checks that need a fresh interpreter, all started by `run_cli`.
+"""The checks that need a fresh interpreter: pytest's own session under this
+repository's warning filters, and the rest, all started by `run_cli`.
 
 Where the imported celltide is this checkout's `src/`, as under
 `PYTHONPATH=src pytest`, a command runs as `python -m celltide.cli` on
@@ -8,9 +9,11 @@ every test fails if that script is missing."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import sysconfig
+import textwrap
 
 import numpy as np
 import oracles
@@ -24,6 +27,30 @@ from test_cli import COMPARE_FLAGS, NEURAL, T0, make_days_dir, make_series_csv
 TESTS = os.path.dirname(os.path.realpath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
 INSTALLED = os.path.dirname(os.path.dirname(os.path.realpath(celltide.__file__))) != SRC
+
+
+def test_a_failing_property_test_fails_and_the_session_goes_on(tmp_path):
+    """Under `pyproject.toml`'s warning filters, a failing hypothesis test is
+    one failed test, and the test after it runs. On a failure hypothesis
+    imports libcst where it is installed, and libcst's import warns that
+    `mypy_extensions.TypedDict` is deprecated: made an error, that warning
+    ended the session with INTERNALERROR, exit code 3."""
+    shutil.copy(os.path.join(os.path.dirname(TESTS), "pyproject.toml"), tmp_path)
+    (tmp_path / "test_property.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_passes():
+            pass
+        """))
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "test_property.py"], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout.splitlines()[-1], done.stdout
 
 
 def run_cli(argv, probe=None, **env):

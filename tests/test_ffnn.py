@@ -81,17 +81,18 @@ class TestBackward:
         _, cache = forward1(np.array([1.0, 2.0, 3.0]), p)
         grads = ffnn.FfnnParams(p.hidden, 3)
         grads.flat[...] = ffnn.backward_batch(cache, np.ones(1), p)
-        assert not np.any(grads["W1"][2])
-        assert grads["b1"][2] == 0.0
+        assert not np.any(grads.W1[2])
+        assert grads.b1[2] == 0.0
 
 
 class TestPackedStorage:
     def test_fields_are_contiguous_views_of_one_buffer(self):
         p = ffnn.init_params(7, seed=2)
-        for k, v in p.items():
+        assert vars(p).keys() == {*ffnn.WEIGHT_KEYS, "flat", "hidden"}
+        for k in ffnn.WEIGHT_KEYS:
+            v = getattr(p, k)
             assert v.flags.c_contiguous and np.shares_memory(v, p.flat), k
-            assert getattr(p, k) is v, k
-        parts = [p[k].ravel() for k in ffnn.WEIGHT_KEYS]
+        parts = [getattr(p, k).ravel() for k in ffnn.WEIGHT_KEYS]
         assert np.array_equal(p.flat, np.concatenate(parts))
 
 

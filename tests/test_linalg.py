@@ -33,9 +33,9 @@ class TestFlatViews:
     def test_views_in_layout_order(self):
         views = linalg.FlatViews(self.LAYOUT)
         views.flat[...] = np.arange(9.0)
-        assert views["a"].tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
-        assert views["b"].tolist() == [6.0, 7.0, 8.0]
-        views["b"][0] = -1.0
+        assert views.a.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert views.b.tolist() == [6.0, 7.0, 8.0]
+        views.b[0] = -1.0
         assert views.flat[6] == -1.0
 
     def test_default_is_a_fresh_zeroed_buffer(self):
@@ -46,7 +46,7 @@ class TestFlatViews:
 
     def test_views_read_as_attributes(self):
         views = linalg.FlatViews(self.LAYOUT)
-        assert views.a is views["a"] and views.b is views["b"]
+        assert vars(views).keys() == {"flat", "a", "b"}
         views.a[1, 2] = 4.0
         assert views.flat[5] == 4.0
         with pytest.raises(AttributeError, match="c"):

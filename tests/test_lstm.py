@@ -145,7 +145,7 @@ class TestBackward:
         p = lstm.init_params(4, seed=9)
         y, caches = forward1([0.3, 0.1, 0.8], p)
         grads = as_params(lstm.backward_batch(caches, np.array([1.7]), p), 4)
-        assert grads["b_y"][0] == pytest.approx(1.7 * y * (1 - y), rel=1e-12)
+        assert grads.b_y[0] == pytest.approx(1.7 * y * (1 - y), rel=1e-12)
 
     def test_finite_differences_spot_check(self):
         rng = np.random.default_rng(21)
@@ -187,25 +187,25 @@ class TestBackward:
             _, c = forward1(window, p)
             want.flat += lstm.backward_batch(c, np.array([d]), p)
         for k in lstm.WEIGHT_KEYS:
-            scale = np.max(np.abs(want[k]))
-            assert np.max(np.abs(got[k] - want[k])) <= 1e-12 * scale, k
+            scale = np.max(np.abs(getattr(want, k)))
+            assert np.max(np.abs(getattr(got, k) - getattr(want, k))) <= 1e-12 * scale, k
 
 
 class TestPackedStorage:
     def test_fields_are_views_of_the_packed_gate_block(self):
         h = 4
         p = lstm.init_params(h, seed=2)
-        for k, v in p.items():
-            assert np.shares_memory(v, p.flat), k
-            assert getattr(p, k) is v, k
-        assert sorted(p) == sorted(lstm.WEIGHT_KEYS)
-        assert p.flat.size == sum(v.size for v in p.values())
+        assert vars(p).keys() == {*lstm.WEIGHT_KEYS, "Wb", "flat", "hidden"}
+        for k in lstm.WEIGHT_KEYS:
+            assert np.shares_memory(getattr(p, k), p.flat), k
+        assert p.flat.size == sum(getattr(p, k).size for k in lstm.WEIGHT_KEYS)
         n = p.Wb.size
         assert p.Wb.shape == (4 * h, h + 2) and p.Wb.flags.c_contiguous
         assert np.shares_memory(p.Wb, p.flat[:n]) and not np.shares_memory(p.Wb, p.flat[n:])
         for g, gate in enumerate(lstm.GATE_ORDER):
             rows = p.Wb[g * h:(g + 1) * h]
-            assert np.array_equal(rows, np.column_stack((p[f"W_{gate}"], p[f"b_{gate}"]))), gate
+            views = getattr(p, f"W_{gate}"), getattr(p, f"b_{gate}")
+            assert np.array_equal(rows, np.column_stack(views)), gate
         assert np.array_equal(p.flat[n:], np.concatenate((p.W_y.ravel(), p.b_y)))
         p.W_c[1, 2] = 7.5
         assert p.Wb[3 * h + 1, 2] == 7.5
@@ -241,8 +241,8 @@ class TestSerialization:
         obj = json.loads(text)
         assert (obj["hidden"], obj["T"]) == (3, 6)
         p = lstm.LstmParams(obj["hidden"])
-        for k, view in p.items():
-            view[...] = obj["weights"][k]
+        for k in lstm.WEIGHT_KEYS:
+            getattr(p, k)[...] = obj["weights"][k]
         windows = np.random.default_rng(3).uniform(0, 1, (4, 6))
         y, _ = lstm.forward_batch(windows, p)
         expected = [0.16372606889320465, 0.14822154178029878,

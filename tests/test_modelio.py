@@ -42,8 +42,8 @@ def test_envelope_order_and_roundtrip(kind):
     assert obj["scaler"] == {"min": 1.0, "max": 9.0}
     assert tuple(obj["weights"]) == module.WEIGHT_KEYS
     q = zeroed()
-    for k, view in q.items():
-        view[...] = obj["weights"][k]
+    for k in module.WEIGHT_KEYS:
+        getattr(q, k)[...] = obj["weights"][k]
     assert np.array_equal(p.flat, q.flat)
     assert model_file(kind, q, 4, ScalerParams(1.0, 9.0)) == text
 
@@ -69,7 +69,8 @@ def test_smallest_model_accepted():
     p = lstm.init_params(1, seed=0)
     obj = json.loads(model_file("lstm", p, 1, ScalerParams(0, 1)))
     assert (obj["hidden"], obj["T"], obj["scaler"]) == (1, 1, {"min": 0, "max": 1})
-    for k, view in p.items():
+    for k in lstm.WEIGHT_KEYS:
+        view = getattr(p, k)
         assert np.array(obj["weights"][k]).shape == view.shape, k
         assert np.array_equal(obj["weights"][k], view), k
 

@@ -74,10 +74,10 @@ class TestFit:
         _, _, _, tr, va = small_sets()
         cfg = train.TrainConfig(epochs=3, learning_rate=0.0, seed=1)
         params = ffnn.init_params(tr.inputs.shape[1], seed=1)
-        before = {k: v.copy() for k, v in params.items()}
+        before = {k: getattr(params, k).copy() for k in ffnn.WEIGHT_KEYS}
         hist = train.fit("ffnn", params, tr, va, cfg)
-        for k, v in params.items():
-            assert np.array_equal(v, before[k])
+        for k in ffnn.WEIGHT_KEYS:
+            assert np.array_equal(getattr(params, k), before[k])
         assert len({r.val_mae for r in hist}) == 1  # flat validation curve
 
     def test_reproducible_history(self):

@@ -11,7 +11,9 @@ each mutant, replaces one line of the copy, runs that mutant's tests with
 pytest on the copy's `src/`, and restores the line. It prints `killed` when
 the tests fail and `survived` when they pass, and exits 0 when every mutant
 was killed, 1 when one survived, and 2 when a mutant no longer applies (its
-line is not found exactly once) or the unchanged copy fails its tests.
+line is not found exactly once), when the unchanged copy fails its tests, or
+at once when pytest ends a mutant's run with neither a pass nor a failure
+(a usage or internal error, no test collected).
 Bytecode is not written, so a mutant of the same size as its line is never
 read from a stale cache. It needs only the standard library and pytest, and
 it is not part of the test suite.
@@ -147,9 +149,21 @@ MUTANTS = (
     Mutant("squash-clamps-at-one", "src/celltide/linalg.py",
            "np.minimum(t, _SIG_HI, out=t)",
            "np.minimum(t, 1.0, out=t)",
-           ("tests/test_linalg.py::TestActivations::test_sigmoid_monotone",
+           ("tests/test_linalg.py::TestActivations::test_sigmoid_symmetry_and_range",
+            "tests/test_linalg.py::TestActivations::test_sigmoid_monotone",
             "tests/test_lstm.py::TestForward::"
             "test_saturated_sigmoid_gates_stay_inside_the_open_unit_interval")),
+    # the LSTM's gate weights are strided views of `Wb` (`lstm.LstmParams`)
+    Mutant("gate-weights-drop-the-input-column", "src/celltide/lstm.py",
+           'setattr(self, f"W_{gate}", rows[:, :-1])',
+           'setattr(self, f"W_{gate}", rows[:, :-2])',
+           ("tests/test_lstm.py::TestPackedStorage::"
+            "test_fields_are_views_of_the_packed_gate_block",)),
+    # the ARIMA order bound is a flag range (`cli._FLAG_RANGES`)
+    Mutant("order-bound-six", "src/celltide/cli.py",
+           '**dict.fromkeys(("p", "d", "q"), (lambda v: v is None or 0 <= v <= 5, "in 0..5")),',
+           '**dict.fromkeys(("p", "d", "q"), (lambda v: v is None or 0 <= v <= 6, "in 0..5")),',
+           ("tests/test_cli.py::TestArima::test_order_out_of_range_is_usage_error",)),
 )
 
 
@@ -171,9 +185,9 @@ def _apply(copy: str, mutant: Mutant) -> str:
     return text
 
 
-def _tests_pass(copy: str, tests) -> bool:
-    """True when pytest passes `tests` on the copy; False when they fail or hang.
-    Any other pytest outcome (no test collected, a usage error) raises."""
+def _pytest_status(copy: str, tests) -> int:
+    """pytest's exit code on `tests` in the copy: 0 when they pass, 1 when
+    they fail or hang, and another code for any other outcome."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(copy, "src"),
                                                         os.environ.get("PYTHONPATH")])))
@@ -182,10 +196,8 @@ def _tests_pass(copy: str, tests) -> bool:
         done = subprocess.run(argv, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return False
-    if done.returncode not in (0, 1):
-        raise RuntimeError(f"pytest exited with status {done.returncode} on {' '.join(tests)}")
-    return done.returncode == 0
+        return 1
+    return done.returncode
 
 
 def main(argv=None) -> int:
@@ -207,8 +219,9 @@ def main(argv=None) -> int:
             shutil.copytree(os.path.join(ROOT, name), os.path.join(copy, name), ignore=ignore)
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
         baseline = list(dict.fromkeys(t for m in chosen for t in m.tests))
-        if not _tests_pass(copy, baseline):
-            print("the unchanged copy fails its tests: " + " ".join(baseline))
+        if code := _pytest_status(copy, baseline):
+            print(f"the unchanged copy fails its tests, pytest exited {code}: "
+                  + " ".join(baseline))
             return 2
         status = 0
         for m in chosen:
@@ -218,12 +231,15 @@ def main(argv=None) -> int:
                 status = 2
                 continue
             try:
-                survived = _tests_pass(copy, m.tests)
+                code = _pytest_status(copy, m.tests)
             finally:
                 with open(os.path.join(copy, m.path), "w", encoding="utf-8") as fh:
                     fh.write(original)
-            print(f"{m.name}: {'survived' if survived else 'killed'}", flush=True)
-            if survived and status == 0:
+            if code not in (0, 1):
+                print(f"{m.name}: error, pytest exited {code}")
+                return 2
+            print(f"{m.name}: {'survived' if code == 0 else 'killed'}", flush=True)
+            if code == 0 and status == 0:
                 status = 1
     return status
 
