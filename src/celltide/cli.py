@@ -1,6 +1,6 @@
 """Command-line interface: ingest raw CDR files, generate synthetic traffic,
-train the neural models, fit the ARIMA baseline, and run the three-way
-comparison that emits plot-ready prediction and error-curve CSVs.
+fit the ARIMA baseline, and run the comparison of the forecasters that
+`--models` picks, which emits plot-ready prediction and error-curve CSVs.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -57,7 +57,7 @@ def _outputs(out_dir: str = ""):
 
 
 def _prepare(args, kinds) -> argparse.Namespace:
-    """Shared start of `train`, `arima` and `compare`: read and split the series,
+    """Shared start of `arima` and `compare`: read and split the series,
     then run each distinct setup of `kinds`' rows of the kind table on it."""
     from . import dataset, train
     values = cdr.read_series_csv(args.series).values
@@ -81,18 +81,18 @@ def _run(kind: str, data):
 
 
 def _fit_and_write(args) -> int:
-    """`train`, `arima` and `compare`: fit and forecast `--model`'s row, or for
-    `compare` every row, on one `_prepare`d split; print each row's lines and
+    """`arima` and `compare`: fit and forecast the rows of `args.models`, in the
+    kind table's order, on one `_prepare`d split; print each row's lines and
     test MAE, headed `kind: ` where there are several; write each row's files
     that `_output_paths` has a path for, and `report.json` where it has one."""
     from . import modelio, train
-    kinds = list(train.FORECASTERS) if args.command == "compare" else [args.model]
+    kinds = args.models
     data, reports, paths = _prepare(args, kinds), {}, _output_paths(args)
     # entered before the fits, so that an out_dir that cannot be made fails at
     # once; the files are written only once every fit has succeeded
     with _outputs(getattr(args, "out_dir", "")) as out:
-        # the first row, compare's LSTM and most of its time, here; the rest in
-        # the worker. One row is one item, which starts no worker
+        # the first row here (the LSTM, most of the time, whenever it is chosen);
+        # the rest in the worker. One row is one item, which starts no worker
         groups = [kinds[:1], kinds[1:]][:len(kinds)]
         rows = _map_in_two(lambda group: [_run(kind, data) for kind in group], groups)
         for kind, (model, lines, preds, test_mae, wall_ms) in zip(kinds, sum(rows, [])):
@@ -192,14 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, parser=p)  # `parser` reports the subcommand's usage errors
         return p
 
-    def add_common_train_flags(p):
-        p.add_argument("--series", required=True, help="series CSV (slot,timestamp_ms,value)")
-        p.add_argument("--train-frac", type=float, default=0.8)
-        p.add_argument("--window", type=int, default=12)
-        p.add_argument("--epochs", type=int, default=20)
-        p.add_argument("--lr", type=float, default=1e-3)
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-
     p = add_command("synth", cmd_synth, "generate a synthetic diurnal traffic series")
     p.add_argument("--days", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="random seed")
@@ -211,14 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=cdr.CHANNELS, default="internet")
     p.add_argument("--out", required=True)
 
-    p = add_command("train", _fit_and_write, "train the LSTM or feed-forward model")
-    p.add_argument("--model", choices=("lstm", "ffnn"), required=True)
-    add_common_train_flags(p)
-    p.add_argument("--out-model", required=True)
-    p.add_argument("--out-history", required=True)
-
     p = add_command("arima", _fit_and_write, "fit the ARIMA baseline and forecast the test slice")
-    p.set_defaults(model="arima")  # the one row it fits
+    p.set_defaults(models=["arima"])  # the one row it fits
     p.add_argument("--series", required=True)
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--auto", action="store_true",
@@ -230,7 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-predictions", required=True)
 
     p = add_command("compare", _fit_and_write, "LSTM vs FFNN vs ARIMA under one split")
-    add_common_train_flags(p)
+    p.add_argument("--series", required=True, help="series CSV (slot,timestamp_ms,value)")
+    p.add_argument("--models", help="the forecasters to run, as K[,K...] (default: all)")
+    p.add_argument("--train-frac", type=float, default=0.8)
+    p.add_argument("--window", type=int, default=12)
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--p", type=int, help="ARIMA AR order; omitted = AIC search")
     p.add_argument("--d", type=int, help="differencing order (default 0; needs --p)")
     p.add_argument("--q", type=int, help="MA order (default 0; needs --p)")
@@ -242,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 # functions the commands call assume values that pass
 _FLAG_RANGES = {
     "seed": (lambda v: v >= 0, "non-negative"),
-    "days": (lambda v: v >= 1, ">= 1"),
+    # the span that `ingest` accepts
+    "days": (lambda v: 1 <= v <= cdr.MAX_SPAN_SLOTS // cdr.SLOTS_PER_DAY,
+             f"in 1..{cdr.MAX_SPAN_SLOTS // cdr.SLOTS_PER_DAY}"),
     "window": (lambda v: v >= 1, ">= 1"),
     "epochs": (lambda v: v >= 1, ">= 1"),
     "lr": (lambda v: 0 <= v < float("inf"), "finite and >= 0"),
@@ -252,17 +246,15 @@ _FLAG_RANGES = {
 
 
 def _output_paths(args) -> dict:
-    """Each file that `train`, `arima` or `compare` writes, as `kind_name` for a row's
+    """Each file that `arima` or `compare` writes, as `kind_name` for a row's
     file `name`, or `report.json`: (the flag that names it, its path). `compare`
-    writes every row's `model.json`, `predictions.csv` and `report_files` in `--out-dir`."""
-    if args.command != "compare":
-        flags = {"model.json": "out_model", "history.csv": "out_history",
-                 "predictions.csv": "out_predictions"}
-        return {f"{args.model}_{name}": (f"--{flag}".replace("_", "-"), getattr(args, flag))
-                for name, flag in flags.items() if hasattr(args, flag)}
+    writes its rows' `model.json`, `predictions.csv` and `report_files` in `--out-dir`."""
+    if args.command == "arima":
+        return {"arima_model.json": ("--out-model", args.out_model),
+                "arima_predictions.csv": ("--out-predictions", args.out_predictions)}
     from . import train
-    names = [f"{kind}_{name}" for kind, row in train.FORECASTERS.items()
-             for name in ("predictions.csv", "model.json", *row.report_files)]
+    names = [f"{kind}_{name}" for kind in args.models
+             for name in ("predictions.csv", "model.json", *train.FORECASTERS[kind].report_files)]
     return {name: ("--out-dir", os.path.join(args.out_dir, name))
             for name in [*names, "report.json"]}
 
@@ -270,12 +262,20 @@ def _output_paths(args) -> dict:
 def _resolve_defaults(args) -> None:
     """Check every flag value and fill in the defaults that depend on other
     flags, before the series is read; a bad value or combination is a usage
-    error (exit code 2) under the subcommand's usage line. `arima` and
-    `compare` get `args.order`: (p, d, q), or None for the AIC search."""
+    error (exit code 2) under the subcommand's usage line. `compare` gets
+    `args.models` as the kinds it names, in the kind table's order, and `arima`
+    and `compare` get `args.order`: (p, d, q), or None for the AIC search."""
     parser = args.parser
     for name, (ok, rule) in _FLAG_RANGES.items():
         if hasattr(args, name) and not ok(value := getattr(args, name)):
             parser.error(f"--{name.replace('_', '-')} must be {rule}, got {value}")
+    if args.command == "compare":
+        from . import train
+        named = list(train.FORECASTERS) if args.models is None else args.models.split(",")
+        if len(set(named) & set(train.FORECASTERS)) < len(named):  # unknown, repeated or empty
+            parser.error(f"--models must name distinct kinds of {','.join(train.FORECASTERS)}, "
+                         f"got {args.models!r}")
+        args.models = [kind for kind in train.FORECASTERS if kind in named]
     if hasattr(args, "series"):  # a model command, whose outputs replace no file it uses
         first = {}  # each resolved path: the flag and the path that first name it
         for flag, path in [("--series", args.series), *_output_paths(args).values()]:

@@ -1,7 +1,7 @@
 """Golden outputs of `compare`, of the AIC order search and of the model
-files `train` and `arima` write, read back by test_golden.py and written to
-tests/fixtures by running this file with the fixtures to write, one or more
-of `compare`, `models` and `search`:
+files `compare --models` and `arima` write, read back by test_golden.py and
+written to tests/fixtures by running this file with the fixtures to write,
+one or more of `compare`, `models` and `search`:
 
     PYTHONPATH=src python tests/golden.py search
 
@@ -27,8 +27,8 @@ SERIES = "gen_synthetic(4, seed=1)"
 # batch of each epoch is a partial one of 26
 COMPARE_ARGV = ["compare", "--train-frac", "0.4", "--epochs", "2"]
 SEARCH_FRAC = 0.8  # a 460-slot training slice
-# the model-file runs: each neural kind as `compare` trains it, and ARIMA's search
-MODEL_ARGV = {kind: ["train", "--model", kind, *COMPARE_ARGV[1:]] for kind in ("lstm", "ffnn")}
+# the model-file runs: each neural kind alone as `compare` trains it, and ARIMA's search
+MODEL_ARGV = {kind: ["compare", "--models", kind, *COMPARE_ARGV[1:]] for kind in ("lstm", "ffnn")}
 MODEL_ARGV["arima"] = ["arima", "--auto", "--train-frac", "0.4"]
 
 
@@ -61,10 +61,11 @@ def model_outputs(tmp_dir) -> dict:
     with its keys in file order."""
     path, files = write_series(tmp_dir), {}
     for kind, argv in MODEL_ARGV.items():
-        out = pathlib.Path(tmp_dir) / f"{kind}.json"
-        second = "--out-history" if argv[0] == "train" else "--out-predictions"
-        assert main([*argv, "--series", str(path), "--out-model", str(out),
-                     second, str(out.with_suffix(".csv"))]) == 0
+        out = pathlib.Path(tmp_dir) / kind / f"{kind}_model.json"
+        outs = (["--out-dir", str(out.parent)] if argv[0] == "compare" else
+                ["--out-model", str(out), "--out-predictions", str(out.with_suffix(".csv"))])
+        out.parent.mkdir()
+        assert main([*argv, "--series", str(path), *outs]) == 0
         files[kind] = json.loads(out.read_text())
     return {"argv": MODEL_ARGV, "series": SERIES, "files": files}
 

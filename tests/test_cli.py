@@ -10,7 +10,7 @@ from celltide import arima, cdr, cli, dataset, modelio, train
 from celltide.cli import main
 
 T0 = 1_383_260_400_000
-# the kind table's neural rows, in its order: the kinds `train --model` takes
+# the kind table's neural rows, in its order
 NEURAL = tuple(kind for kind, row in train.FORECASTERS.items() if isinstance(row, train.Neural))
 
 
@@ -281,78 +281,75 @@ class TestSplitIngest:
 
 
 class TestTrain:
+    """`compare --models` with one neural row: its setup, fit and files alone."""
+
     def test_writes_model_and_history(self, tmp_path, capsys):
         series = make_series_csv(tmp_path)
-        model = tmp_path / "model.json"
-        history = tmp_path / "history.csv"
-        rc = main(["train", "--model", "ffnn", "--series", str(series),
+        out_dir = tmp_path / "out"
+        rc = main(["compare", "--models", "ffnn", "--series", str(series),
                    "--train-frac", "0.4", "--epochs", "3", "--seed", "1",
-                   "--out-model", str(model), "--out-history", str(history)])
+                   "--out-dir", str(out_dir)])
         assert rc == 0
         assert "split 230/58/58" in capsys.readouterr().out
-        assert json.loads(model.read_text())["type"] == "ffnn"
-        lines = history.read_text().strip().splitlines()
+        assert json.loads((out_dir / "ffnn_model.json").read_text())["type"] == "ffnn"
+        lines = (out_dir / "ffnn_history.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,train_mae,val_mae,wall_ms"
         assert len(lines) == 4
 
     def test_same_seed_same_model(self, tmp_path):
         series = make_series_csv(tmp_path)
         models = []
-        for name in ("m1.json", "m2.json"):
-            main(["train", "--model", "lstm", "--series", str(series),
+        for name in ("a", "b"):
+            main(["compare", "--models", "lstm", "--series", str(series),
                   "--train-frac", "0.4", "--epochs", "1", "--seed", "7",
-                  "--out-model", str(tmp_path / name),
-                  "--out-history", str(tmp_path / f"{name}.csv")])
-            models.append((tmp_path / name).read_bytes())
+                  "--out-dir", str(tmp_path / name)])
+            models.append((tmp_path / name / "lstm_model.json").read_bytes())
         assert models[0] == models[1]
 
-    @pytest.mark.parametrize("command,lr", [("train", "nan"), ("compare", "inf")])
-    def test_non_finite_learning_rate_fails_at_entry(self, tmp_path, capsys, command, lr):
+    @pytest.mark.parametrize("models,lr", [(["--models", "ffnn"], "nan"), ([], "inf")],
+                             ids=["train-nan", "compare-inf"])
+    def test_non_finite_learning_rate_fails_at_entry(self, tmp_path, capsys, models, lr):
         series = make_series_csv(tmp_path)
-        outs = (["--model", "ffnn", "--out-model", str(tmp_path / "m.json"),
-                 "--out-history", str(tmp_path / "h.csv")] if command == "train"
-                else ["--out-dir", str(tmp_path / "out")])
         with pytest.raises(SystemExit) as exc:
-            main([command, "--series", str(series), "--train-frac", "0.4",
-                  "--epochs", "1", "--lr", lr, *outs])
+            main(["compare", *models, "--series", str(series), "--train-frac", "0.4",
+                  "--epochs", "1", "--lr", lr, "--out-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"usage: celltide {command} ")
+        assert err.startswith("usage: celltide compare ")
         assert f"--lr must be finite and >= 0, got {lr}" in err
         assert "non-finite loss" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
-    def test_failed_history_write_leaves_no_model(self, tmp_path, capsys):
+    def test_failed_history_write_leaves_no_model(self, tmp_path, monkeypatch, capsys):
         series = make_series_csv(tmp_path)
-        model = tmp_path / "m.json"
-        assert main(["train", "--model", "ffnn", "--series", str(series),
-                     "--train-frac", "0.4", "--epochs", "1", "--out-model", str(model),
-                     "--out-history", str(tmp_path / "nodir" / "h.csv")]) == 1
-        assert "No such file or directory" in capsys.readouterr().err
-        assert not model.exists()
+        fail_ffnn_history_write(monkeypatch)
+        assert main(["compare", "--models", "ffnn", "--series", str(series),
+                     "--train-frac", "0.4", "--epochs", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
-    def test_failed_history_write_keeps_an_earlier_model(self, tmp_path, capsys):
+    def test_failed_history_write_keeps_an_earlier_model(self, tmp_path, monkeypatch, capsys):
         series = make_series_csv(tmp_path)
-        model = tmp_path / "m.json"
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        model = out_dir / "ffnn_model.json"
         model.write_text("earlier\n")
-        assert main(["train", "--model", "ffnn", "--series", str(series),
-                     "--train-frac", "0.4", "--epochs", "1", "--out-model", str(model),
-                     "--out-history", str(tmp_path / "nodir" / "h.csv")]) == 1
-        assert capsys.readouterr().err == (
-            f"error: [Errno 2] No such file or directory: '{tmp_path / 'nodir' / 'h.csv'}'\n")
+        fail_ffnn_history_write(monkeypatch)
+        assert main(["compare", "--models", "ffnn", "--series", str(series),
+                     "--train-frac", "0.4", "--epochs", "1", "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert model.read_text() == "earlier\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "series.csv"]
+        assert [p.name for p in out_dir.iterdir()] == ["ffnn_model.json"]
 
     def test_bad_fraction_fails(self, tmp_path, capsys):
         series = make_series_csv(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["train", "--model", "ffnn", "--series", str(series),
-                  "--train-frac", "0.99", "--epochs", "1",
-                  "--out-model", str(tmp_path / "m.json"),
-                  "--out-history", str(tmp_path / "h.csv")])
+            main(["compare", "--models", "ffnn", "--series", str(series),
+                  "--train-frac", "0.99", "--epochs", "1", "--out-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: celltide train ")
+        assert err.startswith("usage: celltide compare ")
         assert "--train-frac must be in (0, 0.8], got 0.99" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["series.csv"]
 
@@ -373,8 +370,7 @@ def record_forks(monkeypatch):
 class TestSeedEnvironment:
     @pytest.mark.parametrize("argv", [
         ["compare", "--seed", "-1", "--out-dir", "out"],
-        ["train", "--seed", "-2", "--model", "ffnn", "--out-model", "m.json",
-         "--out-history", "h.csv"],
+        ["compare", "--seed", "-2", "--models", "ffnn", "--out-dir", "out"],
     ])
     def test_negative_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
         series = make_series_csv(tmp_path)
@@ -391,9 +387,8 @@ class TestSeedEnvironment:
 
 
 @pytest.mark.parametrize("argv", [
-    ["train", "--model", "ffnn", "--out-model", "X", "--out-history", "./X"],
     ["arima", "--out-model", "X", "--out-predictions", "./X"],
-], ids=["train", "arima"])
+], ids=["arima"])
 def test_two_outputs_naming_one_file_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     """Both outputs would share one temporary and one would be lost, so two
     output flags that name one file are a usage error, raised before the
@@ -409,11 +404,9 @@ def test_two_outputs_naming_one_file_is_usage_error(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("argv", [
-    ["train", "--model", "ffnn", "--out-model", "s.csv", "--out-history", "h.csv"],
-    ["train", "--model", "ffnn", "--out-model", "m.json", "--out-history", "./s.csv"],
     ["arima", "--out-model", "s.csv", "--out-predictions", "p.csv"],
     ["arima", "--out-model", "m.json", "--out-predictions", "s.csv"],
-], ids=["train-model", "train-history", "arima-model", "arima-predictions"])
+], ids=["arima-model", "arima-predictions"])
 def test_an_output_naming_the_series_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     """An output flag that names the input series would replace it with the
     run's output, so it is a usage error, raised before the series is read,
@@ -475,20 +468,22 @@ def test_a_compare_output_naming_the_series_is_usage_error(tmp_path, monkeypatch
     assert os.listdir(tmp_path / "o") == [name]
 
 
-TRAIN_OUTS = ["--out-model", "m.json", "--out-history", "h.csv"]
 ARIMA_OUTS = ["--out-model", "a.json", "--out-predictions", "a.csv"]
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["synth", "--days", "0", "--out", "s.csv"], "--days must be >= 1, got 0"),
-    (["train", "--model", "lstm", "--window", "0", *TRAIN_OUTS], "--window must be >= 1, got 0"),
+    (["synth", "--days", "0", "--out", "s.csv"], "--days must be in 1..366, got 0"),
+    (["synth", "--days", "367", "--out", "s.csv"], "--days must be in 1..366, got 367"),
+    (["compare", "--models", "lstm", "--window", "0", "--out-dir", "out"],
+     "--window must be >= 1, got 0"),
     (["compare", "--epochs", "0", "--out-dir", "out"], "--epochs must be >= 1, got 0"),
-    (["train", "--model", "ffnn", "--lr", "-1", *TRAIN_OUTS],
+    (["compare", "--models", "ffnn", "--lr", "-1", "--out-dir", "out"],
      "--lr must be finite and >= 0, got -1.0"),
     (["arima", "--train-frac", "0.99", *ARIMA_OUTS], "--train-frac must be in (0, 0.8], got 0.99"),
     (["compare", "--train-frac", "nan", "--out-dir", "out"],
      "--train-frac must be in (0, 0.8], got nan"),
-], ids=["days", "window", "epochs", "lr", "train-frac", "train-frac-nan"])
+], ids=["days", "days-beyond-ingest-span", "window", "epochs", "lr", "train-frac",
+        "train-frac-nan"])
 def test_flag_out_of_range_is_usage_error(tmp_path, monkeypatch, capsys, argv, message):
     """A flag value out of its range is a usage error naming the flag, raised
     before the series (here missing) is read and any file or directory made."""
@@ -504,20 +499,20 @@ def test_flag_out_of_range_is_usage_error(tmp_path, monkeypatch, capsys, argv, m
 
 
 def test_boundary_flag_values_run(tmp_path):
-    """The edge of each range is accepted: one day, a one-slot window, one
-    epoch, a learning rate of 0 and a training fraction of 0.8; and a window
+    """The edge of each range is accepted: one day and 366, a one-slot window,
+    one epoch, a learning rate of 0 and a training fraction of 0.8; and a window
     one slot shorter than the training slice, which leaves one training window."""
+    assert len(cdr.read_series_csv(str(make_series_csv(tmp_path, days=366)))) == 366 * 144
     series = make_series_csv(tmp_path, days=1)
-    assert main(["train", "--model", "ffnn", "--series", str(series), "--window", "1",
+    model = tmp_path / "out" / "ffnn_model.json"
+    assert main(["compare", "--models", "ffnn", "--series", str(series), "--window", "1",
                  "--epochs", "1", "--lr", "0", "--train-frac", "0.8",
-                 "--out-model", str(tmp_path / "m.json"),
-                 "--out-history", str(tmp_path / "h.csv")]) == 0
-    assert json.loads((tmp_path / "m.json").read_text())["T"] == 1
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert json.loads(model.read_text())["T"] == 1
     series = make_series_csv(tmp_path, days=3)  # 344 training slots
-    assert main(["train", "--model", "ffnn", "--series", str(series), "--window", "343",
-                 "--epochs", "1", "--out-model", str(tmp_path / "m.json"),
-                 "--out-history", str(tmp_path / "h.csv")]) == 0
-    assert json.loads((tmp_path / "m.json").read_text())["T"] == 343
+    assert main(["compare", "--models", "ffnn", "--series", str(series), "--window", "343",
+                 "--epochs", "1", "--out-dir", str(tmp_path / "out")]) == 0
+    assert json.loads(model.read_text())["T"] == 343
 
 
 CONSTANT = np.full(432, 5.0)
@@ -540,14 +535,15 @@ HUGE_MESSAGE = "series.csv: line 12: value 1e+308 beyond +-1e+150"
      "singular least squares in long-AR step; try lower orders"),
     (CONSTANT, ["compare", "--epochs", "1", "--out-dir", "out"],
      "cannot fit scaler on a constant training slice"),
-    ([1.0, 2.0], ["train", "--model", "ffnn", *TRAIN_OUTS],
+    ([1.0, 2.0], ["compare", "--models", "ffnn", "--out-dir", "out"],
      "split of 2 slots leaves an empty part"),
     ([1.0, 2.0], ["arima", *ARIMA_OUTS], "split of 2 slots leaves an empty part"),
-    (dataset.gen_synthetic(3).values, ["train", "--model", "lstm", "--window", "400", *TRAIN_OUTS],
+    (dataset.gen_synthetic(3).values,
+     ["compare", "--models", "lstm", "--window", "400", "--out-dir", "out"],
      "--window must be below the 344 training slots, got 400"),
     (dataset.gen_synthetic(3).values, ["compare", "--window", "400", "--out-dir", "out"],
      "--window must be below the 344 training slots, got 400"),
-    (HUGE, ["train", "--model", "lstm", *TRAIN_OUTS], HUGE_MESSAGE),
+    (HUGE, ["compare", "--models", "lstm", "--out-dir", "out"], HUGE_MESSAGE),
     (HUGE, ["arima", *ARIMA_OUTS], HUGE_MESSAGE),
     (HUGE, ["compare", "--epochs", "1", "--out-dir", "out"], HUGE_MESSAGE),
 ], ids=["constant-arima-auto", "constant-arima-p1", "rounding-constant-arima-auto",
@@ -574,12 +570,12 @@ def test_values_at_the_magnitude_bound_run(tmp_path, monkeypatch):
     values = dataset.gen_synthetic(4).values
     values[10], values[20] = cdr.MAX_VALUE, -cdr.MAX_VALUE
     cdr.write_series_csv(cdr.ActivitySeries(T0, values), "series.csv")
-    for argv in (["train", "--model", "lstm", "--epochs", "1", *TRAIN_OUTS],
-                 ["train", "--model", "ffnn", "--epochs", "1", *TRAIN_OUTS],
+    for argv in (*(["compare", "--models", kind, "--epochs", "1", "--out-dir", kind]
+                   for kind in NEURAL),
                  ["arima", "--auto", *ARIMA_OUTS],
                  ["compare", "--epochs", "1", "--p", "1", "--out-dir", "out"]):
         assert main([*argv, "--series", "series.csv"]) == 0, argv
-    for name in ("m.json", "a.json", "out/report.json"):
+    for name in (*(f"{kind}/{kind}_model.json" for kind in NEURAL), "a.json", "out/report.json"):
         json.loads((tmp_path / name).read_text())
 
 
@@ -590,15 +586,19 @@ NEURAL_LINES = [f"{kind}: {line}" for kind in ("lstm", "ffnn") for line in (VAL,
 
 
 @pytest.mark.parametrize("argv,lines", [
-    (["train", "--model", "lstm", "--epochs", "1", *TRAIN_OUTS], [SPLIT, VAL, TEST]),
-    (["train", "--model", "ffnn", "--epochs", "1", *TRAIN_OUTS], [SPLIT, VAL, TEST]),
+    (["compare", "--models", "lstm", "--epochs", "1", "--out-dir", "out"], [SPLIT, VAL, TEST]),
+    (["compare", "--models", "ffnn", "--epochs", "1", "--out-dir", "out"], [SPLIT, VAL, TEST]),
     (["arima", "--p", "1", *ARIMA_OUTS], [TEST]),
     (["arima", "--auto", *ARIMA_OUTS], [ORDER, TEST]),
     (["compare", "--epochs", "1", "--p", "1", "--out-dir", "out"],
      [SPLIT, *NEURAL_LINES, f"arima: {TEST}"]),
     (["compare", "--epochs", "1", "--out-dir", "out"],
      [SPLIT, *NEURAL_LINES, f"arima: {ORDER}", f"arima: {TEST}"]),
-], ids=["train-lstm", "train-ffnn", "arima-p1", "arima-auto", "compare-p1", "compare-search"])
+    (["compare", "--models", "arima", "--out-dir", "out"], [ORDER, TEST]),
+    (["compare", "--models", "arima,ffnn", "--epochs", "1", "--p", "1", "--out-dir", "out"],
+     [SPLIT, *NEURAL_LINES[2:], f"arima: {TEST}"]),
+], ids=["train-lstm", "train-ffnn", "arima-p1", "arima-auto", "compare-p1", "compare-search",
+        "models-arima", "models-arima-ffnn"])
 def test_stdout_lines(tmp_path, monkeypatch, capsys, argv, lines):
     """Each model command prints these lines, and only these, in this order:
     a row's lines are headed by its kind only where the command has several."""
@@ -1072,29 +1072,36 @@ class TestCompare:
 
     @pytest.mark.parametrize("order", [["--p", "1"], []])
     def test_commands_share_one_setup(self, tmp_path, order):
-        """`train` and `arima` fit and forecast as `compare` does: the same
-        history rows for each neural model, the same ARIMA predictions, and
-        the same model file of each kind byte for byte."""
+        """A row's files are the same whichever rows ran: `compare --models`
+        with each row alone, and with the FFNN and ARIMA, writes each of its
+        rows' files byte for byte as `compare` with every row does, history
+        rows apart from their times, and `arima` writes the ARIMA files so."""
         series = make_series_csv(tmp_path, days=4)
         out_dir = tmp_path / "out"
         assert main(["compare", *COMPARE_FLAGS, *order, "--series", str(series),
                      "--out-dir", str(out_dir)]) == 0
-        for kind in NEURAL:
-            history = tmp_path / f"{kind}.csv"
-            assert main(["train", "--model", kind, *COMPARE_FLAGS, "--series", str(series),
-                         "--out-model", str(tmp_path / f"{kind}.json"),
-                         "--out-history", str(history)]) == 0
-            rows = [[line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
-                    for path in (history, out_dir / f"{kind}_history.csv")]
-            assert rows[0][0] == "epoch,train_mae,val_mae" and rows[0] == rows[1], kind
+
+        def untimed(path):  # a history's rows without their wall_ms; any other file's bytes
+            if "history" not in path.name:
+                return path.read_bytes()
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        for models in (*train.FORECASTERS, "ffnn,arima"):
+            chosen = tmp_path / models
+            assert main(["compare", *COMPARE_FLAGS, *order, "--models", models,
+                         "--series", str(series), "--out-dir", str(chosen)]) == 0
+            kinds, names = models.split(","), sorted(p.name for p in chosen.iterdir())
+            assert names == sorted(["report.json", *(p.name for p in out_dir.iterdir()
+                                                     if p.name.split("_")[0] in kinds)])
+            for name in set(names) - {"report.json"}:
+                assert untimed(chosen / name) == untimed(out_dir / name), (models, name)
         assert main(["arima", "--series", str(series), "--train-frac", "0.4",
                      *(order or ["--auto"]), "--out-model", str(tmp_path / "arima.json"),
                      "--out-predictions", str(tmp_path / "a.csv")]) == 0
         assert ((out_dir / "arima_predictions.csv").read_bytes()
                 == (tmp_path / "a.csv").read_bytes())
-        for kind in (*NEURAL, "arima"):
-            assert ((out_dir / f"{kind}_model.json").read_bytes()
-                    == (tmp_path / f"{kind}.json").read_bytes()), kind
+        assert ((out_dir / "arima_model.json").read_bytes()
+                == (tmp_path / "arima.json").read_bytes())
 
     @staticmethod
     def _interrupt_ffnn_evaluation(tmp_path, monkeypatch, out_dir):
@@ -1279,9 +1286,12 @@ class TestCompare:
             (0, ["ingest", "--input-dir", str(one_file), "--out", str(tmp_path / "i.csv")]),
             (1, ["ingest", "--input-dir", str(raw), "--out", str(tmp_path / "i.csv")]),
             (1, ["ingest", "--input-dir", str(seven_files), "--out", str(tmp_path / "i.csv")]),
-            (0, ["train", "--model", "lstm", *COMPARE_FLAGS, "--series", str(series),
-                 "--out-model", str(tmp_path / "m.json"),
-                 "--out-history", str(tmp_path / "h.csv")]),
+            (0, ["compare", "--models", "lstm", *COMPARE_FLAGS, "--series", str(series),
+                 "--out-dir", str(tmp_path / "lstm")]),
+            (0, ["compare", "--models", "arima", "--p", "1", *COMPARE_FLAGS,
+                 "--series", str(series), "--out-dir", str(tmp_path / "arima")]),
+            (1, ["compare", "--models", "lstm,arima", "--p", "1", *COMPARE_FLAGS,
+                 "--series", str(series), "--out-dir", str(tmp_path / "two")]),
             (0, ["arima", *arima_flags]),
             (1, ["arima", "--auto", *arima_flags]),
             (1, ["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
@@ -1313,8 +1323,10 @@ class TestCompare:
 
     def test_the_lstm_fits_here_and_the_other_rows_in_the_worker(self, tmp_path, monkeypatch):
         """The LSTM, most of `compare`'s time, is fitted alone in this process,
-        and the FFNN and ARIMA in the one worker. Each fit appends its kind and
-        process id to a file, as the worker's own list would be lost."""
+        and the FFNN and ARIMA in the one worker, also where `--models` names
+        the LSTM after the FFNN; without the LSTM, the FFNN fits here. Each fit
+        appends its kind and process id to a file, as the worker's own list
+        would be lost."""
         series = make_series_csv(tmp_path, days=4)
         log, run = tmp_path / "fits.log", cli._run
 
@@ -1324,13 +1336,18 @@ class TestCompare:
             return run(kind, data)
 
         monkeypatch.setattr(cli, "_run", logged)
-        assert main(["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series),
-                     "--out-dir", str(tmp_path / "out")]) == 0
-        fits = [line.split() for line in log.read_text().splitlines()]
-        pids = dict(fits)
-        assert sorted(kind for kind, _ in fits) == ["arima", "ffnn", "lstm"]
-        assert pids["lstm"] == str(os.getpid())
-        assert pids["ffnn"] == pids["arima"] != pids["lstm"]
+        runs = [([], "lstm", ["ffnn", "arima"]), (["--models", "ffnn,lstm"], "lstm", ["ffnn"]),
+                (["--models", "arima,ffnn"], "ffnn", ["arima"])]
+        for models, here, there in runs:  # the flag's arguments, the kind fitted here, the rest
+            log.unlink(missing_ok=True)
+            assert main(["compare", *COMPARE_FLAGS, "--p", "1", *models, "--series", str(series),
+                         "--out-dir", str(tmp_path / "out")]) == 0
+            fits = [line.split() for line in log.read_text().splitlines()]
+            pids = dict(fits)
+            assert sorted(kind for kind, _ in fits) == sorted([here, *there]), models
+            worker = {pids[kind] for kind in there}
+            assert pids[here] == str(os.getpid()), models
+            assert len(worker) == 1 and pids[here] not in worker, models
         assert_no_child_process()
 
 
@@ -1361,7 +1378,8 @@ class LastValue:
 def test_a_fourth_forecaster_needs_no_cli_edit(tmp_path, monkeypatch, capsys):
     """A row added to the kind table runs in `compare` with no CLI edit: it
     writes its predictions, its model file and its report entry, one worker is still
-    started, and every other output is the same as without it."""
+    started, and every other output is the same as without it; `--models` picks
+    it alone, and its files are then the same."""
     series = make_series_csv(tmp_path, days=4)
     argv = ["compare", *COMPARE_FLAGS, "--p", "1", "--series", str(series), "--out-dir"]
     assert main([*argv, str(tmp_path / "three")]) == 0
@@ -1392,6 +1410,14 @@ def test_a_fourth_forecaster_needs_no_cli_edit(tmp_path, monkeypatch, capsys):
     assert reports[0] == reports[1]
     assert list(last) == ["test_mae", "test_mae_normalized"]
     assert last["test_mae"] == train.mae(rows[:, 2], rows[:, 1])
+    assert main([*argv, str(tmp_path / "alone"), "--models", "last"]) == 0
+    alone = {p.name: p.read_text() for p in (tmp_path / "alone").iterdir()}
+    assert set(alone) == {"last_predictions.csv", "last_model.json", "report.json"}
+    assert all(alone[name] == four[name] for name in ("last_predictions.csv", "last_model.json"))
+    entry = json.loads(alone["report.json"])["models"]["last"]
+    assert list(entry) == ["test_mae", "train_wall_ms"]  # no neural setup fitted a scaler
+    assert entry["test_mae"] == last["test_mae"]
+    assert len(forks) == 1
     assert_no_child_process()
 
 
@@ -1445,14 +1471,56 @@ def test_a_fourth_row_that_ends_the_worker_is_a_runtime_error(tmp_path, monkeypa
     assert_no_child_process()
 
 
-def test_train_model_choices_are_the_trained_kinds():
-    """The parser names the kinds itself, so that building it loads no model;
-    they are the neural rows of the kind table, in its order."""
-    train_parser = cli.build_parser().parse_args(
-        ["train", "--model", "lstm", "--series", "s", "--out-model", "m",
-         "--out-history", "h"]).parser
-    model = next(a for a in train_parser._actions if a.dest == "model")
-    assert model.choices == NEURAL
+@pytest.mark.parametrize("models", ["lstm,lstm", "gru", "", "lstm,,ffnn", "LSTM"])
+def test_models_naming_no_distinct_kinds_is_usage_error(tmp_path, monkeypatch, capsys, models):
+    """A `--models` item that is not a kind of the table, repeated or empty
+    is a usage error naming the flag, raised before the series is read or
+    any file made."""
+    monkeypatch.chdir(tmp_path)
+    series = make_series_csv(tmp_path, days=1)
+
+    def unread(path):
+        raise AssertionError("the series was read")
+
+    monkeypatch.setattr(cdr, "read_series_csv", unread)
+    forks = record_forks(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--models", models, "--series", str(series), "--out-dir", "out"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: celltide compare ")
+    assert err.endswith(f": error: --models must name distinct kinds of lstm,ffnn,arima, "
+                        f"got {models!r}\n")
+    assert os.listdir(tmp_path) == [series.name]
+    assert forks == []
+
+
+def test_models_outputs_are_the_chosen_rows_files(tmp_path):
+    """`compare --models` resolves to the kinds it names in the kind table's
+    order, and only their files and `report.json` are outputs: a series
+    named as a file of a row not chosen is no clash."""
+    args = cli.build_parser().parse_args(["compare", "--models", "arima,ffnn", "--series",
+                                          str(tmp_path / "lstm_model.json"),
+                                          "--out-dir", str(tmp_path)])
+    cli._resolve_defaults(args)
+    assert args.models == ["ffnn", "arima"]
+    assert list(cli._output_paths(args)) == [
+        "ffnn_predictions.csv", "ffnn_model.json", "ffnn_history.csv",
+        "arima_predictions.csv", "arima_model.json", "report.json"]
+
+
+def test_models_arima_report_has_no_normalized_mae(tmp_path, capsys):
+    """`test_mae_normalized` divides by the range of the scaler that a neural
+    row's setup fits: `--models arima` fits none, prints no split line, and
+    its report entry has no such key."""
+    series = make_series_csv(tmp_path, days=4)
+    capsys.readouterr()
+    assert main(["compare", "--models", "arima", *COMPARE_FLAGS, "--p", "1",
+                 "--series", str(series), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "split" not in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert list(report["models"]) == ["arima"]
+    assert list(report["models"]["arima"]) == ["order", "test_mae", "train_wall_ms"]
 
 
 @pytest.mark.parametrize("error", [

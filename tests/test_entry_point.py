@@ -84,14 +84,14 @@ def test_every_command_runs_and_writes_strict_json(tmp_path):
                   "--out-predictions", tmp_path / "arima.csv"],
                  ["arima", "--auto", *series, "--out-model", tmp_path / "arima-auto.json",
                   "--out-predictions", tmp_path / "arima-auto.csv"],
-                 *(["train", "--model", model, *series, "--epochs", "1",
-                    "--out-model", tmp_path / f"{model}.json",
-                    "--out-history", tmp_path / f"{model}.csv"] for model in ("lstm", "ffnn")),
+                 *(["compare", "--models", model, *series, "--epochs", "1",
+                    "--out-dir", tmp_path / model] for model in ("lstm", "ffnn")),
                  ["compare", *series, "--epochs", "1", "--out-dir", tmp_path / "out"]):
         done = run_cli(argv)
         assert done.returncode == 0, (argv, done.stderr)
     written = sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*.json"))
-    assert written == ["arima-auto.json", "arima.json", "ffnn.json", "lstm.json",
+    assert written == ["arima-auto.json", "arima.json", "ffnn/ffnn_model.json",
+                       "ffnn/report.json", "lstm/lstm_model.json", "lstm/report.json",
                        "out/arima_model.json", "out/ffnn_model.json", "out/lstm_model.json",
                        "out/report.json"]
     for name in written:
@@ -104,9 +104,8 @@ def test_overflowing_learning_rate_fails_in_one_line(tmp_path, model):
     """An lr so large that the first update overflows fails cleanly, in a
     fresh interpreter so that any numpy warning would reach stderr."""
     series = make_series_csv(tmp_path)
-    done = run_cli(["train", "--model", model, "--series", series, "--train-frac", "0.4",
-                    "--epochs", "2", "--lr", "1e300", "--out-model", tmp_path / "m.json",
-                    "--out-history", tmp_path / "h.csv"])
+    done = run_cli(["compare", "--models", model, "--series", series, "--train-frac", "0.4",
+                    "--epochs", "2", "--lr", "1e300", "--out-dir", tmp_path / "out"])
     assert done.returncode == 1
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr

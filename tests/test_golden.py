@@ -1,5 +1,5 @@
 """The outputs of `compare`, of the AIC order search and the model files of
-`train` and `arima` against the golden files that golden.py wrote. A
+`compare --models` and `arima` against the golden files that golden.py wrote. A
 refactor leaves them within these tolerances; a change that means to move
 them rewrites them.
 

@@ -52,12 +52,12 @@ def test_envelope_order_and_roundtrip(kind):
 @pytest.mark.parametrize("value", BAD_WINDOWS)
 def test_bad_window_len_rejected(tmp_path, monkeypatch, capsys, kind, value):
     """No file is written with a `T` that is not a positive int: `T` is
-    `--window`, which `train` refuses as a usage error before the series
+    `--window`, which `compare` refuses as a usage error before the series
     (here missing) is read."""
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["train", "--model", kind, "--series", "missing.csv", "--window", value,
-              "--out-model", "m.json", "--out-history", "h.csv"])
+        main(["compare", "--models", kind, "--series", "missing.csv", "--window", value,
+              "--out-dir", "out"])
     assert exc.value.code == 2
     assert "--window" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []

@@ -114,6 +114,12 @@ MUTANTS = (
            'for flag, path in [("--series", args.series), '
            '*(_output_paths(args).values() if args.command != "compare" else ())]:',
            ("tests/test_cli.py::test_a_compare_output_naming_the_series_is_usage_error",)),
+    Mutant("arima-outputs-unchecked", "src/celltide/cli.py",
+           'for flag, path in [("--series", args.series), *_output_paths(args).values()]:',
+           'for flag, path in [("--series", args.series), '
+           '*(_output_paths(args).values() if args.command != "arima" else ())]:',
+           ("tests/test_cli.py::test_an_output_naming_the_series_is_usage_error",
+            "tests/test_cli.py::test_two_outputs_naming_one_file_is_usage_error")),
     Mutant("ingest-out-in-input-dir-unchecked", "src/celltide/cli.py",
            'if args.command == "ingest" and (os.path.realpath(os.path.dirname(args.out))',
            'if False and (os.path.realpath(os.path.dirname(args.out))',
@@ -159,6 +165,29 @@ MUTANTS = (
            'setattr(self, f"W_{gate}", rows[:, :-2])',
            ("tests/test_lstm.py::TestPackedStorage::"
             "test_fields_are_views_of_the_packed_gate_block",)),
+    # `compare --models` names distinct kinds and runs them in the kind table's order
+    Mutant("models-repeat-accepted", "src/celltide/cli.py",
+           "if len(set(named) & set(train.FORECASTERS)) < len(named):  "
+           "# unknown, repeated or empty",
+           "if not set(named) <= set(train.FORECASTERS):",
+           ("tests/test_cli.py::test_models_naming_no_distinct_kinds_is_usage_error",)),
+    Mutant("models-in-given-order", "src/celltide/cli.py",
+           "args.models = [kind for kind in train.FORECASTERS if kind in named]",
+           "args.models = named",
+           ("tests/test_cli.py::TestCompare::"
+            "test_the_lstm_fits_here_and_the_other_rows_in_the_worker",
+            "tests/test_cli.py::test_models_outputs_are_the_chosen_rows_files")),
+    # the one worker maps the later half of the items (`cli._map_in_two`)
+    Mutant("map-cut-floor", "src/celltide/cli.py",
+           "cut = (len(items) + 1) // 2",
+           "cut = len(items) // 2",
+           ("tests/test_cli.py::TestMapInTwo::"
+            "test_the_builtin_maps_list_with_the_later_items_in_the_worker",)),
+    # `synth` makes no longer a series than `ingest` accepts
+    Mutant("days-unbounded", "src/celltide/cli.py",
+           '"days": (lambda v: 1 <= v <= cdr.MAX_SPAN_SLOTS // cdr.SLOTS_PER_DAY,',
+           '"days": (lambda v: 1 <= v,',
+           ("tests/test_cli.py::test_flag_out_of_range_is_usage_error",)),
     # the ARIMA order bound is a flag range (`cli._FLAG_RANGES`)
     Mutant("order-bound-six", "src/celltide/cli.py",
            '**dict.fromkeys(("p", "d", "q"), (lambda v: v is None or 0 <= v <= 5, "in 0..5")),',
